@@ -7,184 +7,23 @@ bound against sparse exact evolution at desk scale.
 
 from __future__ import annotations
 
-from .bounds import (
-    BoundReport,
-    CapExceededError,
-    HamTruncationQuery,
-    Schedule,
-    TailQuery,
-    TailReport,
-    TruncationQuery,
-    ValidityError,
-    adaptive_schedule,
-    energy_threshold_hubbard_holstein,
-    energy_threshold_single_mode,
-    hamiltonian_truncation_bound,
-    leakage_bound_at,
-    long_time_bound,
-    minimal_hamiltonian_threshold,
-    minimal_state_threshold,
-    short_time_bound,
-    step_bound,
-    tail_threshold,
-)
-from .fock_algebra import (
-    ALL,
-    CompositeBasis,
-    ModeSpec,
-    ProjectorSpec,
-    ResourceLimitError,
-    boson,
-    build_basis,
-    combine,
-    dump_coo,
-    fermion,
-    hermiticity_defect,
-    mode_operator,
-    projector,
-    rotor,
-    spin_half,
-    window_mask,
-)
-from .models import (
-    ModelInstance,
-    comm_norm_analytic,
-    comm_norm_exact,
-    dicke,
-    hubbard_holstein_1d,
-    single_mode,
-    u1_lgt_1d,
-)
-from .propagate import (
-    ConvergenceError,
-    DensePropagator,
-    EvolveConfig,
-    evolve,
-    ground_state,
-    leakage_norm,
-    lowest_eigenpairs,
-    op_norm,
-)
-from .trotter import (
-    CoefficientSummaries,
-    CommutatorBudget,
-    TrotterPlan,
-    TrotterPoint,
-    ab_quantities,
-    apply_product_formula,
-    beta_comm,
-    empirical_trotter_error,
-    error_scaling_slope,
-    per_step_error_bound,
-    safe_window,
-    summaries_hubbard_holstein,
-    summaries_single_mode,
-    trotter_steps,
-)
-from .verify import (
-    CompareRow,
-    ExperimentReport,
-    ThresholdComparison,
-    coherent_oracle_check,
-    compare_thresholds,
-    tail_decay_slope,
-    tail_profile,
-    verify_hamiltonian_truncation,
-    verify_state_truncation,
-    verify_tail,
-)
-from .walk_profiles import (
-    WalkProfile,
-    profile_boson_fermion_general,
-    profile_dicke,
-    profile_hubbard_holstein,
-    profile_su2,
-    profile_u1,
-    speed_limit,
-)
+from . import bounds, fock_algebra, models, propagate, trotter, verify, walk_profiles
+from .bounds import *  # noqa: F401,F403
+from .fock_algebra import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .propagate import *  # noqa: F401,F403
+from .trotter import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .walk_profiles import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL",
-    "BoundReport",
-    "CapExceededError",
-    "CoefficientSummaries",
-    "CommutatorBudget",
-    "CompareRow",
-    "CompositeBasis",
-    "ConvergenceError",
-    "DensePropagator",
-    "EvolveConfig",
-    "ExperimentReport",
-    "HamTruncationQuery",
-    "ModeSpec",
-    "ModelInstance",
-    "ProjectorSpec",
-    "ResourceLimitError",
-    "Schedule",
-    "TailQuery",
-    "TailReport",
-    "ThresholdComparison",
-    "TrotterPlan",
-    "TrotterPoint",
-    "TruncationQuery",
-    "ValidityError",
-    "WalkProfile",
-    "ab_quantities",
-    "adaptive_schedule",
-    "apply_product_formula",
-    "beta_comm",
-    "boson",
-    "build_basis",
-    "coherent_oracle_check",
-    "combine",
-    "comm_norm_analytic",
-    "comm_norm_exact",
-    "compare_thresholds",
-    "dicke",
-    "dump_coo",
-    "empirical_trotter_error",
-    "energy_threshold_hubbard_holstein",
-    "energy_threshold_single_mode",
-    "error_scaling_slope",
-    "evolve",
-    "fermion",
-    "ground_state",
-    "hamiltonian_truncation_bound",
-    "hermiticity_defect",
-    "hubbard_holstein_1d",
-    "leakage_bound_at",
-    "leakage_norm",
-    "long_time_bound",
-    "lowest_eigenpairs",
-    "minimal_hamiltonian_threshold",
-    "minimal_state_threshold",
-    "mode_operator",
-    "op_norm",
-    "per_step_error_bound",
-    "profile_boson_fermion_general",
-    "profile_dicke",
-    "profile_hubbard_holstein",
-    "profile_su2",
-    "profile_u1",
-    "projector",
-    "rotor",
-    "safe_window",
-    "short_time_bound",
-    "single_mode",
-    "speed_limit",
-    "spin_half",
-    "step_bound",
-    "summaries_hubbard_holstein",
-    "summaries_single_mode",
-    "tail_decay_slope",
-    "tail_profile",
-    "tail_threshold",
-    "trotter_steps",
-    "u1_lgt_1d",
-    "verify_hamiltonian_truncation",
-    "verify_state_truncation",
-    "verify_tail",
-    "window_mask",
+    *bounds.__all__,
+    *fock_algebra.__all__,
+    *models.__all__,
+    *propagate.__all__,
+    *trotter.__all__,
+    *verify.__all__,
+    *walk_profiles.__all__,
 ]

@@ -17,11 +17,14 @@ on the command line win.  Exit codes: 0 success and all reports sound,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .bounds import (
@@ -55,9 +58,9 @@ from .verify import (
     verify_tail,
 )
 from .walk_profiles import (
-    WalkProfile,
     profile_dicke,
     profile_hubbard_holstein,
+    profile_single_mode,
     profile_u1,
 )
 
@@ -157,19 +160,66 @@ def write_output(path, fmt, columns, rows, config, meta=None):
 
 
 # ---------------------------------------------------------------------------
-# shared model/profile resolution
+# model table
 # ---------------------------------------------------------------------------
 
-def _profile_for(args) -> WalkProfile:
-    if args.model == "single":
-        return WalkProfile(chi=2.0 * abs(args.g), r=0.5, label="single_mode")
-    if args.model == "hh":
-        return profile_hubbard_holstein(abs(args.g))
-    if args.model == "dicke":
-        return profile_dicke(abs(args.g), args.n)
-    if args.model == "u1":
-        return profile_u1(abs(args.gb), abs(args.g))
-    raise ValueError(f"unknown model {args.model!r}")
+@dataclass(frozen=True)
+class _Model:
+    """How the CLI reads one --model: its profile, builder and optional hooks.
+
+    The hooks call the builders through this module's globals, so a
+    rebinding of e.g. `cli.single_mode` reaches every command.
+    """
+
+    profile: Callable  # args -> WalkProfile
+    build: Callable  # (args, n_max) -> ModelInstance
+    trotter: Callable | None = None  # args -> (CoefficientSummaries, default p)
+    energy: Callable | None = None  # args -> energy-argument cutoff
+
+
+def _hh_couplings(args) -> dict:
+    return dict(hop=args.hop, u=args.u, mu=args.mu, g=args.g, omega0=args.omega0)
+
+
+_MODELS = {
+    "single": _Model(
+        profile=lambda a: profile_single_mode(a.g),
+        build=lambda a, n_max: single_mode(a.g, a.omega0, n_max),
+        trotter=lambda a: (summaries_single_mode(a.g, a.omega0), 1),
+        energy=lambda a: energy_threshold_single_mode(a.omega0, a.lambda0, a.eps),
+    ),
+    "hh": _Model(
+        profile=lambda a: profile_hubbard_holstein(abs(a.g)),
+        build=lambda a, n_max: hubbard_holstein_1d(
+            a.sites, n_max=n_max, **_hh_couplings(a)
+        ),
+        trotter=lambda a: (summaries_hubbard_holstein(a.sites, **_hh_couplings(a)), 2),
+        energy=lambda a: energy_threshold_hubbard_holstein(
+            omega0=a.omega0,
+            g=a.g,
+            n_sites=a.n,
+            lambda0=a.lambda0,
+            e_f_ground=a.ef,
+            e_total=a.etotal,
+            epsilon=a.eps,
+        ),
+    ),
+    "dicke": _Model(
+        profile=lambda a: profile_dicke(abs(a.g), a.n),
+        build=lambda a, n_max: dicke(a.n, a.omega0, a.omega_z, a.g, n_max),
+    ),
+    "u1": _Model(
+        profile=lambda a: profile_u1(abs(a.gb), abs(a.g)),
+        build=lambda a, n_max: u1_lgt_1d(a.sites, a.gm, a.g, a.ge, a.field_cap),
+    ),
+}
+
+
+def _model_hook(args, hook: str, unsupported: str) -> Callable:
+    fn = getattr(_MODELS[args.model], hook)
+    if fn is None:
+        raise ValueError(unsupported)
+    return fn
 
 
 def _time_grid(args) -> list[float]:
@@ -181,32 +231,12 @@ def _time_grid(args) -> list[float]:
     return [args.tmax * i / (n - 1) for i in range(n)]
 
 
-def _build_model(args):
-    if args.model == "single":
-        return single_mode(args.g, args.omega0, args.n_max)
-    if args.model == "hh":
-        return hubbard_holstein_1d(
-            args.sites,
-            hop=args.hop,
-            u=args.u,
-            mu=args.mu,
-            g=args.g,
-            omega0=args.omega0,
-            n_max=args.n_max,
-        )
-    if args.model == "dicke":
-        return dicke(args.n, args.omega0, args.omega_z, args.g, args.n_max)
-    if args.model == "u1":
-        return u1_lgt_1d(args.sites, args.gm, args.g, args.ge, args.field_cap)
-    raise ValueError(f"unknown model {args.model!r}")
-
-
 # ---------------------------------------------------------------------------
 # threshold commands
 # ---------------------------------------------------------------------------
 
 def _cmd_threshold_state(args):
-    profile = _profile_for(args)
+    profile = _MODELS[args.model].profile(args)
     columns = ["t", "lambda_ours", "bound", "delta"]
     rows = []
     for t in _time_grid(args):
@@ -224,26 +254,12 @@ def _cmd_threshold_state(args):
 
 
 def _cmd_threshold_energy(args):
-    columns = ["model", "lambda_energy"]
-    if args.model == "single":
-        lam = energy_threshold_single_mode(args.omega0, args.lambda0, args.eps)
-    elif args.model == "hh":
-        lam = energy_threshold_hubbard_holstein(
-            omega0=args.omega0,
-            g=args.g,
-            n_sites=args.n,
-            lambda0=args.lambda0,
-            e_f_ground=args.ef,
-            e_total=args.etotal,
-            epsilon=args.eps,
-        )
-    else:
-        raise ValueError("energy thresholds cover --model single or hh")
-    return columns, [[args.model, lam]], {}, EXIT_OK
+    energy = _model_hook(args, "energy", "energy thresholds cover --model single or hh")
+    return ["model", "lambda_energy"], [[args.model, energy(args)]], {}, EXIT_OK
 
 
 def _cmd_threshold_ham(args):
-    model = _build_model(args)
+    model = _MODELS[args.model].build(args, args.n_max)
     rep = minimal_hamiltonian_threshold(
         model.profile,
         TruncationQuery(lambda0=args.lambda0, time=args.t_single, epsilon=args.eps),
@@ -256,7 +272,7 @@ def _cmd_threshold_ham(args):
 
 
 def _cmd_threshold_tail(args):
-    profile = _profile_for(args)
+    profile = _MODELS[args.model].profile(args)
     if args.lambda_bar is None or args.gap is None:
         raise ValueError("tail thresholds need --lambda-bar and --gap")
     columns = ["eps", "lambda_tail", "delta", "sigma", "t_window", "bound"]
@@ -320,15 +336,6 @@ def _verify_times(args, fallback):
     return _time_grid(args)
 
 
-def _suite_state(args, cfg):
-    model = _build_model(args)
-    deltas = args.deltas if args.deltas is not None else [2, 3, 4, 5]
-    times = _verify_times(args, [0.25])
-    return verify_state_truncation(
-        model, args.lambda0, times, mode=args.windows, deltas=deltas, cfg=cfg
-    )
-
-
 def _suite_ham(args, cfg):
     if args.model != "single":
         raise ValueError("the hamiltonian-truncation suite runs on --model single")
@@ -349,27 +356,11 @@ def _suite_ham(args, cfg):
     return reports
 
 
-def _suite_tail(args, cfg):
-    model = _build_model(args)
-    return verify_tail(model, args.eps_list, cfg=cfg)
-
-
 def _suite_trotter(args, cfg):
-    if args.model == "single":
-        model = single_mode(args.g, args.omega0, args.n_max)
-        summaries = summaries_single_mode(args.g, args.omega0)
-        p = args.p if args.p else 1
-    elif args.model == "hh":
-        model = hubbard_holstein_1d(
-            args.sites, hop=args.hop, u=args.u, mu=args.mu,
-            g=args.g, omega0=args.omega0, n_max=args.n_max,
-        )
-        summaries = summaries_hubbard_holstein(
-            args.sites, hop=args.hop, u=args.u, mu=args.mu, g=args.g, omega0=args.omega0
-        )
-        p = args.p if args.p else 2
-    else:
-        raise ValueError("the trotter suite runs on --model single or hh")
+    trotter = _model_hook(args, "trotter", "the trotter suite runs on --model single or hh")
+    model = _MODELS[args.model].build(args, args.n_max)
+    summaries, default_p = trotter(args)
+    p = args.p if args.p else default_p
     lambda1 = safe_window(args.lambda0, p)
     budget = ab_quantities(summaries, lambda1, p, model.cutoff)
     points = empirical_trotter_error(
@@ -387,6 +378,26 @@ def _suite_trotter(args, cfg):
     return columns, rows, meta, code
 
 
+def _suite_all(cfg):
+    """The fixed instances behind `verify all`; model flags do not apply."""
+    reports = verify_state_truncation(
+        single_mode(0.5, 1.0, 48), 0, [0.25], deltas=[2, 3, 4, 5], cfg=cfg
+    )
+    reports.append(
+        verify_hamiltonian_truncation(
+            lambda nm: single_mode(0.5, 1.0, nm),
+            n_max=48,
+            lambda0=0,
+            lambda_tilde=10,
+            t=1.0,
+            cfg=cfg,
+        )
+    )
+    reports += verify_tail(hubbard_holstein_1d(2, n_max=12), [1e-2, 1e-4], cfg=cfg)
+    reports.append(coherent_oracle_check([0.5, 1.0, 2.0], cfg=cfg))
+    return reports
+
+
 def _cmd_verify(args):
     cfg = EvolveConfig(seed=args.seed)
     if args.suite == "trotter":
@@ -395,21 +406,21 @@ def _cmd_verify(args):
         times = _verify_times(args, [0.5, 1.0, 2.0, 3.0])
         reports = [coherent_oracle_check(times, cfg=cfg)]
     elif args.suite == "state":
-        reports = _suite_state(args, cfg)
+        reports = verify_state_truncation(
+            _MODELS[args.model].build(args, args.n_max),
+            args.lambda0,
+            _verify_times(args, [0.25]),
+            mode=args.windows,
+            deltas=args.deltas if args.deltas is not None else [2, 3, 4, 5],
+            cfg=cfg,
+        )
     elif args.suite == "ham":
         reports = _suite_ham(args, cfg)
     elif args.suite == "tail":
-        reports = _suite_tail(args, cfg)
+        model = _MODELS[args.model].build(args, args.n_max)
+        reports = verify_tail(model, args.eps_list, cfg=cfg)
     elif args.suite == "all":
-        reports = []
-        single_args = _reparse(args, ["--model", "single", "--n-max", "48"])
-        reports += _suite_state(single_args, cfg)
-        reports += _suite_ham(single_args, cfg)
-        hh_args = _reparse(
-            args, ["--model", "hh", "--sites", "2", "--n-max", "12", "--eps-list", "1e-2,1e-4"]
-        )
-        reports += _suite_tail(hh_args, cfg)
-        reports.append(coherent_oracle_check([0.5, 1.0, 2.0], cfg=cfg))
+        reports = _suite_all(cfg)
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     rows = [_report_row(rep) for rep in reports]
@@ -417,34 +428,45 @@ def _cmd_verify(args):
     return _REPORT_COLUMNS, rows, {"reports": len(rows)}, code
 
 
-def _reparse(args, extra_tokens):
-    """Clone a verify namespace with overrides applied through the parser."""
-    parser = build_parser()
-    base = ["verify", args.suite if args.suite != "all" else "state"]
-    tokens = base + extra_tokens
-    clone = parser.parse_args(tokens)
-    for key, value in vars(args).items():
-        if not hasattr(clone, key):
-            setattr(clone, key, value)
-    return clone
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+def _flag_tokens(key: str, value: str) -> list[str]:
+    """argv tokens for one key=value setting: true is a bare switch, false none."""
+    flag = "--" + key.strip().replace("_", "-")
+    if value.lower() == "true":
+        return [flag]
+    if value.lower() == "false":
+        return []
+    return [flag, value]
+
+
+def _parse_point(parser, tokens: list[str]):
+    """Parse one sweep point; arguments that do not parse raise ValueError."""
+    captured = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(captured), contextlib.redirect_stdout(captured):
+            return parser.parse_args(tokens)
+    except SystemExit:
+        lines = captured.getvalue().strip().splitlines() or ["bad arguments"]
+        reason = lines[-1].split(": error: ", 1)[-1]
+        raise ValueError(f"bad sweep point {' '.join(tokens)!r}: {reason}") from None
+
 
 def _cmd_sweep(args):
     if args.cmd not in ("threshold-state", "threshold-energy", "compare"):
         raise ValueError("sweep covers threshold-state, threshold-energy, compare")
     varied: list[tuple[str, list[str]]] = []
     for spec in args.vary or []:
-        if "=" not in spec:
+        key, _, values = spec.partition("=")
+        values = [v for v in values.split(",") if v != ""]
+        if not values:
             raise ValueError(f"bad --vary {spec!r}; want key=v1,v2")
-        key, values = spec.split("=", 1)
-        varied.append((key.strip(), [v for v in values.split(",") if v != ""]))
+        varied.append((key.strip(), values))
     size = 1
     for _, vals in varied:
-        size *= max(1, len(vals))
+        size *= len(vals)
     if size > args.max_rows:
         raise ResourceLimitError(f"sweep grid of {size} rows exceeds cap {args.max_rows}")
 
@@ -453,35 +475,23 @@ def _cmd_sweep(args):
         combos = [c + [(key, v)] for c in combos for v in vals]
 
     base_tokens = args.cmd.split("-") if args.cmd != "compare" else ["compare"]
-    set_tokens: list[str] = []
     for spec in args.set or []:
         if "=" not in spec:
             raise ValueError(f"bad --set {spec!r}; want key=value")
-        key, value = spec.split("=", 1)
-        set_tokens += [f"--{key.strip().replace('_', '-')}", value]
+        base_tokens += _flag_tokens(*spec.split("=", 1))
 
     parser = build_parser()
-
-    def run_point(combo):
-        tokens = list(base_tokens) + list(set_tokens)
-        for key, value in combo:
-            tokens += [f"--{key.replace('_', '-')}", value]
-        point_args = parser.parse_args(tokens)
-        return point_args.func(point_args)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_point, combos))
-    else:
-        results = [run_point(c) for c in combos]
-
     varied_names = [k for k, _ in varied]
-    columns = varied_names + list(results[0][0])
+    columns = None
     rows = []
-    for combo, (cols, point_rows, _, _) in zip(combos, results):
-        prefix = [v for _, v in combo]
-        for row in point_rows:
-            rows.append(prefix + list(row))
+    for combo in combos:
+        tokens = list(base_tokens)
+        for key, value in combo:
+            tokens += _flag_tokens(key, value)
+        point_args = _parse_point(parser, tokens)
+        cols, point_rows, _, _ = point_args.func(point_args)
+        columns = columns or varied_names + list(cols)
+        rows += [[v for _, v in combo] + list(row) for row in point_rows]
     return columns, rows, {"grid_rows": size}, EXIT_OK
 
 
@@ -494,11 +504,10 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="key=value config file; flags win")
     sub.add_argument("--seed", type=int, default=1123)
-    sub.add_argument("--jobs", type=int, default=1)
 
 
 def _add_model_params(sub, with_cutoff=True):
-    sub.add_argument("--model", choices=("single", "hh", "dicke", "u1"), default="single")
+    sub.add_argument("--model", choices=tuple(_MODELS), default="single")
     sub.add_argument("--g", type=float, default=0.5, help="coupling (g_GM for u1)")
     sub.add_argument("--gb", type=float, default=0.0, help="magnetic weight for u1")
     sub.add_argument("--gm", type=float, default=1.0, help="staggered mass for u1")
@@ -634,16 +643,9 @@ def _inject_config(argv: list[str]) -> list[str]:
     i = argv.index("--config")
     if i + 1 >= len(argv):
         return argv
-    values = load_config(argv[i + 1])
     extra: list[str] = []
-    for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if value.lower() == "true":
-            extra.append(flag)
-        elif value.lower() == "false":
-            continue
-        else:
-            extra += [flag, value]
+    for key, value in load_config(argv[i + 1]).items():
+        extra += _flag_tokens(key, value)
     n_cmd = 1 if argv and argv[0] == "sweep" else 2
     n_cmd = min(n_cmd, len(argv))
     return argv[:n_cmd] + extra + argv[n_cmd:]

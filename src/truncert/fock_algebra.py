@@ -37,8 +37,6 @@ __all__ = [
     "mode_operator",
     "window_mask",
     "projector",
-    "combine",
-    "dump_coo",
     "hermiticity_defect",
 ]
 
@@ -325,46 +323,6 @@ def projector(basis: CompositeBasis, spec: ProjectorSpec) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # sparse arithmetic helpers
 # ---------------------------------------------------------------------------
-
-def combine(
-    ops: Sequence[sp.spmatrix],
-    mode: str = "sum",
-    weights: Sequence[complex] | None = None,
-) -> sp.csr_matrix:
-    """Weighted sum or ordered product of same-dimension sparse operators."""
-    if not ops:
-        raise ValueError("combine needs at least one operator")
-    dim = ops[0].shape[0]
-    for op in ops:
-        if op.shape != (dim, dim):
-            raise ValueError("operator dimensions disagree")
-    if weights is None:
-        weights = [1.0] * len(ops)
-    if len(weights) != len(ops):
-        raise ValueError("one weight per operator")
-    if mode == "sum":
-        acc = sp.csr_matrix((dim, dim), dtype=complex)
-        for w, op in zip(weights, ops):
-            acc = acc + w * op
-        return _clean(acc)
-    if mode == "product":
-        acc = sp.identity(dim, format="csr", dtype=complex)
-        for w, op in zip(weights, ops):
-            acc = acc @ (w * op)
-        return _clean(acc)
-    raise ValueError(f"unknown combine mode {mode!r}")
-
-
-def dump_coo(op: sp.spmatrix) -> str:
-    """Coordinate-format text dump: 'row col re im' per line, row-major."""
-    coo = sp.coo_matrix(op)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[i]} {coo.col[i]} {coo.data[i].real:.17g} {coo.data[i].imag:.17g}"
-        for i in order
-    ]
-    return "\n".join(lines)
-
 
 def hermiticity_defect(op: sp.spmatrix) -> float:
     """Largest entry magnitude of op - op^dagger."""

@@ -36,6 +36,7 @@ from .walk_profiles import (
     WalkProfile,
     profile_dicke,
     profile_hubbard_holstein,
+    profile_single_mode,
     profile_u1,
 )
 
@@ -132,7 +133,7 @@ def single_mode(g_lin: float, omega0: float, n_max: int) -> ModelInstance:
         basis=basis,
         hamiltonian=h,
         parts={"drive": drive.tocsr(), "oscillator": osc.tocsr()},
-        profile=WalkProfile(chi=2.0 * abs(g_lin), r=0.5, label="single_mode"),
+        profile=profile_single_mode(g_lin),
         params={"g_lin": g_lin, "omega0": omega0, "n_max": n_max},
         walk_parts={0: drive.tocsr()},
     )
@@ -368,9 +369,12 @@ def comm_norm_exact(
 
 
 def comm_norm_analytic(model: ModelInstance, lambda_tilde: int) -> float:
-    """Closed-form upper bound 2 (sum over parts of ||part Pi||)^2.
+    """Closed-form estimate 2 (sum over parts of ||part Pi||)^2.
 
-    Always at least the exact commutator norm; cheap at any scale.
+    In exact arithmetic this bounds the commutator norm from above.  Each
+    ||part Pi|| here comes from `op_norm` power iteration, which converges
+    from below, so the computed value is not a certified upper bound;
+    cheap at any scale.
     """
     pi = projector(model.basis, ProjectorSpec(ALL, 0, int(lambda_tilde)))
 

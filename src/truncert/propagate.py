@@ -13,7 +13,7 @@ at 1e-6 and coarser).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +38,12 @@ __all__ = [
 
 #: Largest dim * n_columns product for the exact column path in leakage_norm.
 COLUMN_CAP = 1 << 22
+
+#: leakage_columns diagonalizes densely at or below this dimension.
+_DENSE_DIM = 1200
+
+#: Random window probes that seed leakage_norm's subspace iteration.
+_N_PROBE = 64
 
 _HERM_TOL = 1e-10
 
@@ -290,7 +296,6 @@ def leakage_columns(
     window0: ProjectorSpec,
     t: float,
     cfg: EvolveConfig | None = None,
-    dense_dim: int = 1200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every basis column of the initial window for time t.
 
@@ -307,14 +312,8 @@ def leakage_columns(
         raise ValueError("hamiltonian is not Hermitian")
     idx = np.nonzero(window_mask(basis, window0))[0]
     cols = np.zeros((dim, len(idx)), dtype=complex)
-    prop = DensePropagator(h) if dim <= dense_dim else None
-    quiet = EvolveConfig(
-        tolerance=cfg.tolerance,
-        max_krylov=cfg.max_krylov,
-        seed=cfg.seed,
-        max_halvings=cfg.max_halvings,
-        check_hermitian=False,
-    )
+    prop = DensePropagator(h) if dim <= _DENSE_DIM else None
+    quiet = replace(cfg, check_hermitian=False)
     for j, i in enumerate(idx):
         e = np.zeros(dim, dtype=complex)
         e[i] = 1.0
@@ -338,7 +337,6 @@ def leakage_norm(
     t: float,
     cfg: EvolveConfig | None = None,
     column_cap: int = COLUMN_CAP,
-    n_probe: int = 64,
 ) -> float:
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
 
@@ -360,14 +358,7 @@ def leakage_norm(
 
     if cfg.check_hermitian and hermiticity_defect(h) > _HERM_TOL:
         raise ValueError("hamiltonian is not Hermitian")
-    quiet = EvolveConfig(
-        tolerance=cfg.tolerance,
-        max_krylov=cfg.max_krylov,
-        seed=cfg.seed,
-        max_halvings=cfg.max_halvings,
-        check_hermitian=False,
-    )
-
+    quiet = replace(cfg, check_hermitian=False)
     idx0 = np.nonzero(mask0)[0]
 
     def forward(x):
@@ -385,7 +376,7 @@ def leakage_norm(
     rng = np.random.default_rng(cfg.seed)
     best_x = None
     best_val = -1.0
-    for _ in range(n_probe):
+    for _ in range(_N_PROBE):
         x = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
         x /= np.linalg.norm(x)
         val = np.linalg.norm(forward(x))

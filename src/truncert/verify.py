@@ -103,7 +103,6 @@ def verify_state_truncation(
     mode: str = "per_mode",
     deltas: Sequence[int] = (2, 3, 4, 5),
     cfg: EvolveConfig | None = None,
-    include_short_time: bool = True,
     column_cap: int = COLUMN_CAP,
 ) -> list[ExperimentReport]:
     """Leakage norms against the short- and long-time bounds.
@@ -120,6 +119,7 @@ def verify_state_truncation(
     basis = model.basis
     trunc = basis.truncatable_modes
     union = math.sqrt(len(trunc)) if trunc else 1.0
+    nus = trunc if mode == "per_mode" else [None]
     window0 = ProjectorSpec(ALL, 0, int(lambda0))
     n0 = int(window_mask(basis, window0).sum())
     exact = basis.dimension * n0 <= column_cap
@@ -131,24 +131,25 @@ def verify_state_truncation(
     cutoff = model.cutoff
     reports: list[ExperimentReport] = []
 
-    def emit(kind, t, delta, lam, bound, emp_fn, nu=None):
-        t0 = time.perf_counter()
-        notes = method
-        if lam >= cutoff:
-            empirical = 0.0
-            notes += "; window exceeds proxy cutoff, empirical trivially 0"
-        else:
-            empirical = emp_fn()
-        inputs = {
-            "model": model.label,
-            "lambda0": int(lambda0),
-            "t": float(t),
-            "delta": int(delta),
-            "window": int(lam),
-            "mode": "all" if nu is None else int(nu),
-        }
-        analytic = min(1.0, union * bound) if nu is None else bound
-        reports.append(_report(kind, inputs, empirical, analytic, cfg, t0, notes))
+    def emit(kind, t, delta, lam, bound, empirical_at):
+        for nu in nus:
+            t0 = time.perf_counter()
+            notes = method
+            if lam >= cutoff:
+                empirical = 0.0
+                notes += "; window exceeds proxy cutoff, empirical trivially 0"
+            else:
+                empirical = empirical_at(lam, nu)
+            inputs = {
+                "model": model.label,
+                "lambda0": int(lambda0),
+                "t": float(t),
+                "delta": int(delta),
+                "window": int(lam),
+                "mode": "all" if nu is None else int(nu),
+            }
+            analytic = min(1.0, union * bound) if nu is None else bound
+            reports.append(_report(kind, inputs, empirical, analytic, cfg, t0, notes))
 
     for t in times:
         cols = None
@@ -156,11 +157,7 @@ def verify_state_truncation(
             cols, _ = leakage_columns(basis, model.hamiltonian, window0, t, cfg)
 
         def empirical_at(lam, nu):
-            spec = (
-                ProjectorSpec(ALL, 0, lam)
-                if nu is None
-                else ProjectorSpec(nu, 0, lam)
-            )
+            spec = ProjectorSpec(ALL if nu is None else nu, 0, lam)
             if cols is not None:
                 return masked_top_singular(cols, window_mask(basis, spec))
             return leakage_norm(
@@ -169,25 +166,13 @@ def verify_state_truncation(
 
         within_validity = abs(t) <= speed_limit(model.profile, lambda0) + 1e-12
         for delta in deltas:
-            if include_short_time and within_validity and delta >= 1:
+            if within_validity and delta >= 1:
                 lam_s = int(lambda0) + int(delta) - 1
                 bnd = short_time_bound(model.profile, lambda0, delta, t)
-                if mode == "per_mode":
-                    for nu in trunc:
-                        emit("state_short", t, delta, lam_s, bnd,
-                             lambda lam=lam_s, nu=nu: empirical_at(lam, nu), nu=nu)
-                else:
-                    emit("state_short", t, delta, lam_s, bnd,
-                         lambda lam=lam_s: empirical_at(lam, None))
+                emit("state_short", t, delta, lam_s, bnd, empirical_at)
             if delta >= 2:
                 rep = long_time_bound(model.profile, lambda0, delta, t)
-                if mode == "per_mode":
-                    for nu in trunc:
-                        emit("state_long", t, delta, rep.lambda_, rep.bound,
-                             lambda lam=rep.lambda_, nu=nu: empirical_at(lam, nu), nu=nu)
-                else:
-                    emit("state_long", t, delta, rep.lambda_, rep.bound,
-                         lambda lam=rep.lambda_: empirical_at(lam, None))
+                emit("state_long", t, delta, rep.lambda_, rep.bound, empirical_at)
     return reports
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "WalkProfile",
+    "profile_single_mode",
     "profile_hubbard_holstein",
     "profile_boson_fermion_general",
     "profile_u1",
@@ -42,6 +43,11 @@ class WalkProfile:
             raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
         if not 0 <= self.r < 1:
             raise ValueError(f"r must lie in [0, 1), got {self.r}")
+
+
+def profile_single_mode(g: float) -> WalkProfile:
+    """Profile for a linear drive g*(b + b^dag): chi = 2|g|, r = 1/2."""
+    return WalkProfile(chi=2.0 * abs(g), r=0.5, label="single_mode")
 
 
 def profile_hubbard_holstein(g: float) -> WalkProfile:

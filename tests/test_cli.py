@@ -214,12 +214,77 @@ def test_sweep_rejects_unknown_command(capsys):
     assert code == 1
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    argv = ["sweep", "--cmd", "threshold-state",
-            "--vary", "t=0.5,1", "--set", "g=1", "--set", "eps=1e-3"]
-    _, serial = _run(argv, capsys)
-    _, parallel = _run(argv + ["--jobs", "2"], capsys)
-    assert _data_lines(serial) == _data_lines(parallel)
+def test_sweep_switch_values_match_scalar_calls(capsys):
+    base = ["--set", "g=1", "--set", "eps=1e-3"]
+    for value, switch in (("true", ["--optimize-lambda"]), ("false", [])):
+        code, out = _run(
+            ["sweep", "--cmd", "threshold-state", "--vary", "t=0.5,1",
+             "--set", f"optimize_lambda={value}"] + base,
+            capsys,
+        )
+        assert code == 0
+        swept = [row.split(",", 1)[1] for row in _data_lines(out)[1:]]
+        code2, out2 = _run(
+            ["threshold", "state", "--t", "0.5,1", "--g", "1", "--eps", "1e-3"] + switch,
+            capsys,
+        )
+        assert code2 == 0
+        assert swept == _data_lines(out2)[1:]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--vary", "t=0.5,1", "--set", "bogus=1"],
+        ["--vary", "t=0.5,oops"],
+        ["--vary", "t="],
+    ],
+)
+def test_sweep_bad_point_is_one_usage_error(extra, capsys):
+    code = cli.main(["sweep", "--cmd", "threshold-state"] + extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("error:") == 1
+    assert "usage:" not in err
+
+
+# ---------------------------------------------------------------------------
+# the model table
+# ---------------------------------------------------------------------------
+
+_PAIR_ARGV = {
+    "threshold state": ["threshold", "state", "--t", "0.5"],
+    "threshold energy": ["threshold", "energy"],
+    "verify trotter": ["verify", "trotter", "--sites", "1", "--n-max", "14",
+                       "--taus", "0.1,0.05"],
+    "verify ham": ["verify", "ham"],
+}
+
+_UNSUPPORTED = {
+    "threshold energy": ("dicke", "u1"),
+    "verify trotter": ("dicke", "u1"),
+    "verify ham": ("hh", "dicke", "u1"),
+}
+
+_MESSAGES = {
+    "threshold energy": "energy thresholds cover --model single or hh",
+    "verify trotter": "the trotter suite runs on --model single or hh",
+    "verify ham": "the hamiltonian-truncation suite runs on --model single",
+}
+
+
+@pytest.mark.parametrize("model", ["single", "hh", "dicke", "u1"])
+@pytest.mark.parametrize("command", list(_PAIR_ARGV))
+def test_every_model_command_pair(command, model, capsys):
+    code = cli.main(_PAIR_ARGV[command] + ["--model", model])
+    captured = capsys.readouterr()
+    if model in _UNSUPPORTED.get(command, ()):
+        assert code == 1
+        assert captured.err == f"truncert: error: {_MESSAGES[command]}\n"
+        assert captured.out == ""
+    else:
+        assert code == 0, captured.err
+        assert f"# model={model}" in captured.out.splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from truncert.fock_algebra import (
     ResourceLimitError,
     boson,
     build_basis,
-    combine,
-    dump_coo,
     fermion,
     hermiticity_defect,
     mode_operator,
@@ -257,36 +255,6 @@ def test_projector_empty_window_rejected():
     basis = build_basis([boson(4)])
     with pytest.raises(ValueError):
         ProjectorSpec(0, 3, 2)
-
-
-def test_combine_sum_and_weights():
-    basis = build_basis([boson(2)])
-    n = mode_operator(basis, 0, "number")
-    a = mode_operator(basis, 0, "annihilate")
-    out = combine([n, a], weights=[2.0, -1.0])
-    assert abs(out - (2.0 * n - a)).max() < 1e-15
-
-
-def test_combine_product_order():
-    basis = build_basis([boson(3)])
-    a = mode_operator(basis, 0, "annihilate")
-    ad = mode_operator(basis, 0, "create")
-    prod = combine([a, ad], mode="product")
-    assert abs(prod - a @ ad).max() < 1e-15
-
-
-def test_dump_coo_is_sorted_text():
-    basis = build_basis([boson(2)])
-    n = mode_operator(basis, 0, "number")
-    lines = dump_coo(n).strip().splitlines()
-    assert lines == ["1 1 1 0", "2 2 2 0"]
-
-
-def test_dump_coo_row_major_order():
-    basis = build_basis([boson(3)])
-    x = mode_operator(basis, 0, "position")
-    rows = [tuple(map(float, ln.split()[:2])) for ln in dump_coo(x).splitlines()]
-    assert rows == sorted(rows)
 
 
 def test_hermiticity_defect_detects_asymmetry():
