@@ -35,6 +35,7 @@ __all__ = [
     "CapExceededError",
     "DELTA_MAX",
     "step_bound",
+    "within_speed_limit",
     "short_time_bound",
     "adaptive_schedule",
     "long_time_bound",
@@ -54,6 +55,10 @@ DELTA_MAX = 512
 
 #: Default cap on threshold searches over the window size.
 LAMBDA_CAP = 1 << 24
+
+#: Absolute slack of the speed-limit test, so that a time equal to the
+#: limit up to rounding (0.25 against 0.24999999999999994) is inside it.
+_SPEED_LIMIT_SLACK = 1e-12
 
 
 class ValidityError(ValueError):
@@ -187,6 +192,16 @@ def step_bound(delta: int, r: float) -> float:
     return math.exp(_log_step_bound(delta, r))
 
 
+def within_speed_limit(profile: WalkProfile, lambda0: int, t: float) -> bool:
+    """Whether |t| lies in the one-step validity window, up to rounding.
+
+    The one test of short-time validity: short_time_bound raises exactly
+    when this is false, and the experiments emit short-time reports
+    exactly when it is true.
+    """
+    return abs(t) <= speed_limit(profile, lambda0) + _SPEED_LIMIT_SLACK
+
+
 def short_time_bound(profile: WalkProfile, lambda0: int, delta: int, t: float) -> float:
     """Leakage bound outside the open window (-lambda0-delta, lambda0+delta).
 
@@ -197,8 +212,8 @@ def short_time_bound(profile: WalkProfile, lambda0: int, delta: int, t: float) -
         raise ValueError("lambda0 must be a nonnegative integer")
     if delta < 1 or int(delta) != delta:
         raise ValueError("delta must be an integer >= 1")
-    t_max = speed_limit(profile, lambda0)
-    if abs(t) > t_max:
+    if not within_speed_limit(profile, lambda0, t):
+        t_max = speed_limit(profile, lambda0)
         raise ValidityError(
             f"|t| = {abs(t)} exceeds the validity window {t_max}", max_time=t_max
         )
@@ -390,11 +405,14 @@ def _smallest_qualifying(
 
     Assumes the failure region below the answer is contiguous (holds for
     the monotone-in-window bounds searched here); a final backward walk
-    guards against plateau edges.
+    guards against plateau edges.  The predicate is never evaluated
+    above cap.
     """
+    if lo > cap:
+        raise CapExceededError(f"{what}: search starts at {lo} > cap {cap}")
     if predicate(lo):
         return lo
-    hi = max(lo + 1, 2 * lo)
+    hi = min(max(lo + 1, 2 * lo), cap)
     while not predicate(hi):
         if hi >= cap:
             raise CapExceededError(f"{what}: no window <= {cap} qualifies")

@@ -17,13 +17,13 @@ model cutoff must leave the same headroom above Lambda1' again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .fock_algebra import ALL, ProjectorSpec
 from .models import ModelInstance
-from .propagate import EvolveConfig, evolve, leakage_columns, masked_top_singular
+from .propagate import EvolveConfig, masked_top_singular, propagate_block, sweep_window
 
 __all__ = [
     "CoefficientSummaries",
@@ -260,28 +260,34 @@ def per_step_error_bound(p: int, beta: float, tau: float) -> float:
 def apply_product_formula(parts, psi, tau, p, cfg=None):
     """One product-formula step of order p applied to psi.
 
-    p = 1 is the Lie splitting, p = 2 the symmetric Strang splitting, and
-    even p >= 4 the recursive symmetric construction built from p - 2.
+    psi is one vector or a (dim, k) block of columns; every exponential
+    is a `propagate_block` call at cfg.tolerance.  p = 1 is the Lie
+    splitting, p = 2 the symmetric Strang splitting, and even p >= 4 the
+    recursive symmetric construction built from p - 2, whose five steps
+    each get a fifth of the tolerance: every order then composes at most
+    as much propagation error as one p = 2 step.
     """
     cfg = cfg or EvolveConfig()
+    tol = cfg.tolerance
     if p == 1:
         for part in parts:
-            psi = evolve(part, psi, tau, cfg)
+            psi = propagate_block(part, psi, tau, tol)
         return psi
     if p == 2:
         for part in parts[:-1]:
-            psi = evolve(part, psi, tau / 2.0, cfg)
-        psi = evolve(parts[-1], psi, tau, cfg)
+            psi = propagate_block(part, psi, tau / 2.0, tol)
+        psi = propagate_block(parts[-1], psi, tau, tol)
         for part in reversed(parts[:-1]):
-            psi = evolve(part, psi, tau / 2.0, cfg)
+            psi = propagate_block(part, psi, tau / 2.0, tol)
         return psi
     if p >= 4 and p % 2 == 0:
         u = 1.0 / (4.0 - 4.0 ** (1.0 / (p - 1)))
+        sub = replace(cfg, tolerance=tol / 5.0)
         for _ in range(2):
-            psi = apply_product_formula(parts, psi, u * tau, p - 2, cfg)
-        psi = apply_product_formula(parts, psi, (1.0 - 4.0 * u) * tau, p - 2, cfg)
+            psi = apply_product_formula(parts, psi, u * tau, p - 2, sub)
+        psi = apply_product_formula(parts, psi, (1.0 - 4.0 * u) * tau, p - 2, sub)
         for _ in range(2):
-            psi = apply_product_formula(parts, psi, u * tau, p - 2, cfg)
+            psi = apply_product_formula(parts, psi, u * tau, p - 2, sub)
         return psi
     raise ValueError("order p must be 1, 2, or an even integer >= 4")
 
@@ -298,22 +304,27 @@ def empirical_trotter_error(
 
     Error is the top singular value of (S(tau) - exp(-i tau H)) restricted
     to the initial window [0, lambda0'] (every window basis state is a
-    column; the window must be small enough for that to be exact).
+    column; the window must be small enough for that to be exact).  Both
+    sides propagate the window columns block by block, and each block's
+    difference goes straight into one (dim, |window|) array.
     """
     cfg = cfg or EvolveConfig()
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
     parts = list(model.parts.values())
+    h = model.hamiltonian
     beta = beta_comm(budget) if budget is not None else float("nan")
     full_mask = np.zeros(model.dimension, dtype=bool)
     points = []
     for tau in tau_grid:
-        exact_cols, idx = leakage_columns(model.basis, model.hamiltonian, window0, tau, cfg)
-        diff = np.zeros_like(exact_cols)
-        for j, i in enumerate(idx):
-            e = np.zeros(model.dimension, dtype=complex)
-            e[i] = 1.0
-            diff[:, j] = apply_product_formula(parts, e, tau, p, cfg) - exact_cols[:, j]
+
+        def split_error(e):
+            split = apply_product_formula(parts, e, tau, p, cfg)
+            split -= propagate_block(h, e, tau, cfg.tolerance)
+            return split
+
+        diff, _ = sweep_window(model.basis, window0, split_error)
         error = masked_top_singular(diff, full_mask)
+        del diff  # free this step's array before the next step fills one
         bound = (
             per_step_error_bound(p, beta, tau) if budget is not None else float("nan")
         )

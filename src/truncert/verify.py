@@ -3,10 +3,13 @@
 Every experiment emits ExperimentReports whose soundness flag is
 computed one way only: empirical <= analytic + engine_slack, with
 engine_slack ten times the evolution error budget.  The empirical side
-exhausts the initial window exactly (one evolved column per basis state)
-whenever dim * |window| is affordable, and falls back to seeded random
-probes plus power iteration beyond that; the method used is recorded in
-the report notes.
+exhausts the initial window exactly whenever dim * |window| is
+affordable: every window basis state is a column, and the columns are
+propagated together, block by block, by the Chebyshev engine
+(`propagate.leakage_columns`).  Beyond that it falls back to seeded
+random probes plus power iteration on single vectors through the
+Krylov engine (`propagate.evolve`); the method used is recorded in the
+report notes.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -34,6 +37,7 @@ from .bounds import (
     energy_threshold_hubbard_holstein,
     short_time_bound,
     tail_threshold,
+    within_speed_limit,
 )
 from .fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from .models import ModelInstance, single_mode
@@ -46,7 +50,6 @@ from .propagate import (
     lowest_eigenpairs,
     masked_top_singular,
 )
-from .walk_profiles import speed_limit
 
 __all__ = [
     "ExperimentReport",
@@ -76,6 +79,19 @@ class ExperimentReport:
 
 
 def engine_slack(cfg: EvolveConfig) -> float:
+    """Allowance for propagation error in every soundness comparison.
+
+    The block engine bounds its truncation error by cfg.tolerance in the
+    2-norm of the whole window block, so by Weyl's inequality the top
+    singular value of a masked column block moves by at most
+    cfg.tolerance, whatever the number of window columns.  The Trotter
+    check composes at most five such errors on the single-mode and
+    Hubbard-Holstein suites (the non-diagonal substeps of one Strang step
+    plus the exact step; diagonal parts are exact, and higher orders split
+    the tolerance over their recursive steps), so ten times the tolerance
+    covers every check.  Floating-point roundoff of the Chebyshev
+    recurrence is not part of that bound, as with the Krylov engine.
+    """
     return 10.0 * cfg.tolerance
 
 
@@ -164,7 +180,7 @@ def verify_state_truncation(
                 basis, model.hamiltonian, window0, spec, t, cfg, column_cap=column_cap
             )
 
-        within_validity = abs(t) <= speed_limit(model.profile, lambda0) + 1e-12
+        within_validity = within_speed_limit(model.profile, lambda0, t)
         for delta in deltas:
             if within_validity and delta >= 1:
                 lam_s = int(lambda0) + int(delta) - 1

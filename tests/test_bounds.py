@@ -21,6 +21,7 @@ from truncert.bounds import (
     short_time_bound,
     step_bound,
     tail_threshold,
+    within_speed_limit,
 )
 from truncert.walk_profiles import WalkProfile, speed_limit
 
@@ -62,6 +63,18 @@ def test_short_time_bound_outside_window_raises():
     with pytest.raises(ValidityError) as err:
         short_time_bound(BOSON, 2, 3, 2.0 * t_edge)
     assert err.value.max_time == pytest.approx(t_edge)
+
+
+def test_short_time_bound_accepts_limit_up_to_rounding():
+    """Dicke N = 2, g = 1/2, lambda0 = 1: 1/(2*sqrt(2)*sqrt(2)) rounds below 0.25."""
+    dicke = WalkProfile(chi=2.0 * 0.5 * math.sqrt(2.0), r=0.5, label="dicke")
+    assert speed_limit(dicke, 1) < 0.25
+    assert within_speed_limit(dicke, 1, 0.25)
+    assert within_speed_limit(dicke, 1, -0.25)
+    assert short_time_bound(dicke, 1, 2, 0.25) == step_bound(2, 0.5)
+    assert not within_speed_limit(dicke, 1, 0.2500001)
+    with pytest.raises(ValidityError):
+        short_time_bound(dicke, 1, 2, 0.2500001)
 
 
 def test_short_time_bound_time_reversal():
@@ -285,6 +298,36 @@ def test_minimal_hamiltonian_threshold_matches_exhaustive_scan():
 
     qualifying = [lam for lam in range(2, 40) if bound_at(lam) <= 1e-6]
     assert rep.lambda_ == min(qualifying)
+
+
+def test_smallest_qualifying_never_probes_beyond_cap():
+    from truncert.bounds import _smallest_qualifying
+
+    probed = []
+
+    def record(lam, answer):
+        probed.append(lam)
+        return lam >= answer
+
+    with pytest.raises(CapExceededError):
+        _smallest_qualifying(lambda lam: record(lam, 0), 5, 4, "start")
+    assert probed == []
+    with pytest.raises(CapExceededError):
+        _smallest_qualifying(lambda lam: record(lam, 100), 3, 10, "doubling")
+    assert max(probed) == 10
+    probed.clear()
+    assert _smallest_qualifying(lambda lam: record(lam, 9), 3, 10, "in range") == 9
+    assert max(probed) == 10
+
+
+def test_minimal_hamiltonian_threshold_start_above_cap():
+    q = TruncationQuery(lambda0=1, time=1.0, epsilon=0.1)
+
+    def comm(lam):
+        raise AssertionError(f"commutator norm evaluated at {lam} beyond the cap")
+
+    with pytest.raises(CapExceededError):
+        minimal_hamiltonian_threshold(GAUGE, q, n_modes=1, comm_norm=comm, lambda_cap=2)
 
 
 def test_minimal_hamiltonian_threshold_cap_exceeded():

@@ -310,6 +310,31 @@ def test_resource_guard_exits_two(capsys):
     assert code == 2
 
 
+def test_threshold_ham_start_above_cap_exits_two(capsys):
+    """lambda0 + 2 = 3 exceeds the cap cutoff - 2 = 2: a guard error, not a usage one."""
+    code = cli.main(
+        ["threshold", "ham", "--model", "u1", "--sites", "3", "--field-cap", "4",
+         "--lambda0", "1", "--eps", "0.1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("truncert: resource/guard error:")
+
+
+def test_verify_state_time_at_speed_limit_up_to_rounding(capsys):
+    """t = 0.25 equals the Dicke N = 2, lambda0 = 1 limit 0.24999999999999994."""
+    code, out = _run(
+        ["verify", "state", "--model", "dicke", "--n", "2", "--n-max", "12",
+         "--lambda0", "1", "--t", "0.25,0.5", "--deltas", "1,2,3"],
+        capsys,
+    )
+    assert code == 0
+    rows = _data_lines(out)[1:]
+    short = [r for r in rows if r.startswith("state_short,")]
+    assert short and all("t=0.25" in r for r in short)
+    assert all(",true," in r for r in rows)
+
+
 def test_unsound_report_exits_three(capsys, monkeypatch):
     from dataclasses import replace
 

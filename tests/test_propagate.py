@@ -1,13 +1,15 @@
-"""Evolution engine: Krylov propagator vs dense oracles, eigensolvers, norms."""
+"""Evolution engines: Chebyshev and Krylov propagators vs dense oracles, eigensolvers, norms."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import jv
 
-from truncert.fock_algebra import ALL, ProjectorSpec, build_basis, boson, projector
-from truncert.models import single_mode
+from truncert import propagate
+from truncert.fock_algebra import ALL, ProjectorSpec, build_basis, boson, projector, window_mask
+from truncert.models import hubbard_holstein_1d, single_mode
 from truncert.propagate import (
     DensePropagator,
     EvolveConfig,
@@ -18,7 +20,9 @@ from truncert.propagate import (
     lowest_eigenpairs,
     masked_top_singular,
     op_norm,
+    propagate_block,
 )
+from truncert.verify import engine_slack
 
 
 def _random_hermitian(dim, seed, density=0.2):
@@ -132,6 +136,117 @@ def test_evolve_config_validation():
         EvolveConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         EvolveConfig(max_krylov=1)
+
+
+# ---------------------------------------------------------------------------
+# propagate_block
+# ---------------------------------------------------------------------------
+
+def _random_block(dim, k, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    return block / np.linalg.norm(block, axis=0)
+
+
+def _dense_columns(h, block, t):
+    prop = DensePropagator(h)
+    return np.stack([prop.apply(block[:, j], t) for j in range(block.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("dim,seed,t", [(64, 0, 1.3), (200, 1, -2.4), (150, 2, 25.0)])
+def test_propagate_block_matches_dense_oracle(dim, seed, t):
+    h = _random_hermitian(dim, seed)
+    block = _random_block(dim, 7, seed + 100)
+    got = propagate_block(h, block, t, 1e-10)
+    assert np.linalg.norm(got - _dense_columns(h, block, t), 2) < 1e-9
+
+
+def test_propagate_block_vector_matches_dense_oracle():
+    h = _random_hermitian(90, 3)
+    psi = _random_state(90, 4)
+    got = propagate_block(h, psi, 0.8, 1e-10)
+    assert got.shape == (90,)
+    assert np.linalg.norm(got - DensePropagator(h).apply(psi, 0.8)) < 1e-9
+
+
+def test_propagate_block_diagonal_phases():
+    d = np.array([0.0, 1.0, 2.5, -3.0])
+    block = _random_block(4, 3, 5)
+    got = propagate_block(sp.diags(d).tocsr(), block, -0.7, 1e-10)
+    assert np.allclose(got, np.exp(0.7j * d)[:, None] * block, atol=1e-14)
+
+
+def test_propagate_block_empty_and_zero_time():
+    h = _random_hermitian(32, 6)
+    empty = propagate_block(h, np.zeros((32, 0), dtype=complex), 1.0, 1e-10)
+    assert empty.shape == (32, 0)
+    block = _random_block(32, 2, 7)
+    assert np.array_equal(propagate_block(h, block, 0.0, 1e-10), block)
+
+
+def test_propagate_block_rejects_bad_input():
+    h = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(ValueError):
+        propagate_block(h, np.eye(2, dtype=complex), 1.0, 1e-10)
+    with pytest.raises(ValueError):
+        propagate_block(_random_hermitian(4, 8), np.ones(5, dtype=complex), 1.0, 1e-10)
+    with pytest.raises(ValueError):
+        propagate_block(_random_hermitian(4, 8), np.ones(4, dtype=complex), 1.0, 0.0)
+
+
+def test_propagate_block_matches_evolve_above_dense_size():
+    model = hubbard_holstein_1d(2, g=0.5, n_max=8)
+    dim = model.dimension
+    assert dim > 1200
+    block = np.zeros((dim, 4), dtype=complex)
+    for j, i in enumerate((0, 17, 400, dim - 1)):
+        block[i, j] = 1.0
+    got = propagate_block(model.hamiltonian, block, 0.6, 1e-10)
+    for j in range(4):
+        assert np.linalg.norm(got[:, j] - evolve(model.hamiltonian, block[:, j], 0.6)) < 1e-9
+
+
+@pytest.mark.parametrize("x", [0.05, 1.0, -7.5, 40.0, 300.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+def test_chebyshev_terms_meet_exact_bessel_tail(x, tol):
+    n_terms = propagate._chebyshev_terms(x, tol)
+    k = np.arange(n_terms + 1, n_terms + 400)
+    assert 2.0 * np.abs(jv(k, x)).sum() <= tol
+    assert n_terms <= 1.5 * abs(x) + 40
+
+
+def test_chebyshev_terms_zero_argument():
+    assert propagate._chebyshev_terms(0.0, 1e-10) == 0
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 784, 1 << 15, 1 << 30])
+def test_leakage_columns_independent_of_block_split(entries, monkeypatch):
+    model = hubbard_holstein_1d(2, g=0.5, n_max=6)  # dim 784, 144 window columns
+    window0 = ProjectorSpec(ALL, 0, 2)
+    ref, idx = leakage_columns(model.basis, model.hamiltonian, window0, 0.7)
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", entries)
+    got, idx2 = leakage_columns(model.basis, model.hamiltonian, window0, 0.7)
+    assert np.array_equal(idx, idx2)
+    # same polynomial on every column; only SIMD remainder loops may differ
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
+
+
+def test_wide_window_top_singular_within_engine_slack():
+    """144 window columns: the column SVD stays within engine_slack of the oracle."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=5)
+    basis, h = model.basis, model.hamiltonian
+    window0 = ProjectorSpec(ALL, 0, 2)
+    cols, idx = leakage_columns(basis, h, window0, 0.9)
+    assert len(idx) >= 100
+    eye = np.zeros((basis.dimension, len(idx)), dtype=complex)
+    eye[idx, np.arange(len(idx))] = 1.0
+    exact = _dense_columns(h, eye, 0.9)
+    slack = engine_slack(EvolveConfig())
+    for lam in (2, 3, 4):
+        keep = window_mask(basis, ProjectorSpec(ALL, 0, lam))
+        got = masked_top_singular(cols, keep)
+        assert got > 1e-3
+        assert abs(got - masked_top_singular(exact, keep)) <= slack
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from truncert.models import single_mode
+from scipy.linalg import expm
+
+from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
+from truncert.models import hubbard_holstein_1d, single_mode
 from truncert.propagate import DensePropagator, EvolveConfig
 from truncert.trotter import (
     CoefficientSummaries,
@@ -208,6 +211,17 @@ def test_product_formula_error_order(p, order):
     assert ratio == pytest.approx(2.0 ** order, rel=0.25)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_product_formula_block_matches_columns(p):
+    parts = _split_parts(20, seed=3, n_parts=3)
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
+    got = apply_product_formula(parts, block, 0.3, p)
+    for j in range(5):
+        col = apply_product_formula(parts, block[:, j], 0.3, p)
+        assert np.linalg.norm(got[:, j] - col) < 1e-12
+
+
 def test_product_formula_rejects_odd_orders():
     parts = _split_parts(4, seed=1)
     with pytest.raises(ValueError):
@@ -232,6 +246,22 @@ def test_empirical_trotter_error_sound_and_scaling():
         assert pt.error <= pt.bound
     slope = error_scaling_slope(points)
     assert slope == pytest.approx(2.0, abs=0.2)
+
+
+def test_empirical_trotter_error_matches_dense_reference():
+    """Strang splitting of the three HH parts against dense matrix exponentials."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    fermion, coupling, boson = (part.toarray() for part in model.parts.values())
+    idx = np.nonzero(window_mask(model.basis, ProjectorSpec(ALL, 0, 1)))[0]
+    taus = [0.2, 0.05]
+    points = empirical_trotter_error(model, 2, taus, 1)
+    for tau, pt in zip(taus, points):
+        half_f, half_c = expm(-0.5j * tau * fermion), expm(-0.5j * tau * coupling)
+        split = half_f @ half_c @ expm(-1j * tau * boson) @ half_c @ half_f
+        diff = (split - expm(-1j * tau * model.hamiltonian.toarray()))[:, idx]
+        exact = np.linalg.svd(diff, compute_uv=False)[0]
+        assert exact > 1e-5
+        assert abs(pt.error - exact) <= 1e-9
 
 
 def test_empirical_trotter_error_without_budget_has_nan_bound():
