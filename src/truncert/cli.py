@@ -379,7 +379,7 @@ def _suite_trotter(args, cfg):
 
 
 def _suite_all(cfg):
-    """The fixed instances behind `verify all`; model flags do not apply."""
+    """The fixed instances behind `verify all`, which takes no model flags."""
     reports = verify_state_truncation(
         single_mode(0.5, 1.0, 48), 0, [0.25], deltas=[2, 3, 4, 5], cfg=cfg
     )
@@ -583,7 +583,7 @@ def build_parser() -> _Parser:
 
     ver = top.add_parser("verify", help="bound-vs-empirical experiment suites")
     ver_sub = ver.add_subparsers(dest="suite", required=True, parser_class=_Parser)
-    for suite in ("state", "ham", "tail", "trotter", "coherent", "all"):
+    for suite in ("state", "ham", "tail", "trotter", "coherent"):
         v = ver_sub.add_parser(suite)
         _add_model_params(v)
         v.add_argument("--lambda0", type=int, default=0)
@@ -606,6 +606,9 @@ def build_parser() -> _Parser:
         )
         _add_common(v)
         v.set_defaults(func=_cmd_verify, suite=suite)
+    v_all = ver_sub.add_parser("all", help="fixed built-in instances; no model flags")
+    _add_common(v_all)
+    v_all.set_defaults(func=_cmd_verify, suite="all")
 
     sweep = top.add_parser("sweep", help="cartesian parameter sweep of a threshold command")
     sweep.add_argument("--cmd", required=True, help="threshold-state, threshold-energy, compare")

@@ -1,16 +1,14 @@
-"""Sparse numerical engines: block Chebyshev and Krylov evolution, eigenpairs, norms.
+"""Sparse numerical engines: block Chebyshev evolution, eigenpairs, norms.
 
-Window columns (every basis state of an initial window, as the leakage
-and product-formula checks need them) are propagated together by
-`propagate_block`: a Chebyshev expansion of exp(-i t h) applied as
-sparse x dense-block products, with the term count fixed in advance by
-a rigorous Bessel-tail bound, so one 2-norm error bound covers the
-whole block.  Single vectors (the coherent oracle, the random-probe
-path of `leakage_norm`) go through `evolve`: Lanczos with full
-reorthogonalization and adaptive substeps sized by a rigorous
-a-posteriori tail estimate, so a single global 2-norm error budget
-holds for the whole call.  `DensePropagator` (one dense
-eigendecomposition) is the exact oracle the tests compare both against.
+Every sparse time evolution goes through `propagate_block`: a Chebyshev
+expansion of exp(-i t h) applied as sparse x dense-block products, with
+the term count fixed in advance by a rigorous Bessel-tail bound, so one
+2-norm error bound covers the whole block.  Window columns (every basis
+state of an initial window, as the leakage and product-formula checks
+need them) go through it a bounded block at a time; single vectors
+(`evolve`, the coherent oracle) and the probe blocks of `leakage_norm`
+are the same call.  `DensePropagator` (one dense eigendecomposition) is
+the exact oracle the tests compare it against.
 Everything randomized is seeded by default: same inputs, same outputs.
 
 Engine accuracy targets sit well below the bound tolerances probed by
@@ -21,11 +19,11 @@ at 1e-6 and coarser).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
@@ -67,20 +65,15 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EvolveConfig:
     tolerance: float = 1e-10
-    max_krylov: int = 32
     seed: int = 1123
-    max_halvings: int = 60
-    check_hermitian: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.max_krylov < 2:
-            raise ValueError("max_krylov must be >= 2")
 
 
 # ---------------------------------------------------------------------------
-# Krylov evolution
+# block Chebyshev evolution
 # ---------------------------------------------------------------------------
 
 def _diagonal_if_diagonal(h: sp.spmatrix) -> np.ndarray | None:
@@ -91,120 +84,6 @@ def _diagonal_if_diagonal(h: sp.spmatrix) -> np.ndarray | None:
     diag[coo.row] = coo.data
     return diag
 
-
-def _lanczos(h: sp.csr_matrix, v0: np.ndarray, m: int):
-    """Hermitian Lanczos with full reorthogonalization.
-
-    Returns (V, alpha, beta, beta_next) where V has k <= m orthonormal
-    columns, T = tridiag(beta, alpha, beta) is the k x k projection, and
-    beta_next is the dropped coupling (0 signals an invariant subspace).
-    """
-    dim = v0.shape[0]
-    k_max = min(m, dim)
-    v_norm = np.linalg.norm(v0)
-    V = np.zeros((dim, k_max), dtype=complex)
-    alpha = np.zeros(k_max)
-    beta = np.zeros(max(k_max - 1, 0))
-    V[:, 0] = v0 / v_norm
-    w = None
-    beta_next = 0.0
-    for j in range(k_max):
-        w = h @ V[:, j]
-        alpha[j] = float(np.real(np.vdot(V[:, j], w)))
-        w = w - alpha[j] * V[:, j]
-        if j > 0:
-            w = w - beta[j - 1] * V[:, j - 1]
-        # two rounds of classical Gram-Schmidt against the whole basis
-        for _ in range(2):
-            # (w^H V)^* is V^H w without materializing the conjugate basis
-            w = w - V[:, : j + 1] @ (w.conj() @ V[:, : j + 1]).conj()
-        beta_next = float(np.linalg.norm(w))
-        if j + 1 < k_max:
-            if beta_next < 1e-13 * max(1.0, abs(alpha[j])):
-                return V[:, : j + 1], alpha[: j + 1], beta[:j], 0.0
-            beta[j] = beta_next
-            V[:, j + 1] = w / beta_next
-    return V, alpha, beta, beta_next
-
-
-def _tridiag_expm_column(alpha, beta, dt):
-    """exp(-i dt T) e_1 for the tridiagonal T, plus its eigensystem."""
-    if len(alpha) == 1:
-        theta = np.array([alpha[0]])
-        u = np.ones((1, 1))
-    else:
-        theta, u = eigh_tridiagonal(alpha, beta)
-    col = u @ (np.exp(-1j * dt * theta) * u[0, :])
-    return col, theta, u
-
-
-def _tail_estimate(theta, u, beta_next, dt):
-    """Upper estimate of the Krylov truncation error over a step of dt.
-
-    Integrates beta_next * |e_m^T exp(-i s T) e_1| over s in [0, dt] on a
-    trapezoid grid resolved against the spectral spread, with a safety
-    factor on top.
-    """
-    if beta_next == 0.0:
-        return 0.0
-    spread = float(theta[-1] - theta[0]) if len(theta) > 1 else 0.0
-    periods = abs(dt) * spread / (2.0 * math.pi)
-    n = int(min(4097, max(129, 16 * math.ceil(periods + 1) + 1)))
-    s = np.linspace(0.0, abs(dt), n)
-    phases = np.exp(-1j * np.outer(s, theta))
-    integrand = beta_next * np.abs(phases @ (u[-1, :] * u[0, :]))
-    area = float(np.sum((integrand[1:] + integrand[:-1]) * np.diff(s)) / 2.0)
-    return 1.2 * area
-
-
-def evolve(
-    h: sp.spmatrix, psi0: np.ndarray, t: float, cfg: EvolveConfig | None = None
-) -> np.ndarray:
-    """Apply exp(-i t h) to psi0 within the config's global error budget."""
-    cfg = cfg or EvolveConfig()
-    h = sp.csr_matrix(h)
-    if h.shape[0] != h.shape[1] or h.shape[0] != psi0.shape[0]:
-        raise ValueError("dimension mismatch")
-    if cfg.check_hermitian and hermiticity_defect(h) > _HERM_TOL:
-        raise ValueError("hamiltonian is not Hermitian")
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if t == 0 or np.linalg.norm(psi) == 0:
-        return psi
-    diag = _diagonal_if_diagonal(h)
-    if diag is not None:
-        return np.exp(-1j * t * diag) * psi
-
-    direction = 1.0 if t > 0 else -1.0
-    remaining = abs(t)
-    budget = cfg.tolerance
-    for _ in range(1_000_000):
-        if remaining <= 0:
-            return psi
-        norm = np.linalg.norm(psi)
-        V, alpha, beta, beta_next = _lanczos(h, psi, cfg.max_krylov)
-        dt = remaining
-        col = theta = u = None
-        accepted = None
-        for _ in range(cfg.max_halvings):
-            col, theta, u = _tridiag_expm_column(alpha, beta, direction * dt)
-            est = _tail_estimate(theta, u, beta_next, dt)
-            if est <= 0.9 * budget * (dt / remaining):
-                accepted = est
-                break
-            dt /= 2.0
-        if accepted is None:
-            raise ConvergenceError(
-                "substep halving cap hit; raise tolerance or max_krylov"
-            )
-        psi = V @ (norm * col)
-        budget -= accepted
-        remaining -= dt
-    raise ConvergenceError("substep count cap hit")
-
-
-# ---------------------------------------------------------------------------
-# block Chebyshev evolution
-# ---------------------------------------------------------------------------
 
 def _chebyshev_terms(x: float, tol: float) -> int:
     """Smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol.
@@ -284,6 +163,13 @@ def propagate_block(
     return out
 
 
+def evolve(
+    h: sp.spmatrix, psi0: np.ndarray, t: float, cfg: EvolveConfig | None = None
+) -> np.ndarray:
+    """Apply exp(-i t h) to psi0 to within cfg.tolerance * ||psi0||_2."""
+    return propagate_block(h, psi0, t, (cfg or EvolveConfig()).tolerance)
+
+
 def sweep_window(
     basis: CompositeBasis, window0: ProjectorSpec, fn
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +194,7 @@ def sweep_window(
 class DensePropagator:
     """Exact propagator from one dense eigendecomposition; reusable across t.
 
-    The test oracle for `evolve` and `propagate_block`.
+    The test oracle for `propagate_block`.
     """
 
     def __init__(self, h: sp.spmatrix):
@@ -336,7 +222,7 @@ def lowest_eigenpairs(
         return w[:k], v[:, :k]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim).astype(h.dtype)
-    # Lanczos is dependable at the large-algebraic end, so shift with a
+    # ARPACK is dependable at the large-algebraic end, so shift with a
     # Gershgorin upper bound and look for the top of c*I - h instead of
     # asking for "SA" directly (which can skip the true minimum).
     diag = h.diagonal()
@@ -453,7 +339,8 @@ def leakage_norm(
 
     Exact column path (evolve every window0 basis state, SVD) whenever
     dim * |window0| fits the cap; beyond that, seeded random window
-    probes followed by power iteration with the evolution as the matvec.
+    probes followed by block subspace iteration, each step one
+    `propagate_block` call forward and one backward.
     """
     cfg = cfg or EvolveConfig()
     h = sp.csr_matrix(h)
@@ -467,51 +354,50 @@ def leakage_norm(
         cols, _ = leakage_columns(basis, h, window0, t, cfg)
         return masked_top_singular(cols, mask1)
 
-    if cfg.check_hermitian and hermiticity_defect(h) > _HERM_TOL:
-        raise ValueError("hamiltonian is not Hermitian")
-    quiet = replace(cfg, check_hermitian=False)
     idx0 = np.nonzero(mask0)[0]
 
     def forward(x):
-        # domain coordinates -> full-space escape component
-        v = np.zeros(dim, dtype=complex)
+        # (n0, k) domain coordinates -> (dim, k) full-space escape components
+        v = np.zeros((dim, x.shape[1]), dtype=complex)
         v[idx0] = x
-        u = evolve(h, v, t, quiet)
+        u = propagate_block(h, v, t, cfg.tolerance)
         u[mask1] = 0.0
         return u
 
     def backward(u):
-        w = evolve(h, u, -t, quiet)
-        return w[idx0]
+        return propagate_block(h, u, -t, cfg.tolerance)[idx0]
 
     rng = np.random.default_rng(cfg.seed)
-    best_x = None
-    best_val = -1.0
-    for _ in range(_N_PROBE):
+    probes = np.empty((n0, _N_PROBE), dtype=complex)
+    for j in range(_N_PROBE):
         x = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
-        x /= np.linalg.norm(x)
-        val = np.linalg.norm(forward(x))
-        if val > best_val:
-            best_val, best_x = val, x
-    if best_val == 0.0:
+        probes[:, j] = x / np.linalg.norm(x)
+    # the probes go forward in blocks as wide as the subspace block below
+    block = min(n0, 4)
+    vals = np.concatenate(
+        [
+            np.linalg.norm(forward(probes[:, s : s + block]), axis=0)
+            for s in range(0, _N_PROBE, block)
+        ]
+    )
+    best = int(np.argmax(vals))
+    if vals[best] == 0.0:
         return 0.0
 
     # Block subspace iteration in window-0 coordinates; the block absorbs
     # clustered singular values that stall a single power vector.
-    block = min(n0, 4)
     x_block = rng.standard_normal((n0, block)) + 1j * rng.standard_normal((n0, block))
-    x_block[:, 0] = best_x
+    x_block[:, 0] = probes[:, best]
     x_block, _ = np.linalg.qr(x_block)
-    sigma = best_val
+    sigma = float(vals[best])
     stall = 0
     for _ in range(300):
-        u_block = np.stack([forward(x_block[:, j]) for j in range(block)], axis=1)
+        u_block = forward(x_block)
         gram = u_block.conj().T @ u_block
         s_new = float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1].real)))
         if s_new == 0.0:
             return 0.0
-        w_block = np.stack([backward(u_block[:, j]) for j in range(block)], axis=1)
-        x_block, _ = np.linalg.qr(w_block)
+        x_block, _ = np.linalg.qr(backward(u_block))
         if abs(s_new - sigma) <= 1e-10 * max(s_new, 1e-300):
             stall += 1
             if stall >= 2:

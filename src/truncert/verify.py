@@ -7,9 +7,9 @@ exhausts the initial window exactly whenever dim * |window| is
 affordable: every window basis state is a column, and the columns are
 propagated together, block by block, by the Chebyshev engine
 (`propagate.leakage_columns`).  Beyond that it falls back to seeded
-random probes plus power iteration on single vectors through the
-Krylov engine (`propagate.evolve`); the method used is recorded in the
-report notes.
+random probes plus block subspace iteration through the same engine
+(`propagate.leakage_norm`); the method used is recorded in the report
+notes.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -18,6 +18,7 @@ proxy obeys the same walk profile as the unbounded Hamiltonian.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -90,7 +91,7 @@ def engine_slack(cfg: EvolveConfig) -> float:
     plus the exact step; diagonal parts are exact, and higher orders split
     the tolerance over their recursive steps), so ten times the tolerance
     covers every check.  Floating-point roundoff of the Chebyshev
-    recurrence is not part of that bound, as with the Krylov engine.
+    recurrence is not part of that bound.
     """
     return 10.0 * cfg.tolerance
 
@@ -172,6 +173,7 @@ def verify_state_truncation(
         if exact:
             cols, _ = leakage_columns(basis, model.hamiltonian, window0, t, cfg)
 
+        @functools.cache  # short- and long-time windows often coincide
         def empirical_at(lam, nu):
             spec = ProjectorSpec(ALL if nu is None else nu, 0, lam)
             if cols is not None:

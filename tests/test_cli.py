@@ -335,6 +335,17 @@ def test_verify_state_time_at_speed_limit_up_to_rounding(capsys):
     assert all(",true," in r for r in rows)
 
 
+def test_verify_all_takes_no_model_flags(capsys):
+    """verify all runs fixed instances: its header names no model flag; one is refused."""
+    code, out = _run(["verify", "all"], capsys)
+    assert code == 0
+    header = [ln[2:].split("=", 1)[0] for ln in out.splitlines() if ln.startswith("# ")]
+    assert "g" not in header and "n_max" not in header and "model" not in header
+    assert "seed" in header
+    assert cli.main(["verify", "all", "--g", "2"]) == 1
+    assert "unrecognized arguments: --g 2" in capsys.readouterr().err
+
+
 def test_unsound_report_exits_three(capsys, monkeypatch):
     from dataclasses import replace
 

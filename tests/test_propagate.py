@@ -1,10 +1,11 @@
-"""Evolution engines: Chebyshev and Krylov propagators vs dense oracles, eigensolvers, norms."""
+"""Evolution engine: block Chebyshev propagator vs dense oracles, eigensolvers, norms."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from truncert import propagate
@@ -113,7 +114,7 @@ def test_evolve_rejects_non_hermitian():
 
 
 def test_evolve_invariant_subspace_breakdown():
-    """Block-diagonal H with the state in one block exits Lanczos early."""
+    """Block-diagonal H with the state in one block: the other block stays empty."""
     block = np.array([[1.0, 0.5], [0.5, -1.0]])
     h = sp.block_diag([block, 7.0 * np.eye(3)]).tocsr()
     psi = np.zeros(5, dtype=complex)
@@ -134,8 +135,6 @@ def test_evolve_coarse_tolerance_still_bounded():
 def test_evolve_config_validation():
     with pytest.raises(ValueError):
         EvolveConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        EvolveConfig(max_krylov=1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,8 @@ def test_propagate_block_rejects_bad_input():
         propagate_block(_random_hermitian(4, 8), np.ones(4, dtype=complex), 1.0, 0.0)
 
 
-def test_propagate_block_matches_evolve_above_dense_size():
+def test_propagate_block_matches_expm_multiply_above_dense_size():
+    """Independent reference: scipy's scaling-and-squaring Taylor action."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
     dim = model.dimension
     assert dim > 1200
@@ -202,8 +202,9 @@ def test_propagate_block_matches_evolve_above_dense_size():
     for j, i in enumerate((0, 17, 400, dim - 1)):
         block[i, j] = 1.0
     got = propagate_block(model.hamiltonian, block, 0.6, 1e-10)
+    ref = expm_multiply(-0.6j * model.hamiltonian.tocsc(), block)
     for j in range(4):
-        assert np.linalg.norm(got[:, j] - evolve(model.hamiltonian, block[:, j], 0.6)) < 1e-9
+        assert np.linalg.norm(got[:, j] - ref[:, j]) < 1e-9
 
 
 @pytest.mark.parametrize("x", [0.05, 1.0, -7.5, 40.0, 300.0])
@@ -358,14 +359,22 @@ def test_leakage_norm_within_short_time_bound():
 
 
 def test_leakage_norm_probe_path_agrees_with_columns():
-    model = single_mode(0.8, 1.0, 14)
-    args = (
-        model.basis,
-        model.hamiltonian,
-        ProjectorSpec(0, 0, 2),
-        ProjectorSpec(0, 0, 7),
-        0.6,
-    )
-    exact = leakage_norm(*args)
-    probed = leakage_norm(*args, column_cap=1)
-    assert probed == pytest.approx(exact, rel=1e-4)
+    single = single_mode(0.8, 1.0, 14)  # 3 window columns: one narrow block
+    hh = hubbard_holstein_1d(2, g=0.5, n_max=3)  # 64 window columns: blocks of 4
+    for model, window0, window1, t in (
+        (single, ProjectorSpec(0, 0, 2), ProjectorSpec(0, 0, 7), 0.6),
+        (hh, ProjectorSpec(ALL, 0, 1), ProjectorSpec(ALL, 0, 2), 0.4),
+    ):
+        args = (model.basis, model.hamiltonian, window0, window1, t)
+        exact = leakage_norm(*args)
+        probed = leakage_norm(*args, column_cap=1)
+        assert exact > 1e-3
+        assert probed == pytest.approx(exact, rel=1e-4)
+
+
+def test_leakage_norm_probe_path_rejects_non_hermitian():
+    basis = build_basis([boson(3)])
+    h = sp.csr_matrix(np.diag(np.ones(3), k=1).astype(complex))  # raising only
+    window = ProjectorSpec(0, 0, 1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        leakage_norm(basis, h, window, window, 0.5, column_cap=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from truncert import verify
 from truncert.models import dicke, hubbard_holstein_1d, single_mode
 from truncert.propagate import EvolveConfig
 from truncert.verify import (
@@ -66,6 +67,25 @@ def test_state_truncation_all_mode_uses_union_bound():
     bare = min(r.analytic for r in per_mode)
     joined = min(r.analytic for r in joint)
     assert joined == pytest.approx(min(1.0, np.sqrt(2.0) * bare))
+
+
+def test_state_truncation_measures_each_window_once(monkeypatch):
+    """Coinciding short- and long-time windows share one probe-path run per time."""
+    calls = []
+    real = verify.leakage_norm
+
+    def counting(basis, h, window0, window1, t, *args, **kwargs):
+        calls.append((t, window1.hi))
+        return real(basis, h, window0, window1, t, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "leakage_norm", counting)
+    model = single_mode(1.0, 1.0, 24)
+    reports = verify_state_truncation(
+        model, 0, [0.2, 0.25], deltas=(2, 3), column_cap=1
+    )
+    windows = {(r.inputs["t"], r.inputs["window"]) for r in reports}
+    assert len(reports) == 2 * len(windows)
+    assert sorted(calls) == sorted(windows)
 
 
 # ---------------------------------------------------------------------------
