@@ -193,8 +193,9 @@ def test_propagate_block_rejects_bad_input():
         propagate_block(_random_hermitian(4, 8), np.ones(4, dtype=complex), 1.0, 0.0)
 
 
-def test_propagate_block_matches_expm_multiply_above_dense_size():
-    """Independent reference: scipy's scaling-and-squaring Taylor action."""
+def test_propagate_block_matches_evolve_above_dense_size():
+    """Each column matches the single-vector ``evolve`` and an independent
+    reference, scipy's scaling-and-squaring Taylor action (``expm_multiply``)."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
     dim = model.dimension
     assert dim > 1200
@@ -205,6 +206,7 @@ def test_propagate_block_matches_expm_multiply_above_dense_size():
     ref = expm_multiply(-0.6j * model.hamiltonian.tocsc(), block)
     for j in range(4):
         assert np.linalg.norm(got[:, j] - ref[:, j]) < 1e-9
+        assert np.linalg.norm(got[:, j] - evolve(model.hamiltonian, block[:, j], 0.6)) < 1e-9
 
 
 @pytest.mark.parametrize("x", [0.05, 1.0, -7.5, 40.0, 300.0])
