@@ -1,9 +1,14 @@
 """Sparse numerical engines: block Chebyshev evolution, eigenpairs, norms.
 
-Every sparse time evolution goes through `propagate_block`: a Chebyshev
-expansion of exp(-i t h) applied as sparse x dense-block products, with
-the term count fixed in advance by a rigorous Bessel-tail bound, so one
-2-norm error bound covers the whole block.  Window columns (every basis
+Every sparse time evolution goes through `ChebyshevPropagator`: a
+Chebyshev expansion of exp(-i t h) applied as sparse x dense-block
+products, with the term count fixed in advance by a rigorous Bessel-tail
+bound, so one 2-norm error bound covers the whole block.  Building one
+does the per-operator setup (Hermiticity check, diagonal test, Gershgorin
+interval, scaled operator) once; its `apply` then serves every block and
+time, so callers that evolve one operator repeatedly prepare it once per
+command and pass it wherever a Hamiltonian is taken (`as_propagator`).
+`propagate_block` is the one-shot form.  Window columns (every basis
 state of an initial window, as the leakage and product-formula checks
 need them) go through it a bounded block at a time; single vectors
 (`evolve`, the coherent oracle) and the probe blocks of `leakage_norm`
@@ -34,6 +39,8 @@ __all__ = [
     "ConvergenceError",
     "COLUMN_CAP",
     "evolve",
+    "ChebyshevPropagator",
+    "as_propagator",
     "propagate_block",
     "sweep_window",
     "DensePropagator",
@@ -42,6 +49,7 @@ __all__ = [
     "op_norm",
     "leakage_columns",
     "masked_top_singular",
+    "LeakageNorm",
     "leakage_norm",
 ]
 
@@ -54,6 +62,9 @@ _BLOCK_ENTRIES = 1 << 15
 
 #: Random window probes that seed leakage_norm's subspace iteration.
 _N_PROBE = 64
+
+#: Step cap of that subspace iteration.
+_PROBE_STEPS = 300
 
 _HERM_TOL = 1e-10
 
@@ -107,64 +118,103 @@ def _chebyshev_terms(x: float, tol: float) -> int:
         log_a += log_y - math.log(k + 1)
 
 
-def propagate_block(
-    h: sp.spmatrix, block: np.ndarray, t: float, tol: float
-) -> np.ndarray:
-    """Apply exp(-i t h) to a (dim, k) block of columns or to a 1-D vector.
+class ChebyshevPropagator:
+    """exp(-i t h) for one Hermitian h, prepared once and applied many times.
 
-    Chebyshev expansion on the Gershgorin interval [c - r, c + r] of the
-    Hermitian h (Tal-Ezer & Kosloff 1984):
-
-        exp(-i t h) = exp(-i t c) sum_k (2 - [k = 0]) (-i)^k J_k(r t) T_k((h - c) / r)
-
-    cut after the fewest terms whose Bessel tail bound meets tol.  Every
-    ||T_k|| <= 1 on that interval, so ||error||_2 <= tol * ||block||_2 for
-    the whole block.  The term count depends only on (h, t, tol), so any
-    split of the columns into blocks gets the same polynomial.  Diagonal
-    operators take the elementwise exponential.
+    Building it does all the per-operator work: the Hermiticity check,
+    the diagonal test (diagonal operators take the elementwise
+    exponential), the Gershgorin interval [c - r, c + r] and the scaled
+    operator 2 (h - c) / r.  `apply` then evolves any block for any time
+    and tolerance.  Build one per operator for as long as a loop evolves
+    it; nothing is cached beyond the object's life.
     """
-    h = sp.csr_matrix(h)
-    block = np.asarray(block, dtype=complex)
-    dim = h.shape[0]
-    if h.shape[1] != dim or block.ndim not in (1, 2) or block.shape[0] != dim:
-        raise ValueError("dimension mismatch")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if hermiticity_defect(h) > _HERM_TOL:
-        raise ValueError("hamiltonian is not Hermitian")
-    if t == 0 or block.size == 0:
-        return block.copy()
-    diag = _diagonal_if_diagonal(h)
-    if diag is not None:
-        phase = np.exp(-1j * t * diag)
-        return (phase if block.ndim == 1 else phase[:, None]) * block
 
-    d = h.diagonal().real
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
-    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
-    centre, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    x = half * t
-    n_terms = _chebyshev_terms(x, tol)
-    k = np.arange(n_terms + 1)
-    coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * jv(k, x)
-    coeffs[0] /= 2.0
-    out = coeffs[0] * block
-    if n_terms:
-        # two_hs = 2 (h - c) / r; the recurrence is T_{k+1} = two_hs T_k - T_{k-1}
-        two_hs = (h - sp.identity(dim, format="csr") * centre) * (2.0 / half)
-        prev, cur = block, 0.5 * (two_hs @ block)
-        out += coeffs[1] * cur
-        for c in coeffs[2:]:
-            nxt = two_hs @ cur
-            nxt -= prev
-            out += c * nxt
-            prev, cur = cur, nxt
-    out *= np.exp(-1j * t * centre)
-    return out
+    def __init__(self, h: sp.spmatrix):
+        h = sp.csr_matrix(h)
+        dim = h.shape[0]
+        if h.shape[1] != dim:
+            raise ValueError("dimension mismatch")
+        if hermiticity_defect(h) > _HERM_TOL:
+            raise ValueError("hamiltonian is not Hermitian")
+        self.shape = h.shape
+        self._diag = _diagonal_if_diagonal(h)
+        self._centre = self._half = 0.0
+        self._two_hs = None
+        if self._diag is None:
+            d = h.diagonal().real
+            radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
+            lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+            self._centre, self._half = (hi + lo) / 2.0, (hi - lo) / 2.0
+            # a zero-width interval needs no recurrence (one term, x = 0)
+            if self._half > 0.0:
+                # the recurrence is T_{k+1} = two_hs T_k - T_{k-1}
+                eye = sp.identity(dim, format="csr")
+                self._two_hs = (h - eye * self._centre) * (2.0 / self._half)
+
+    def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:
+        """Apply exp(-i t h) to a (dim, k) block of columns or to a 1-D vector.
+
+        Chebyshev expansion on the Gershgorin interval (Tal-Ezer &
+        Kosloff 1984):
+
+            exp(-i t h) = exp(-i t c) sum_k (2 - [k = 0]) (-i)^k J_k(r t) T_k((h - c) / r)
+
+        cut after the fewest terms whose Bessel tail bound meets tol.
+        Every ||T_k|| <= 1 on that interval, so ||error||_2 <= tol *
+        ||block||_2 for the whole block.  The term count depends only on
+        (h, t, tol), so any split of the columns into blocks gets the same
+        polynomial.
+        """
+        block = np.asarray(block, dtype=complex)
+        if block.ndim not in (1, 2) or block.shape[0] != self.shape[0]:
+            raise ValueError("dimension mismatch")
+        if tol <= 0:
+            raise ValueError("tol must be > 0")
+        if t == 0 or block.size == 0:
+            return block.copy()
+        if self._diag is not None:
+            phase = np.exp(-1j * t * self._diag)
+            return (phase if block.ndim == 1 else phase[:, None]) * block
+
+        x = self._half * t
+        n_terms = _chebyshev_terms(x, tol)
+        k = np.arange(n_terms + 1)
+        coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * jv(k, x)
+        coeffs[0] /= 2.0
+        out = coeffs[0] * block
+        if n_terms:
+            two_hs = self._two_hs
+            prev, cur = block, 0.5 * (two_hs @ block)
+            out += coeffs[1] * cur
+            for c in coeffs[2:]:
+                nxt = two_hs @ cur
+                nxt -= prev
+                out += c * nxt
+                prev, cur = cur, nxt
+        out *= np.exp(-1j * t * self._centre)
+        return out
+
+
+#: A Hermitian sparse matrix, or one already prepared for propagation.
+Operator = sp.spmatrix | ChebyshevPropagator
+
+
+def as_propagator(h: Operator) -> ChebyshevPropagator:
+    """h itself if already prepared, else a new propagator for the matrix h."""
+    return h if isinstance(h, ChebyshevPropagator) else ChebyshevPropagator(h)
+
+
+def propagate_block(h: Operator, block: np.ndarray, t: float, tol: float) -> np.ndarray:
+    """Apply exp(-i t h) to a block or vector: `ChebyshevPropagator.apply`.
+
+    h is a Hermitian sparse matrix (prepared for this one call) or a
+    prepared `ChebyshevPropagator`.
+    """
+    return as_propagator(h).apply(block, t, tol)
 
 
 def evolve(
-    h: sp.spmatrix, psi0: np.ndarray, t: float, cfg: EvolveConfig | None = None
+    h: Operator, psi0: np.ndarray, t: float, cfg: EvolveConfig | None = None
 ) -> np.ndarray:
     """Apply exp(-i t h) to psi0 to within cfg.tolerance * ||psi0||_2."""
     return propagate_block(h, psi0, t, (cfg or EvolveConfig()).tolerance)
@@ -297,7 +347,7 @@ def op_norm(
 
 def leakage_columns(
     basis: CompositeBasis,
-    h: sp.spmatrix,
+    h: Operator,
     window0: ProjectorSpec,
     t: float,
     cfg: EvolveConfig | None = None,
@@ -305,17 +355,15 @@ def leakage_columns(
     """Evolve every basis column of the initial window for time t.
 
     Returns (columns, indices): columns[:, j] = exp(-i t h) |indices[j]>,
-    propagated in blocks by `propagate_block` to cfg.tolerance.
+    propagated in blocks by one `ChebyshevPropagator` to cfg.tolerance.
     Reuse the columns across window1 choices; masking rows and taking the
     top singular value yields the leakage norm for any escape window.
     """
     cfg = cfg or EvolveConfig()
-    h = sp.csr_matrix(h)
-    if h.shape != (basis.dimension, basis.dimension):
+    prop = as_propagator(h)
+    if prop.shape != (basis.dimension, basis.dimension):
         raise ValueError("operator does not match basis dimension")
-    return sweep_window(
-        basis, window0, lambda e: propagate_block(h, e, t, cfg.tolerance)
-    )
+    return sweep_window(basis, window0, lambda e: prop.apply(e, t, cfg.tolerance))
 
 
 def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
@@ -326,46 +374,64 @@ def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
     return float(np.linalg.svd(sub, compute_uv=False)[0])
 
 
+class LeakageNorm(float):
+    """A leakage norm that also records how its probe iteration ended.
+
+    It is a float everywhere a float is expected.  probe_steps counts the
+    subspace-iteration steps of the probe path (0 on the exact column
+    path); capped is True when that iteration stopped at its step cap
+    without meeting the stall test, so the value is the last Ritz
+    estimate, which may still be rising.
+    """
+
+    def __new__(cls, value: float, probe_steps: int = 0, capped: bool = False):
+        self = super().__new__(cls, value)
+        self.probe_steps = probe_steps
+        self.capped = capped
+        return self
+
+
 def leakage_norm(
     basis: CompositeBasis,
-    h: sp.spmatrix,
+    h: Operator,
     window0: ProjectorSpec,
     window1: ProjectorSpec,
     t: float,
     cfg: EvolveConfig | None = None,
     column_cap: int = COLUMN_CAP,
-) -> float:
+) -> LeakageNorm:
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
 
     Exact column path (evolve every window0 basis state, SVD) whenever
     dim * |window0| fits the cap; beyond that, seeded random window
-    probes followed by block subspace iteration, each step one
-    `propagate_block` call forward and one backward.
+    probes followed by at most _PROBE_STEPS steps of block subspace
+    iteration, each step one `ChebyshevPropagator.apply` forward and one
+    backward on the same propagator.
     """
     cfg = cfg or EvolveConfig()
-    h = sp.csr_matrix(h)
     dim = basis.dimension
     mask0 = window_mask(basis, window0)
     mask1 = window_mask(basis, window1)
     n0 = int(mask0.sum())
     if n0 == 0:
-        return 0.0
+        return LeakageNorm(0.0)
     if dim * n0 <= column_cap:
         cols, _ = leakage_columns(basis, h, window0, t, cfg)
-        return masked_top_singular(cols, mask1)
+        return LeakageNorm(masked_top_singular(cols, mask1))
 
+    prop = as_propagator(h)
     idx0 = np.nonzero(mask0)[0]
 
     def forward(x):
         # (n0, k) domain coordinates -> (dim, k) full-space escape components
         v = np.zeros((dim, x.shape[1]), dtype=complex)
         v[idx0] = x
-        u = propagate_block(h, v, t, cfg.tolerance)
+        u = prop.apply(v, t, cfg.tolerance)
         u[mask1] = 0.0
         return u
 
     def backward(u):
-        return propagate_block(h, u, -t, cfg.tolerance)[idx0]
+        return prop.apply(u, -t, cfg.tolerance)[idx0]
 
     rng = np.random.default_rng(cfg.seed)
     probes = np.empty((n0, _N_PROBE), dtype=complex)
@@ -382,7 +448,7 @@ def leakage_norm(
     )
     best = int(np.argmax(vals))
     if vals[best] == 0.0:
-        return 0.0
+        return LeakageNorm(0.0)
 
     # Block subspace iteration in window-0 coordinates; the block absorbs
     # clustered singular values that stall a single power vector.
@@ -391,18 +457,18 @@ def leakage_norm(
     x_block, _ = np.linalg.qr(x_block)
     sigma = float(vals[best])
     stall = 0
-    for _ in range(300):
+    for step in range(1, _PROBE_STEPS + 1):
         u_block = forward(x_block)
         gram = u_block.conj().T @ u_block
         s_new = float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1].real)))
         if s_new == 0.0:
-            return 0.0
+            return LeakageNorm(0.0, step)
         x_block, _ = np.linalg.qr(backward(u_block))
         if abs(s_new - sigma) <= 1e-10 * max(s_new, 1e-300):
             stall += 1
             if stall >= 2:
-                return s_new
+                return LeakageNorm(s_new, step)
         else:
             stall = 0
         sigma = s_new
-    return sigma
+    return LeakageNorm(sigma, _PROBE_STEPS, capped=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fock_algebra import ALL, ProjectorSpec
 from .models import ModelInstance
-from .propagate import EvolveConfig, masked_top_singular, propagate_block, sweep_window
+from .propagate import EvolveConfig, as_propagator, masked_top_singular, sweep_window
 
 __all__ = [
     "CoefficientSummaries",
@@ -261,7 +261,9 @@ def apply_product_formula(parts, psi, tau, p, cfg=None):
     """One product-formula step of order p applied to psi.
 
     psi is one vector or a (dim, k) block of columns; every exponential
-    is a `propagate_block` call at cfg.tolerance.  p = 1 is the Lie
+    is a `ChebyshevPropagator.apply` at cfg.tolerance, and the parts may
+    come prepared (`as_propagator`) so that repeated steps share their
+    setup.  p = 1 is the Lie
     splitting, p = 2 the symmetric Strang splitting, and even p >= 4 the
     recursive symmetric construction built from p - 2, whose five steps
     each get a fifth of the tolerance: every order then composes at most
@@ -269,16 +271,17 @@ def apply_product_formula(parts, psi, tau, p, cfg=None):
     """
     cfg = cfg or EvolveConfig()
     tol = cfg.tolerance
+    parts = [as_propagator(part) for part in parts]
     if p == 1:
         for part in parts:
-            psi = propagate_block(part, psi, tau, tol)
+            psi = part.apply(psi, tau, tol)
         return psi
     if p == 2:
         for part in parts[:-1]:
-            psi = propagate_block(part, psi, tau / 2.0, tol)
-        psi = propagate_block(parts[-1], psi, tau, tol)
+            psi = part.apply(psi, tau / 2.0, tol)
+        psi = parts[-1].apply(psi, tau, tol)
         for part in reversed(parts[:-1]):
-            psi = propagate_block(part, psi, tau / 2.0, tol)
+            psi = part.apply(psi, tau / 2.0, tol)
         return psi
     if p >= 4 and p % 2 == 0:
         u = 1.0 / (4.0 - 4.0 ** (1.0 / (p - 1)))
@@ -306,12 +309,13 @@ def empirical_trotter_error(
     to the initial window [0, lambda0'] (every window basis state is a
     column; the window must be small enough for that to be exact).  Both
     sides propagate the window columns block by block, and each block's
-    difference goes straight into one (dim, |window|) array.
+    difference goes straight into one (dim, |window|) array.  Each part
+    and H is prepared once for every step size and block.
     """
     cfg = cfg or EvolveConfig()
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
-    parts = list(model.parts.values())
-    h = model.hamiltonian
+    parts = [as_propagator(part) for part in model.parts.values()]
+    h = as_propagator(model.hamiltonian)
     beta = beta_comm(budget) if budget is not None else float("nan")
     full_mask = np.zeros(model.dimension, dtype=bool)
     points = []
@@ -319,7 +323,7 @@ def empirical_trotter_error(
 
         def split_error(e):
             split = apply_product_formula(parts, e, tau, p, cfg)
-            split -= propagate_block(h, e, tau, cfg.tolerance)
+            split -= h.apply(e, tau, cfg.tolerance)
             return split
 
         diff, _ = sweep_window(model.basis, window0, split_error)

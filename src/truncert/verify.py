@@ -9,7 +9,8 @@ propagated together, block by block, by the Chebyshev engine
 (`propagate.leakage_columns`).  Beyond that it falls back to seeded
 random probes plus block subspace iteration through the same engine
 (`propagate.leakage_norm`); the method used is recorded in the report
-notes.
+notes, which also say when that iteration stopped at its step cap.
+Each Hamiltonian is prepared for propagation once per experiment.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -45,6 +46,8 @@ from .models import ModelInstance, single_mode
 from .propagate import (
     COLUMN_CAP,
     EvolveConfig,
+    LeakageNorm,
+    as_propagator,
     evolve,
     leakage_columns,
     leakage_norm,
@@ -157,6 +160,11 @@ def verify_state_truncation(
                 notes += "; window exceeds proxy cutoff, empirical trivially 0"
             else:
                 empirical = empirical_at(lam, nu)
+                if empirical.capped:
+                    notes += (
+                        "; probe iteration stopped at the "
+                        f"{empirical.probe_steps}-step cap"
+                    )
             inputs = {
                 "model": model.label,
                 "lambda0": int(lambda0),
@@ -168,18 +176,19 @@ def verify_state_truncation(
             analytic = min(1.0, union * bound) if nu is None else bound
             reports.append(_report(kind, inputs, empirical, analytic, cfg, t0, notes))
 
+    prop = as_propagator(model.hamiltonian)  # one setup for every time
     for t in times:
         cols = None
         if exact:
-            cols, _ = leakage_columns(basis, model.hamiltonian, window0, t, cfg)
+            cols, _ = leakage_columns(basis, prop, window0, t, cfg)
 
         @functools.cache  # short- and long-time windows often coincide
         def empirical_at(lam, nu):
             spec = ProjectorSpec(ALL if nu is None else nu, 0, lam)
             if cols is not None:
-                return masked_top_singular(cols, window_mask(basis, spec))
+                return LeakageNorm(masked_top_singular(cols, window_mask(basis, spec)))
             return leakage_norm(
-                basis, model.hamiltonian, window0, spec, t, cfg, column_cap=column_cap
+                basis, prop, window0, spec, t, cfg, column_cap=column_cap
             )
 
         within_validity = within_speed_limit(model.profile, lambda0, t)

@@ -12,6 +12,7 @@ from truncert import propagate
 from truncert.fock_algebra import ALL, ProjectorSpec, build_basis, boson, projector, window_mask
 from truncert.models import hubbard_holstein_1d, single_mode
 from truncert.propagate import (
+    ChebyshevPropagator,
     DensePropagator,
     EvolveConfig,
     evolve,
@@ -23,7 +24,8 @@ from truncert.propagate import (
     op_norm,
     propagate_block,
 )
-from truncert.verify import engine_slack
+from truncert.trotter import empirical_trotter_error
+from truncert.verify import engine_slack, verify_state_truncation
 
 
 def _random_hermitian(dim, seed, density=0.2):
@@ -209,6 +211,46 @@ def test_propagate_block_matches_evolve_above_dense_size():
         assert np.linalg.norm(got[:, j] - evolve(model.hamiltonian, block[:, j], 0.6)) < 1e-9
 
 
+def test_prepared_propagator_matches_one_shot():
+    """One propagator over many blocks and times: the one-shot arithmetic exactly."""
+    for h in (_random_hermitian(80, 9), sp.diags(np.linspace(-2.0, 3.0, 80)).tocsr()):
+        prop = ChebyshevPropagator(h)
+        for seed, t in ((10, 0.7), (11, -3.2), (12, 15.0), (13, 0.0)):
+            block = _random_block(80, 5, seed)
+            for tol in (1e-6, 1e-12):
+                assert np.array_equal(prop.apply(block, t, tol), propagate_block(h, block, t, tol))
+                assert np.array_equal(propagate_block(prop, block, t, tol), prop.apply(block, t, tol))
+            psi = block[:, 0]
+            assert np.array_equal(prop.apply(psi, t, 1e-10), evolve(h, psi, t))
+
+
+def test_propagator_checks_its_input():
+    raising = sp.csr_matrix(np.diag(np.ones(3), k=1).astype(complex))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ChebyshevPropagator(raising)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ChebyshevPropagator(sp.csr_matrix(np.ones((3, 4))))
+    prop = ChebyshevPropagator(_random_hermitian(4, 8))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        prop.apply(np.ones(5, dtype=complex), 1.0, 1e-10)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        prop.apply(np.ones((5, 2), dtype=complex), 1.0, 1e-10)
+    with pytest.raises(ValueError, match="tol"):
+        prop.apply(np.ones(4, dtype=complex), 1.0, 0.0)
+    basis = build_basis([boson(4)])  # dimension 5
+    with pytest.raises(ValueError, match="basis dimension"):
+        leakage_columns(basis, prop, ProjectorSpec(0, 0, 1), 0.5)
+
+
+def test_propagator_zero_width_interval():
+    """Stored zeros off the diagonal: not diagonal, Gershgorin width 0, exp = 1."""
+    h = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 0])), shape=(3, 3))
+    assert h.nnz == 2
+    block = _random_block(3, 2, 14)
+    got = ChebyshevPropagator(h).apply(block, 1.5, 1e-10)
+    assert np.array_equal(got, block)
+
+
 @pytest.mark.parametrize("x", [0.05, 1.0, -7.5, 40.0, 300.0])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
 def test_chebyshev_terms_meet_exact_bessel_tail(x, tol):
@@ -380,3 +422,66 @@ def test_leakage_norm_probe_path_rejects_non_hermitian():
     window = ProjectorSpec(0, 0, 1)
     with pytest.raises(ValueError, match="not Hermitian"):
         leakage_norm(basis, h, window, window, 0.5, column_cap=1)
+
+
+# ---------------------------------------------------------------------------
+# setup once per operator
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def hermiticity_checks(monkeypatch):
+    """Shapes of the operators propagate checks for Hermiticity, one per check."""
+    checks = []
+    real = propagate.hermiticity_defect
+
+    def counting(op):
+        checks.append(op.shape)
+        return real(op)
+
+    monkeypatch.setattr(propagate, "hermiticity_defect", counting)
+    return checks
+
+
+def test_trotter_check_prepares_each_part_once(hermiticity_checks, monkeypatch):
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)  # dim 256, 64 window columns
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 8 * model.dimension)  # 8 blocks
+    empirical_trotter_error(model, 2, [0.2, 0.1, 0.05, 0.025], 1)
+    assert len(hermiticity_checks) == len(model.parts) + 1
+
+
+def test_leakage_columns_prepares_once(hermiticity_checks, monkeypatch):
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 4 * model.dimension)  # 16 blocks
+    leakage_columns(model.basis, model.hamiltonian, ProjectorSpec(ALL, 0, 1), 0.4)
+    assert len(hermiticity_checks) == 1
+
+
+def test_leakage_norm_probe_path_prepares_once(hermiticity_checks):
+    model = single_mode(0.8, 1.0, 14)
+    leak = leakage_norm(
+        model.basis, model.hamiltonian, ProjectorSpec(0, 0, 2), ProjectorSpec(0, 0, 7),
+        0.6, column_cap=1,
+    )
+    assert leak.probe_steps > 0
+    assert len(hermiticity_checks) == 1
+
+
+@pytest.mark.parametrize("column_cap", [propagate.COLUMN_CAP, 1])
+def test_state_truncation_prepares_once(hermiticity_checks, column_cap):
+    model = single_mode(1.0, 1.0, 24)
+    verify_state_truncation(model, 0, [0.2, 0.5, 1.0], deltas=(2, 3), column_cap=column_cap)
+    assert len(hermiticity_checks) == 1
+
+
+def test_probe_path_marks_its_step_cap(monkeypatch):
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    args = (model.basis, model.hamiltonian, ProjectorSpec(ALL, 0, 1), ProjectorSpec(ALL, 0, 2), 0.4)
+    full = leakage_norm(*args, column_cap=1)
+    assert not full.capped and 0 < full.probe_steps < propagate._PROBE_STEPS
+    monkeypatch.setattr(propagate, "_PROBE_STEPS", 2)
+    capped = leakage_norm(*args, column_cap=1)
+    assert capped.capped and capped.probe_steps == 2
+    reports = verify_state_truncation(model, 1, [0.4], deltas=(2,), column_cap=1)
+    assert reports
+    for rep in reports:
+        assert rep.notes.endswith("; probe iteration stopped at the 2-step cap")
