@@ -47,7 +47,6 @@ __all__ = [
     "dicke",
     "u1_lgt_1d",
     "comm_norm_exact",
-    "comm_norm_analytic",
 ]
 
 _HERM_TOL = 1e-12
@@ -60,6 +59,19 @@ class ModelInstance:
     walk_parts maps each truncatable mode index to the walk Hamiltonian
     H_W for that mode (the coupling terms that move its quantum number);
     the rest of the Hamiltonian commutes with the mode's number operator.
+
+    sector_keys, when given, holds one integer per basis state: the value
+    of a conserved charge that is diagonal in the Fock basis.  Building
+    the instance checks that neither the Hamiltonian nor any part has a
+    nonzero entry between states of different keys, so each is
+    block-diagonal in the sectors (the states sharing a key).  The window
+    projectors are diagonal too, so every window-column quantity the
+    empirical checks measure is block-diagonal, and its top singular value
+    is exactly the largest over sectors.  The checks evolve each sector's
+    window columns under the principal submatrix of that sector, whose
+    Gershgorin interval lies inside the full one, so the engine's error
+    bound holds sector by sector with the same tolerance.  None means one
+    sector: the whole space.
     """
 
     label: str
@@ -69,6 +81,7 @@ class ModelInstance:
     profile: WalkProfile
     params: dict
     walk_parts: dict[int, sp.csr_matrix] = field(default_factory=dict)
+    sector_keys: np.ndarray | None = None
 
     def __post_init__(self):
         defect = hermiticity_defect(self.hamiltonian)
@@ -82,7 +95,19 @@ class ModelInstance:
         diff = self.hamiltonian - total
         if diff.nnz and np.abs(diff.data).max() != 0.0:
             raise ValueError("parts do not sum to the hamiltonian")
+        if self.sector_keys is not None:
+            self._check_sector_keys()
         self._comm_cache: dict[int, float] = {}
+
+    def _check_sector_keys(self):
+        keys = np.asarray(self.sector_keys)
+        if keys.shape != (self.dimension,) or keys.dtype.kind not in "iu":
+            raise ValueError("sector_keys needs one integer per basis state")
+        for name, op in [("hamiltonian", self.hamiltonian), *self.parts.items()]:
+            coo = sp.coo_matrix(op)
+            cross = (keys[coo.row] != keys[coo.col]) & (coo.data != 0)
+            if cross.any():
+                raise ValueError(f"{name} couples states of different sector keys")
 
     @property
     def dimension(self) -> int:
@@ -106,6 +131,12 @@ class ModelInstance:
 
 def _zero(dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((dim, dim), dtype=complex)
+
+
+def _sector_keys(*charges: np.ndarray) -> np.ndarray:
+    """One integer per basis state, equal exactly where every charge is."""
+    _, keys = np.unique(np.stack(charges, axis=1), axis=0, return_inverse=True)
+    return keys.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +234,9 @@ def hubbard_holstein_1d(
 
     parts = {"fermion": h_f.tocsr(), "coupling": h_fb.tocsr(), "boson": h_b.tocsr()}
     h = (h_f + h_fb + h_b).tocsr()
+    # hopping, Hubbard and phonon terms all conserve N_up and N_dn
+    n_up = sum(basis.local_indices(up(x)) for x in range(n_sites))
+    n_dn = sum(basis.local_indices(dn(x)) for x in range(n_sites))
     return ModelInstance(
         label="hubbard_holstein_1d",
         basis=basis,
@@ -220,6 +254,7 @@ def hubbard_holstein_1d(
             "open_boundary": open_boundary,
         },
         walk_parts=walk_parts,
+        sector_keys=_sector_keys(n_up, n_dn),
     )
 
 
@@ -253,6 +288,9 @@ def dicke(
     spins = (omega_z * sum_z).tocsr()
     coupling = ((g / math.sqrt(n_spins)) * (b + b.getH()) @ sum_x).tocsr()
     h = (cavity + spins + coupling).tocsr()
+    # (b + b^dag) sigma_x moves the photon number and one spin index by one
+    # each, so the parity of their sum is conserved
+    excitations = sum(basis.local_indices(j) for j in range(1 + n_spins))
     return ModelInstance(
         label="dicke",
         basis=basis,
@@ -267,6 +305,7 @@ def dicke(
             "n_max": n_max,
         },
         walk_parts={0: coupling},
+        sector_keys=_sector_keys(excitations % 2),
     )
 
 
@@ -319,6 +358,15 @@ def u1_lgt_1d(
 
     parts = {"mass": h_m.tocsr(), "hopping": h_gm.tocsr(), "electric": h_e.tocsr()}
     h = (h_m + h_gm + h_e).tocsr()
+    # Gauss-law charges G_x = E_x - E_{x-1} + n_x with the signed field
+    # E = k (not the window quantum number |k|) and no field past the ends:
+    # phi_x^dag U_x phi_{x+1} moves a fermion from x + 1 to x and lowers E_x
+    links = [basis.local_indices(link(x)) - field_cap for x in range(n_sites - 1)]
+    edge = np.zeros(dim, dtype=int)
+    field = [edge, *links, edge]
+    gauss = [
+        field[x + 1] - field[x] + basis.local_indices(site(x)) for x in range(n_sites)
+    ]
     return ModelInstance(
         label="u1_lgt_1d",
         basis=basis,
@@ -333,6 +381,7 @@ def u1_lgt_1d(
             "field_cap": field_cap,
         },
         walk_parts=walk_parts,
+        sector_keys=_sector_keys(*gauss),
     )
 
 
@@ -367,20 +416,3 @@ def comm_norm_exact(
 
     return op_norm(c, tol=1e-12, max_iter=2000)
 
-
-def comm_norm_analytic(model: ModelInstance, lambda_tilde: int) -> float:
-    """Closed-form estimate 2 (sum over parts of ||part Pi||)^2.
-
-    In exact arithmetic this bounds the commutator norm from above.  Each
-    ||part Pi|| here comes from `op_norm` power iteration, which converges
-    from below, so the computed value is not a certified upper bound;
-    cheap at any scale.
-    """
-    pi = projector(model.basis, ProjectorSpec(ALL, 0, int(lambda_tilde)))
-
-    from .propagate import op_norm
-
-    total = 0.0
-    for part in model.parts.values():
-        total += op_norm(part @ pi, tol=1e-10)
-    return 2.0 * total**2

@@ -10,10 +10,16 @@ time, so callers that evolve one operator repeatedly prepare it once per
 command and pass it wherever a Hamiltonian is taken (`as_propagator`).
 `propagate_block` is the one-shot form.  Window columns (every basis
 state of an initial window, as the leakage and product-formula checks
-need them) go through it a bounded block at a time; single vectors
-(`evolve`, the coherent oracle) and the probe blocks of `leakage_norm`
-are the same call.  `DensePropagator` (one dense eigendecomposition) is
-the exact oracle the tests compare it against.
+need them) go through it a bounded block at a time, one symmetry sector
+at a time: given one conserved integer key per basis state, the window
+splits into `Sector`s (`window_sectors`), each sector's columns are
+evolved in its own coordinates by the propagator restricted to it
+(`ChebyshevPropagator.restrict`), and a top singular value is the
+largest over sectors (`sector_top_singular`).  No key is one sector,
+the whole space.  Single vectors (`evolve`, the coherent oracle) and
+the probe blocks of `leakage_norm` are the same call on the full space.
+`DensePropagator` (one dense eigendecomposition) is the exact oracle the
+tests compare it against.
 Everything randomized is seeded by default: same inputs, same outputs.
 
 Engine accuracy targets sit well below the bound tolerances probed by
@@ -42,13 +48,17 @@ __all__ = [
     "ChebyshevPropagator",
     "as_propagator",
     "propagate_block",
+    "Sector",
+    "window_sectors",
     "sweep_window",
+    "evolve_window",
     "DensePropagator",
     "lowest_eigenpairs",
     "ground_state",
     "op_norm",
     "leakage_columns",
     "masked_top_singular",
+    "sector_top_singular",
     "LeakageNorm",
     "leakage_norm",
 ]
@@ -131,11 +141,15 @@ class ChebyshevPropagator:
 
     def __init__(self, h: sp.spmatrix):
         h = sp.csr_matrix(h)
-        dim = h.shape[0]
-        if h.shape[1] != dim:
+        if h.shape[1] != h.shape[0]:
             raise ValueError("dimension mismatch")
         if hermiticity_defect(h) > _HERM_TOL:
             raise ValueError("hamiltonian is not Hermitian")
+        self._prepare(h)
+
+    def _prepare(self, h: sp.csr_matrix) -> None:
+        dim = h.shape[0]
+        self._h = h
         self.shape = h.shape
         self._diag = _diagonal_if_diagonal(h)
         self._centre = self._half = 0.0
@@ -150,6 +164,30 @@ class ChebyshevPropagator:
                 # the recurrence is T_{k+1} = two_hs T_k - T_{k-1}
                 eye = sp.identity(dim, format="csr")
                 self._two_hs = (h - eye * self._centre) * (2.0 / self._half)
+
+    def restrict(self, rows: np.ndarray) -> ChebyshevPropagator:
+        """The propagator of h on the states rows (ascending, distinct).
+
+        rows must be closed under h: no nonzero entry of h couples them to
+        the other states (ValueError otherwise).  Then exp(-i t h) maps
+        blocks supported on rows into blocks supported on rows, and the
+        returned propagator, built on the principal submatrix h[rows, rows]
+        and applied in rows' coordinates, evolves them with the same error
+        bound.  That submatrix is Hermitian because h is, so the check is
+        not repeated, and its Gershgorin interval lies inside h's (each row
+        keeps its diagonal entry and its off-diagonal weight), so it takes
+        at most as many terms.  All of rows returns self.
+        """
+        if len(rows) == self.shape[0]:
+            return self
+        sub = self._h[rows]
+        inside = np.zeros(self.shape[0], dtype=bool)
+        inside[rows] = True
+        if not inside[sub.indices[sub.data != 0]].all():
+            raise ValueError("rows are coupled to states outside them")
+        out = ChebyshevPropagator.__new__(ChebyshevPropagator)
+        out._prepare(sub[:, rows])
+        return out
 
     def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:
         """Apply exp(-i t h) to a (dim, k) block of columns or to a 1-D vector.
@@ -220,25 +258,74 @@ def evolve(
     return propagate_block(h, psi0, t, (cfg or EvolveConfig()).tolerance)
 
 
-def sweep_window(
-    basis: CompositeBasis, window0: ProjectorSpec, fn
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply fn to the window's basis columns, a bounded block at a time.
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """The basis states sharing one sector key, and the window among them.
 
-    fn maps a (dim, k) block of identity columns to a (dim, k) block.
-    Returns (columns, indices): columns[:, j] = fn applied to |indices[j]>,
-    written into one (dim, |window0|) array.
+    rows holds their full-space indices and window the positions within
+    rows of the window states; both ascending.  A quantity built from
+    window columns is computed per sector in rows' coordinates.
     """
-    dim = basis.dimension
-    idx = np.nonzero(window_mask(basis, window0))[0]
-    cols = np.empty((dim, len(idx)), dtype=complex)
+
+    rows: np.ndarray
+    window: np.ndarray
+
+    @property
+    def entries(self) -> int:
+        """Size of the sector's window columns: dim_s * n0_s."""
+        return len(self.rows) * len(self.window)
+
+
+def window_sectors(
+    mask0: np.ndarray, sector_keys: np.ndarray | None = None
+) -> list[Sector]:
+    """The sectors that meet the window mask0, in ascending key order.
+
+    sector_keys holds one integer per basis state; None puts every state
+    in one sector, the whole space.
+    """
+    dim = len(mask0)
+    keys = np.zeros(dim, dtype=int) if sector_keys is None else np.asarray(sector_keys)
+    if keys.shape != (dim,):
+        raise ValueError("sector_keys needs one entry per basis state")
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    sectors = []
+    for rows in np.split(order, cuts):
+        window = np.flatnonzero(mask0[rows])
+        if len(window):
+            sectors.append(Sector(rows, window))
+    return sectors
+
+
+def sweep_window(sector: Sector, fn) -> np.ndarray:
+    """Apply fn to one sector's window columns, a bounded block at a time.
+
+    fn maps a (dim_s, k) block of identity columns in sector coordinates
+    (row i stands for basis state sector.rows[i]) to a (dim_s, k) block.
+    Returns the (dim_s, n0_s) array whose column j is fn applied to the
+    sector's window state j.
+    """
+    dim = len(sector.rows)
+    window = sector.window
+    cols = np.empty((dim, len(window)), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // dim)
-    for start in range(0, len(idx), step):
-        part = idx[start : start + step]
+    for start in range(0, len(window), step):
+        part = window[start : start + step]
         e = np.zeros((dim, len(part)), dtype=complex)
         e[part, np.arange(len(part))] = 1.0
         cols[:, start : start + len(part)] = fn(e)
-    return cols, idx
+    return cols
+
+
+def evolve_window(
+    prop: ChebyshevPropagator, sector: Sector, t: float, tol: float
+) -> np.ndarray:
+    """The sector's window columns evolved for time t, in sector coordinates.
+
+    prop is the sector's propagator (`ChebyshevPropagator.restrict`).
+    """
+    return sweep_window(sector, lambda e: prop.apply(e, t, tol))
 
 
 class DensePropagator:
@@ -345,12 +432,20 @@ def op_norm(
 # leakage
 # ---------------------------------------------------------------------------
 
+def _prepared(basis: CompositeBasis, h: Operator) -> ChebyshevPropagator:
+    prop = as_propagator(h)
+    if prop.shape != (basis.dimension, basis.dimension):
+        raise ValueError("operator does not match basis dimension")
+    return prop
+
+
 def leakage_columns(
     basis: CompositeBasis,
     h: Operator,
     window0: ProjectorSpec,
     t: float,
     cfg: EvolveConfig | None = None,
+    sector_keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every basis column of the initial window for time t.
 
@@ -358,12 +453,20 @@ def leakage_columns(
     propagated in blocks by one `ChebyshevPropagator` to cfg.tolerance.
     Reuse the columns across window1 choices; masking rows and taking the
     top singular value yields the leakage norm for any escape window.
+    With sector_keys (one integer per basis state, conserved by h), each
+    column is evolved inside its own sector only and is exactly 0 on the
+    other rows.
     """
     cfg = cfg or EvolveConfig()
-    prop = as_propagator(h)
-    if prop.shape != (basis.dimension, basis.dimension):
-        raise ValueError("operator does not match basis dimension")
-    return sweep_window(basis, window0, lambda e: prop.apply(e, t, cfg.tolerance))
+    prop = _prepared(basis, h)
+    mask0 = window_mask(basis, window0)
+    idx = np.flatnonzero(mask0)
+    cols = np.zeros((basis.dimension, len(idx)), dtype=complex)
+    for sector in window_sectors(mask0, sector_keys):
+        at = np.searchsorted(idx, sector.rows[sector.window])
+        block = evolve_window(prop.restrict(sector.rows), sector, t, cfg.tolerance)
+        cols[np.ix_(sector.rows, at)] = block
+    return cols, idx
 
 
 def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
@@ -372,6 +475,18 @@ def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
     if sub.size == 0:
         return 0.0
     return float(np.linalg.svd(sub, compute_uv=False)[0])
+
+
+def sector_top_singular(sectors: list[Sector], blocks, keep_mask: np.ndarray) -> float:
+    """Top singular value of block-diagonal window columns outside keep_mask.
+
+    blocks holds (or yields, one at a time) each sector's columns in its
+    coordinates; the value is the largest over the sectors.
+    """
+    return max(
+        (masked_top_singular(b, keep_mask[s.rows]) for s, b in zip(sectors, blocks)),
+        default=0.0,
+    )
 
 
 class LeakageNorm(float):
@@ -399,14 +514,20 @@ def leakage_norm(
     t: float,
     cfg: EvolveConfig | None = None,
     column_cap: int = COLUMN_CAP,
+    sector_keys: np.ndarray | None = None,
 ) -> LeakageNorm:
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
 
-    Exact column path (evolve every window0 basis state, SVD) whenever
-    dim * |window0| fits the cap; beyond that, seeded random window
-    probes followed by at most _PROBE_STEPS steps of block subspace
-    iteration, each step one `ChebyshevPropagator.apply` forward and one
-    backward on the same propagator.
+    sector_keys (one integer per basis state, conserved by h; None is one
+    sector) splits the window into sectors.  The projectors are diagonal,
+    so the operator is block-diagonal and its top singular value is the
+    largest over the sectors.  Exact column path (evolve every window0
+    basis state inside its sector, SVD per sector) whenever the sectors'
+    dim_s * |window0 in s| sum to at most the cap; beyond that, seeded
+    random window probes over the full space followed by at most
+    _PROBE_STEPS steps of block subspace iteration, each step one
+    `ChebyshevPropagator.apply` forward and one backward on the same
+    propagator.
     """
     cfg = cfg or EvolveConfig()
     dim = basis.dimension
@@ -415,11 +536,14 @@ def leakage_norm(
     n0 = int(mask0.sum())
     if n0 == 0:
         return LeakageNorm(0.0)
-    if dim * n0 <= column_cap:
-        cols, _ = leakage_columns(basis, h, window0, t, cfg)
-        return LeakageNorm(masked_top_singular(cols, mask1))
+    prop = _prepared(basis, h)
+    sectors = window_sectors(mask0, sector_keys)
+    if sum(s.entries for s in sectors) <= column_cap:
+        blocks = (
+            evolve_window(prop.restrict(s.rows), s, t, cfg.tolerance) for s in sectors
+        )
+        return LeakageNorm(sector_top_singular(sectors, blocks, mask1))
 
-    prop = as_propagator(h)
     idx0 = np.nonzero(mask0)[0]
 
     def forward(x):

@@ -21,9 +21,15 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .fock_algebra import ALL, ProjectorSpec
+from .fock_algebra import ALL, ProjectorSpec, window_mask
 from .models import ModelInstance
-from .propagate import EvolveConfig, as_propagator, masked_top_singular, sweep_window
+from .propagate import (
+    EvolveConfig,
+    as_propagator,
+    masked_top_singular,
+    sweep_window,
+    window_sectors,
+)
 
 __all__ = [
     "CoefficientSummaries",
@@ -307,28 +313,38 @@ def empirical_trotter_error(
 
     Error is the top singular value of (S(tau) - exp(-i tau H)) restricted
     to the initial window [0, lambda0'] (every window basis state is a
-    column; the window must be small enough for that to be exact).  Both
-    sides propagate the window columns block by block, and each block's
-    difference goes straight into one (dim, |window|) array.  Each part
-    and H is prepared once for every step size and block.
+    column; the window must be small enough for that to be exact).  H and
+    every part conserve the model's sector keys, so that block is
+    block-diagonal and its top singular value is the largest over the
+    sectors that meet the window.  Each sector's window columns go through
+    both sides in sector coordinates, block by block, and each sector's
+    difference is reduced to its top singular value before the next
+    sector is swept.  Each part and H is prepared once, and restricted to
+    each sector once, for every step size and block.
     """
     cfg = cfg or EvolveConfig()
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
+    sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
     parts = [as_propagator(part) for part in model.parts.values()]
     h = as_propagator(model.hamiltonian)
+    restricted = [
+        ([part.restrict(s.rows) for part in parts], h.restrict(s.rows)) for s in sectors
+    ]
     beta = beta_comm(budget) if budget is not None else float("nan")
-    full_mask = np.zeros(model.dimension, dtype=bool)
     points = []
     for tau in tau_grid:
+        error = 0.0
+        for sector, (parts_s, h_s) in zip(sectors, restricted):
 
-        def split_error(e):
-            split = apply_product_formula(parts, e, tau, p, cfg)
-            split -= h.apply(e, tau, cfg.tolerance)
-            return split
+            def split_error(e):
+                split = apply_product_formula(parts_s, e, tau, p, cfg)
+                split -= h_s.apply(e, tau, cfg.tolerance)
+                return split
 
-        diff, _ = sweep_window(model.basis, window0, split_error)
-        error = masked_top_singular(diff, full_mask)
-        del diff  # free this step's array before the next step fills one
+            diff = sweep_window(sector, split_error)
+            keep_none = np.zeros(len(sector.rows), dtype=bool)
+            error = max(error, masked_top_singular(diff, keep_none))
+            del diff  # free this sector's array before the next one fills
         bound = (
             per_step_error_bound(p, beta, tau) if budget is not None else float("nan")
         )

@@ -3,14 +3,23 @@
 Every experiment emits ExperimentReports whose soundness flag is
 computed one way only: empirical <= analytic + engine_slack, with
 engine_slack ten times the evolution error budget.  The empirical side
-exhausts the initial window exactly whenever dim * |window| is
+exhausts the initial window exactly whenever its columns are
 affordable: every window basis state is a column, and the columns are
-propagated together, block by block, by the Chebyshev engine
-(`propagate.leakage_columns`).  Beyond that it falls back to seeded
-random probes plus block subspace iteration through the same engine
-(`propagate.leakage_norm`); the method used is recorded in the report
-notes, which also say when that iteration stopped at its step cap.
-Each Hamiltonian is prepared for propagation once per experiment.
+propagated together, block by block, by the Chebyshev engine.  A model
+with sector keys (a conserved charge diagonal in the Fock basis) splits
+the window into sectors.  The projectors are diagonal, so the measured
+operator is block-diagonal and its top singular value is exactly the
+largest over sectors; each sector's columns are evolved under H
+restricted to that sector, and the sum over sectors of dim_s * |window
+in s| is what must fit the column cap.  Each sector's Gershgorin
+interval lies inside the full one, so each sector's propagation error
+is at most tol * ||block_s|| and the block-diagonal error at most tol *
+||block||: the engine slack is unchanged.  Beyond the cap it falls back
+to seeded random probes plus block subspace iteration on the full space
+through the same engine (`propagate.leakage_norm`); the method used is
+recorded in the report notes, which also say when that iteration
+stopped at its step cap.  Each Hamiltonian is prepared for propagation,
+and restricted to each sector, once per experiment.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -49,10 +58,13 @@ from .propagate import (
     LeakageNorm,
     as_propagator,
     evolve,
+    evolve_window,
     leakage_columns,
     leakage_norm,
     lowest_eigenpairs,
     masked_top_singular,
+    sector_top_singular,
+    window_sectors,
 )
 
 __all__ = [
@@ -93,7 +105,12 @@ def engine_slack(cfg: EvolveConfig) -> float:
     Hubbard-Holstein suites (the non-diagonal substeps of one Strang step
     plus the exact step; diagonal parts are exact, and higher orders split
     the tolerance over their recursive steps), so ten times the tolerance
-    covers every check.  Floating-point roundoff of the Chebyshev
+    covers every check.  Split into symmetry sectors, the same holds
+    sector by sector: each sector's Gershgorin interval lies inside the
+    full one, its block's error is at most the same multiple of
+    cfg.tolerance * ||block_s||, and the block-diagonal whole, whose top
+    singular value is the largest over sectors, errs by at most the
+    largest of those.  Floating-point roundoff of the Chebyshev
     recurrence is not part of that bound.
     """
     return 10.0 * cfg.tolerance
@@ -141,8 +158,8 @@ def verify_state_truncation(
     union = math.sqrt(len(trunc)) if trunc else 1.0
     nus = trunc if mode == "per_mode" else [None]
     window0 = ProjectorSpec(ALL, 0, int(lambda0))
-    n0 = int(window_mask(basis, window0).sum())
-    exact = basis.dimension * n0 <= column_cap
+    sectors = window_sectors(window_mask(basis, window0), model.sector_keys)
+    exact = sum(s.entries for s in sectors) <= column_cap
     method = (
         "exact column sweep"
         if exact
@@ -177,16 +194,18 @@ def verify_state_truncation(
             reports.append(_report(kind, inputs, empirical, analytic, cfg, t0, notes))
 
     prop = as_propagator(model.hamiltonian)  # one setup for every time
+    restricted = [prop.restrict(s.rows) for s in sectors] if exact else []
     for t in times:
-        cols = None
-        if exact:
-            cols, _ = leakage_columns(basis, prop, window0, t, cfg)
+        blocks = [
+            evolve_window(p, s, t, cfg.tolerance) for p, s in zip(restricted, sectors)
+        ]
 
         @functools.cache  # short- and long-time windows often coincide
         def empirical_at(lam, nu):
             spec = ProjectorSpec(ALL if nu is None else nu, 0, lam)
-            if cols is not None:
-                return LeakageNorm(masked_top_singular(cols, window_mask(basis, spec)))
+            if exact:
+                keep = window_mask(basis, spec)
+                return LeakageNorm(sector_top_singular(sectors, blocks, keep))
             return leakage_norm(
                 basis, prop, window0, spec, t, cfg, column_cap=column_cap
             )
@@ -236,8 +255,9 @@ def verify_hamiltonian_truncation(
         window0 = ProjectorSpec(ALL, 0, int(lambda0))
         pi = projector(basis, ProjectorSpec(ALL, 0, int(lambda_tilde)))
         h_trunc = (pi @ model.hamiltonian @ pi).tocsr()
-        cols_full, _ = leakage_columns(basis, model.hamiltonian, window0, t, cfg)
-        cols_trunc, _ = leakage_columns(basis, h_trunc, window0, t, cfg)
+        keys = model.sector_keys  # Pi is diagonal, so Pi H Pi keeps them
+        cols_full, _ = leakage_columns(basis, model.hamiltonian, window0, t, cfg, keys)
+        cols_trunc, _ = leakage_columns(basis, h_trunc, window0, t, cfg, keys)
         keep_none = np.zeros(basis.dimension, dtype=bool)
         return masked_top_singular(cols_full - cols_trunc, keep_none)
 

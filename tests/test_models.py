@@ -1,21 +1,21 @@
 """Model builders: spectra, part decompositions, walk-profile soundness."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from truncert.fock_algebra import ALL, ProjectorSpec, mode_operator, projector
+from truncert.fock_algebra import ALL, ProjectorSpec, mode_operator, projector, window_mask
 from truncert.models import (
-    comm_norm_analytic,
     comm_norm_exact,
     dicke,
     hubbard_holstein_1d,
     single_mode,
     u1_lgt_1d,
 )
-from truncert.propagate import op_norm
+from truncert.propagate import op_norm, window_sectors
 
 
 def _dense(op):
@@ -230,6 +230,73 @@ def test_u1_profile_is_gauge_type():
 
 
 # ---------------------------------------------------------------------------
+# sector keys
+# ---------------------------------------------------------------------------
+
+SECTORED = [
+    (hubbard_holstein_1d(2, hop=1.0, u=2.0, mu=0.3, g=0.5, n_max=3), 9),
+    (hubbard_holstein_1d(3, u=0.7, g=0.4, n_max=2, open_boundary=False), 16),
+    (dicke(2, 1.0, 0.7, 0.4, 3), 2),
+    (u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=3), 224),
+]
+
+
+@pytest.mark.parametrize(
+    "model, n_sectors", SECTORED, ids=["hh_open", "hh_periodic", "dicke", "u1"]
+)
+def test_sector_keys_block_diagonalize_every_part(model, n_sectors):
+    keys = model.sector_keys
+    assert keys.shape == (model.dimension,)
+    assert len(np.unique(keys)) == n_sectors
+    for op in [model.hamiltonian, *model.parts.values()]:
+        coo = sp.coo_matrix(op)
+        nonzero = coo.data != 0
+        assert nonzero.any()
+        assert np.array_equal(keys[coo.row[nonzero]], keys[coo.col[nonzero]])
+
+
+def test_wrong_sector_keys_are_rejected():
+    hh = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    phonons = hh.basis.local_indices(2)  # the coupling part changes it
+    with pytest.raises(ValueError, match="hamiltonian couples states"):
+        dataclasses.replace(hh, sector_keys=phonons)
+    # a diagonal H whose parts are not: every part is checked, not only H
+    drive = single_mode(1.0, 0.0, 4)
+    x, number = drive.hamiltonian, single_mode(0.0, 1.0, 4).hamiltonian
+    with pytest.raises(ValueError, match="push couples states"):
+        dataclasses.replace(
+            drive,
+            hamiltonian=number,
+            parts={"push": x, "rest": (number - x).tocsr()},
+            sector_keys=np.arange(drive.dimension),
+        )
+    with pytest.raises(ValueError, match="one integer per basis state"):
+        dataclasses.replace(hh, sector_keys=hh.sector_keys[:-1])
+    with pytest.raises(ValueError, match="one integer per basis state"):
+        dataclasses.replace(hh, sector_keys=hh.sector_keys.astype(float))
+    # Gauss law with the opposite sign of the signed field: hopping breaks it
+    u1 = u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2)
+    digit, k = u1.basis.local_indices, 2
+    flipped = [
+        digit(0) - (digit(1) - k),
+        digit(2) - (digit(3) - k) + (digit(1) - k),
+        digit(4) + (digit(3) - k),
+    ]
+    keys = np.unique(np.stack(flipped, axis=1), axis=0, return_inverse=True)[1].ravel()
+    with pytest.raises(ValueError, match="hamiltonian couples states"):
+        dataclasses.replace(u1, sector_keys=keys)
+
+
+def test_single_mode_is_one_sector():
+    model = single_mode(1.0, 1.0, 8)
+    assert model.sector_keys is None
+    mask = window_mask(model.basis, ProjectorSpec(0, 0, 3))
+    (sector,) = window_sectors(mask, model.sector_keys)
+    assert np.array_equal(sector.rows, np.arange(model.dimension))
+    assert np.array_equal(sector.window, np.arange(4))
+
+
+# ---------------------------------------------------------------------------
 # commutator norms
 # ---------------------------------------------------------------------------
 
@@ -242,12 +309,6 @@ def test_comm_norm_exact_matches_dense_oracle():
     ht = pi @ h @ pi
     dense = np.linalg.norm(h @ ht - ht @ h, ord=2)
     assert got == pytest.approx(dense, rel=1e-6)
-
-
-def test_comm_norm_analytic_dominates_exact():
-    model = single_mode(1.0, 1.0, 16)
-    for lam in (4, 8):
-        assert comm_norm_analytic(model, lam) >= comm_norm_exact(model, lam)
 
 
 def test_comm_norm_diagonal_model_vanishes():

@@ -1,5 +1,6 @@
 """Evolution engine: block Chebyshev propagator vs dense oracles, eigensolvers, norms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import jv
 
 from truncert import propagate
 from truncert.fock_algebra import ALL, ProjectorSpec, build_basis, boson, projector, window_mask
-from truncert.models import hubbard_holstein_1d, single_mode
+from truncert.models import dicke, hubbard_holstein_1d, single_mode, u1_lgt_1d
 from truncert.propagate import (
     ChebyshevPropagator,
     DensePropagator,
@@ -23,6 +24,7 @@ from truncert.propagate import (
     masked_top_singular,
     op_norm,
     propagate_block,
+    window_sectors,
 )
 from truncert.trotter import empirical_trotter_error
 from truncert.verify import engine_slack, verify_state_truncation
@@ -485,3 +487,63 @@ def test_probe_path_marks_its_step_cap(monkeypatch):
     assert reports
     for rep in reports:
         assert rep.notes.endswith("; probe iteration stopped at the 2-step cap")
+
+
+# ---------------------------------------------------------------------------
+# symmetry sectors
+# ---------------------------------------------------------------------------
+
+SECTOR_CASES = [
+    (hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5), ProjectorSpec(ALL, 0, 2), 0.7),
+    (dicke(2, 1.0, 0.7, 0.6, 10), ProjectorSpec(ALL, 0, 3), 0.6),
+    (u1_lgt_1d(4, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2), ProjectorSpec(ALL, 0, 0), 0.8),
+]
+
+
+@pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
+def test_sectored_columns_match_unsectored(model, window0, t):
+    basis, h, keys = model.basis, model.hamiltonian, model.sector_keys
+    sectors = window_sectors(window_mask(basis, window0), keys)
+    assert len(sectors) > 1
+    full, idx = leakage_columns(basis, h, window0, t)
+    split, idx2 = leakage_columns(basis, h, window0, t, sector_keys=keys)
+    assert np.array_equal(idx, idx2)
+    slack = engine_slack(EvolveConfig())
+    assert np.linalg.norm(split - full, 2) <= slack
+    # each column stays inside the sector of its window state
+    assert np.all(split[keys[:, None] != keys[idx][None, :]] == 0.0)
+    for lam in (window0.hi + 1, window0.hi + 2):
+        window1 = ProjectorSpec(ALL, 0, lam)
+        one = leakage_norm(basis, h, window0, window1, t)
+        many = leakage_norm(basis, h, window0, window1, t, sector_keys=keys)
+        assert one > 1e-4 or lam > window0.hi + 1
+        assert abs(many - one) <= slack
+        keep = window_mask(basis, window1)
+        assert many == pytest.approx(masked_top_singular(full, keep), abs=slack)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_sectored_trotter_error_matches_one_sector(p):
+    model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
+    one = dataclasses.replace(model, sector_keys=np.zeros(model.dimension, dtype=int))
+    taus = [0.2, 0.1]
+    many = empirical_trotter_error(model, p, taus, 1)
+    single = empirical_trotter_error(one, p, taus, 1)
+    for a, b in zip(many, single):
+        assert a.error > 1e-9
+        assert abs(a.error - b.error) <= engine_slack(EvolveConfig())
+
+
+def test_restrict_rejects_rows_coupled_to_the_rest():
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    prop = ChebyshevPropagator(model.hamiltonian)
+    keys = model.sector_keys
+    rows = np.flatnonzero(keys == keys[0])
+    sub = prop.restrict(rows)
+    assert sub.shape == (len(rows), len(rows))
+    assert prop.restrict(np.arange(model.dimension)) is prop
+    phonon_vacuum = np.flatnonzero(model.basis.local_indices(2) == 0)
+    with pytest.raises(ValueError, match="coupled to states outside"):
+        prop.restrict(phonon_vacuum)
+    with pytest.raises(ValueError, match="one entry per basis state"):
+        window_sectors(np.ones(4, dtype=bool), np.zeros(3, dtype=int))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from truncert import verify
+from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import dicke, hubbard_holstein_1d, single_mode
-from truncert.propagate import EvolveConfig
+from truncert.propagate import EvolveConfig, window_sectors
 from truncert.verify import (
     coherent_oracle_check,
     compare_thresholds,
@@ -86,6 +87,23 @@ def test_state_truncation_measures_each_window_once(monkeypatch):
     windows = {(r.inputs["t"], r.inputs["window"]) for r in reports}
     assert len(reports) == 2 * len(windows)
     assert sorted(calls) == sorted(windows)
+
+
+def test_sectors_keep_the_exact_path_past_the_unsectored_cap():
+    """2-site HH, n_max 3, window [0, 1]: 256 x 64 = 16384 entries on the
+    full space but 2304 over its 9 sectors, so a cap of 4096 now takes the
+    exact column path."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    mask0 = window_mask(model.basis, ProjectorSpec(ALL, 0, 1))
+    assert model.dimension * mask0.sum() == 16384
+    assert sum(s.entries for s in window_sectors(mask0, model.sector_keys)) == 2304
+    capped = verify_state_truncation(model, 1, [0.4], deltas=(2, 3), column_cap=4096)
+    default = verify_state_truncation(model, 1, [0.4], deltas=(2, 3))
+    assert any(rep.empirical > 1e-6 for rep in capped)
+    for rep, ref in zip(capped, default, strict=True):
+        assert rep.notes.startswith("exact column sweep")
+        assert "cap" not in rep.notes
+        assert rep.empirical == pytest.approx(ref.empirical, rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
