@@ -13,7 +13,6 @@ import numpy as np
 
 from truncert import (
     ALL,
-    EvolveConfig,
     ProjectorSpec,
     hubbard_holstein_1d,
     leakage_bound_at,
@@ -38,9 +37,7 @@ print(f"  measured {leak:.6e}  <=  certified {bound:.6e}")
 # the packaged suite runs a grid of times and window widths and wraps each
 # point in a report with the sound/unsound verdict and the margin
 
-reports = verify_state_truncation(
-    model, lambda0=0, times=[0.5, 1.0], deltas=(2, 3, 4), cfg=EvolveConfig(seed=7)
-)
+reports = verify_state_truncation(model, lambda0=0, times=[0.5, 1.0], deltas=(2, 3, 4))
 print("\n  experiment    t     Delta  mode  empirical      bound          sound")
 for rep in reports:
     print(f"  {rep.experiment:12s}  {rep.inputs['t']:.2f}  {rep.inputs['delta']:3d}  "

@@ -264,7 +264,7 @@ def long_time_bound(
 
     The window grows to lambda = lambda0 + J*(delta-1) where J counts the
     adaptive steps needed to cover time t; the leakage bound is J times
-    the one-step factor, capped at 1.
+    the one-step factor, clipped to at most 1.
     """
     if lambda0 < 0 or int(lambda0) != lambda0:
         raise ValueError("lambda0 must be a nonnegative integer")

@@ -399,7 +399,7 @@ def _suite_all(cfg):
 
 
 def _cmd_verify(args):
-    cfg = EvolveConfig(seed=args.seed)
+    cfg = EvolveConfig()
     if args.suite == "trotter":
         return _suite_trotter(args, cfg)
     if args.suite == "coherent":
@@ -503,7 +503,6 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None, help="key=value config file; flags win")
-    sub.add_argument("--seed", type=int, default=1123)
 
 
 def _add_model_params(sub, with_cutoff=True):

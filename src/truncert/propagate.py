@@ -12,15 +12,17 @@ command and pass it wherever a Hamiltonian is taken (`as_propagator`).
 state of an initial window, as the leakage and product-formula checks
 need them) go through it a bounded block at a time, one symmetry sector
 at a time: given one conserved integer key per basis state, the window
-splits into `Sector`s (`window_sectors`), each sector's columns are
-evolved in its own coordinates by the propagator restricted to it
+splits into `Sector`s (`window_sectors`, which also enforces
+`COLUMN_CAP` on the largest sector), each sector's columns are evolved
+in its own coordinates by the propagator restricted to it
 (`ChebyshevPropagator.restrict`), and a top singular value is the
 largest over sectors (`sector_top_singular`).  No key is one sector,
-the whole space.  Single vectors (`evolve`, the coherent oracle) and
-the probe blocks of `leakage_norm` are the same call on the full space.
-`DensePropagator` (one dense eigendecomposition) is the exact oracle the
-tests compare it against.
-Everything randomized is seeded by default: same inputs, same outputs.
+the whole space.  Every leakage norm is measured this way, exactly.
+Single vectors (`evolve`, the coherent oracle) are the same call on the
+full space.  `DensePropagator` (one dense eigendecomposition) is the
+exact oracle the tests compare it against.
+The randomized engines (`lowest_eigenpairs`, `op_norm`) are seeded by
+default: same inputs, same outputs.
 
 Engine accuracy targets sit well below the bound tolerances probed by
 the verification experiments (default budget 1e-10 against bounds read
@@ -38,7 +40,13 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
-from .fock_algebra import CompositeBasis, ProjectorSpec, hermiticity_defect, window_mask
+from .fock_algebra import (
+    CompositeBasis,
+    ProjectorSpec,
+    ResourceLimitError,
+    hermiticity_defect,
+    window_mask,
+)
 
 __all__ = [
     "EvolveConfig",
@@ -59,22 +67,16 @@ __all__ = [
     "leakage_columns",
     "masked_top_singular",
     "sector_top_singular",
-    "LeakageNorm",
     "leakage_norm",
 ]
 
-#: Largest dim * n_columns product for the exact column path in leakage_norm.
-COLUMN_CAP = 1 << 22
+#: Largest window-column block of one sector, dim_s * n0_s entries (256 MiB
+#: of complex128); window_sectors raises ResourceLimitError past it.
+COLUMN_CAP = 1 << 24
 
 #: Largest dim * columns that sweep_window hands to one block call; it
 #: bounds the block propagator's working set (a few such blocks).
 _BLOCK_ENTRIES = 1 << 15
-
-#: Random window probes that seed leakage_norm's subspace iteration.
-_N_PROBE = 64
-
-#: Step cap of that subspace iteration.
-_PROBE_STEPS = 300
 
 _HERM_TOL = 1e-10
 
@@ -86,7 +88,6 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EvolveConfig:
     tolerance: float = 1e-10
-    seed: int = 1123
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -282,7 +283,8 @@ def window_sectors(
     """The sectors that meet the window mask0, in ascending key order.
 
     sector_keys holds one integer per basis state; None puts every state
-    in one sector, the whole space.
+    in one sector, the whole space.  Raises ResourceLimitError when one
+    sector's window columns would exceed COLUMN_CAP entries.
     """
     dim = len(mask0)
     keys = np.zeros(dim, dtype=int) if sector_keys is None else np.asarray(sector_keys)
@@ -295,6 +297,12 @@ def window_sectors(
         window = np.flatnonzero(mask0[rows])
         if len(window):
             sectors.append(Sector(rows, window))
+    largest = max((s.entries for s in sectors), default=0)
+    if largest > COLUMN_CAP:
+        raise ResourceLimitError(
+            f"window columns of one sector hold {largest} entries, over the "
+            f"cap of {COLUMN_CAP}"
+        )
     return sectors
 
 
@@ -477,33 +485,17 @@ def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
     return float(np.linalg.svd(sub, compute_uv=False)[0])
 
 
-def sector_top_singular(sectors: list[Sector], blocks, keep_mask: np.ndarray) -> float:
+def sector_top_singular(sectors: list[Sector], block_of, keep_mask: np.ndarray) -> float:
     """Top singular value of block-diagonal window columns outside keep_mask.
 
-    blocks holds (or yields, one at a time) each sector's columns in its
-    coordinates; the value is the largest over the sectors.
+    block_of maps a sector to its columns in its coordinates; each block
+    is reduced to its top singular value before the next one is built, and
+    the value is the largest over the sectors.
     """
-    return max(
-        (masked_top_singular(b, keep_mask[s.rows]) for s, b in zip(sectors, blocks)),
-        default=0.0,
-    )
-
-
-class LeakageNorm(float):
-    """A leakage norm that also records how its probe iteration ended.
-
-    It is a float everywhere a float is expected.  probe_steps counts the
-    subspace-iteration steps of the probe path (0 on the exact column
-    path); capped is True when that iteration stopped at its step cap
-    without meeting the stall test, so the value is the last Ritz
-    estimate, which may still be rising.
-    """
-
-    def __new__(cls, value: float, probe_steps: int = 0, capped: bool = False):
-        self = super().__new__(cls, value)
-        self.probe_steps = probe_steps
-        self.capped = capped
-        return self
+    top = 0.0
+    for s in sectors:
+        top = max(top, masked_top_singular(block_of(s), keep_mask[s.rows]))
+    return top
 
 
 def leakage_norm(
@@ -513,86 +505,22 @@ def leakage_norm(
     window1: ProjectorSpec,
     t: float,
     cfg: EvolveConfig | None = None,
-    column_cap: int = COLUMN_CAP,
     sector_keys: np.ndarray | None = None,
-) -> LeakageNorm:
+) -> float:
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
 
-    sector_keys (one integer per basis state, conserved by h; None is one
-    sector) splits the window into sectors.  The projectors are diagonal,
-    so the operator is block-diagonal and its top singular value is the
-    largest over the sectors.  Exact column path (evolve every window0
-    basis state inside its sector, SVD per sector) whenever the sectors'
-    dim_s * |window0 in s| sum to at most the cap; beyond that, seeded
-    random window probes over the full space followed by at most
-    _PROBE_STEPS steps of block subspace iteration, each step one
-    `ChebyshevPropagator.apply` forward and one backward on the same
-    propagator.
+    Exact: every window0 basis state is a column, evolved inside its
+    sector.  sector_keys (one integer per basis state, conserved by h;
+    None is one sector) splits the window into sectors.  The projectors
+    are diagonal, so the operator is block-diagonal and its top singular
+    value is the largest over the sectors.  A sector whose columns exceed
+    COLUMN_CAP entries raises ResourceLimitError.
     """
     cfg = cfg or EvolveConfig()
-    dim = basis.dimension
-    mask0 = window_mask(basis, window0)
-    mask1 = window_mask(basis, window1)
-    n0 = int(mask0.sum())
-    if n0 == 0:
-        return LeakageNorm(0.0)
     prop = _prepared(basis, h)
-    sectors = window_sectors(mask0, sector_keys)
-    if sum(s.entries for s in sectors) <= column_cap:
-        blocks = (
-            evolve_window(prop.restrict(s.rows), s, t, cfg.tolerance) for s in sectors
-        )
-        return LeakageNorm(sector_top_singular(sectors, blocks, mask1))
-
-    idx0 = np.nonzero(mask0)[0]
-
-    def forward(x):
-        # (n0, k) domain coordinates -> (dim, k) full-space escape components
-        v = np.zeros((dim, x.shape[1]), dtype=complex)
-        v[idx0] = x
-        u = prop.apply(v, t, cfg.tolerance)
-        u[mask1] = 0.0
-        return u
-
-    def backward(u):
-        return prop.apply(u, -t, cfg.tolerance)[idx0]
-
-    rng = np.random.default_rng(cfg.seed)
-    probes = np.empty((n0, _N_PROBE), dtype=complex)
-    for j in range(_N_PROBE):
-        x = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
-        probes[:, j] = x / np.linalg.norm(x)
-    # the probes go forward in blocks as wide as the subspace block below
-    block = min(n0, 4)
-    vals = np.concatenate(
-        [
-            np.linalg.norm(forward(probes[:, s : s + block]), axis=0)
-            for s in range(0, _N_PROBE, block)
-        ]
+    sectors = window_sectors(window_mask(basis, window0), sector_keys)
+    return sector_top_singular(
+        sectors,
+        lambda s: evolve_window(prop.restrict(s.rows), s, t, cfg.tolerance),
+        window_mask(basis, window1),
     )
-    best = int(np.argmax(vals))
-    if vals[best] == 0.0:
-        return LeakageNorm(0.0)
-
-    # Block subspace iteration in window-0 coordinates; the block absorbs
-    # clustered singular values that stall a single power vector.
-    x_block = rng.standard_normal((n0, block)) + 1j * rng.standard_normal((n0, block))
-    x_block[:, 0] = probes[:, best]
-    x_block, _ = np.linalg.qr(x_block)
-    sigma = float(vals[best])
-    stall = 0
-    for step in range(1, _PROBE_STEPS + 1):
-        u_block = forward(x_block)
-        gram = u_block.conj().T @ u_block
-        s_new = float(np.sqrt(max(0.0, np.linalg.eigvalsh(gram)[-1].real)))
-        if s_new == 0.0:
-            return LeakageNorm(0.0, step)
-        x_block, _ = np.linalg.qr(backward(u_block))
-        if abs(s_new - sigma) <= 1e-10 * max(s_new, 1e-300):
-            stall += 1
-            if stall >= 2:
-                return LeakageNorm(s_new, step)
-        else:
-            stall = 0
-        sigma = s_new
-    return LeakageNorm(sigma, _PROBE_STEPS, capped=True)

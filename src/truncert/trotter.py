@@ -320,9 +320,17 @@ def empirical_trotter_error(
     both sides in sector coordinates, block by block, and each sector's
     difference is reduced to its top singular value before the next
     sector is swept.  Each part and H is prepared once, and restricted to
-    each sector once, for every step size and block.
+    each sector once, for every step size and block.  With a budget, every
+    step size's bound is computed first, so an order p that the certified
+    constants do not cover raises ValueError before any propagation.
     """
     cfg = cfg or EvolveConfig()
+    taus = list(tau_grid)
+    if budget is None:
+        bounds = [float("nan")] * len(taus)
+    else:
+        beta = beta_comm(budget)
+        bounds = [per_step_error_bound(p, beta, tau) for tau in taus]
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
     sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
     parts = [as_propagator(part) for part in model.parts.values()]
@@ -330,9 +338,8 @@ def empirical_trotter_error(
     restricted = [
         ([part.restrict(s.rows) for part in parts], h.restrict(s.rows)) for s in sectors
     ]
-    beta = beta_comm(budget) if budget is not None else float("nan")
     points = []
-    for tau in tau_grid:
+    for tau, bound in zip(taus, bounds):
         error = 0.0
         for sector, (parts_s, h_s) in zip(sectors, restricted):
 
@@ -345,9 +352,6 @@ def empirical_trotter_error(
             keep_none = np.zeros(len(sector.rows), dtype=bool)
             error = max(error, masked_top_singular(diff, keep_none))
             del diff  # free this sector's array before the next one fills
-        bound = (
-            per_step_error_bound(p, beta, tau) if budget is not None else float("nan")
-        )
         points.append(TrotterPoint(tau=float(tau), error=error, bound=bound))
     return points
 

@@ -3,23 +3,20 @@
 Every experiment emits ExperimentReports whose soundness flag is
 computed one way only: empirical <= analytic + engine_slack, with
 engine_slack ten times the evolution error budget.  The empirical side
-exhausts the initial window exactly whenever its columns are
-affordable: every window basis state is a column, and the columns are
-propagated together, block by block, by the Chebyshev engine.  A model
-with sector keys (a conserved charge diagonal in the Fock basis) splits
-the window into sectors.  The projectors are diagonal, so the measured
-operator is block-diagonal and its top singular value is exactly the
-largest over sectors; each sector's columns are evolved under H
-restricted to that sector, and the sum over sectors of dim_s * |window
-in s| is what must fit the column cap.  Each sector's Gershgorin
-interval lies inside the full one, so each sector's propagation error
-is at most tol * ||block_s|| and the block-diagonal error at most tol *
-||block||: the engine slack is unchanged.  Beyond the cap it falls back
-to seeded random probes plus block subspace iteration on the full space
-through the same engine (`propagate.leakage_norm`); the method used is
-recorded in the report notes, which also say when that iteration
-stopped at its step cap.  Each Hamiltonian is prepared for propagation,
-and restricted to each sector, once per experiment.
+exhausts the initial window exactly: every window basis state is a
+column, and the columns are propagated together, block by block, by the
+Chebyshev engine.  A model with sector keys (a conserved charge diagonal
+in the Fock basis) splits the window into sectors.  The projectors are
+diagonal, so the measured operator is block-diagonal and its top
+singular value is exactly the largest over sectors; each sector's
+columns are evolved under H restricted to that sector, one sector at a
+time, and the largest sector's dim_s * |window in s| is what must fit
+`propagate.COLUMN_CAP` (ResourceLimitError otherwise).  Each sector's
+Gershgorin interval lies inside the full one, so each sector's
+propagation error is at most tol * ||block_s|| and the block-diagonal
+error at most tol * ||block||: the engine slack is unchanged.  Each
+Hamiltonian is prepared for propagation, and restricted to each sector,
+once per experiment.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -28,7 +25,6 @@ proxy obeys the same walk profile as the unbounded Hamiltonian.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -53,17 +49,13 @@ from .bounds import (
 from .fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from .models import ModelInstance, single_mode
 from .propagate import (
-    COLUMN_CAP,
     EvolveConfig,
-    LeakageNorm,
     as_propagator,
     evolve,
     evolve_window,
     leakage_columns,
-    leakage_norm,
     lowest_eigenpairs,
     masked_top_singular,
-    sector_top_singular,
     window_sectors,
 )
 
@@ -140,7 +132,6 @@ def verify_state_truncation(
     mode: str = "per_mode",
     deltas: Sequence[int] = (2, 3, 4, 5),
     cfg: EvolveConfig | None = None,
-    column_cap: int = COLUMN_CAP,
 ) -> list[ExperimentReport]:
     """Leakage norms against the short- and long-time bounds.
 
@@ -148,7 +139,10 @@ def verify_state_truncation(
     window [0, lambda0] is tested against the matching escape window:
     per truncatable mode for mode='per_mode' (the bare bounds), or the
     all-mode window for mode='all' (bounds carry the union factor
-    sqrt(number of truncatable modes)).
+    sqrt(number of truncatable modes)).  Per time, each sector's columns
+    are evolved once and every distinct escape window below the cutoff
+    folds that sector's top singular value into its running maximum
+    before the next sector is evolved.
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
@@ -159,66 +153,52 @@ def verify_state_truncation(
     nus = trunc if mode == "per_mode" else [None]
     window0 = ProjectorSpec(ALL, 0, int(lambda0))
     sectors = window_sectors(window_mask(basis, window0), model.sector_keys)
-    exact = sum(s.entries for s in sectors) <= column_cap
-    method = (
-        "exact column sweep"
-        if exact
-        else "random window probes + power iteration"
-    )
     cutoff = model.cutoff
-    reports: list[ExperimentReport] = []
-
-    def emit(kind, t, delta, lam, bound, empirical_at):
-        for nu in nus:
-            t0 = time.perf_counter()
-            notes = method
-            if lam >= cutoff:
-                empirical = 0.0
-                notes += "; window exceeds proxy cutoff, empirical trivially 0"
-            else:
-                empirical = empirical_at(lam, nu)
-                if empirical.capped:
-                    notes += (
-                        "; probe iteration stopped at the "
-                        f"{empirical.probe_steps}-step cap"
-                    )
-            inputs = {
-                "model": model.label,
-                "lambda0": int(lambda0),
-                "t": float(t),
-                "delta": int(delta),
-                "window": int(lam),
-                "mode": "all" if nu is None else int(nu),
-            }
-            analytic = min(1.0, union * bound) if nu is None else bound
-            reports.append(_report(kind, inputs, empirical, analytic, cfg, t0, notes))
-
     prop = as_propagator(model.hamiltonian)  # one setup for every time
-    restricted = [prop.restrict(s.rows) for s in sectors] if exact else []
+    restricted = [prop.restrict(s.rows) for s in sectors]
+    reports: list[ExperimentReport] = []
     for t in times:
-        blocks = [
-            evolve_window(p, s, t, cfg.tolerance) for p, s in zip(restricted, sectors)
-        ]
-
-        @functools.cache  # short- and long-time windows often coincide
-        def empirical_at(lam, nu):
-            spec = ProjectorSpec(ALL if nu is None else nu, 0, lam)
-            if exact:
-                keep = window_mask(basis, spec)
-                return LeakageNorm(sector_top_singular(sectors, blocks, keep))
-            return leakage_norm(
-                basis, prop, window0, spec, t, cfg, column_cap=column_cap
-            )
-
+        t0 = time.perf_counter()  # each report's runtime_s counts its time's sweep
+        points = []  # (kind, delta, window, bound); short and long may coincide
         within_validity = within_speed_limit(model.profile, lambda0, t)
         for delta in deltas:
             if within_validity and delta >= 1:
-                lam_s = int(lambda0) + int(delta) - 1
                 bnd = short_time_bound(model.profile, lambda0, delta, t)
-                emit("state_short", t, delta, lam_s, bnd, empirical_at)
+                points.append(("state_short", delta, int(lambda0) + int(delta) - 1, bnd))
             if delta >= 2:
                 rep = long_time_bound(model.profile, lambda0, delta, t)
-                emit("state_long", t, delta, rep.lambda_, rep.bound, empirical_at)
+                points.append(("state_long", delta, rep.lambda_, rep.bound))
+
+        keeps = {
+            (lam, nu): window_mask(basis, ProjectorSpec(ALL if nu is None else nu, 0, lam))
+            for _, _, lam, _ in points
+            if lam < cutoff
+            for nu in nus
+        }
+        empirical = dict.fromkeys(keeps, 0.0)
+        for sector, prop_s in zip(sectors, restricted) if keeps else ():
+            block = evolve_window(prop_s, sector, t, cfg.tolerance)
+            for key, keep in keeps.items():
+                top = masked_top_singular(block, keep[sector.rows])
+                empirical[key] = max(empirical[key], top)
+            del block  # free this sector's columns before the next one fills
+
+        for kind, delta, lam, bound in points:
+            for nu in nus:
+                notes = "exact column sweep"
+                if lam >= cutoff:
+                    notes += "; window exceeds proxy cutoff, empirical trivially 0"
+                inputs = {
+                    "model": model.label,
+                    "lambda0": int(lambda0),
+                    "t": float(t),
+                    "delta": int(delta),
+                    "window": int(lam),
+                    "mode": "all" if nu is None else int(nu),
+                }
+                analytic = min(1.0, union * bound) if nu is None else bound
+                leak = empirical.get((lam, nu), 0.0)
+                reports.append(_report(kind, inputs, leak, analytic, cfg, t0, notes))
     return reports
 
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from truncert import cli
+from truncert import cli, propagate
 
 
 def _run(argv, capsys):
@@ -170,8 +170,8 @@ def test_reruns_are_bit_identical(tmp_path, capsys):
     argv = ["threshold", "state", "--model", "single", "--g", "1",
             "--t", "0.5,1.5", "--eps", "1e-4"]
     _, first = _run(argv, capsys)
-    _, second = _run(argv + ["--seed", "9"], capsys)
-    # the seed is echoed in the header but analytic rows must not move
+    _, second = _run(argv, capsys)
+    # the header and the analytic rows must not move between reruns
     assert _data_lines(first) == _data_lines(second)
 
 
@@ -310,6 +310,41 @@ def test_resource_guard_exits_two(capsys):
     assert code == 2
 
 
+def test_verify_state_past_the_sector_guard_exits_two(capsys, monkeypatch):
+    """A sector whose window columns exceed propagate.COLUMN_CAP is a guard error."""
+    monkeypatch.setattr(propagate, "COLUMN_CAP", 1000)
+    code = cli.main(
+        ["verify", "state", "--model", "hh", "--sites", "2", "--n-max", "3",
+         "--lambda0", "1", "--t", "0.4", "--deltas", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("truncert: resource/guard error: window columns")
+    assert captured.out == ""
+
+
+def test_trotter_order_without_constants_exits_one_before_propagating(
+    capsys, monkeypatch
+):
+    """p = 4 has no certified per-step constant: rejected before any evolution."""
+    calls = []
+    real = propagate.ChebyshevPropagator.apply
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(propagate.ChebyshevPropagator, "apply", counting)
+    code = cli.main(
+        ["verify", "trotter", "--model", "hh", "--sites", "2", "--n-max", "21",
+         "--lambda0", "1", "--p", "4", "--taus", "0.2,0.1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "certified per-step constants cover p in {1, 2}" in captured.err
+    assert calls == []
+
+
 def test_threshold_ham_start_above_cap_exits_two(capsys):
     """lambda0 + 2 = 3 exceeds the cap cutoff - 2 = 2: a guard error, not a usage one."""
     code = cli.main(
@@ -341,9 +376,11 @@ def test_verify_all_takes_no_model_flags(capsys):
     assert code == 0
     header = [ln[2:].split("=", 1)[0] for ln in out.splitlines() if ln.startswith("# ")]
     assert "g" not in header and "n_max" not in header and "model" not in header
-    assert "seed" in header
+    assert "format" in header and "seed" not in header
     assert cli.main(["verify", "all", "--g", "2"]) == 1
     assert "unrecognized arguments: --g 2" in capsys.readouterr().err
+    assert cli.main(["verify", "all", "--seed", "9"]) == 1
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 def test_unsound_report_exits_three(capsys, monkeypatch):

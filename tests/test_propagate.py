@@ -10,7 +10,15 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from truncert import propagate
-from truncert.fock_algebra import ALL, ProjectorSpec, build_basis, boson, projector, window_mask
+from truncert.fock_algebra import (
+    ALL,
+    ProjectorSpec,
+    ResourceLimitError,
+    boson,
+    build_basis,
+    projector,
+    window_mask,
+)
 from truncert.models import dicke, hubbard_holstein_1d, single_mode, u1_lgt_1d
 from truncert.propagate import (
     ChebyshevPropagator,
@@ -404,26 +412,12 @@ def test_leakage_norm_within_short_time_bound():
         assert leak <= cert + 1e-9
 
 
-def test_leakage_norm_probe_path_agrees_with_columns():
-    single = single_mode(0.8, 1.0, 14)  # 3 window columns: one narrow block
-    hh = hubbard_holstein_1d(2, g=0.5, n_max=3)  # 64 window columns: blocks of 4
-    for model, window0, window1, t in (
-        (single, ProjectorSpec(0, 0, 2), ProjectorSpec(0, 0, 7), 0.6),
-        (hh, ProjectorSpec(ALL, 0, 1), ProjectorSpec(ALL, 0, 2), 0.4),
-    ):
-        args = (model.basis, model.hamiltonian, window0, window1, t)
-        exact = leakage_norm(*args)
-        probed = leakage_norm(*args, column_cap=1)
-        assert exact > 1e-3
-        assert probed == pytest.approx(exact, rel=1e-4)
-
-
-def test_leakage_norm_probe_path_rejects_non_hermitian():
+def test_leakage_norm_rejects_non_hermitian():
     basis = build_basis([boson(3)])
     h = sp.csr_matrix(np.diag(np.ones(3), k=1).astype(complex))  # raising only
     window = ProjectorSpec(0, 0, 1)
     with pytest.raises(ValueError, match="not Hermitian"):
-        leakage_norm(basis, h, window, window, 0.5, column_cap=1)
+        leakage_norm(basis, h, window, window, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -458,35 +452,10 @@ def test_leakage_columns_prepares_once(hermiticity_checks, monkeypatch):
     assert len(hermiticity_checks) == 1
 
 
-def test_leakage_norm_probe_path_prepares_once(hermiticity_checks):
-    model = single_mode(0.8, 1.0, 14)
-    leak = leakage_norm(
-        model.basis, model.hamiltonian, ProjectorSpec(0, 0, 2), ProjectorSpec(0, 0, 7),
-        0.6, column_cap=1,
-    )
-    assert leak.probe_steps > 0
-    assert len(hermiticity_checks) == 1
-
-
-@pytest.mark.parametrize("column_cap", [propagate.COLUMN_CAP, 1])
-def test_state_truncation_prepares_once(hermiticity_checks, column_cap):
+def test_state_truncation_prepares_once(hermiticity_checks):
     model = single_mode(1.0, 1.0, 24)
-    verify_state_truncation(model, 0, [0.2, 0.5, 1.0], deltas=(2, 3), column_cap=column_cap)
+    verify_state_truncation(model, 0, [0.2, 0.5, 1.0], deltas=(2, 3))
     assert len(hermiticity_checks) == 1
-
-
-def test_probe_path_marks_its_step_cap(monkeypatch):
-    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
-    args = (model.basis, model.hamiltonian, ProjectorSpec(ALL, 0, 1), ProjectorSpec(ALL, 0, 2), 0.4)
-    full = leakage_norm(*args, column_cap=1)
-    assert not full.capped and 0 < full.probe_steps < propagate._PROBE_STEPS
-    monkeypatch.setattr(propagate, "_PROBE_STEPS", 2)
-    capped = leakage_norm(*args, column_cap=1)
-    assert capped.capped and capped.probe_steps == 2
-    reports = verify_state_truncation(model, 1, [0.4], deltas=(2,), column_cap=1)
-    assert reports
-    for rep in reports:
-        assert rep.notes.endswith("; probe iteration stopped at the 2-step cap")
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +516,26 @@ def test_restrict_rejects_rows_coupled_to_the_rest():
         prop.restrict(phonon_vacuum)
     with pytest.raises(ValueError, match="one entry per basis state"):
         window_sectors(np.ones(4, dtype=bool), np.zeros(3, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# the per-sector column guard
+# ---------------------------------------------------------------------------
+
+def test_sector_guard_bounds_the_largest_sector(monkeypatch):
+    """A cap below the largest sector's window columns is a resource error
+    for every exact sweep: leakage norms, state truncation and Trotter."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    window0 = ProjectorSpec(ALL, 0, 1)
+    sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
+    largest = max(s.entries for s in sectors)
+    monkeypatch.setattr(propagate, "COLUMN_CAP", largest)
+    assert len(window_sectors(window_mask(model.basis, window0), model.sector_keys)) == 9
+    monkeypatch.setattr(propagate, "COLUMN_CAP", largest - 1)
+    args = (model.basis, model.hamiltonian, window0, ProjectorSpec(ALL, 0, 2), 0.4)
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        leakage_norm(*args, sector_keys=model.sector_keys)
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        verify_state_truncation(model, 1, [0.4], deltas=(2,))
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        empirical_trotter_error(model, 2, [0.1], 1)

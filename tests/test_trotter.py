@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import hubbard_holstein_1d, single_mode
-from truncert.propagate import DensePropagator, EvolveConfig
+from truncert.propagate import ChebyshevPropagator, DensePropagator, EvolveConfig
 from truncert.trotter import (
     CoefficientSummaries,
     CommutatorBudget,
@@ -262,6 +262,28 @@ def test_empirical_trotter_error_matches_dense_reference():
         exact = np.linalg.svd(diff, compute_uv=False)[0]
         assert exact > 1e-5
         assert abs(pt.error - exact) <= 1e-9
+
+
+def test_uncovered_order_with_budget_fails_before_propagating(monkeypatch):
+    model = single_mode(1.0, 1.0, 24)
+    p = 4
+    budget = ab_quantities(
+        summaries_single_mode(1.0, 1.0), safe_window(0, p), p, model.cutoff
+    )
+    calls = []
+    real = ChebyshevPropagator.apply
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChebyshevPropagator, "apply", counting)
+    with pytest.raises(ValueError, match=r"cover p in \{1, 2\}"):
+        empirical_trotter_error(model, p, [0.2, 0.1], 0, budget=budget)
+    assert calls == []
+    # without a budget there is no bound to certify, and p = 4 still runs
+    points = empirical_trotter_error(model, p, [0.2], 0)
+    assert calls and points[0].error > 0 and math.isnan(points[0].bound)
 
 
 def test_empirical_trotter_error_without_budget_has_nan_bound():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from truncert import verify
+from truncert import propagate, verify
 from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import dicke, hubbard_holstein_1d, single_mode
 from truncert.propagate import EvolveConfig, window_sectors
@@ -71,38 +71,52 @@ def test_state_truncation_all_mode_uses_union_bound():
 
 
 def test_state_truncation_measures_each_window_once(monkeypatch):
-    """Coinciding short- and long-time windows share one probe-path run per time."""
-    calls = []
-    real = verify.leakage_norm
+    """Per time, each sector is evolved once, and each distinct escape
+    window (short- and long-time windows often coincide) is measured once
+    on each sector."""
+    evolved, measured = [], []
+    real_evolve, real_measure = verify.evolve_window, verify.masked_top_singular
 
-    def counting(basis, h, window0, window1, t, *args, **kwargs):
-        calls.append((t, window1.hi))
-        return real(basis, h, window0, window1, t, *args, **kwargs)
+    def counting_evolve(prop, sector, t, tol):
+        evolved.append(t)
+        return real_evolve(prop, sector, t, tol)
 
-    monkeypatch.setattr(verify, "leakage_norm", counting)
-    model = single_mode(1.0, 1.0, 24)
-    reports = verify_state_truncation(
-        model, 0, [0.2, 0.25], deltas=(2, 3), column_cap=1
-    )
-    windows = {(r.inputs["t"], r.inputs["window"]) for r in reports}
-    assert len(reports) == 2 * len(windows)
-    assert sorted(calls) == sorted(windows)
+    def counting_measure(cols, keep):
+        measured.append(cols.shape)
+        return real_measure(cols, keep)
+
+    monkeypatch.setattr(verify, "evolve_window", counting_evolve)
+    monkeypatch.setattr(verify, "masked_top_singular", counting_measure)
+    model = hubbard_holstein_1d(2, g=0.5, n_max=8)
+    times = [0.2, 0.25]
+    reports = verify_state_truncation(model, 0, times, deltas=(2, 3))
+    mask0 = window_mask(model.basis, ProjectorSpec(ALL, 0, 0))
+    n_sectors = len(window_sectors(mask0, model.sector_keys))
+    assert n_sectors > 1
+    windows = {(r.inputs["t"], r.inputs["window"], r.inputs["mode"]) for r in reports}
+    assert all(w < model.cutoff for _, w, _ in windows)
+    assert len(reports) > len(windows)
+    assert sorted(evolved) == sorted(t for t in times for _ in range(n_sectors))
+    assert len(measured) == len(windows) * n_sectors
 
 
-def test_sectors_keep_the_exact_path_past_the_unsectored_cap():
+def test_sectors_keep_the_exact_path_past_the_unsectored_cap(monkeypatch):
     """2-site HH, n_max 3, window [0, 1]: 256 x 64 = 16384 entries on the
-    full space but 2304 over its 9 sectors, so a cap of 4096 now takes the
-    exact column path."""
+    full space but 2304 over its 9 sectors, so a cap between the largest
+    sector and that total still takes the exact column path."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     mask0 = window_mask(model.basis, ProjectorSpec(ALL, 0, 1))
+    sectors = window_sectors(mask0, model.sector_keys)
     assert model.dimension * mask0.sum() == 16384
-    assert sum(s.entries for s in window_sectors(mask0, model.sector_keys)) == 2304
-    capped = verify_state_truncation(model, 1, [0.4], deltas=(2, 3), column_cap=4096)
+    assert sum(s.entries for s in sectors) == 2304
+    largest = max(s.entries for s in sectors)
+    assert largest < 2304
     default = verify_state_truncation(model, 1, [0.4], deltas=(2, 3))
-    assert any(rep.empirical > 1e-6 for rep in capped)
-    for rep, ref in zip(capped, default, strict=True):
+    monkeypatch.setattr(propagate, "COLUMN_CAP", (largest + 2304) // 2)
+    guarded = verify_state_truncation(model, 1, [0.4], deltas=(2, 3))
+    assert any(rep.empirical > 1e-6 for rep in guarded)
+    for rep, ref in zip(guarded, default, strict=True):
         assert rep.notes.startswith("exact column sweep")
-        assert "cap" not in rep.notes
         assert rep.empirical == pytest.approx(ref.empirical, rel=0.0, abs=1e-12)
 
 
