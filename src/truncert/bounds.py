@@ -13,6 +13,17 @@ profile (chi, r).  The chain is:
   the energy-conservation competitor thresholds, and the eigenstate tail
   threshold.
 
+The long-time bound for a given delta does not depend on the window it
+is compared against, so every leakage minimum over delta reads a delta
+table: the (lambda_, bound, delta) of each delta = 2..delta_max, built
+once per call (`_delta_table`).  A window lam is answered by one
+ascending scan of that table (`_scan_table`): an entry qualifies when
+its lambda_ <= lam, replaces the running best (starting at 1.0) only
+when strictly smaller, so ties go to the smallest delta, and the scan
+stops at the first qualifying bound of 0.0.  A threshold search builds
+one table and answers every window it probes from it; no table
+outlives the call that built it.
+
 All functions are pure arithmetic: same inputs, bit-identical outputs.
 """
 
@@ -286,23 +297,45 @@ def long_time_bound(
     return BoundReport(lambda_=lam, bound=bound, delta_used=delta)
 
 
+def _delta_table(
+    profile: WalkProfile, lambda0: int, t: float, delta_max: int
+) -> list[tuple[int, float, int]]:
+    """(lambda_, bound, delta) of the long-time bound for delta = 2..delta_max."""
+    table = []
+    for delta in range(2, delta_max + 1):
+        rep = long_time_bound(profile, lambda0, delta, t)
+        table.append((rep.lambda_, rep.bound, delta))
+    return table
+
+
+def _scan_table(table: list[tuple[int, float, int]], lam: int) -> tuple[float, int]:
+    """Best bound in table whose grown window fits inside lam.
+
+    Ascending in delta, strict < against a running best that starts at
+    1.0 (ties go to the smallest delta), stopping at the first qualifying
+    bound of 0.0.  Returns (bound, delta); (1.0, 0) when none qualifies.
+    """
+    best = 1.0
+    best_delta = 0
+    for lam_d, bound, delta in table:
+        if lam_d <= lam and bound < best:
+            best = bound
+            best_delta = delta
+            if best == 0.0:
+                break
+    return best, best_delta
+
+
 def _leakage_min(
     profile: WalkProfile, lambda0: int, lam: int, t: float, delta_max: int
 ) -> tuple[float, int]:
     """Best long-time bound over delta whose grown window fits inside lam.
 
-    Returns (bound, delta); (1.0, 0) when no delta qualifies.
+    Builds the delta table for (profile, lambda0, t, delta_max) and scans
+    it once at lam (see `_scan_table`).  Returns (bound, delta); (1.0, 0)
+    when no delta qualifies.
     """
-    best = 1.0
-    best_delta = 0
-    for delta in range(2, delta_max + 1):
-        rep = long_time_bound(profile, lambda0, delta, t)
-        if rep.lambda_ <= lam and rep.bound < best:
-            best = rep.bound
-            best_delta = delta
-            if best == 0.0:
-                break
-    return best, best_delta
+    return _scan_table(_delta_table(profile, lambda0, t, delta_max), lam)
 
 
 def leakage_bound_at(
@@ -315,8 +348,10 @@ def leakage_bound_at(
     """Certified leakage outside [-lam, lam] after time t, starting inside lambda0.
 
     Minimizes the long-time bound over all step growths delta whose grown
-    window stays within lam.  Capped at 1; returns 1 when no delta
-    qualifies (the window is too tight for the elapsed time).
+    window stays within lam: one delta table for this call, one scan
+    (strict <, ties to the smallest delta, stop at 0).  Capped at 1;
+    returns 1 when no delta qualifies (the window is too tight for the
+    elapsed time).
     """
     if lam < lambda0:
         raise ValueError("lam must be >= lambda0")
@@ -374,14 +409,13 @@ def minimal_state_threshold(
     )
 
 
-def hamiltonian_truncation_bound(profile: WalkProfile, hquery: HamTruncationQuery) -> float:
-    """Evolution error bound for truncating the Hamiltonian at lambda_tilde.
+def _truncation_error(
+    hquery: HamTruncationQuery, leak_at: Callable[[int], float]
+) -> float:
+    """(t^2/2) comm sqrt(n_modes) leak, with leak = leak_at(lambda_tilde - 2).
 
-    Bounds ||(exp(-itH~) - exp(-itH)) Pi_all|| by the crude time integral
-    (t^2/2) of the commutator norm times the leakage reachable two levels
-    inside the truncation window, with the sqrt(n_modes) union-bound
-    factor.  Requires lambda_tilde >= lambda0 + 2 so that the truncated
-    and full Hamiltonians agree on the initial window.
+    The one evaluation of the Hamiltonian-truncation bound; leak_at maps
+    a window to its certified leakage.
     """
     q = hquery.query
     lam_t = int(hquery.lambda_tilde)
@@ -394,8 +428,23 @@ def hamiltonian_truncation_bound(profile: WalkProfile, hquery: HamTruncationQuer
     comm = hquery.comm_norm(lam_t)
     if comm < 0:
         raise ValueError("comm_norm must be nonnegative")
-    leak = leakage_bound_at(profile, q.lambda0, lam_t - 2, q.time)
+    leak = leak_at(lam_t - 2)
     return 0.5 * q.time**2 * comm * math.sqrt(hquery.n_modes) * leak
+
+
+def hamiltonian_truncation_bound(profile: WalkProfile, hquery: HamTruncationQuery) -> float:
+    """Evolution error bound for truncating the Hamiltonian at lambda_tilde.
+
+    Bounds ||(exp(-itH~) - exp(-itH)) Pi_all|| by the crude time integral
+    (t^2/2) of the commutator norm times the leakage reachable two levels
+    inside the truncation window, with the sqrt(n_modes) union-bound
+    factor.  Requires lambda_tilde >= lambda0 + 2 so that the truncated
+    and full Hamiltonians agree on the initial window.
+    """
+    q = hquery.query
+    return _truncation_error(
+        hquery, lambda lam: leakage_bound_at(profile, q.lambda0, lam, q.time)
+    )
 
 
 def _smallest_qualifying(
@@ -437,19 +486,26 @@ def minimal_hamiltonian_threshold(
     lambda_cap: int = LAMBDA_CAP,
     delta_max: int = DELTA_MAX,
 ) -> BoundReport:
-    """Smallest truncation window certifying the evolution to query.epsilon."""
+    """Smallest truncation window certifying the evolution to query.epsilon.
 
-    def ok(lam_t: int) -> bool:
+    One delta table (up to delta_max) answers every window the search
+    probes and the reported (bound, delta_used), so both come from the
+    same scan.
+    """
+    table = _delta_table(profile, query.lambda0, query.time, delta_max)
+
+    def bound_at(lam_t: int) -> float:
         hq = HamTruncationQuery(lam_t, n_modes, comm_norm, query)
-        return hamiltonian_truncation_bound(profile, hq) <= query.epsilon
+        return _truncation_error(hq, lambda lam: _scan_table(table, lam)[0])
 
     lam_t = _smallest_qualifying(
-        ok, query.lambda0 + 2, lambda_cap, "hamiltonian threshold"
+        lambda lam_t: bound_at(lam_t) <= query.epsilon,
+        query.lambda0 + 2,
+        lambda_cap,
+        "hamiltonian threshold",
     )
-    hq = HamTruncationQuery(lam_t, n_modes, comm_norm, query)
-    achieved = hamiltonian_truncation_bound(profile, hq)
-    _, delta = _leakage_min(profile, query.lambda0, lam_t - 2, query.time, delta_max)
-    return BoundReport(lambda_=lam_t, bound=achieved, delta_used=delta)
+    _, delta = _scan_table(table, lam_t - 2)
+    return BoundReport(lambda_=lam_t, bound=bound_at(lam_t), delta_used=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +600,10 @@ def tail_threshold(
       (1/OVERLAP_FLOOR) * leakage_bound_at(ceil(2*lambda_bar), L, T) <= eps/3.
 
     The Markov core ceil(2*lambda_bar) anchors the scan; the reported
-    bound is the sum of the three achieved terms (<= epsilon).
+    bound is the sum of the three achieved terms (<= epsilon).  One delta
+    table at (lambda0, T, delta_max) answers every probed window and the
+    reported (bound, delta_used): strict <, ties to the smallest delta,
+    stop at 0.
     """
     eps3 = tquery.epsilon / 3.0
     c1 = 4.0 * math.sqrt(2.0)
@@ -553,12 +612,14 @@ def tail_threshold(
     t_window = math.sqrt(2.0 * math.log(c2 / eps3)) / sigma
     lambda0 = math.ceil(2.0 * tquery.lambda_bar)
 
+    table = _delta_table(profile, lambda0, t_window, delta_max)
+
     def ok(lam: int) -> bool:
-        leak = leakage_bound_at(profile, lambda0, lam, t_window, delta_max)
+        leak, _ = _scan_table(table, lam)
         return leak / OVERLAP_FLOOR <= eps3
 
     lam = _smallest_qualifying(ok, lambda0, lambda_cap, "tail threshold")
-    leak, delta = _leakage_min(profile, lambda0, lam, t_window, delta_max)
+    leak, delta = _scan_table(table, lam)
     achieved = 2.0 * eps3 + leak / OVERLAP_FLOOR
     return TailReport(
         lambda_=lam,

@@ -107,26 +107,44 @@ def _diagonal_if_diagonal(h: sp.spmatrix) -> np.ndarray | None:
     return diag
 
 
-def _chebyshev_terms(x: float, tol: float) -> int:
-    """Smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol.
+#: Share of tol left to the power-series remainder past M in
+#: `_chebyshev_bessel`; the exact Bessel terms below M get the rest.
+_REMAINDER_SHARE = 1.0 / 1024.0
 
-    Each |J_k(x)| is bounded by a_k = (|x|/2)^k / k!.  Past K + 1 the a_k
-    shrink at least by q = (|x|/2) / (K + 2) per step, so once q < 1 the
-    tail is at most 2 a_{K+1} / (1 - q); logs keep large |x| finite.
+
+def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
+    """J_0(x) .. J_K(x) for the smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol.
+
+    Each |J_k(x)| is bounded by a_k = (|x|/2)^k / k!.  Past M + 1 the a_k
+    shrink at least by q = (|x|/2) / (M + 2) per step, so the tail past M
+    is at most 2 a_{M+1} / (1 - q).  M is the first index with q < 1/2
+    at which that remainder is below tol * _REMAINDER_SHARE (logs keep
+    large |x| finite).  The terms K + 1 .. M are the exact 2|J_k(x)|, so
+    the bound on the tail past K is their sum plus the remainder.
     """
     y = abs(x) / 2.0
     if y == 0.0:
-        return 0
+        return np.ones(1)
     log_y = math.log(y)
-    log_tol = math.log(tol / 2.0)
-    log_a = log_y  # log a_{K+1} at K = 0
-    k = 0
+    log_rest = math.log(tol * _REMAINDER_SHARE / 2.0)
+    log_a = log_y  # log a_{M+1} at M = 0
+    m = 0
     while True:
-        q = y / (k + 2)
-        if q < 1.0 and log_a - math.log1p(-q) <= log_tol:
-            return k
-        k += 1
-        log_a += log_y - math.log(k + 1)
+        q = y / (m + 2)
+        if q < 0.5 and log_a - math.log1p(-q) <= log_rest:
+            break
+        m += 1
+        log_a += log_y - math.log(m + 1)
+    bessel = jv(np.arange(m + 1), x)
+    # tails[K] bounds sum_{k>K} 2|J_k(x)| for K = 0 .. M; nonincreasing in K
+    terms = 2.0 * np.abs(bessel[:0:-1])
+    tails = np.append(np.cumsum(terms)[::-1], 0.0) + 2.0 * math.exp(log_a) / (1.0 - q)
+    return bessel[: np.count_nonzero(tails > tol) + 1]
+
+
+def _chebyshev_terms(x: float, tol: float) -> int:
+    """Smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol."""
+    return len(_chebyshev_bessel(x, tol)) - 1
 
 
 class ChebyshevPropagator:
@@ -215,13 +233,12 @@ class ChebyshevPropagator:
             phase = np.exp(-1j * t * self._diag)
             return (phase if block.ndim == 1 else phase[:, None]) * block
 
-        x = self._half * t
-        n_terms = _chebyshev_terms(x, tol)
-        k = np.arange(n_terms + 1)
-        coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * jv(k, x)
+        bessel = _chebyshev_bessel(self._half * t, tol)
+        k = np.arange(len(bessel))
+        coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
         coeffs[0] /= 2.0
         out = coeffs[0] * block
-        if n_terms:
+        if len(coeffs) > 1:
             two_hs = self._two_hs
             prev, cur = block, 0.5 * (two_hs @ block)
             out += coeffs[1] * cur

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from truncert import bounds
 from truncert.bounds import (
+    DELTA_MAX,
     CapExceededError,
     HamTruncationQuery,
     TailQuery,
@@ -23,6 +25,7 @@ from truncert.bounds import (
     tail_threshold,
     within_speed_limit,
 )
+from truncert.models import single_mode
 from truncert.walk_profiles import WalkProfile, speed_limit
 
 GAUGE = WalkProfile(chi=1.0, r=0.0, label="gauge")
@@ -155,6 +158,68 @@ def test_leakage_bound_at_beats_any_single_delta():
         rep = long_time_bound(BOSON, 0, delta, t)
         if rep.lambda_ <= lam:
             assert best <= rep.bound + 1e-18
+
+
+def _per_delta_leakage_min(profile, lambda0, lam, t, delta_max):
+    """The per-delta loop that the delta table replaced, kept verbatim."""
+    best = 1.0
+    best_delta = 0
+    for delta in range(2, delta_max + 1):
+        rep = long_time_bound(profile, lambda0, delta, t)
+        if rep.lambda_ <= lam and rep.bound < best:
+            best = rep.bound
+            best_delta = delta
+            if best == 0.0:
+                break
+    return best, best_delta
+
+
+def test_delta_table_scan_matches_per_delta_loop():
+    profiles = [GAUGE, BOSON, WalkProfile(chi=1.5, r=0.9), WalkProfile(chi=0.0, r=0.5)]
+    seen = set()
+    for profile in profiles:
+        for lambda0 in range(6):
+            for delta_max in (2, 3, 512):
+                for t in (0.0, 0.7, 3.0, 1e6):
+                    table = bounds._delta_table(profile, lambda0, t, delta_max)
+                    assert len(table) == delta_max - 1
+                    for lam in (lambda0, lambda0 + 7, 300, 10**9):
+                        want = _per_delta_leakage_min(profile, lambda0, lam, t, delta_max)
+                        assert bounds._scan_table(table, lam) == want
+                        if lam == 300:
+                            assert bounds._leakage_min(profile, lambda0, lam, t, delta_max) == want
+                        if want == (1.0, 0):
+                            seen.add("none qualifies")
+                        elif want[0] == 0.0 and t > 0 and profile.chi > 0:
+                            # step_bound underflowed: the scan stopped at 0
+                            assert want[1] > 100
+                            seen.add("stop at 0")
+    assert seen == {"none qualifies", "stop at 0"}
+
+
+def _count_long_time_bound(monkeypatch):
+    calls = []
+    inner = bounds.long_time_bound
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(bounds, "long_time_bound", counted)
+    return calls
+
+
+@pytest.mark.parametrize("delta_max", [DELTA_MAX, 64])
+def test_threshold_searches_build_one_delta_table(delta_max, monkeypatch):
+    calls = _count_long_time_bound(monkeypatch)
+    tail_threshold(BOSON, TailQuery(0.3, 0.5, 1e-4), delta_max=delta_max)
+    assert len(calls) == delta_max - 1
+    calls.clear()
+    minimal_hamiltonian_threshold(
+        GAUGE, TruncationQuery(0, 1.0, 1e-6), n_modes=4,
+        comm_norm=lambda lam: float(lam) ** 2, delta_max=delta_max,
+    )
+    assert len(calls) == delta_max - 1
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +365,46 @@ def test_minimal_hamiltonian_threshold_matches_exhaustive_scan():
     assert rep.lambda_ == min(qualifying)
 
 
+def test_minimal_hamiltonian_threshold_searches_with_its_delta_max():
+    """The search, the bound and delta_used all come from delta <= delta_max."""
+    profile = WalkProfile(chi=2.0, r=0.5)
+    comm = lambda lam: 2.0 * (lam + 1)
+    q = TruncationQuery(0, 1.0, 1e-3)
+    rep = minimal_hamiltonian_threshold(profile, q, n_modes=1, comm_norm=comm)
+    assert (rep.lambda_, rep.delta_used) == (486, 12)
+    assert rep.bound == pytest.approx(4.7806e-4, rel=1e-4)
+    # no delta <= 3 leaks little enough at any window for this growing
+    # commutator norm (0.816 at window 40 against 0.306 with delta <= 512)
+    assert leakage_bound_at(profile, 0, 40, 1.0, delta_max=3) > 0.8
+    for delta_max in (3, 6):
+        with pytest.raises(CapExceededError):
+            minimal_hamiltonian_threshold(
+                profile, q, n_modes=1, comm_norm=comm, delta_max=delta_max
+            )
+    q = TruncationQuery(0, 0.3, 1e-2)
+    rep = minimal_hamiltonian_threshold(
+        profile, q, n_modes=1, comm_norm=lambda lam: 1.0, delta_max=3
+    )
+    leak = leakage_bound_at(profile, 0, rep.lambda_ - 2, 0.3, delta_max=3)
+    assert rep.bound == 0.5 * 0.3**2 * 1.0 * math.sqrt(1) * leak
+    assert 2 <= rep.delta_used <= 3
+    used = long_time_bound(profile, 0, rep.delta_used, 0.3)
+    assert used.bound == leak
+    assert used.lambda_ <= rep.lambda_ - 2
+
+
+def test_minimal_hamiltonian_threshold_frozen_single_mode_row():
+    """`threshold ham --model single --n-max 200 --lambda0 0 --t 1 --eps 1e-3`."""
+    model = single_mode(0.5, 1.0, 200)
+    rep = minimal_hamiltonian_threshold(
+        model.profile, TruncationQuery(0, 1.0, 1e-3),
+        n_modes=len(model.basis.truncatable_modes),
+        comm_norm=model.comm_norm,
+        lambda_cap=model.cutoff - 2,
+    )
+    assert (rep.lambda_, rep.bound, rep.delta_used) == (102, 0.0004005092488581089, 11)
+
+
 def test_smallest_qualifying_never_probes_beyond_cap():
     from truncert.bounds import _smallest_qualifying
 
@@ -401,6 +506,20 @@ def test_tail_threshold_report_fields():
     assert rep.t_window > 0
     assert rep.overlap_floor == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
     assert rep.delta_used >= 2
+
+
+@pytest.mark.parametrize(
+    "eps, lambda_, delta, bound",
+    [
+        (1e-2, 104468, 12, 0.0072659511004065135),
+        (1e-4, 447553, 15, 7.149270442201166e-05),
+        (1e-8, 2584267, 20, 7.137098151481712e-09),
+    ],
+)
+def test_tail_threshold_frozen_hubbard_holstein_rows(eps, lambda_, delta, bound):
+    """`threshold tail --model hh --sites 2 --lambda-bar 0.3 --gap 0.5`."""
+    rep = tail_threshold(WalkProfile(chi=1.0, r=0.5), TailQuery(0.3, 0.5, eps))
+    assert (rep.lambda_, rep.delta_used, rep.bound) == (lambda_, delta, bound)
 
 
 @pytest.mark.parametrize(

@@ -270,6 +270,16 @@ def test_chebyshev_terms_meet_exact_bessel_tail(x, tol):
     assert n_terms <= 1.5 * abs(x) + 40
 
 
+@pytest.mark.parametrize("x", [10.0, 100.0, 300.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+def test_chebyshev_terms_within_one_of_exact_tail(x, tol):
+    k = np.arange(1, int(x) + 400)
+    # tails[K] = sum_{k>K} 2|J_k(x)|, summed from the small end
+    tails = np.cumsum(2.0 * np.abs(jv(k, x))[::-1])[::-1]
+    smallest = int(np.argmax(tails <= tol))
+    assert smallest <= propagate._chebyshev_terms(x, tol) <= smallest + 1
+
+
 def test_chebyshev_terms_zero_argument():
     assert propagate._chebyshev_terms(0.0, 1e-10) == 0
 
