@@ -2,9 +2,10 @@
 
 Modes are truncated bosons, spinless fermions, spin-1/2 sites, or integer
 rotors (gauge links in the electric basis |k>, k in [-K, K]).  A
-CompositeBasis fixes an ordered mode list; operators on the full space are
-assembled as sparse Kronecker chains, with Jordan-Wigner sign strings over
-the fermionic subsequence for fermionic ladder operators.
+CompositeBasis fixes an ordered mode list, mode 0 the most significant
+mixed-radix digit.  Operators on the full space are assembled by index
+arithmetic on that basis, with Jordan-Wigner sign strings over the
+fermionic subsequence for fermionic ladder operators.
 
 Projector windows act on the per-mode quantum number: occupation for
 bosons and fermions, excitation index for spins, |k| for rotors (so the
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -112,8 +112,8 @@ def rotor(field_cap: int, label: str = "") -> ModeSpec:
 class CompositeBasis:
     """Ordered modes with a mixed-radix codec over the product space.
 
-    Mode 0 is the most significant digit, matching the Kronecker chain
-    ordering used by mode_operator.
+    Mode 0 is the most significant mixed-radix digit: a mode's stride is
+    the product of the dimensions of the modes after it.
     """
 
     def __init__(self, modes: Sequence[ModeSpec], dim_cap: int = DIM_CAP):
@@ -176,109 +176,92 @@ def build_basis(specs: Sequence[ModeSpec], dim_cap: int = DIM_CAP) -> CompositeB
 
 
 # ---------------------------------------------------------------------------
-# local matrices and Kronecker embedding
+# local matrices and mixed-radix embedding
 # ---------------------------------------------------------------------------
 
-def _boson_local(kind: str, n_max: int) -> sp.csr_matrix:
-    d = n_max + 1
-    amp = np.sqrt(np.arange(1, d))
-    a = sp.diags(amp, 1)
-    if kind == "annihilate":
-        out = a
-    elif kind == "create":
-        out = a.T
-    elif kind == "number":
-        out = sp.diags(np.arange(d, dtype=float))
-    elif kind == "position":
-        out = (a + a.T) / math.sqrt(2.0)
-    elif kind == "momentum":
-        out = 1j * (a.T - a) / math.sqrt(2.0)
-    else:
-        raise TypeError(f"kind {kind!r} undefined for boson modes")
-    return sp.csr_matrix(out, dtype=complex)
-
-
-def _fermion_local(kind: str) -> sp.csr_matrix:
-    if kind == "annihilate":
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-    elif kind == "create":
-        m = np.array([[0, 0], [1, 0]], dtype=complex)
-    elif kind == "number":
-        m = np.diag([0.0, 1.0]).astype(complex)
-    else:
-        raise TypeError(f"kind {kind!r} undefined for fermion modes")
-    return sp.csr_matrix(m)
-
-
-def _spin_local(kind: str) -> sp.csr_matrix:
-    if kind == "pauli_x":
-        m = np.array([[0, 1], [1, 0]], dtype=complex)
-    elif kind == "pauli_z":
-        m = np.diag([1.0, -1.0]).astype(complex)
-    else:
-        raise TypeError(f"kind {kind!r} undefined for spin_half modes")
-    return sp.csr_matrix(m)
-
-
-def _rotor_local(kind: str, field_cap: int) -> sp.csr_matrix:
-    d = 2 * field_cap + 1
-    if kind == "efield":
-        return sp.csr_matrix(
-            sp.diags(np.arange(-field_cap, field_cap + 1, dtype=float)), dtype=complex
-        )
-    if kind == "lower_link":
+def _local_entries(mode: ModeSpec, kind: str):
+    """(rows, cols, values) of the single-mode matrix; may include zeros."""
+    d = mode.dim
+    if mode.kind == "boson":
+        n = np.arange(1, d)
+        amp = np.sqrt(n)
+        if kind == "annihilate":
+            return n - 1, n, amp  # <n-1| b |n> = sqrt(n)
+        if kind == "create":
+            return n, n - 1, amp
+        if kind == "number":
+            return n, n, n.astype(float)
+        rows = np.concatenate([n - 1, n])
+        cols = np.concatenate([n, n - 1])
+        if kind == "position":
+            return rows, cols, np.concatenate([amp, amp]) * (1 / math.sqrt(2.0))
+        if kind == "momentum":
+            return rows, cols, np.concatenate([-amp, amp]) * 1j * (1 / math.sqrt(2.0))
+    elif mode.kind == "fermion":
+        if kind == "annihilate":
+            return [0], [1], [1.0]
+        if kind == "create":
+            return [1], [0], [1.0]
+        if kind == "number":
+            return [1], [1], [1.0]
+    elif mode.kind == "spin_half":
+        if kind == "pauli_x":
+            return [0, 1], [1, 0], [1.0, 1.0]
+        if kind == "pauli_z":
+            return [0, 1], [0, 1], [1.0, -1.0]
+    elif kind == "efield":  # the one kind left is rotor
+        k = np.arange(d)
+        return k, k, (k - int(mode.cutoff)).astype(float)
+    elif kind == "lower_link":
         # <k-1| U |k> = 1; the k = -K edge column is annihilated.
-        return sp.csr_matrix(sp.eye(d, k=1), dtype=complex)
-    raise TypeError(f"kind {kind!r} undefined for rotor modes")
-
-
-def _clean(op: sp.spmatrix) -> sp.csr_matrix:
-    out = sp.csr_matrix(op)
-    if out.nnz:
-        out.data[np.abs(out.data) < SPARSE_TOL] = 0.0
-        out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
-def _kron_chain(factors: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    if not factors:
-        return sp.identity(1, format="csr", dtype=complex)
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+        k = np.arange(1, d)
+        return k - 1, k, np.ones(d - 1)
+    raise TypeError(f"kind {kind!r} undefined for {mode.kind} modes")
 
 
 def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
     """Embed a single-mode operator into the full space.
 
-    Fermionic ladder operators pick up a Jordan-Wigner sign string over
-    the preceding fermion modes (other mode kinds are transparent to the
-    string).  Matrix conventions: <m-1| b |m> = sqrt(m); position is
-    (b + b^dag)/sqrt(2); momentum is i (b^dag - b)/sqrt(2); efield is
-    diagonal with eigenvalue k; lower_link maps |k> to |k-1>.
+    The full operator is I_left (x) L (x) I_right on the mixed-radix basis:
+    each local entry (a, b, v) of L lands at row l*d*R + a*R + r and column
+    l*d*R + b*R + r for every left block l and right offset r, where d is
+    the mode's dimension and R its stride.  Fermionic ladder operators pick
+    up the Jordan-Wigner sign (-1)^(occupation of the preceding fermion
+    modes), read from each left block's digits (other mode kinds are
+    transparent to the string).  Matrix conventions: <m-1| b |m> = sqrt(m);
+    position is (b + b^dag)/sqrt(2); momentum is i (b^dag - b)/sqrt(2);
+    efield is diagonal with eigenvalue k; lower_link maps |k> to |k-1>.
+    Entries below SPARSE_TOL are not stored.
     """
     if not 0 <= mode_index < basis.n_modes:
         raise ValueError(f"mode_index {mode_index} out of range")
     mode = basis.modes[mode_index]
-    if mode.kind == "boson":
-        local = _boson_local(kind, int(mode.cutoff))
-    elif mode.kind == "fermion":
-        local = _fermion_local(kind)
-    elif mode.kind == "spin_half":
-        local = _spin_local(kind)
-    else:
-        local = _rotor_local(kind, int(mode.cutoff))
+    rows, cols, vals = (np.asarray(x) for x in _local_entries(mode, kind))
+    keep = np.abs(vals) >= SPARSE_TOL
+    rows, cols, vals = rows[keep], cols[keep], vals[keep].astype(complex)
 
-    jw = mode.kind == "fermion" and kind in ("annihilate", "create")
-    z_string = sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
-    factors: list[sp.spmatrix] = []
-    for j, m in enumerate(basis.modes):
-        if j == mode_index:
-            factors.append(local)
-        elif jw and j < mode_index and m.kind == "fermion":
-            factors.append(z_string)
-        else:
-            factors.append(sp.identity(m.dim, format="csr", dtype=complex))
-    return _clean(_kron_chain(factors))
+    stride = basis.strides[mode_index]
+    block = mode.dim * stride
+    left = np.arange(basis.dimension // block)
+    if mode.kind == "fermion" and kind in ("annihilate", "create"):
+        occupied = np.zeros_like(left)
+        for j in range(mode_index):
+            if basis.modes[j].kind == "fermion":
+                occupied += left * block // basis.strides[j] % 2
+        vals = vals * ((-1) ** occupied)[:, None]
+    base = (left * block)[:, None, None] + np.arange(stride)[None, None, :]
+    full = (len(left), len(rows), stride)
+    # the COO -> CSR conversion leaves the column indices sorted
+    return sp.csr_matrix(
+        (
+            np.broadcast_to(vals[..., None], full).ravel(),
+            (
+                (base + rows[:, None] * stride).ravel(),
+                (base + cols[:, None] * stride).ravel(),
+            ),
+        ),
+        shape=(basis.dimension, basis.dimension),
+    )
 
 
 # ---------------------------------------------------------------------------

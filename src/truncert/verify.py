@@ -225,8 +225,7 @@ def verify_hamiltonian_truncation(
     cfg = cfg or EvolveConfig()
     t0 = time.perf_counter()
 
-    def empirical_at(nm: int) -> float:
-        model = model_factory(nm)
+    def empirical_at(model: ModelInstance) -> float:
         if model.cutoff < lambda_tilde + 2:
             raise ValueError(
                 f"padding insufficient: cutoff {model.cutoff} < lambda_tilde + 2"
@@ -242,10 +241,10 @@ def verify_hamiltonian_truncation(
         return masked_top_singular(cols_full - cols_trunc, keep_none)
 
     model = model_factory(n_max)
-    empirical = empirical_at(n_max)
+    empirical = empirical_at(model)
     notes = "exact column sweep"
     if check_padding:
-        shifted = empirical_at(2 * n_max)
+        shifted = empirical_at(model_factory(2 * n_max))
         notes += f"; padding doubling shifts empirical by {abs(shifted - empirical):.3e}"
     query = TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=1.0)
     hq = HamTruncationQuery(

@@ -1,6 +1,8 @@
 """Operator algebra layer: local matrices, JW strings, windows, codecs."""
 
 import math
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import scipy.sparse as sp
 
 from truncert.fock_algebra import (
     ALL,
+    SPARSE_TOL,
+    CompositeBasis,
     ModeSpec,
     ProjectorSpec,
     ResourceLimitError,
@@ -66,7 +70,7 @@ def test_encode_decode_roundtrip():
 
 
 def test_mode_zero_is_most_significant():
-    """Index layout must match the kron factor order."""
+    """Mode 0 is the most significant mixed-radix digit."""
     basis = build_basis([boson(1), boson(2)])
     # state |n0=1, n1=0> sits at offset dim(mode1) * 1
     assert basis.encode([1, 0]) == 3
@@ -217,6 +221,151 @@ def test_mixed_basis_six_fermions_anticommute():
                 continue
             anti = ops[i] @ ops[j] + ops[j] @ ops[i]
             assert abs(anti).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference embedding: the Kronecker chain mode_operator replaced
+# ---------------------------------------------------------------------------
+
+def _boson_local(kind: str, n_max: int) -> sp.csr_matrix:
+    d = n_max + 1
+    amp = np.sqrt(np.arange(1, d))
+    a = sp.diags(amp, 1)
+    if kind == "annihilate":
+        out = a
+    elif kind == "create":
+        out = a.T
+    elif kind == "number":
+        out = sp.diags(np.arange(d, dtype=float))
+    elif kind == "position":
+        out = (a + a.T) / math.sqrt(2.0)
+    elif kind == "momentum":
+        out = 1j * (a.T - a) / math.sqrt(2.0)
+    else:
+        raise TypeError(f"kind {kind!r} undefined for boson modes")
+    return sp.csr_matrix(out, dtype=complex)
+
+
+def _fermion_local(kind: str) -> sp.csr_matrix:
+    if kind == "annihilate":
+        m = np.array([[0, 1], [0, 0]], dtype=complex)
+    elif kind == "create":
+        m = np.array([[0, 0], [1, 0]], dtype=complex)
+    elif kind == "number":
+        m = np.diag([0.0, 1.0]).astype(complex)
+    else:
+        raise TypeError(f"kind {kind!r} undefined for fermion modes")
+    return sp.csr_matrix(m)
+
+
+def _spin_local(kind: str) -> sp.csr_matrix:
+    if kind == "pauli_x":
+        m = np.array([[0, 1], [1, 0]], dtype=complex)
+    elif kind == "pauli_z":
+        m = np.diag([1.0, -1.0]).astype(complex)
+    else:
+        raise TypeError(f"kind {kind!r} undefined for spin_half modes")
+    return sp.csr_matrix(m)
+
+
+def _rotor_local(kind: str, field_cap: int) -> sp.csr_matrix:
+    d = 2 * field_cap + 1
+    if kind == "efield":
+        return sp.csr_matrix(
+            sp.diags(np.arange(-field_cap, field_cap + 1, dtype=float)), dtype=complex
+        )
+    if kind == "lower_link":
+        # <k-1| U |k> = 1; the k = -K edge column is annihilated.
+        return sp.csr_matrix(sp.eye(d, k=1), dtype=complex)
+    raise TypeError(f"kind {kind!r} undefined for rotor modes")
+
+
+def _clean(op: sp.spmatrix) -> sp.csr_matrix:
+    out = sp.csr_matrix(op)
+    if out.nnz:
+        out.data[np.abs(out.data) < SPARSE_TOL] = 0.0
+        out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def _kron_chain(factors: Sequence[sp.spmatrix]) -> sp.csr_matrix:
+    if not factors:
+        return sp.identity(1, format="csr", dtype=complex)
+    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+
+
+def kron_mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
+    """Single-mode operator embedded as a Kronecker chain with identities."""
+    if not 0 <= mode_index < basis.n_modes:
+        raise ValueError(f"mode_index {mode_index} out of range")
+    mode = basis.modes[mode_index]
+    if mode.kind == "boson":
+        local = _boson_local(kind, int(mode.cutoff))
+    elif mode.kind == "fermion":
+        local = _fermion_local(kind)
+    elif mode.kind == "spin_half":
+        local = _spin_local(kind)
+    else:
+        local = _rotor_local(kind, int(mode.cutoff))
+
+    jw = mode.kind == "fermion" and kind in ("annihilate", "create")
+    z_string = sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
+    factors: list[sp.spmatrix] = []
+    for j, m in enumerate(basis.modes):
+        if j == mode_index:
+            factors.append(local)
+        elif jw and j < mode_index and m.kind == "fermion":
+            factors.append(z_string)
+        else:
+            factors.append(sp.identity(m.dim, format="csr", dtype=complex))
+    return _clean(_kron_chain(factors))
+
+
+_KINDS_OF = {
+    "boson": ("annihilate", "create", "number", "position", "momentum"),
+    "fermion": ("annihilate", "create", "number"),
+    "spin_half": ("pauli_x", "pauli_z"),
+    "rotor": ("efield", "lower_link"),
+}
+
+_ORACLE_BASES = {
+    # Jordan-Wigner strings cross bosons, rotors and spins
+    "interleaved": [fermion(), boson(2), fermion(), rotor(1), spin_half(), fermion()],
+    "fermions_first": [fermion(), fermion(), spin_half(), boson(3), fermion()],
+    "empty_modes": [boson(0), fermion(), rotor(0), fermion(), boson(1)],
+    "bosons_rotors": [rotor(2), boson(4), spin_half(), rotor(1)],
+    "single_boson": [boson(5)],
+    "single_fermion": [fermion()],
+    "single_spin": [spin_half()],
+    "single_rotor": [rotor(2)],
+    "single_boson_cutoff_0": [boson(0)],
+    "single_rotor_cap_0": [rotor(0)],
+}
+
+_ORACLE_CASES = [
+    pytest.param(name, j, kind, id=f"{name}-{j}-{kind}")
+    for name, modes in _ORACLE_BASES.items()
+    for j, mode in enumerate(modes)
+    for kind in _KINDS_OF[mode.kind]
+]
+
+
+@pytest.mark.parametrize("name, mode_index, kind", _ORACLE_CASES)
+def test_mode_operator_matches_kronecker_chain(name, mode_index, kind):
+    basis = build_basis(_ORACLE_BASES[name])
+    got = mode_operator(basis, mode_index, kind)
+    ref = kron_mode_operator(basis, mode_index, kind)
+    assert isinstance(got, sp.csr_matrix)
+    assert got.shape == ref.shape == (basis.dimension, basis.dimension)
+    assert got.dtype == np.complex128
+    assert got.has_sorted_indices
+    assert np.all(got.data != 0)
+    for attr in ("indptr", "indices"):
+        assert getattr(got, attr).dtype == getattr(ref, attr).dtype
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    # bit for bit, signed zeros included
+    assert got.data.tobytes() == ref.data.astype(complex).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from test_fock import kron_mode_operator
 
+from truncert import models
 from truncert.fock_algebra import ALL, ProjectorSpec, mode_operator, projector, window_mask
 from truncert.models import (
     comm_norm_exact,
@@ -227,6 +229,51 @@ def test_u1_profile_is_gauge_type():
     model = u1_lgt_1d(2, g_m=3.0, g_gm=0.6, g_e=1.0, field_cap=1)
     assert model.profile.r == 0.0
     assert model.profile.chi == pytest.approx(2 * 0.6)
+
+
+# ---------------------------------------------------------------------------
+# assembly: the index-arithmetic embedding against the Kronecker chain
+# ---------------------------------------------------------------------------
+
+BUILDS = {
+    "single_mode": lambda: single_mode(0.8, 1.3, 9),
+    "hh2_open": lambda: hubbard_holstein_1d(2, hop=1.0, u=2.0, mu=0.3, g=0.5, n_max=4),
+    "hh2_periodic": lambda: hubbard_holstein_1d(
+        2, hop=0.7, u=0.5, g=0.4, n_max=3, open_boundary=False
+    ),
+    "hh3_open": lambda: hubbard_holstein_1d(3, u=0.7, g=0.4, n_max=2),
+    "hh3_periodic": lambda: hubbard_holstein_1d(
+        3, hop=1.2, u=0.7, mu=0.1, g=0.4, n_max=2, open_boundary=False
+    ),
+    "dicke": lambda: dicke(2, 1.0, 0.7, 0.4, 5),
+    "u1": lambda: u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2),
+}
+
+
+def _same_csr(a, b):
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and a.indptr.dtype == b.indptr.dtype
+        and a.indices.dtype == b.indices.dtype
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and a.data.tobytes() == b.data.tobytes()
+    )
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_models_bit_identical_to_kronecker_assembly(name, monkeypatch):
+    built = BUILDS[name]()
+    monkeypatch.setattr(models, "mode_operator", kron_mode_operator)
+    ref = BUILDS[name]()
+    assert _same_csr(built.hamiltonian, ref.hamiltonian)
+    assert list(built.parts) == list(ref.parts)
+    for key in ref.parts:
+        assert _same_csr(built.parts[key], ref.parts[key]), key
+    assert list(built.walk_parts) == list(ref.walk_parts)
+    for key in ref.walk_parts:
+        assert _same_csr(built.walk_parts[key], ref.walk_parts[key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,21 @@ def test_hamiltonian_truncation_padding_insensitive():
     assert abs(r24.empirical - r48.empirical) < 1e-10
 
 
+@pytest.mark.parametrize("check_padding, builds", [(False, 1), (True, 2)])
+def test_hamiltonian_truncation_builds_each_cutoff_once(check_padding, builds):
+    cutoffs = []
+
+    def factory(nm):
+        cutoffs.append(nm)
+        return single_mode(1.0, 1.0, nm)
+
+    rep = verify_hamiltonian_truncation(
+        factory, 24, 0, 8, 0.5, check_padding=check_padding
+    )
+    assert cutoffs == [24, 48][:builds]
+    assert rep.sound
+
+
 # ---------------------------------------------------------------------------
 # tails
 # ---------------------------------------------------------------------------
