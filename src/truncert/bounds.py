@@ -10,8 +10,12 @@ profile (chi, r).  The chain is:
   after J steps,
 * threshold searches inverting those bounds (smallest window achieving a
   target error), plus the commutator-based Hamiltonian-truncation bound,
-  the energy-conservation competitor thresholds, and the eigenstate tail
-  threshold.
+  the energy-conservation competitor thresholds, the eigenstate tail
+  threshold, and the walk-versus-energy threshold comparison.
+
+The guard errors the CLI maps to exit code 2 live here too
+(`CapExceededError`, `ResourceLimitError`, `ConvergenceError`), so that
+catching them imports nothing beyond this module.
 
 The long-time bound for a given delta does not depend on the window it
 is compared against, so every leakage minimum over delta reads a delta
@@ -31,9 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-from .walk_profiles import WalkProfile, speed_limit
+from .walk_profiles import WalkProfile, profile_hubbard_holstein, speed_limit
 
 __all__ = [
     "TruncationQuery",
@@ -44,6 +48,8 @@ __all__ = [
     "TailReport",
     "ValidityError",
     "CapExceededError",
+    "ResourceLimitError",
+    "ConvergenceError",
     "DELTA_MAX",
     "step_bound",
     "within_speed_limit",
@@ -57,6 +63,9 @@ __all__ = [
     "energy_threshold_single_mode",
     "energy_threshold_hubbard_holstein",
     "tail_threshold",
+    "CompareRow",
+    "ThresholdComparison",
+    "compare_thresholds",
 ]
 
 #: Default cap on the per-step window growth D scanned by searches.  The
@@ -82,6 +91,14 @@ class ValidityError(ValueError):
 
 class CapExceededError(RuntimeError):
     """A threshold search hit its configured cap without qualifying."""
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested object exceeds a configured resource cap."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative engine failed to meet its accuracy target."""
 
 
 # ---------------------------------------------------------------------------
@@ -630,3 +647,73 @@ def tail_threshold(
         overlap_floor=OVERLAP_FLOOR,
         details=f"markov core lambda0={lambda0}",
     )
+
+
+# ---------------------------------------------------------------------------
+# threshold comparison curves
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompareRow:
+    t: float
+    lambda_ours: int
+    lambda_energy: int
+    delta_used: int
+
+
+@dataclass(frozen=True)
+class ThresholdComparison:
+    rows: tuple[CompareRow, ...]
+    crossover_t: float | None
+
+
+def compare_thresholds(
+    n_modes: int,
+    epsilon: float,
+    lambda0: int,
+    times: Sequence[float],
+    omega0: float = 1.0,
+    g: float = 0.5,
+    delta_max: int = DELTA_MAX,
+) -> ThresholdComparison:
+    """Walk-bound thresholds against the energy-conservation recipe.
+
+    Both sides meet the same global target: the walk threshold runs at
+    the per-mode budget epsilon / sqrt(n_modes) (union bound over modes),
+    and the energy threshold applies its per-site Markov step at the same
+    split internally.  The energy side is time-independent; the crossover
+    is the first grid time where the walk threshold stops winning.
+    """
+    profile = profile_hubbard_holstein(abs(g))
+    eps_mode = min(1.0, epsilon / math.sqrt(n_modes))
+    lam_energy = energy_threshold_hubbard_holstein(
+        omega0=omega0,
+        g=g,
+        n_sites=n_modes,
+        lambda0=int(lambda0),
+        e_f_ground=0.0,
+        e_total=None,
+        epsilon=epsilon,
+    )
+    rows = []
+    crossover = None
+    for t in times:
+        if t == 0:
+            rep = BoundReport(lambda_=int(lambda0), bound=0.0, delta_used=0)
+        else:
+            rep = minimal_state_threshold(
+                profile,
+                TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=eps_mode),
+                delta_max=delta_max,
+            )
+        rows.append(
+            CompareRow(
+                t=float(t),
+                lambda_ours=int(rep.lambda_),
+                lambda_energy=int(lam_energy),
+                delta_used=int(rep.delta_used),
+            )
+        )
+        if crossover is None and rep.lambda_ >= lam_energy:
+            crossover = float(t)
+    return ThresholdComparison(rows=tuple(rows), crossover_t=crossover)

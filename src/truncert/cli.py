@@ -12,12 +12,19 @@ across reruns of the same configuration.  Config files hold key=value
 lines matching the long flag names (dashes or underscores); flags given
 on the command line win.  Exit codes: 0 success and all reports sound,
 1 usage error, 2 resource or guard error, 3 soundness violation.
+
+The threshold commands other than `threshold ham`, `compare` and
+`sweep` need only `bounds` and `walk_profiles`, which import nothing but
+`math`.  The numpy modules (`models`, `propagate`, `trotter`, `verify`)
+are imported inside the functions that build a model or run a verify
+suite, so only those commands load numpy and scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -29,33 +36,16 @@ from typing import Callable
 from . import __version__
 from .bounds import (
     CapExceededError,
+    ConvergenceError,
+    ResourceLimitError,
     TailQuery,
     TruncationQuery,
+    compare_thresholds,
     energy_threshold_hubbard_holstein,
     energy_threshold_single_mode,
     minimal_hamiltonian_threshold,
     minimal_state_threshold,
     tail_threshold,
-)
-from .fock_algebra import ResourceLimitError
-from .models import dicke, hubbard_holstein_1d, single_mode, u1_lgt_1d
-from .propagate import ConvergenceError, EvolveConfig
-from .trotter import (
-    ab_quantities,
-    beta_comm,
-    empirical_trotter_error,
-    error_scaling_slope,
-    safe_window,
-    summaries_hubbard_holstein,
-    summaries_single_mode,
-)
-from .verify import (
-    coherent_oracle_check,
-    compare_thresholds,
-    engine_slack,
-    verify_hamiltonian_truncation,
-    verify_state_truncation,
-    verify_tail,
 )
 from .walk_profiles import (
     profile_dicke,
@@ -163,12 +153,18 @@ def write_output(path, fmt, columns, rows, config, meta=None):
 # model table
 # ---------------------------------------------------------------------------
 
+def _lib(name: str):
+    """The package module `name`, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 @dataclass(frozen=True)
 class _Model:
     """How the CLI reads one --model: its profile, builder and optional hooks.
 
-    The hooks call the builders through this module's globals, so a
-    rebinding of e.g. `cli.single_mode` reaches every command.
+    The build and trotter hooks import `models` and `trotter` when first
+    called and look each function up on that module at call time, so a
+    rebinding of e.g. `models.single_mode` reaches every command.
     """
 
     profile: Callable  # args -> WalkProfile
@@ -184,16 +180,19 @@ def _hh_couplings(args) -> dict:
 _MODELS = {
     "single": _Model(
         profile=lambda a: profile_single_mode(a.g),
-        build=lambda a, n_max: single_mode(a.g, a.omega0, n_max),
-        trotter=lambda a: (summaries_single_mode(a.g, a.omega0), 1),
+        build=lambda a, n_max: _lib("models").single_mode(a.g, a.omega0, n_max),
+        trotter=lambda a: (_lib("trotter").summaries_single_mode(a.g, a.omega0), 1),
         energy=lambda a: energy_threshold_single_mode(a.omega0, a.lambda0, a.eps),
     ),
     "hh": _Model(
         profile=lambda a: profile_hubbard_holstein(abs(a.g)),
-        build=lambda a, n_max: hubbard_holstein_1d(
+        build=lambda a, n_max: _lib("models").hubbard_holstein_1d(
             a.sites, n_max=n_max, **_hh_couplings(a)
         ),
-        trotter=lambda a: (summaries_hubbard_holstein(a.sites, **_hh_couplings(a)), 2),
+        trotter=lambda a: (
+            _lib("trotter").summaries_hubbard_holstein(a.sites, **_hh_couplings(a)),
+            2,
+        ),
         energy=lambda a: energy_threshold_hubbard_holstein(
             omega0=a.omega0,
             g=a.g,
@@ -206,11 +205,13 @@ _MODELS = {
     ),
     "dicke": _Model(
         profile=lambda a: profile_dicke(abs(a.g), a.n),
-        build=lambda a, n_max: dicke(a.n, a.omega0, a.omega_z, a.g, n_max),
+        build=lambda a, n_max: _lib("models").dicke(a.n, a.omega0, a.omega_z, a.g, n_max),
     ),
     "u1": _Model(
         profile=lambda a: profile_u1(abs(a.gb), abs(a.g)),
-        build=lambda a, n_max: u1_lgt_1d(a.sites, a.gm, a.g, a.ge, a.field_cap),
+        build=lambda a, n_max: _lib("models").u1_lgt_1d(
+            a.sites, a.gm, a.g, a.ge, a.field_cap
+        ),
     ),
 }
 
@@ -337,6 +338,9 @@ def _verify_times(args, fallback):
 
 
 def _suite_ham(args, cfg):
+    from .models import single_mode
+    from .verify import verify_hamiltonian_truncation
+
     if args.model != "single":
         raise ValueError("the hamiltonian-truncation suite runs on --model single")
     factory = lambda nm: single_mode(args.g, args.omega0, nm)
@@ -357,6 +361,15 @@ def _suite_ham(args, cfg):
 
 
 def _suite_trotter(args, cfg):
+    from .trotter import (
+        ab_quantities,
+        beta_comm,
+        empirical_trotter_error,
+        error_scaling_slope,
+        safe_window,
+    )
+    from .verify import engine_slack
+
     trotter = _model_hook(args, "trotter", "the trotter suite runs on --model single or hh")
     model = _MODELS[args.model].build(args, args.n_max)
     summaries, default_p = trotter(args)
@@ -380,6 +393,14 @@ def _suite_trotter(args, cfg):
 
 def _suite_all(cfg):
     """The fixed instances behind `verify all`, which takes no model flags."""
+    from .models import hubbard_holstein_1d, single_mode
+    from .verify import (
+        coherent_oracle_check,
+        verify_hamiltonian_truncation,
+        verify_state_truncation,
+        verify_tail,
+    )
+
     reports = verify_state_truncation(
         single_mode(0.5, 1.0, 48), 0, [0.25], deltas=[2, 3, 4, 5], cfg=cfg
     )
@@ -399,6 +420,9 @@ def _suite_all(cfg):
 
 
 def _cmd_verify(args):
+    from .propagate import EvolveConfig
+    from .verify import coherent_oracle_check, verify_state_truncation, verify_tail
+
     cfg = EvolveConfig()
     if args.suite == "trotter":
         return _suite_trotter(args, cfg)

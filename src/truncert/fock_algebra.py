@@ -21,6 +21,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .bounds import ResourceLimitError
+
 __all__ = [
     "ALL",
     "DIM_CAP",
@@ -28,7 +30,6 @@ __all__ = [
     "ModeSpec",
     "CompositeBasis",
     "ProjectorSpec",
-    "ResourceLimitError",
     "boson",
     "fermion",
     "spin_half",
@@ -50,10 +51,6 @@ DIM_CAP = 1 << 26
 SPARSE_TOL = 1e-15
 
 _KINDS = ("boson", "fermion", "spin_half", "rotor")
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested object exceeds a configured resource cap."""
 
 
 @dataclass(frozen=True)

@@ -134,9 +134,20 @@ def _zero(dim: int) -> sp.csr_matrix:
 
 
 def _sector_keys(*charges: np.ndarray) -> np.ndarray:
-    """One integer per basis state, equal exactly where every charge is."""
-    _, keys = np.unique(np.stack(charges, axis=1), axis=0, return_inverse=True)
-    return keys.ravel()
+    """One integer per basis state, equal exactly where every charge is.
+
+    Each charge, offset by its minimum (Gauss charges can be negative),
+    is one digit of a mixed-radix code with the first charge most
+    significant, so the code orders charge tuples lexicographically and
+    the keys number the distinct tuples in that order.  The code is below
+    the product of the charge ranges, far inside int64 for every model here.
+    """
+    code = np.zeros(len(charges[0]), dtype=np.int64)
+    for q in charges:
+        lo = int(q.min())
+        code = code * (int(q.max()) - lo + 1) + (q - lo)
+    _, keys = np.unique(code, return_inverse=True)
+    return keys
 
 
 # ---------------------------------------------------------------------------

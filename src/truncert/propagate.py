@@ -22,7 +22,9 @@ Single vectors (`evolve`, the coherent oracle) are the same call on the
 full space.  `DensePropagator` (one dense eigendecomposition) is the
 exact oracle the tests compare it against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) are seeded by
-default: same inputs, same outputs.
+default: same inputs, same outputs.  `scipy.linalg` and ARPACK are
+imported inside `DensePropagator` and `lowest_eigenpairs`, their only
+users, so the sparse evolution paths never load them.
 
 Engine accuracy targets sit well below the bound tolerances probed by
 the verification experiments (default budget 1e-10 against bounds read
@@ -36,21 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
 from scipy.special import jv
 
+from .bounds import ConvergenceError, ResourceLimitError
 from .fock_algebra import (
     CompositeBasis,
     ProjectorSpec,
-    ResourceLimitError,
     hermiticity_defect,
     window_mask,
 )
 
 __all__ = [
     "EvolveConfig",
-    "ConvergenceError",
     "COLUMN_CAP",
     "evolve",
     "ChebyshevPropagator",
@@ -79,10 +78,6 @@ COLUMN_CAP = 1 << 24
 _BLOCK_ENTRIES = 1 << 15
 
 _HERM_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative engine failed to meet its accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -360,6 +355,8 @@ class DensePropagator:
     """
 
     def __init__(self, h: sp.spmatrix):
+        from scipy.linalg import eigh
+
         self.w, self.v = eigh(sp.csr_matrix(h).toarray())
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
@@ -380,8 +377,12 @@ def lowest_eigenpairs(
     if k < 1 or k > dim:
         raise ValueError("k out of range")
     if dim <= 400 or k > dim - 2:
+        from scipy.linalg import eigh
+
         w, v = eigh(h.toarray())
         return w[:k], v[:, :k]
+    from scipy.sparse.linalg import eigsh
+
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim).astype(h.dtype)
     # ARPACK is dependable at the large-algebraic end, so shift with a

@@ -34,14 +34,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .bounds import (
-    BoundReport,
     HamTruncationQuery,
     TailQuery,
     TruncationQuery,
+    compare_thresholds,  # noqa: F401  (lives in bounds; kept importable from here)
     hamiltonian_truncation_bound,
     long_time_bound,
-    minimal_state_threshold,
-    energy_threshold_hubbard_holstein,
     short_time_bound,
     tail_threshold,
     within_speed_limit,
@@ -68,9 +66,6 @@ __all__ = [
     "tail_profile",
     "tail_decay_slope",
     "coherent_oracle_check",
-    "CompareRow",
-    "ThresholdComparison",
-    "compare_thresholds",
 ]
 
 
@@ -381,75 +376,3 @@ def coherent_oracle_check(
     if worst_mean > 1e-6:
         rep = replace(rep, sound=False)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# threshold comparison curves
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompareRow:
-    t: float
-    lambda_ours: int
-    lambda_energy: int
-    delta_used: int
-
-
-@dataclass(frozen=True)
-class ThresholdComparison:
-    rows: tuple[CompareRow, ...]
-    crossover_t: float | None
-
-
-def compare_thresholds(
-    n_modes: int,
-    epsilon: float,
-    lambda0: int,
-    times: Sequence[float],
-    omega0: float = 1.0,
-    g: float = 0.5,
-    delta_max: int = 512,
-) -> ThresholdComparison:
-    """Walk-bound thresholds against the energy-conservation recipe.
-
-    Both sides meet the same global target: the walk threshold runs at
-    the per-mode budget epsilon / sqrt(n_modes) (union bound over modes),
-    and the energy threshold applies its per-site Markov step at the same
-    split internally.  The energy side is time-independent; the crossover
-    is the first grid time where the walk threshold stops winning.
-    """
-    from .walk_profiles import profile_hubbard_holstein
-
-    profile = profile_hubbard_holstein(abs(g))
-    eps_mode = min(1.0, epsilon / math.sqrt(n_modes))
-    lam_energy = energy_threshold_hubbard_holstein(
-        omega0=omega0,
-        g=g,
-        n_sites=n_modes,
-        lambda0=int(lambda0),
-        e_f_ground=0.0,
-        e_total=None,
-        epsilon=epsilon,
-    )
-    rows = []
-    crossover = None
-    for t in times:
-        if t == 0:
-            rep = BoundReport(lambda_=int(lambda0), bound=0.0, delta_used=0)
-        else:
-            rep = minimal_state_threshold(
-                profile,
-                TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=eps_mode),
-                delta_max=delta_max,
-            )
-        rows.append(
-            CompareRow(
-                t=float(t),
-                lambda_ours=int(rep.lambda_),
-                lambda_energy=int(lam_energy),
-                delta_used=int(rep.delta_used),
-            )
-        )
-        if crossover is None and rep.lambda_ >= lam_energy:
-            crossover = float(t)
-    return ThresholdComparison(rows=tuple(rows), crossover_t=crossover)

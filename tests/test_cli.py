@@ -386,12 +386,14 @@ def test_verify_all_takes_no_model_flags(capsys):
 def test_unsound_report_exits_three(capsys, monkeypatch):
     from dataclasses import replace
 
-    real = cli.coherent_oracle_check
+    from truncert import verify
+
+    real = verify.coherent_oracle_check
 
     def rigged(t_grid, cfg=None):
         return replace(real(t_grid, cfg=cfg), sound=False)
 
-    monkeypatch.setattr(cli, "coherent_oracle_check", rigged)
+    monkeypatch.setattr(verify, "coherent_oracle_check", rigged)
     code, _ = _run(["verify", "coherent", "--t", "0.5"], capsys)
     assert code == 3
 

@@ -302,6 +302,32 @@ def test_sector_keys_block_diagonalize_every_part(model, n_sectors):
         assert np.array_equal(keys[coo.row[nonzero]], keys[coo.col[nonzero]])
 
 
+def _row_sort_labels(*charges):
+    """Reference labels: the distinct charge rows, sorted, numbered in order."""
+    return np.unique(np.stack(charges, axis=1), axis=0, return_inverse=True)[1].ravel()
+
+
+def _charges(model):
+    digit, n = model.basis.local_indices, model.params.get("n_sites")
+    if model.label == "hubbard_holstein_1d":
+        return [sum(digit(3 * x + s) for x in range(n)) for s in (0, 1)]
+    if model.label == "dicke":
+        return [sum(digit(j) for j in range(1 + model.params["n_spins"])) % 2]
+    k = model.params["field_cap"]
+    field = [0, *(digit(2 * x + 1) - k for x in range(n - 1)), 0]
+    return [field[x + 1] - field[x] + digit(2 * x) for x in range(n)]
+
+
+@pytest.mark.parametrize(
+    "model", [m for m, _ in SECTORED], ids=["hh_open", "hh_periodic", "dicke", "u1"]
+)
+def test_sector_keys_match_row_sort_labels(model):
+    """The mixed-radix code numbers the sectors exactly as a row sort of the charges."""
+    want = _row_sort_labels(*_charges(model))
+    assert model.sector_keys.dtype == want.dtype
+    assert np.array_equal(model.sector_keys, want)
+
+
 def test_wrong_sector_keys_are_rejected():
     hh = hubbard_holstein_1d(2, g=0.5, n_max=3)
     phonons = hh.basis.local_indices(2)  # the coupling part changes it

@@ -1,6 +1,15 @@
-"""Package namespace: every library module's public names are re-exported."""
+"""Package namespace and import layering.
+
+Every library module's public names are re-exported, resolved on first
+access; analytic commands load no numpy or scipy, and sparse verify
+commands no dense or ARPACK solver.
+"""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +36,87 @@ def test_module_names_are_package_names(module):
 
 def test_package_all_has_no_duplicates():
     assert len(truncert.__all__) == len(set(truncert.__all__))
+
+
+# ---------------------------------------------------------------------------
+# import layering, checked in fresh interpreters
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(truncert.__file__)))
+
+#: Runs argv lists through cli.main with stdout discarded, then prints the
+#: exit codes and the numpy/scipy modules loaded, as JSON.
+_CLI_PROBE = """
+import contextlib, io, json, sys
+import truncert, truncert.cli
+from truncert import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps({"codes": codes, "heavy": heavy}))
+"""
+
+
+def _fresh(code: str, *args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _probe_cli(argvs: list[list[str]]) -> dict:
+    return _fresh(_CLI_PROBE, json.dumps(argvs))
+
+
+def test_analytic_commands_import_no_numpy_or_scipy():
+    got = _probe_cli(
+        [
+            ["threshold", "state", "--model", "hh", "--t", "0.5,1"],
+            ["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5"],
+            ["threshold", "energy", "--model", "hh", "--n", "2"],
+            ["compare", "--tpoints", "3"],
+            ["sweep", "--cmd", "threshold-state", "--vary", "g=0.5,1", "--set", "t=1"],
+            ["sweep", "--cmd", "compare", "--vary", "n=2,5", "--set", "tpoints=2"],
+            # the grid guard still maps to exit code 2 without numpy
+            ["sweep", "--cmd", "threshold-energy", "--vary", "n=2,5", "--max-rows", "1"],
+        ]
+    )
+    assert got == {"codes": [0, 0, 0, 0, 0, 0, 2], "heavy": []}
+
+
+def test_sparse_verify_commands_skip_dense_and_arpack_solvers():
+    got = _probe_cli(
+        [
+            ["verify", "trotter", "--model", "hh", "--n-max", "13", "--lambda0", "1",
+             "--taus", "0.2,0.1"],
+            ["verify", "state", "--model", "hh", "--n-max", "3", "--lambda0", "1",
+             "--t", "0.2", "--deltas", "2"],
+        ]
+    )
+    assert got["codes"] == [0, 0]
+    assert "numpy" in got["heavy"]
+    assert "scipy.linalg" not in got["heavy"]
+    assert "scipy.sparse.linalg" not in got["heavy"]
+
+
+def test_star_import_and_dir_cover_the_package_names():
+    got = _fresh(
+        "import json, truncert\n"
+        "from truncert import *\n"
+        "names = truncert.__all__\n"
+        "print(json.dumps({'all': names,\n"
+        "                  'star': [n for n in names if n not in globals()],\n"
+        "                  'dir': [n for n in names if n not in dir(truncert)]}))\n"
+    )
+    assert len(got["all"]) == len(truncert.__all__) > 0
+    assert got["star"] == [] and got["dir"] == []
