@@ -8,18 +8,21 @@ does the per-operator setup (Hermiticity check, diagonal test, Gershgorin
 interval, scaled operator) once; its `apply` then serves every block and
 time, so callers that evolve one operator repeatedly prepare it once per
 command and pass it wherever a Hamiltonian is taken (`as_propagator`).
-`propagate_block` is the one-shot form.  Window columns (every basis
-state of an initial window, as the leakage and product-formula checks
-need them) go through it a bounded block at a time, one symmetry sector
-at a time: given one conserved integer key per basis state, the window
-splits into `Sector`s (`window_sectors`, which also enforces
-`COLUMN_CAP` on the largest sector), each sector's columns are evolved
-in its own coordinates by the propagator restricted to it
-(`ChebyshevPropagator.restrict`), and a top singular value is the
-largest over sectors (`sector_top_singular`).  No key is one sector,
-the whole space.  Every leakage norm is measured this way, exactly.
-Single vectors (`evolve`, the coherent oracle) are the same call on the
-full space.  `DensePropagator` (one dense eigendecomposition) is the
+`propagate_block` is the one-shot form; single vectors (`evolve`, the
+coherent oracle) take it on the full space.  Every exact check (state
+leakage, the Hamiltonian-truncation difference, the product-formula
+error) measures a top singular value of window columns (every basis
+state of an initial window), and every one goes through one reducer,
+`WindowSweep`.  Given one conserved integer key per basis state, it
+splits the window into `Sector`s (`window_sectors`, which also enforces
+`COLUMN_CAP` on the largest sector), prepares each operator once and
+restricts it to each sector once (`ChebyshevPropagator.restrict`).  Its
+`top_singular` then sweeps one sector's columns at a time in that
+sector's coordinates, a bounded block at a time (`sweep_window`),
+reduces them to one top singular value per escape mask
+(`masked_top_singular`) and frees them before the next sector; each
+value is the largest over the sectors.  No key is one sector, the whole
+space.  `DensePropagator` (one dense eigendecomposition) is the
 exact oracle the tests compare it against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) are seeded by
 default: same inputs, same outputs.  `scipy.linalg` and ARPACK are
@@ -58,14 +61,12 @@ __all__ = [
     "Sector",
     "window_sectors",
     "sweep_window",
-    "evolve_window",
     "DensePropagator",
     "lowest_eigenpairs",
     "ground_state",
     "op_norm",
-    "leakage_columns",
     "masked_top_singular",
-    "sector_top_singular",
+    "WindowSweep",
     "leakage_norm",
 ]
 
@@ -338,16 +339,6 @@ def sweep_window(sector: Sector, fn) -> np.ndarray:
     return cols
 
 
-def evolve_window(
-    prop: ChebyshevPropagator, sector: Sector, t: float, tol: float
-) -> np.ndarray:
-    """The sector's window columns evolved for time t, in sector coordinates.
-
-    prop is the sector's propagator (`ChebyshevPropagator.restrict`).
-    """
-    return sweep_window(sector, lambda e: prop.apply(e, t, tol))
-
-
 class DensePropagator:
     """Exact propagator from one dense eigendecomposition; reusable across t.
 
@@ -455,45 +446,8 @@ def op_norm(
 
 
 # ---------------------------------------------------------------------------
-# leakage
+# window sweeps
 # ---------------------------------------------------------------------------
-
-def _prepared(basis: CompositeBasis, h: Operator) -> ChebyshevPropagator:
-    prop = as_propagator(h)
-    if prop.shape != (basis.dimension, basis.dimension):
-        raise ValueError("operator does not match basis dimension")
-    return prop
-
-
-def leakage_columns(
-    basis: CompositeBasis,
-    h: Operator,
-    window0: ProjectorSpec,
-    t: float,
-    cfg: EvolveConfig | None = None,
-    sector_keys: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve every basis column of the initial window for time t.
-
-    Returns (columns, indices): columns[:, j] = exp(-i t h) |indices[j]>,
-    propagated in blocks by one `ChebyshevPropagator` to cfg.tolerance.
-    Reuse the columns across window1 choices; masking rows and taking the
-    top singular value yields the leakage norm for any escape window.
-    With sector_keys (one integer per basis state, conserved by h), each
-    column is evolved inside its own sector only and is exactly 0 on the
-    other rows.
-    """
-    cfg = cfg or EvolveConfig()
-    prop = _prepared(basis, h)
-    mask0 = window_mask(basis, window0)
-    idx = np.flatnonzero(mask0)
-    cols = np.zeros((basis.dimension, len(idx)), dtype=complex)
-    for sector in window_sectors(mask0, sector_keys):
-        at = np.searchsorted(idx, sector.rows[sector.window])
-        block = evolve_window(prop.restrict(sector.rows), sector, t, cfg.tolerance)
-        cols[np.ix_(sector.rows, at)] = block
-    return cols, idx
-
 
 def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
     """Top singular value of the rows of cols outside keep_mask."""
@@ -503,17 +457,49 @@ def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
     return float(np.linalg.svd(sub, compute_uv=False)[0])
 
 
-def sector_top_singular(sectors: list[Sector], block_of, keep_mask: np.ndarray) -> float:
-    """Top singular value of block-diagonal window columns outside keep_mask.
+class WindowSweep:
+    """Top singular values of window-column blocks, one sector at a time.
 
-    block_of maps a sector to its columns in its coordinates; each block
-    is reduced to its top singular value before the next one is built, and
-    the value is the largest over the sectors.
+    Built once from a basis, an initial window and the operators a check
+    propagates (Hermitian matrices or prepared propagators, all
+    conserving sector_keys; None is one sector, the whole space): it
+    splits the window into sectors (`window_sectors`, so COLUMN_CAP bounds
+    the largest), prepares each operator once and restricts it to each
+    sector once.  `top_singular` then serves every time, step size and
+    escape window of the check.
     """
-    top = 0.0
-    for s in sectors:
-        top = max(top, masked_top_singular(block_of(s), keep_mask[s.rows]))
-    return top
+
+    def __init__(
+        self,
+        basis: CompositeBasis,
+        window0: ProjectorSpec,
+        ops: list[Operator],
+        sector_keys: np.ndarray | None = None,
+    ):
+        props = [as_propagator(h) for h in ops]
+        if any(p.shape != (basis.dimension, basis.dimension) for p in props):
+            raise ValueError("operator does not match basis dimension")
+        self.sectors = window_sectors(window_mask(basis, window0), sector_keys)
+        self._ops = [[p.restrict(s.rows) for p in props] for s in self.sectors]
+
+    def top_singular(self, fn, keep_masks: list[np.ndarray]) -> list[float]:
+        """Per keep mask, the top singular value of the window columns outside it.
+
+        fn(ops_s, e) maps a (dim_s, k) block of identity columns in a
+        sector's coordinates to a (dim_s, k) block, with ops_s the
+        operators restricted to that sector.  The window columns of fn are
+        block-diagonal over the sectors (the keep masks are full-space and
+        diagonal), so each value is the largest over the sectors.  Each
+        sector's columns are swept, reduced for every mask, and freed
+        before the next sector is swept; an empty keep_masks sweeps nothing.
+        """
+        tops = [0.0] * len(keep_masks)
+        for sector, ops_s in zip(self.sectors, self._ops) if keep_masks else ():
+            block = sweep_window(sector, lambda e: fn(ops_s, e))
+            for i, keep in enumerate(keep_masks):
+                tops[i] = max(tops[i], masked_top_singular(block, keep[sector.rows]))
+            del block  # free this sector's columns before the next one fills
+        return tops
 
 
 def leakage_norm(
@@ -528,17 +514,14 @@ def leakage_norm(
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
 
     Exact: every window0 basis state is a column, evolved inside its
-    sector.  sector_keys (one integer per basis state, conserved by h;
-    None is one sector) splits the window into sectors.  The projectors
-    are diagonal, so the operator is block-diagonal and its top singular
-    value is the largest over the sectors.  A sector whose columns exceed
-    COLUMN_CAP entries raises ResourceLimitError.
+    sector by a `WindowSweep`.  sector_keys (one integer per basis state,
+    conserved by h; None is one sector) splits the window into sectors.
+    A sector whose columns exceed COLUMN_CAP entries raises
+    ResourceLimitError.
     """
-    cfg = cfg or EvolveConfig()
-    prop = _prepared(basis, h)
-    sectors = window_sectors(window_mask(basis, window0), sector_keys)
-    return sector_top_singular(
-        sectors,
-        lambda s: evolve_window(prop.restrict(s.rows), s, t, cfg.tolerance),
-        window_mask(basis, window1),
+    tol = (cfg or EvolveConfig()).tolerance
+    sweep = WindowSweep(basis, window0, [h], sector_keys)
+    (top,) = sweep.top_singular(
+        lambda ops, e: ops[0].apply(e, t, tol), [window_mask(basis, window1)]
     )
+    return top

@@ -21,15 +21,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .fock_algebra import ALL, ProjectorSpec, window_mask
+from .fock_algebra import ALL, ProjectorSpec
 from .models import ModelInstance
-from .propagate import (
-    EvolveConfig,
-    as_propagator,
-    masked_top_singular,
-    sweep_window,
-    window_sectors,
-)
+from .propagate import EvolveConfig, WindowSweep, as_propagator
 
 __all__ = [
     "CoefficientSummaries",
@@ -316,11 +310,11 @@ def empirical_trotter_error(
     column; the window must be small enough for that to be exact).  H and
     every part conserve the model's sector keys, so that block is
     block-diagonal and its top singular value is the largest over the
-    sectors that meet the window.  Each sector's window columns go through
-    both sides in sector coordinates, block by block, and each sector's
-    difference is reduced to its top singular value before the next
-    sector is swept.  Each part and H is prepared once, and restricted to
-    each sector once, for every step size and block.  With a budget, every
+    sectors that meet the window.  One `WindowSweep` takes each sector's
+    window columns through both sides in sector coordinates, block by
+    block, and reduces each sector's difference to its top singular value
+    before the next sector is swept.  Each part and H is prepared once,
+    and restricted to each sector once, for every step size and block.  With a budget, every
     step size's bound is computed first, so an order p that the certified
     constants do not cover raises ValueError before any propagation.
     """
@@ -332,26 +326,18 @@ def empirical_trotter_error(
         beta = beta_comm(budget)
         bounds = [per_step_error_bound(p, beta, tau) for tau in taus]
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
-    sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
-    parts = [as_propagator(part) for part in model.parts.values()]
-    h = as_propagator(model.hamiltonian)
-    restricted = [
-        ([part.restrict(s.rows) for part in parts], h.restrict(s.rows)) for s in sectors
-    ]
+    ops = [*model.parts.values(), model.hamiltonian]
+    sweep = WindowSweep(model.basis, window0, ops, model.sector_keys)
+    keep_none = np.zeros(model.dimension, dtype=bool)
     points = []
     for tau, bound in zip(taus, bounds):
-        error = 0.0
-        for sector, (parts_s, h_s) in zip(sectors, restricted):
 
-            def split_error(e):
-                split = apply_product_formula(parts_s, e, tau, p, cfg)
-                split -= h_s.apply(e, tau, cfg.tolerance)
-                return split
+        def split_error(ops_s, e):
+            split = apply_product_formula(ops_s[:-1], e, tau, p, cfg)
+            split -= ops_s[-1].apply(e, tau, cfg.tolerance)
+            return split
 
-            diff = sweep_window(sector, split_error)
-            keep_none = np.zeros(len(sector.rows), dtype=bool)
-            error = max(error, masked_top_singular(diff, keep_none))
-            del diff  # free this sector's array before the next one fills
+        (error,) = sweep.top_singular(split_error, [keep_none])
         points.append(TrotterPoint(tau=float(tau), error=error, bound=bound))
     return points
 

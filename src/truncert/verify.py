@@ -4,19 +4,23 @@ Every experiment emits ExperimentReports whose soundness flag is
 computed one way only: empirical <= analytic + engine_slack, with
 engine_slack ten times the evolution error budget.  The empirical side
 exhausts the initial window exactly: every window basis state is a
-column, and the columns are propagated together, block by block, by the
-Chebyshev engine.  A model with sector keys (a conserved charge diagonal
-in the Fock basis) splits the window into sectors.  The projectors are
-diagonal, so the measured operator is block-diagonal and its top
-singular value is exactly the largest over sectors; each sector's
-columns are evolved under H restricted to that sector, one sector at a
-time, and the largest sector's dim_s * |window in s| is what must fit
-`propagate.COLUMN_CAP` (ResourceLimitError otherwise).  Each sector's
-Gershgorin interval lies inside the full one, so each sector's
-propagation error is at most tol * ||block_s|| and the block-diagonal
-error at most tol * ||block||: the engine slack is unchanged.  Each
-Hamiltonian is prepared for propagation, and restricted to each sector,
-once per experiment.
+column.  Both exact checks here, the state-truncation leakage
+||(1 - P_lambda) e^{-iHt} P_lambda0|| and the Hamiltonian-truncation
+difference ||(e^{-iHt} - e^{-i Pi H Pi t}) P_lambda0||, are top singular
+values of such columns, and both are measured by one
+`propagate.WindowSweep` built once per experiment (per cutoff for the
+latter): it prepares each Hamiltonian once and restricts it to each
+sector of the model's sector keys (a conserved charge diagonal in the
+Fock basis; Pi is diagonal too, so Pi H Pi keeps them) once.  The
+projectors are diagonal, so the measured operator is block-diagonal and
+its top singular value is exactly the largest over sectors; each
+sector's columns are propagated together, block by block, by the
+Chebyshev engine, one sector at a time, and the largest sector's
+dim_s * |window in s| is what must fit `propagate.COLUMN_CAP`
+(ResourceLimitError otherwise).  Each sector's Gershgorin interval lies
+inside the full one, so each sector's propagation error is at most
+tol * ||block_s|| and the block-diagonal error at most tol * ||block||:
+the engine slack is unchanged.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -31,13 +35,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import (
     HamTruncationQuery,
     TailQuery,
     TruncationQuery,
-    compare_thresholds,  # noqa: F401  (lives in bounds; kept importable from here)
+    compare_thresholds,  # noqa: F401  (lives in bounds; test_acceptance imports it from here)
     hamiltonian_truncation_bound,
     long_time_bound,
     short_time_bound,
@@ -46,16 +49,7 @@ from .bounds import (
 )
 from .fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from .models import ModelInstance, single_mode
-from .propagate import (
-    EvolveConfig,
-    as_propagator,
-    evolve,
-    evolve_window,
-    leakage_columns,
-    lowest_eigenpairs,
-    masked_top_singular,
-    window_sectors,
-)
+from .propagate import EvolveConfig, WindowSweep, evolve, lowest_eigenpairs
 
 __all__ = [
     "ExperimentReport",
@@ -134,10 +128,11 @@ def verify_state_truncation(
     window [0, lambda0] is tested against the matching escape window:
     per truncatable mode for mode='per_mode' (the bare bounds), or the
     all-mode window for mode='all' (bounds carry the union factor
-    sqrt(number of truncatable modes)).  Per time, each sector's columns
-    are evolved once and every distinct escape window below the cutoff
-    folds that sector's top singular value into its running maximum
-    before the next sector is evolved.
+    sqrt(number of truncatable modes)).  Per time, one
+    `WindowSweep.top_singular` call evolves each sector's columns once
+    and folds that sector's top singular value outside every distinct
+    escape window below the cutoff into its running maximum before the
+    next sector is evolved.
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
@@ -147,10 +142,9 @@ def verify_state_truncation(
     union = math.sqrt(len(trunc)) if trunc else 1.0
     nus = trunc if mode == "per_mode" else [None]
     window0 = ProjectorSpec(ALL, 0, int(lambda0))
-    sectors = window_sectors(window_mask(basis, window0), model.sector_keys)
+    # one setup for every time
+    sweep = WindowSweep(basis, window0, [model.hamiltonian], model.sector_keys)
     cutoff = model.cutoff
-    prop = as_propagator(model.hamiltonian)  # one setup for every time
-    restricted = [prop.restrict(s.rows) for s in sectors]
     reports: list[ExperimentReport] = []
     for t in times:
         t0 = time.perf_counter()  # each report's runtime_s counts its time's sweep
@@ -170,13 +164,10 @@ def verify_state_truncation(
             if lam < cutoff
             for nu in nus
         }
-        empirical = dict.fromkeys(keeps, 0.0)
-        for sector, prop_s in zip(sectors, restricted) if keeps else ():
-            block = evolve_window(prop_s, sector, t, cfg.tolerance)
-            for key, keep in keeps.items():
-                top = masked_top_singular(block, keep[sector.rows])
-                empirical[key] = max(empirical[key], top)
-            del block  # free this sector's columns before the next one fills
+        tops = sweep.top_singular(
+            lambda ops, e: ops[0].apply(e, t, cfg.tolerance), list(keeps.values())
+        )
+        empirical = dict(zip(keeps, tops))
 
         for kind, delta, lam, bound in points:
             for nu in nus:
@@ -214,7 +205,7 @@ def verify_hamiltonian_truncation(
 
     The factory builds the model at a requested cutoff; the truncated
     Hamiltonian Pi H Pi lives on the same padded space so the two
-    evolutions subtract directly.  With check_padding the empirical value
+    evolutions subtract directly, one sector's window columns at a time.  With check_padding the empirical value
     is recomputed at double the cutoff and the shift goes in the notes.
     """
     cfg = cfg or EvolveConfig()
@@ -229,11 +220,14 @@ def verify_hamiltonian_truncation(
         window0 = ProjectorSpec(ALL, 0, int(lambda0))
         pi = projector(basis, ProjectorSpec(ALL, 0, int(lambda_tilde)))
         h_trunc = (pi @ model.hamiltonian @ pi).tocsr()
-        keys = model.sector_keys  # Pi is diagonal, so Pi H Pi keeps them
-        cols_full, _ = leakage_columns(basis, model.hamiltonian, window0, t, cfg, keys)
-        cols_trunc, _ = leakage_columns(basis, h_trunc, window0, t, cfg, keys)
+        # Pi is diagonal, so Pi H Pi keeps the sector keys
+        sweep = WindowSweep(basis, window0, [model.hamiltonian, h_trunc], model.sector_keys)
+
+        def difference(ops, e):
+            return ops[0].apply(e, t, cfg.tolerance) - ops[1].apply(e, t, cfg.tolerance)
+
         keep_none = np.zeros(basis.dimension, dtype=bool)
-        return masked_top_singular(cols_full - cols_trunc, keep_none)
+        return sweep.top_singular(difference, [keep_none])[0]
 
     model = model_factory(n_max)
     empirical = empirical_at(model)
@@ -367,7 +361,8 @@ def coherent_oracle_check(
             pois = np.zeros_like(probs)
             pois[0] = 1.0
         else:
-            pois = np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
+            log_fact = np.vectorize(math.lgamma, otypes=[float])(n + 1.0)
+            pois = np.exp(-lam + n * math.log(lam) - log_fact)
         worst_pmf = max(worst_pmf, float(np.abs(probs - pois).max()))
         worst_mean = max(worst_mean, abs(float(n @ probs) - lam))
     inputs = {"t_grid": [float(t) for t in t_grid]}

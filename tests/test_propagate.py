@@ -24,18 +24,23 @@ from truncert.propagate import (
     ChebyshevPropagator,
     DensePropagator,
     EvolveConfig,
+    WindowSweep,
     evolve,
     ground_state,
-    leakage_columns,
     leakage_norm,
     lowest_eigenpairs,
     masked_top_singular,
     op_norm,
     propagate_block,
+    sweep_window,
     window_sectors,
 )
 from truncert.trotter import empirical_trotter_error
-from truncert.verify import engine_slack, verify_state_truncation
+from truncert.verify import (
+    engine_slack,
+    verify_hamiltonian_truncation,
+    verify_state_truncation,
+)
 
 
 def _random_hermitian(dim, seed, density=0.2):
@@ -248,8 +253,9 @@ def test_propagator_checks_its_input():
     with pytest.raises(ValueError, match="tol"):
         prop.apply(np.ones(4, dtype=complex), 1.0, 0.0)
     basis = build_basis([boson(4)])  # dimension 5
+    window = ProjectorSpec(0, 0, 1)
     with pytest.raises(ValueError, match="basis dimension"):
-        leakage_columns(basis, prop, ProjectorSpec(0, 0, 1), 0.5)
+        leakage_norm(basis, prop, window, window, 0.5)
 
 
 def test_propagator_zero_width_interval():
@@ -284,33 +290,44 @@ def test_chebyshev_terms_zero_argument():
     assert propagate._chebyshev_terms(0.0, 1e-10) == 0
 
 
+def _window_columns(basis, h, window0, t):
+    """The window columns of exp(-i t h) on the whole space: one sector."""
+    (sector,) = window_sectors(window_mask(basis, window0))
+    prop = ChebyshevPropagator(h)
+    return sweep_window(sector, lambda e: prop.apply(e, t, 1e-10)), sector
+
+
 @pytest.mark.parametrize("entries", [1, 3 * 784, 1 << 15, 1 << 30])
 def test_leakage_columns_independent_of_block_split(entries, monkeypatch):
+    """The evolved window columns `sweep_window` returns do not depend on
+    how many columns each block call takes."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=6)  # dim 784, 144 window columns
     window0 = ProjectorSpec(ALL, 0, 2)
-    ref, idx = leakage_columns(model.basis, model.hamiltonian, window0, 0.7)
+    ref, sector = _window_columns(model.basis, model.hamiltonian, window0, 0.7)
     monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", entries)
-    got, idx2 = leakage_columns(model.basis, model.hamiltonian, window0, 0.7)
-    assert np.array_equal(idx, idx2)
+    got, sector2 = _window_columns(model.basis, model.hamiltonian, window0, 0.7)
+    assert np.array_equal(sector.window, sector2.window)
     # same polynomial on every column; only SIMD remainder loops may differ
     assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
 
 
 def test_wide_window_top_singular_within_engine_slack():
-    """144 window columns: the column SVD stays within engine_slack of the oracle."""
+    """144 window columns: the leakage norm stays within engine_slack of the
+    dense oracle's masked SVD."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=5)
     basis, h = model.basis, model.hamiltonian
     window0 = ProjectorSpec(ALL, 0, 2)
-    cols, idx = leakage_columns(basis, h, window0, 0.9)
+    idx = np.flatnonzero(window_mask(basis, window0))
     assert len(idx) >= 100
     eye = np.zeros((basis.dimension, len(idx)), dtype=complex)
     eye[idx, np.arange(len(idx))] = 1.0
     exact = _dense_columns(h, eye, 0.9)
     slack = engine_slack(EvolveConfig())
     for lam in (2, 3, 4):
-        keep = window_mask(basis, ProjectorSpec(ALL, 0, lam))
-        got = masked_top_singular(cols, keep)
+        window1 = ProjectorSpec(ALL, 0, lam)
+        got = leakage_norm(basis, h, window0, window1, 0.9)
         assert got > 1e-3
+        keep = window_mask(basis, window1)
         assert abs(got - masked_top_singular(exact, keep)) <= slack
 
 
@@ -383,8 +400,8 @@ def test_op_norm_nonsquare_rectangularish():
 def test_leakage_columns_window_indices():
     basis = build_basis([boson(6)])
     h = single_mode(1.0, 1.0, 6).hamiltonian
-    cols, idx = leakage_columns(basis, h, ProjectorSpec(0, 0, 2), 0.5)
-    assert list(idx) == [0, 1, 2]
+    cols, sector = _window_columns(basis, h, ProjectorSpec(0, 0, 2), 0.5)
+    assert list(sector.rows[sector.window]) == [0, 1, 2]
     assert cols.shape == (7, 3)
     assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-10)
 
@@ -455,11 +472,12 @@ def test_trotter_check_prepares_each_part_once(hermiticity_checks, monkeypatch):
     assert len(hermiticity_checks) == len(model.parts) + 1
 
 
-def test_leakage_columns_prepares_once(hermiticity_checks, monkeypatch):
-    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
-    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 4 * model.dimension)  # 16 blocks
-    leakage_columns(model.basis, model.hamiltonian, ProjectorSpec(ALL, 0, 1), 0.4)
-    assert len(hermiticity_checks) == 1
+def test_hamiltonian_truncation_prepares_each_operator_once(hermiticity_checks, monkeypatch):
+    """H and Pi H Pi are checked once per cutoff, however many sectors and blocks."""
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 4 * 576)  # 4 columns of dim 576
+    factory = lambda nm: hubbard_holstein_1d(2, g=0.5, n_max=nm)
+    verify_hamiltonian_truncation(factory, 5, 1, 3, 0.4, check_padding=True)
+    assert len(hermiticity_checks) == 2 * 2
 
 
 def test_state_truncation_prepares_once(hermiticity_checks):
@@ -484,9 +502,15 @@ def test_sectored_columns_match_unsectored(model, window0, t):
     basis, h, keys = model.basis, model.hamiltonian, model.sector_keys
     sectors = window_sectors(window_mask(basis, window0), keys)
     assert len(sectors) > 1
-    full, idx = leakage_columns(basis, h, window0, t)
-    split, idx2 = leakage_columns(basis, h, window0, t, sector_keys=keys)
-    assert np.array_equal(idx, idx2)
+    full, one_sector = _window_columns(basis, h, window0, t)
+    idx = one_sector.rows[one_sector.window]
+    # scatter each sector's columns, swept in its coordinates, into the full block
+    prop = ChebyshevPropagator(h)
+    split = np.zeros_like(full)
+    for s in sectors:
+        prop_s = prop.restrict(s.rows)
+        at = np.searchsorted(idx, s.rows[s.window])
+        split[np.ix_(s.rows, at)] = sweep_window(s, lambda e: prop_s.apply(e, t, 1e-10))
     slack = engine_slack(EvolveConfig())
     assert np.linalg.norm(split - full, 2) <= slack
     # each column stays inside the sector of its window state
@@ -513,6 +537,19 @@ def test_sectored_trotter_error_matches_one_sector(p):
         assert abs(a.error - b.error) <= engine_slack(EvolveConfig())
 
 
+def test_window_sweep_without_masks_propagates_nothing():
+    """No escape window below the cutoff: the state check sweeps no sector."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    window0 = ProjectorSpec(ALL, 0, 1)
+    sweep = WindowSweep(model.basis, window0, [model.hamiltonian], model.sector_keys)
+    assert len(sweep.sectors) == 9
+
+    def unreachable(ops, e):
+        raise AssertionError("a sector was swept")
+
+    assert sweep.top_singular(unreachable, []) == []
+
+
 def test_restrict_rejects_rows_coupled_to_the_rest():
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     prop = ChebyshevPropagator(model.hamiltonian)
@@ -534,7 +571,8 @@ def test_restrict_rejects_rows_coupled_to_the_rest():
 
 def test_sector_guard_bounds_the_largest_sector(monkeypatch):
     """A cap below the largest sector's window columns is a resource error
-    for every exact sweep: leakage norms, state truncation and Trotter."""
+    for every exact sweep: leakage norms, state truncation, Trotter and
+    Hamiltonian truncation."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     window0 = ProjectorSpec(ALL, 0, 1)
     sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
@@ -549,3 +587,6 @@ def test_sector_guard_bounds_the_largest_sector(monkeypatch):
         verify_state_truncation(model, 1, [0.4], deltas=(2,))
     with pytest.raises(ResourceLimitError, match="over the cap"):
         empirical_trotter_error(model, 2, [0.1], 1)
+    factory = lambda nm: hubbard_holstein_1d(2, g=0.5, n_max=nm)
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        verify_hamiltonian_truncation(factory, 5, 1, 3, 0.4)

@@ -1,15 +1,17 @@
 """Verification layer: report plumbing and the bound-vs-empirical suites."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from truncert import propagate, verify
+from truncert import propagate
+from truncert.bounds import compare_thresholds
 from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import dicke, hubbard_holstein_1d, single_mode
-from truncert.propagate import EvolveConfig, window_sectors
+from truncert.propagate import ChebyshevPropagator, EvolveConfig, window_sectors
 from truncert.verify import (
     coherent_oracle_check,
-    compare_thresholds,
     engine_slack,
     tail_decay_slope,
     tail_profile,
@@ -74,19 +76,28 @@ def test_state_truncation_measures_each_window_once(monkeypatch):
     """Per time, each sector is evolved once, and each distinct escape
     window (short- and long-time windows often coincide) is measured once
     on each sector."""
-    evolved, measured = [], []
-    real_evolve, real_measure = verify.evolve_window, verify.masked_top_singular
+    evolved, measured, applied = [], [], []
+    real_sweep, real_measure = propagate.sweep_window, propagate.masked_top_singular
+    real_apply = ChebyshevPropagator.apply
 
-    def counting_evolve(prop, sector, t, tol):
+    def spying_apply(prop, block, t, tol):
+        applied.append(t)
+        return real_apply(prop, block, t, tol)
+
+    def counting_sweep(sector, fn):
+        applied.clear()
+        cols = real_sweep(sector, fn)
+        (t,) = set(applied)  # one sweep evolves its sector at one time
         evolved.append(t)
-        return real_evolve(prop, sector, t, tol)
+        return cols
 
     def counting_measure(cols, keep):
         measured.append(cols.shape)
         return real_measure(cols, keep)
 
-    monkeypatch.setattr(verify, "evolve_window", counting_evolve)
-    monkeypatch.setattr(verify, "masked_top_singular", counting_measure)
+    monkeypatch.setattr(ChebyshevPropagator, "apply", spying_apply)
+    monkeypatch.setattr(propagate, "sweep_window", counting_sweep)
+    monkeypatch.setattr(propagate, "masked_top_singular", counting_measure)
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
     times = [0.2, 0.25]
     reports = verify_state_truncation(model, 0, times, deltas=(2, 3))
@@ -154,6 +165,22 @@ def test_hamiltonian_truncation_builds_each_cutoff_once(check_padding, builds):
     )
     assert cutoffs == [24, 48][:builds]
     assert rep.sound
+
+
+def test_sectored_hamiltonian_truncation_matches_one_sector():
+    """2-site HH (nine (N_up, N_dn) sectors): the per-sector difference sweep
+    equals the one-sector sweep and the value of the whole-space column
+    difference."""
+    factory = lambda nm: hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=nm)
+
+    def one_sector(nm):
+        model = factory(nm)
+        return dataclasses.replace(model, sector_keys=np.zeros(model.dimension, dtype=int))
+
+    many = verify_hamiltonian_truncation(factory, 6, 1, 4, 0.5)
+    single = verify_hamiltonian_truncation(one_sector, 6, 1, 4, 0.5)
+    assert abs(many.empirical - single.empirical) <= engine_slack(EvolveConfig())
+    assert many.empirical == pytest.approx(0.0023517361454766083, rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
