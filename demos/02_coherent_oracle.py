@@ -12,7 +12,7 @@ independently of everything else in the package.
 import numpy as np
 from scipy.stats import poisson
 
-from truncert import EvolveConfig, coherent_oracle_check, evolve, single_mode
+from truncert import coherent_oracle_check, evolve, single_mode
 
 # hand-rolled version first: build the driven mode with a cutoff far above
 # where the state lives, evolve the vacuum, and read off the distribution
@@ -23,7 +23,7 @@ model = single_mode(g_lin=1.0, omega0=0.0, n_max=n_max)
 
 psi0 = np.zeros(model.basis.dimension, dtype=complex)
 psi0[0] = 1.0
-psi = evolve(model.hamiltonian, psi0, T, EvolveConfig(tolerance=1e-12))
+psi = evolve(model.hamiltonian, psi0, T, 1e-12)
 
 pmf = np.abs(psi) ** 2
 mean = float(np.dot(np.arange(n_max + 1), pmf))

@@ -343,18 +343,6 @@ def _scan_table(table: list[tuple[int, float, int]], lam: int) -> tuple[float, i
     return best, best_delta
 
 
-def _leakage_min(
-    profile: WalkProfile, lambda0: int, lam: int, t: float, delta_max: int
-) -> tuple[float, int]:
-    """Best long-time bound over delta whose grown window fits inside lam.
-
-    Builds the delta table for (profile, lambda0, t, delta_max) and scans
-    it once at lam (see `_scan_table`).  Returns (bound, delta); (1.0, 0)
-    when no delta qualifies.
-    """
-    return _scan_table(_delta_table(profile, lambda0, t, delta_max), lam)
-
-
 def leakage_bound_at(
     profile: WalkProfile,
     lambda0: int,
@@ -376,7 +364,7 @@ def leakage_bound_at(
         raise ValueError("t must be >= 0")
     if t == 0:
         return 0.0
-    bound, _ = _leakage_min(profile, int(lambda0), int(lam), t, delta_max)
+    bound, _ = _scan_table(_delta_table(profile, int(lambda0), t, delta_max), int(lam))
     return bound
 
 

@@ -337,7 +337,7 @@ def _verify_times(args, fallback):
     return _time_grid(args)
 
 
-def _suite_ham(args, cfg):
+def _suite_ham(args):
     from .models import single_mode
     from .verify import verify_hamiltonian_truncation
 
@@ -353,14 +353,14 @@ def _suite_ham(args, cfg):
                 lambda0=args.lambda0,
                 lambda_tilde=lam,
                 t=args.t_single,
-                cfg=cfg,
                 check_padding=args.check_padding,
             )
         )
     return reports
 
 
-def _suite_trotter(args, cfg):
+def _suite_trotter(args):
+    from .propagate import TOL
     from .trotter import (
         ab_quantities,
         beta_comm,
@@ -376,24 +376,23 @@ def _suite_trotter(args, cfg):
     p = args.p if args.p else default_p
     lambda1 = safe_window(args.lambda0, p)
     budget = ab_quantities(summaries, lambda1, p, model.cutoff)
-    points = empirical_trotter_error(
-        model, p, args.taus, args.lambda0, budget=budget, cfg=cfg
-    )
-    slack = engine_slack(cfg)
+    points = empirical_trotter_error(model, p, args.taus, args.lambda0, budget=budget)
+    slack = engine_slack(TOL)
     columns = ["tau", "error", "bound", "sound"]
     rows = [[pt.tau, pt.error, pt.bound, pt.error <= pt.bound + slack] for pt in points]
-    meta = {
-        "p": p,
-        "beta": beta_comm(budget),
-        "slope": error_scaling_slope(points),
-    }
+    try:
+        slope = error_scaling_slope(points)
+    except ValueError:  # fewer than two points above the noise floor to fit
+        slope = float("nan")
+    meta = {"p": p, "beta": beta_comm(budget), "slope": slope}
     code = EXIT_OK if all(r[3] for r in rows) else EXIT_UNSOUND
     return columns, rows, meta, code
 
 
-def _suite_all(cfg):
+def _suite_all():
     """The fixed instances behind `verify all`, which takes no model flags."""
     from .models import hubbard_holstein_1d, single_mode
+    from .propagate import TOL
     from .verify import (
         coherent_oracle_check,
         verify_hamiltonian_truncation,
@@ -402,7 +401,7 @@ def _suite_all(cfg):
     )
 
     reports = verify_state_truncation(
-        single_mode(0.5, 1.0, 48), 0, [0.25], deltas=[2, 3, 4, 5], cfg=cfg
+        single_mode(0.5, 1.0, 48), 0, [0.25], deltas=[2, 3, 4, 5]
     )
     reports.append(
         verify_hamiltonian_truncation(
@@ -411,24 +410,22 @@ def _suite_all(cfg):
             lambda0=0,
             lambda_tilde=10,
             t=1.0,
-            cfg=cfg,
         )
     )
-    reports += verify_tail(hubbard_holstein_1d(2, n_max=12), [1e-2, 1e-4], cfg=cfg)
-    reports.append(coherent_oracle_check([0.5, 1.0, 2.0], cfg=cfg))
+    reports += verify_tail(hubbard_holstein_1d(2, n_max=12), [1e-2, 1e-4])
+    reports.append(coherent_oracle_check([0.5, 1.0, 2.0], tol=TOL))
     return reports
 
 
 def _cmd_verify(args):
-    from .propagate import EvolveConfig
+    from .propagate import TOL
     from .verify import coherent_oracle_check, verify_state_truncation, verify_tail
 
-    cfg = EvolveConfig()
     if args.suite == "trotter":
-        return _suite_trotter(args, cfg)
+        return _suite_trotter(args)
     if args.suite == "coherent":
         times = _verify_times(args, [0.5, 1.0, 2.0, 3.0])
-        reports = [coherent_oracle_check(times, cfg=cfg)]
+        reports = [coherent_oracle_check(times, tol=TOL)]
     elif args.suite == "state":
         reports = verify_state_truncation(
             _MODELS[args.model].build(args, args.n_max),
@@ -436,15 +433,14 @@ def _cmd_verify(args):
             _verify_times(args, [0.25]),
             mode=args.windows,
             deltas=args.deltas if args.deltas is not None else [2, 3, 4, 5],
-            cfg=cfg,
         )
     elif args.suite == "ham":
-        reports = _suite_ham(args, cfg)
+        reports = _suite_ham(args)
     elif args.suite == "tail":
         model = _MODELS[args.model].build(args, args.n_max)
-        reports = verify_tail(model, args.eps_list, cfg=cfg)
+        reports = verify_tail(model, args.eps_list)
     elif args.suite == "all":
-        reports = _suite_all(cfg)
+        reports = _suite_all()
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
     rows = [_report_row(rep) for rep in reports]

@@ -113,13 +113,13 @@ class CompositeBasis:
     the product of the dimensions of the modes after it.
     """
 
-    def __init__(self, modes: Sequence[ModeSpec], dim_cap: int = DIM_CAP):
+    def __init__(self, modes: Sequence[ModeSpec]):
         self.modes: tuple[ModeSpec, ...] = tuple(modes)
         dims = [m.dim for m in self.modes]
         dimension = math.prod(dims)
-        if dimension > dim_cap:
+        if dimension > DIM_CAP:
             raise ResourceLimitError(
-                f"composite dimension {dimension} exceeds cap {dim_cap}"
+                f"composite dimension {dimension} exceeds cap {DIM_CAP}"
             )
         self.dims = tuple(dims)
         self.dimension = dimension
@@ -168,8 +168,8 @@ class CompositeBasis:
         return f"CompositeBasis([{kinds}], dim={self.dimension})"
 
 
-def build_basis(specs: Sequence[ModeSpec], dim_cap: int = DIM_CAP) -> CompositeBasis:
-    return CompositeBasis(specs, dim_cap=dim_cap)
+def build_basis(specs: Sequence[ModeSpec]) -> CompositeBasis:
+    return CompositeBasis(specs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Concrete model Hamiltonians with named parts and walk profiles.
 
-Each builder returns a ModelInstance carrying the assembled sparse
-Hamiltonian, its named parts (the part sum reproduces the Hamiltonian
-exactly), the walk profile governing quantum-number growth, and the
-per-mode walk parts H_W used by the empirical soundness experiments.
+Each builder returns a ModelInstance carrying its named parts, the
+sparse Hamiltonian the instance assembles as their sum, the walk profile
+governing quantum-number growth, and the per-mode walk parts H_W used by
+the empirical soundness experiments.
 
 The instances are finite proxies of unbounded Hamiltonians: build them
 with cutoffs strictly above every window you intend to probe, and check
@@ -56,6 +56,9 @@ _HERM_TOL = 1e-12
 class ModelInstance:
     """An assembled model: basis, Hamiltonian, parts, profile, parameters.
 
+    hamiltonian is not passed in: building the instance sums parts in
+    their order into it, so the parts add up to it by construction.
+
     walk_parts maps each truncatable mode index to the walk Hamiltonian
     H_W for that mode (the coupling terms that move its quantum number);
     the rest of the Hamiltonian commutes with the mode's number operator.
@@ -76,25 +79,23 @@ class ModelInstance:
 
     label: str
     basis: CompositeBasis
-    hamiltonian: sp.csr_matrix
     parts: dict[str, sp.csr_matrix]
     profile: WalkProfile
     params: dict
     walk_parts: dict[int, sp.csr_matrix] = field(default_factory=dict)
     sector_keys: np.ndarray | None = None
+    hamiltonian: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        defect = hermiticity_defect(self.hamiltonian)
-        if defect > _HERM_TOL:
-            raise ValueError(f"hamiltonian not Hermitian (defect {defect:.3e})")
         total = None
         for part in self.parts.values():
             total = part if total is None else total + part
         if total is None:
             raise ValueError("a model needs at least one part")
-        diff = self.hamiltonian - total
-        if diff.nnz and np.abs(diff.data).max() != 0.0:
-            raise ValueError("parts do not sum to the hamiltonian")
+        self.hamiltonian = total.tocsr()
+        defect = hermiticity_defect(self.hamiltonian)
+        if defect > _HERM_TOL:
+            raise ValueError(f"hamiltonian not Hermitian (defect {defect:.3e})")
         if self.sector_keys is not None:
             self._check_sector_keys()
         self._comm_cache: dict[int, float] = {}
@@ -169,11 +170,9 @@ def single_mode(g_lin: float, omega0: float, n_max: int) -> ModelInstance:
     num = mode_operator(basis, 0, "number")
     drive = g_lin * (b + b.getH())
     osc = omega0 * num
-    h = (drive + osc).tocsr()
     return ModelInstance(
         label="single_mode",
         basis=basis,
-        hamiltonian=h,
         parts={"drive": drive.tocsr(), "oscillator": osc.tocsr()},
         profile=profile_single_mode(g_lin),
         params={"g_lin": g_lin, "omega0": omega0, "n_max": n_max},
@@ -244,14 +243,12 @@ def hubbard_holstein_1d(
         h_b = h_b + omega0 * mode_operator(basis, bmode(x), "number")
 
     parts = {"fermion": h_f.tocsr(), "coupling": h_fb.tocsr(), "boson": h_b.tocsr()}
-    h = (h_f + h_fb + h_b).tocsr()
     # hopping, Hubbard and phonon terms all conserve N_up and N_dn
     n_up = sum(basis.local_indices(up(x)) for x in range(n_sites))
     n_dn = sum(basis.local_indices(dn(x)) for x in range(n_sites))
     return ModelInstance(
         label="hubbard_holstein_1d",
         basis=basis,
-        hamiltonian=h,
         parts=parts,
         profile=profile_hubbard_holstein(abs(g)),
         params={
@@ -298,14 +295,12 @@ def dicke(
     cavity = (omega_c * num).tocsr()
     spins = (omega_z * sum_z).tocsr()
     coupling = ((g / math.sqrt(n_spins)) * (b + b.getH()) @ sum_x).tocsr()
-    h = (cavity + spins + coupling).tocsr()
     # (b + b^dag) sigma_x moves the photon number and one spin index by one
     # each, so the parity of their sum is conserved
     excitations = sum(basis.local_indices(j) for j in range(1 + n_spins))
     return ModelInstance(
         label="dicke",
         basis=basis,
-        hamiltonian=h,
         parts={"cavity": cavity, "spins": spins, "coupling": coupling},
         profile=profile_dicke(abs(g), n_spins),
         params={
@@ -368,7 +363,6 @@ def u1_lgt_1d(
         h_e = h_e + g_e * (e_x @ e_x)
 
     parts = {"mass": h_m.tocsr(), "hopping": h_gm.tocsr(), "electric": h_e.tocsr()}
-    h = (h_m + h_gm + h_e).tocsr()
     # Gauss-law charges G_x = E_x - E_{x-1} + n_x with the signed field
     # E = k (not the window quantum number |k|) and no field past the ends:
     # phi_x^dag U_x phi_{x+1} moves a fermion from x + 1 to x and lowers E_x
@@ -381,7 +375,6 @@ def u1_lgt_1d(
     return ModelInstance(
         label="u1_lgt_1d",
         basis=basis,
-        hamiltonian=h,
         parts=parts,
         profile=profile_u1(0.0, abs(g_gm)),
         params={

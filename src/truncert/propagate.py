@@ -8,10 +8,10 @@ does the per-operator setup (Hermiticity check, diagonal test, Gershgorin
 interval, scaled operator) once; its `apply` then serves every block and
 time, so callers that evolve one operator repeatedly prepare it once per
 command and pass it wherever a Hamiltonian is taken (`as_propagator`).
-`propagate_block` is the one-shot form; single vectors (`evolve`, the
-coherent oracle) take it on the full space.  Every exact check (state
-leakage, the Hamiltonian-truncation difference, the product-formula
-error) measures a top singular value of window columns (every basis
+`evolve` is the one-shot form, for a vector or a block.  Every
+propagation takes its tolerance as a plain float, `TOL` by default.
+Every exact check (state leakage, the Hamiltonian-truncation
+difference, the product-formula error) measures a top singular value of window columns (every basis
 state of an initial window), and every one goes through one reducer,
 `WindowSweep`.  Given one conserved integer key per basis state, it
 splits the window into `Sector`s (`window_sectors`, which also enforces
@@ -24,14 +24,14 @@ reduces them to one top singular value per escape mask
 value is the largest over the sectors.  No key is one sector, the whole
 space.  `DensePropagator` (one dense eigendecomposition) is the
 exact oracle the tests compare it against.
-The randomized engines (`lowest_eigenpairs`, `op_norm`) are seeded by
-default: same inputs, same outputs.  `scipy.linalg` and ARPACK are
+The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
+seeds: same inputs, same outputs.  `scipy.linalg` and ARPACK are
 imported inside `DensePropagator` and `lowest_eigenpairs`, their only
 users, so the sparse evolution paths never load them.
 
 Engine accuracy targets sit well below the bound tolerances probed by
-the verification experiments (default budget 1e-10 against bounds read
-at 1e-6 and coarser).
+the verification experiments (default budget `TOL` = 1e-10 against
+bounds read at 1e-6 and coarser).
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ from .fock_algebra import (
 )
 
 __all__ = [
-    "EvolveConfig",
+    "TOL",
     "COLUMN_CAP",
     "evolve",
     "ChebyshevPropagator",
     "as_propagator",
-    "propagate_block",
     "Sector",
     "window_sectors",
     "sweep_window",
@@ -80,14 +79,9 @@ _BLOCK_ENTRIES = 1 << 15
 
 _HERM_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class EvolveConfig:
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+#: Default propagation tolerance: the 2-norm error bound of one evolution
+#: relative to the norm of the evolved block.
+TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +250,13 @@ def as_propagator(h: Operator) -> ChebyshevPropagator:
     return h if isinstance(h, ChebyshevPropagator) else ChebyshevPropagator(h)
 
 
-def propagate_block(h: Operator, block: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """Apply exp(-i t h) to a block or vector: `ChebyshevPropagator.apply`.
+def evolve(h: Operator, psi0: np.ndarray, t: float, tol: float = TOL) -> np.ndarray:
+    """Apply exp(-i t h) to a vector or (dim, k) block psi0 to within tol * ||psi0||_2.
 
-    h is a Hermitian sparse matrix (prepared for this one call) or a
-    prepared `ChebyshevPropagator`.
+    The one-shot form of `ChebyshevPropagator.apply`: h is a Hermitian
+    sparse matrix (prepared for this one call) or a prepared propagator.
     """
-    return as_propagator(h).apply(block, t, tol)
-
-
-def evolve(
-    h: Operator, psi0: np.ndarray, t: float, cfg: EvolveConfig | None = None
-) -> np.ndarray:
-    """Apply exp(-i t h) to psi0 to within cfg.tolerance * ||psi0||_2."""
-    return propagate_block(h, psi0, t, (cfg or EvolveConfig()).tolerance)
+    return as_propagator(h).apply(psi0, t, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +329,7 @@ def sweep_window(sector: Sector, fn) -> np.ndarray:
 class DensePropagator:
     """Exact propagator from one dense eigendecomposition; reusable across t.
 
-    The test oracle for `propagate_block`.
+    The test oracle for `evolve` and `ChebyshevPropagator`.
     """
 
     def __init__(self, h: sp.spmatrix):
@@ -360,9 +347,12 @@ class DensePropagator:
 # ---------------------------------------------------------------------------
 
 def lowest_eigenpairs(
-    h: sp.spmatrix, k: int = 2, tol: float = 1e-9, seed: int = 1123
+    h: sp.spmatrix, k: int = 2, tol: float = 1e-9
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest eigenvalues and eigenvectors, residual-checked."""
+    """The k smallest eigenvalues and eigenvectors, residual-checked.
+
+    ARPACK's start vector is drawn from a fixed seed.
+    """
     h = sp.csr_matrix(h)
     dim = h.shape[0]
     if k < 1 or k > dim:
@@ -374,7 +364,7 @@ def lowest_eigenpairs(
         return w[:k], v[:, :k]
     from scipy.sparse.linalg import eigsh
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1123)
     v0 = rng.standard_normal(dim).astype(h.dtype)
     # ARPACK is dependable at the large-algebraic end, so shift with a
     # Gershgorin upper bound and look for the top of c*I - h instead of
@@ -403,26 +393,20 @@ def ground_state(h: sp.spmatrix, tol: float = 1e-9) -> tuple[float, np.ndarray]:
 # norms
 # ---------------------------------------------------------------------------
 
-def op_norm(
-    a: sp.spmatrix,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    seed: int = 7,
-    restarts: int = 3,
-) -> float:
+def op_norm(a: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500) -> float:
     """Largest singular value by power iteration on a^dagger a.
 
-    Randomized restarts are deterministically seeded; the returned value
-    is the best Rayleigh estimate across restarts.
+    Three randomized restarts from a fixed seed; the returned value is
+    the best Rayleigh estimate across them.
     """
     a = sp.csr_matrix(a)
     if a.nnz == 0:
         return 0.0
     ah = sp.csr_matrix(a.conj().T)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     n = a.shape[1]
     best = 0.0
-    for _ in range(restarts):
+    for _ in range(3):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         sigma = 0.0
@@ -508,7 +492,7 @@ def leakage_norm(
     window0: ProjectorSpec,
     window1: ProjectorSpec,
     t: float,
-    cfg: EvolveConfig | None = None,
+    tol: float = TOL,
     sector_keys: np.ndarray | None = None,
 ) -> float:
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
@@ -519,7 +503,6 @@ def leakage_norm(
     A sector whose columns exceed COLUMN_CAP entries raises
     ResourceLimitError.
     """
-    tol = (cfg or EvolveConfig()).tolerance
     sweep = WindowSweep(basis, window0, [h], sector_keys)
     (top,) = sweep.top_singular(
         lambda ops, e: ops[0].apply(e, t, tol), [window_mask(basis, window1)]

@@ -17,13 +17,13 @@ model cutoff must leave the same headroom above Lambda1' again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .fock_algebra import ALL, ProjectorSpec
 from .models import ModelInstance
-from .propagate import EvolveConfig, WindowSweep, as_propagator
+from .propagate import TOL, WindowSweep, as_propagator
 
 __all__ = [
     "CoefficientSummaries",
@@ -257,11 +257,11 @@ def per_step_error_bound(p: int, beta: float, tau: float) -> float:
 # product formulas and the empirical check
 # ---------------------------------------------------------------------------
 
-def apply_product_formula(parts, psi, tau, p, cfg=None):
+def apply_product_formula(parts, psi, tau, p, tol=TOL):
     """One product-formula step of order p applied to psi.
 
     psi is one vector or a (dim, k) block of columns; every exponential
-    is a `ChebyshevPropagator.apply` at cfg.tolerance, and the parts may
+    is a `ChebyshevPropagator.apply` at tolerance tol, and the parts may
     come prepared (`as_propagator`) so that repeated steps share their
     setup.  p = 1 is the Lie
     splitting, p = 2 the symmetric Strang splitting, and even p >= 4 the
@@ -269,8 +269,6 @@ def apply_product_formula(parts, psi, tau, p, cfg=None):
     each get a fifth of the tolerance: every order then composes at most
     as much propagation error as one p = 2 step.
     """
-    cfg = cfg or EvolveConfig()
-    tol = cfg.tolerance
     parts = [as_propagator(part) for part in parts]
     if p == 1:
         for part in parts:
@@ -285,7 +283,7 @@ def apply_product_formula(parts, psi, tau, p, cfg=None):
         return psi
     if p >= 4 and p % 2 == 0:
         u = 1.0 / (4.0 - 4.0 ** (1.0 / (p - 1)))
-        sub = replace(cfg, tolerance=tol / 5.0)
+        sub = tol / 5.0
         for _ in range(2):
             psi = apply_product_formula(parts, psi, u * tau, p - 2, sub)
         psi = apply_product_formula(parts, psi, (1.0 - 4.0 * u) * tau, p - 2, sub)
@@ -301,7 +299,7 @@ def empirical_trotter_error(
     tau_grid,
     lambda0_prime: int,
     budget: CommutatorBudget | None = None,
-    cfg: EvolveConfig | None = None,
+    tol: float = TOL,
 ) -> list[TrotterPoint]:
     """Measured splitting error per step size against the budget bound.
 
@@ -318,7 +316,6 @@ def empirical_trotter_error(
     step size's bound is computed first, so an order p that the certified
     constants do not cover raises ValueError before any propagation.
     """
-    cfg = cfg or EvolveConfig()
     taus = list(tau_grid)
     if budget is None:
         bounds = [float("nan")] * len(taus)
@@ -333,8 +330,8 @@ def empirical_trotter_error(
     for tau, bound in zip(taus, bounds):
 
         def split_error(ops_s, e):
-            split = apply_product_formula(ops_s[:-1], e, tau, p, cfg)
-            split -= ops_s[-1].apply(e, tau, cfg.tolerance)
+            split = apply_product_formula(ops_s[:-1], e, tau, p, tol)
+            split -= ops_s[-1].apply(e, tau, tol)
             return split
 
         (error,) = sweep.top_singular(split_error, [keep_none])

@@ -40,7 +40,6 @@ from .bounds import (
     HamTruncationQuery,
     TailQuery,
     TruncationQuery,
-    compare_thresholds,  # noqa: F401  (lives in bounds; test_acceptance imports it from here)
     hamiltonian_truncation_bound,
     long_time_bound,
     short_time_bound,
@@ -49,7 +48,7 @@ from .bounds import (
 )
 from .fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from .models import ModelInstance, single_mode
-from .propagate import EvolveConfig, WindowSweep, evolve, lowest_eigenpairs
+from .propagate import TOL, WindowSweep, evolve, lowest_eigenpairs
 
 __all__ = [
     "ExperimentReport",
@@ -75,35 +74,37 @@ class ExperimentReport:
     notes: str = ""
 
 
-def engine_slack(cfg: EvolveConfig) -> float:
-    """Allowance for propagation error in every soundness comparison.
+def engine_slack(tol: float) -> float:
+    """Allowance for propagation error in every soundness comparison at tolerance tol.
 
-    The block engine bounds its truncation error by cfg.tolerance in the
-    2-norm of the whole window block, so by Weyl's inequality the top
-    singular value of a masked column block moves by at most
-    cfg.tolerance, whatever the number of window columns.  The Trotter
-    check composes at most five such errors on the single-mode and
-    Hubbard-Holstein suites (the non-diagonal substeps of one Strang step
-    plus the exact step; diagonal parts are exact, and higher orders split
-    the tolerance over their recursive steps), so ten times the tolerance
-    covers every check.  Split into symmetry sectors, the same holds
+    The block engine bounds its truncation error by tol in the 2-norm of
+    the whole window block, so by Weyl's inequality the top singular
+    value of a masked column block moves by at most tol, whatever the
+    number of window columns.  The Trotter check composes at most five
+    such errors on the single-mode and Hubbard-Holstein suites (the
+    non-diagonal substeps of one Strang step plus the exact step;
+    diagonal parts are exact, and higher orders split the tolerance over
+    their recursive steps), so ten times the tolerance covers every
+    check.  Split into symmetry sectors, the same holds
     sector by sector: each sector's Gershgorin interval lies inside the
     full one, its block's error is at most the same multiple of
-    cfg.tolerance * ||block_s||, and the block-diagonal whole, whose top
-    singular value is the largest over sectors, errs by at most the
-    largest of those.  Floating-point roundoff of the Chebyshev
-    recurrence is not part of that bound.
+    tol * ||block_s||, and the block-diagonal whole, whose top singular
+    value is the largest over sectors, errs by at most the largest of
+    those.  Floating-point roundoff of the Chebyshev recurrence is not
+    part of that bound.  Raises ValueError unless tol > 0.
     """
-    return 10.0 * cfg.tolerance
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    return 10.0 * tol
 
 
-def _report(experiment, inputs, empirical, analytic, cfg, t0, notes=""):
+def _report(experiment, inputs, empirical, analytic, tol, t0, notes=""):
     return ExperimentReport(
         experiment=experiment,
         inputs=dict(inputs),
         empirical=float(empirical),
         analytic=float(analytic),
-        sound=bool(empirical <= analytic + engine_slack(cfg)),
+        sound=bool(empirical <= analytic + engine_slack(tol)),
         margin=float(analytic - empirical),
         runtime_s=time.perf_counter() - t0,
         notes=notes,
@@ -120,7 +121,7 @@ def verify_state_truncation(
     times: Sequence[float],
     mode: str = "per_mode",
     deltas: Sequence[int] = (2, 3, 4, 5),
-    cfg: EvolveConfig | None = None,
+    tol: float = TOL,
 ) -> list[ExperimentReport]:
     """Leakage norms against the short- and long-time bounds.
 
@@ -136,7 +137,6 @@ def verify_state_truncation(
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
-    cfg = cfg or EvolveConfig()
     basis = model.basis
     trunc = basis.truncatable_modes
     union = math.sqrt(len(trunc)) if trunc else 1.0
@@ -165,7 +165,7 @@ def verify_state_truncation(
             for nu in nus
         }
         tops = sweep.top_singular(
-            lambda ops, e: ops[0].apply(e, t, cfg.tolerance), list(keeps.values())
+            lambda ops, e: ops[0].apply(e, t, tol), list(keeps.values())
         )
         empirical = dict(zip(keeps, tops))
 
@@ -184,7 +184,7 @@ def verify_state_truncation(
                 }
                 analytic = min(1.0, union * bound) if nu is None else bound
                 leak = empirical.get((lam, nu), 0.0)
-                reports.append(_report(kind, inputs, leak, analytic, cfg, t0, notes))
+                reports.append(_report(kind, inputs, leak, analytic, tol, t0, notes))
     return reports
 
 
@@ -198,7 +198,7 @@ def verify_hamiltonian_truncation(
     lambda0: int,
     lambda_tilde: int,
     t: float,
-    cfg: EvolveConfig | None = None,
+    tol: float = TOL,
     check_padding: bool = False,
 ) -> ExperimentReport:
     """Evolution difference under Hamiltonian truncation versus its bound.
@@ -208,7 +208,6 @@ def verify_hamiltonian_truncation(
     evolutions subtract directly, one sector's window columns at a time.  With check_padding the empirical value
     is recomputed at double the cutoff and the shift goes in the notes.
     """
-    cfg = cfg or EvolveConfig()
     t0 = time.perf_counter()
 
     def empirical_at(model: ModelInstance) -> float:
@@ -224,7 +223,7 @@ def verify_hamiltonian_truncation(
         sweep = WindowSweep(basis, window0, [model.hamiltonian, h_trunc], model.sector_keys)
 
         def difference(ops, e):
-            return ops[0].apply(e, t, cfg.tolerance) - ops[1].apply(e, t, cfg.tolerance)
+            return ops[0].apply(e, t, tol) - ops[1].apply(e, t, tol)
 
         keep_none = np.zeros(basis.dimension, dtype=bool)
         return sweep.top_singular(difference, [keep_none])[0]
@@ -250,7 +249,7 @@ def verify_hamiltonian_truncation(
         "lambda_tilde": int(lambda_tilde),
         "t": float(t),
     }
-    return _report("hamiltonian_truncation", inputs, empirical, analytic, cfg, t0, notes)
+    return _report("hamiltonian_truncation", inputs, empirical, analytic, tol, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def _ground_state_checked(model: ModelInstance):
 def verify_tail(
     model: ModelInstance,
     epsilons: Sequence[float],
-    cfg: EvolveConfig | None = None,
+    tol: float = TOL,
 ) -> list[ExperimentReport]:
     """Ground-state quantum-number tails at the certified windows.
 
@@ -279,7 +278,6 @@ def verify_tail(
     (the largest per-mode mean), and for each epsilon the tail weight
     outside the tail_threshold window, which must come in below epsilon.
     """
-    cfg = cfg or EvolveConfig()
     psi, gap = _ground_state_checked(model)
     basis = model.basis
     trunc = basis.truncatable_modes
@@ -304,7 +302,7 @@ def verify_tail(
             "epsilon": float(eps),
             "window": int(rep.lambda_),
         }
-        reports.append(_report("tail", inputs, empirical, float(eps), cfg, t0, notes))
+        reports.append(_report("tail", inputs, empirical, float(eps), tol, t0, notes))
     return reports
 
 
@@ -334,7 +332,7 @@ def tail_decay_slope(profile_points: Sequence[tuple[int, float]], floor: float =
 
 def coherent_oracle_check(
     t_grid: Sequence[float] = (0.5, 1.0, 2.0, 3.0),
-    cfg: EvolveConfig | None = None,
+    tol: float = 1e-12,
 ) -> ExperimentReport:
     """Occupation statistics of the driven vacuum against the closed form.
 
@@ -342,9 +340,9 @@ def coherent_oracle_check(
     probabilities Poisson(T^2).  The report's empirical value is the
     worst pointwise pmf deviation over the grid (target 1e-8); the worst
     mean deviation from T^2 (target 1e-6) rides in the notes and both
-    must hold for the report to be sound.
+    must hold for the report to be sound.  Its default tolerance is
+    tighter than `TOL`, the one every other check defaults to.
     """
-    cfg = cfg or EvolveConfig(tolerance=1e-12)
     t0 = time.perf_counter()
     worst_pmf = 0.0
     worst_mean = 0.0
@@ -353,7 +351,7 @@ def coherent_oracle_check(
         model = single_mode(1.0, 0.0, n_max)
         psi0 = np.zeros(model.dimension, dtype=complex)
         psi0[0] = 1.0
-        psi = evolve(model.hamiltonian, psi0, float(t), cfg)
+        psi = evolve(model.hamiltonian, psi0, float(t), tol)
         probs = np.abs(psi) ** 2
         n = np.arange(model.dimension)
         lam = float(t) * float(t)
@@ -367,7 +365,7 @@ def coherent_oracle_check(
         worst_mean = max(worst_mean, abs(float(n @ probs) - lam))
     inputs = {"t_grid": [float(t) for t in t_grid]}
     notes = f"worst mean deviation {worst_mean:.3e} (target 1e-6)"
-    rep = _report("coherent_oracle", inputs, worst_pmf, 1e-8, cfg, t0, notes)
+    rep = _report("coherent_oracle", inputs, worst_pmf, 1e-8, tol, t0, notes)
     if worst_mean > 1e-6:
         rep = replace(rep, sound=False)
     return rep

@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import poisson
 
 from truncert.bounds import (
+    compare_thresholds,
     energy_threshold_single_mode,
     long_time_bound,
     short_time_bound,
@@ -21,7 +22,6 @@ from truncert.fock_algebra import ProjectorSpec
 from truncert.models import hubbard_holstein_1d, single_mode
 from truncert.propagate import (
     DensePropagator,
-    EvolveConfig,
     evolve,
     ground_state,
     leakage_norm,
@@ -36,7 +36,6 @@ from truncert.trotter import (
 )
 from truncert.verify import (
     coherent_oracle_check,
-    compare_thresholds,
     tail_decay_slope,
     tail_profile,
     verify_hamiltonian_truncation,
@@ -68,7 +67,7 @@ def test_criterion_02_coherent_state_oracle():
         model = single_mode(1.0, 0.0, n_max)
         psi = np.zeros(model.dimension, dtype=complex)
         psi[0] = 1.0
-        out = evolve(model.hamiltonian, psi, t, EvolveConfig(tolerance=1e-12))
+        out = evolve(model.hamiltonian, psi, t, tol=1e-12)
         pmf = np.abs(out) ** 2
         n = np.arange(model.dimension)
         worst_mean = max(worst_mean, abs(float(pmf @ n) - t * t))

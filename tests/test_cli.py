@@ -345,6 +345,20 @@ def test_trotter_order_without_constants_exits_one_before_propagating(
     assert calls == []
 
 
+def test_one_step_trotter_reports_nan_slope(capsys):
+    """One step size leaves no slope to fit: the table still prints, slope is nan."""
+    code, out = _run(
+        ["verify", "trotter", "--model", "single", "--n-max", "30", "--lambda0", "1",
+         "--taus", "0.1", "--format", "json"],
+        capsys,
+    )
+    payload = json.loads(out)
+    assert code == 0
+    sound = payload["columns"].index("sound")
+    assert [row[sound] for row in payload["rows"]] == ["true"]
+    assert payload["config"]["slope"] == "nan"
+
+
 def test_threshold_ham_start_above_cap_exits_two(capsys):
     """lambda0 + 2 = 3 exceeds the cap cutoff - 2 = 2: a guard error, not a usage one."""
     code = cli.main(
@@ -390,8 +404,8 @@ def test_unsound_report_exits_three(capsys, monkeypatch):
 
     real = verify.coherent_oracle_check
 
-    def rigged(t_grid, cfg=None):
-        return replace(real(t_grid, cfg=cfg), sound=False)
+    def rigged(t_grid, tol=1e-12):
+        return replace(real(t_grid, tol=tol), sound=False)
 
     monkeypatch.setattr(verify, "coherent_oracle_check", rigged)
     code, _ = _run(["verify", "coherent", "--t", "0.5"], capsys)

@@ -339,7 +339,6 @@ def test_wrong_sector_keys_are_rejected():
     with pytest.raises(ValueError, match="push couples states"):
         dataclasses.replace(
             drive,
-            hamiltonian=number,
             parts={"push": x, "rest": (number - x).tocsr()},
             sector_keys=np.arange(drive.dimension),
         )

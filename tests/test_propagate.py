@@ -21,9 +21,9 @@ from truncert.fock_algebra import (
 )
 from truncert.models import dicke, hubbard_holstein_1d, single_mode, u1_lgt_1d
 from truncert.propagate import (
+    TOL,
     ChebyshevPropagator,
     DensePropagator,
-    EvolveConfig,
     WindowSweep,
     evolve,
     ground_state,
@@ -31,7 +31,6 @@ from truncert.propagate import (
     lowest_eigenpairs,
     masked_top_singular,
     op_norm,
-    propagate_block,
     sweep_window,
     window_sectors,
 )
@@ -40,6 +39,7 @@ from truncert.verify import (
     engine_slack,
     verify_hamiltonian_truncation,
     verify_state_truncation,
+    verify_tail,
 )
 
 
@@ -145,17 +145,23 @@ def test_evolve_coarse_tolerance_still_bounded():
     h = _random_hermitian(64, 15)
     psi = _random_state(64, 16)
     exact = DensePropagator(h).apply(psi, 2.0)
-    got = evolve(h, psi, 2.0, EvolveConfig(tolerance=1e-6))
+    got = evolve(h, psi, 2.0, 1e-6)
     assert np.linalg.norm(got - exact) < 1e-5
 
 
 def test_evolve_config_validation():
+    """tol must be > 0 in the slack, the one-shot evolve and a check that
+    propagates nothing (every tail report still applies the slack)."""
     with pytest.raises(ValueError):
-        EvolveConfig(tolerance=0.0)
+        engine_slack(0.0)
+    with pytest.raises(ValueError):
+        evolve(_random_hermitian(8, 0), _random_state(8, 1), 1.0, tol=0.0)
+    with pytest.raises(ValueError):
+        verify_tail(single_mode(0.5, 1.0, 12), [1e-2], tol=0.0)
 
 
 # ---------------------------------------------------------------------------
-# propagate_block
+# evolve on blocks
 # ---------------------------------------------------------------------------
 
 def _random_block(dim, k, seed):
@@ -173,14 +179,14 @@ def _dense_columns(h, block, t):
 def test_propagate_block_matches_dense_oracle(dim, seed, t):
     h = _random_hermitian(dim, seed)
     block = _random_block(dim, 7, seed + 100)
-    got = propagate_block(h, block, t, 1e-10)
+    got = evolve(h, block, t, 1e-10)
     assert np.linalg.norm(got - _dense_columns(h, block, t), 2) < 1e-9
 
 
 def test_propagate_block_vector_matches_dense_oracle():
     h = _random_hermitian(90, 3)
     psi = _random_state(90, 4)
-    got = propagate_block(h, psi, 0.8, 1e-10)
+    got = evolve(h, psi, 0.8, 1e-10)
     assert got.shape == (90,)
     assert np.linalg.norm(got - DensePropagator(h).apply(psi, 0.8)) < 1e-9
 
@@ -188,38 +194,39 @@ def test_propagate_block_vector_matches_dense_oracle():
 def test_propagate_block_diagonal_phases():
     d = np.array([0.0, 1.0, 2.5, -3.0])
     block = _random_block(4, 3, 5)
-    got = propagate_block(sp.diags(d).tocsr(), block, -0.7, 1e-10)
+    got = evolve(sp.diags(d).tocsr(), block, -0.7, 1e-10)
     assert np.allclose(got, np.exp(0.7j * d)[:, None] * block, atol=1e-14)
 
 
 def test_propagate_block_empty_and_zero_time():
     h = _random_hermitian(32, 6)
-    empty = propagate_block(h, np.zeros((32, 0), dtype=complex), 1.0, 1e-10)
+    empty = evolve(h, np.zeros((32, 0), dtype=complex), 1.0, 1e-10)
     assert empty.shape == (32, 0)
     block = _random_block(32, 2, 7)
-    assert np.array_equal(propagate_block(h, block, 0.0, 1e-10), block)
+    assert np.array_equal(evolve(h, block, 0.0, 1e-10), block)
 
 
 def test_propagate_block_rejects_bad_input():
     h = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
-        propagate_block(h, np.eye(2, dtype=complex), 1.0, 1e-10)
+        evolve(h, np.eye(2, dtype=complex), 1.0, 1e-10)
     with pytest.raises(ValueError):
-        propagate_block(_random_hermitian(4, 8), np.ones(5, dtype=complex), 1.0, 1e-10)
+        evolve(_random_hermitian(4, 8), np.ones(5, dtype=complex), 1.0, 1e-10)
     with pytest.raises(ValueError):
-        propagate_block(_random_hermitian(4, 8), np.ones(4, dtype=complex), 1.0, 0.0)
+        evolve(_random_hermitian(4, 8), np.ones(4, dtype=complex), 1.0, 0.0)
 
 
 def test_propagate_block_matches_evolve_above_dense_size():
-    """Each column matches the single-vector ``evolve`` and an independent
-    reference, scipy's scaling-and-squaring Taylor action (``expm_multiply``)."""
+    """Each column of a block evolve matches the single-vector ``evolve`` and an
+    independent reference, scipy's scaling-and-squaring Taylor action
+    (``expm_multiply``)."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
     dim = model.dimension
     assert dim > 1200
     block = np.zeros((dim, 4), dtype=complex)
     for j, i in enumerate((0, 17, 400, dim - 1)):
         block[i, j] = 1.0
-    got = propagate_block(model.hamiltonian, block, 0.6, 1e-10)
+    got = evolve(model.hamiltonian, block, 0.6, 1e-10)
     ref = expm_multiply(-0.6j * model.hamiltonian.tocsc(), block)
     for j in range(4):
         assert np.linalg.norm(got[:, j] - ref[:, j]) < 1e-9
@@ -233,8 +240,8 @@ def test_prepared_propagator_matches_one_shot():
         for seed, t in ((10, 0.7), (11, -3.2), (12, 15.0), (13, 0.0)):
             block = _random_block(80, 5, seed)
             for tol in (1e-6, 1e-12):
-                assert np.array_equal(prop.apply(block, t, tol), propagate_block(h, block, t, tol))
-                assert np.array_equal(propagate_block(prop, block, t, tol), prop.apply(block, t, tol))
+                assert np.array_equal(prop.apply(block, t, tol), evolve(h, block, t, tol))
+                assert np.array_equal(evolve(prop, block, t, tol), prop.apply(block, t, tol))
             psi = block[:, 0]
             assert np.array_equal(prop.apply(psi, t, 1e-10), evolve(h, psi, t))
 
@@ -322,7 +329,7 @@ def test_wide_window_top_singular_within_engine_slack():
     eye = np.zeros((basis.dimension, len(idx)), dtype=complex)
     eye[idx, np.arange(len(idx))] = 1.0
     exact = _dense_columns(h, eye, 0.9)
-    slack = engine_slack(EvolveConfig())
+    slack = engine_slack(TOL)
     for lam in (2, 3, 4):
         window1 = ProjectorSpec(ALL, 0, lam)
         got = leakage_norm(basis, h, window0, window1, 0.9)
@@ -511,7 +518,7 @@ def test_sectored_columns_match_unsectored(model, window0, t):
         prop_s = prop.restrict(s.rows)
         at = np.searchsorted(idx, s.rows[s.window])
         split[np.ix_(s.rows, at)] = sweep_window(s, lambda e: prop_s.apply(e, t, 1e-10))
-    slack = engine_slack(EvolveConfig())
+    slack = engine_slack(TOL)
     assert np.linalg.norm(split - full, 2) <= slack
     # each column stays inside the sector of its window state
     assert np.all(split[keys[:, None] != keys[idx][None, :]] == 0.0)
@@ -534,7 +541,7 @@ def test_sectored_trotter_error_matches_one_sector(p):
     single = empirical_trotter_error(one, p, taus, 1)
     for a, b in zip(many, single):
         assert a.error > 1e-9
-        assert abs(a.error - b.error) <= engine_slack(EvolveConfig())
+        assert abs(a.error - b.error) <= engine_slack(TOL)
 
 
 def test_window_sweep_without_masks_propagates_nothing():

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import hubbard_holstein_1d, single_mode
-from truncert.propagate import ChebyshevPropagator, DensePropagator, EvolveConfig
+from truncert.propagate import ChebyshevPropagator, DensePropagator
 from truncert.trotter import (
     CoefficientSummaries,
     CommutatorBudget,

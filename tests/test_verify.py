@@ -9,7 +9,7 @@ from truncert import propagate
 from truncert.bounds import compare_thresholds
 from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import dicke, hubbard_holstein_1d, single_mode
-from truncert.propagate import ChebyshevPropagator, EvolveConfig, window_sectors
+from truncert.propagate import TOL, ChebyshevPropagator, window_sectors
 from truncert.verify import (
     coherent_oracle_check,
     engine_slack,
@@ -22,8 +22,8 @@ from truncert.verify import (
 
 
 def test_engine_slack_scales_with_tolerance():
-    assert engine_slack(EvolveConfig(tolerance=1e-10)) == pytest.approx(1e-9)
-    assert engine_slack(EvolveConfig(tolerance=1e-6)) == pytest.approx(1e-5)
+    assert engine_slack(1e-10) == pytest.approx(1e-9)
+    assert engine_slack(1e-6) == pytest.approx(1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_sectored_hamiltonian_truncation_matches_one_sector():
 
     many = verify_hamiltonian_truncation(factory, 6, 1, 4, 0.5)
     single = verify_hamiltonian_truncation(one_sector, 6, 1, 4, 0.5)
-    assert abs(many.empirical - single.empirical) <= engine_slack(EvolveConfig())
+    assert abs(many.empirical - single.empirical) <= engine_slack(TOL)
     assert many.empirical == pytest.approx(0.0023517361454766083, rel=0.0, abs=1e-12)
 
 
