@@ -70,11 +70,13 @@ class ModelInstance:
     block-diagonal in the sectors (the states sharing a key).  The window
     projectors are diagonal too, so every window-column quantity the
     empirical checks measure is block-diagonal, and its top singular value
-    is exactly the largest over sectors.  The checks evolve each sector's
-    window columns under the principal submatrix of that sector, whose
-    Gershgorin interval lies inside the full one, so the engine's error
-    bound holds sector by sector with the same tolerance.  None means one
-    sector: the whole space.
+    is exactly the largest over sectors.  The checks evolve the window
+    columns of sectors with equal window counts together, as one stack,
+    under the principal submatrix of the union of those sectors: it is
+    block-diagonal over them, and its Gershgorin interval is the hull of
+    theirs and lies inside the full one, so the engine's error bound holds
+    sector by sector with the same tolerance.  None means one sector: the
+    whole space.
     """
 
     label: str

@@ -8,22 +8,32 @@ does the per-operator setup (Hermiticity check, diagonal test, Gershgorin
 interval, scaled operator) once; its `apply` then serves every block and
 time, so callers that evolve one operator repeatedly prepare it once per
 command and pass it wherever a Hamiltonian is taken (`as_propagator`).
-`evolve` is the one-shot form, for a vector or a block.  Every
-propagation takes its tolerance as a plain float, `TOL` by default.
+`evolve` is the one-shot form, for a vector or a block.  The vectors
+T_k(h_s) block of the recurrence do not depend on t, so `apply_times`
+runs one recurrence, to the largest term count, for every time of a
+check; `apply` is its one-time case.  Every propagation takes its
+tolerance as a plain float, `TOL` by default.
 Every exact check (state leakage, the Hamiltonian-truncation
-difference, the product-formula error) measures a top singular value of window columns (every basis
-state of an initial window), and every one goes through one reducer,
-`WindowSweep`.  Given one conserved integer key per basis state, it
-splits the window into `Sector`s (`window_sectors`, which also enforces
-`COLUMN_CAP` on the largest sector), prepares each operator once and
-restricts it to each sector once (`ChebyshevPropagator.restrict`).  Its
-`top_singular` then sweeps one sector's columns at a time in that
-sector's coordinates, a bounded block at a time (`sweep_window`),
-reduces them to one top singular value per escape mask
-(`masked_top_singular`) and frees them before the next sector; each
-value is the largest over the sectors.  No key is one sector, the whole
-space.  `DensePropagator` (one dense eigendecomposition) is the
-exact oracle the tests compare it against.
+difference, the product-formula error) measures a top singular value of
+window columns (every basis state of an initial window), and every one
+goes through one reducer, `WindowSweep`.  Given one conserved integer key
+per basis state, it splits the window into `Sector`s (`window_sectors`,
+which also enforces `COLUMN_CAP` on the largest sector), groups sectors
+with equal window counts into `Stack`s that fit one sweep block
+(`stack_sectors`), prepares each operator once and restricts it to each
+stack once (`ChebyshevPropagator.restrict`; a union of conserved sectors
+is closed under every operator).  Column j of a stack's identity block
+holds window state j of every member, and the stack's operator is
+block-diagonal over its members, so one block call evolves every
+member's columns.  Its `top_singular` then sweeps one stack's columns at
+a time, for every time or step size of the check at once (in batches
+that keep the outputs held within `COLUMN_CAP`), a bounded block at a
+time (`sweep_window`), cuts each member sector back out, reduces it to
+one top singular value per escape mask (`masked_top_singular`) and frees
+the stack before the next one; each value is the largest over the
+sectors.  No key is one sector, the whole space.  `DensePropagator` (one
+dense eigendecomposition) is the exact oracle the tests compare it
+against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
 seeds: same inputs, same outputs.  `scipy.linalg` and ARPACK are
 imported inside `DensePropagator` and `lowest_eigenpairs`, their only
@@ -59,6 +69,8 @@ __all__ = [
     "as_propagator",
     "Sector",
     "window_sectors",
+    "Stack",
+    "stack_sectors",
     "sweep_window",
     "DensePropagator",
     "lowest_eigenpairs",
@@ -175,19 +187,20 @@ class ChebyshevPropagator:
                 self._two_hs = (h - eye * self._centre) * (2.0 / self._half)
 
     def restrict(self, rows: np.ndarray) -> ChebyshevPropagator:
-        """The propagator of h on the states rows (ascending, distinct).
+        """The propagator of h on the states rows (distinct, in any order).
 
         rows must be closed under h: no nonzero entry of h couples them to
         the other states (ValueError otherwise).  Then exp(-i t h) maps
         blocks supported on rows into blocks supported on rows, and the
         returned propagator, built on the principal submatrix h[rows, rows]
-        and applied in rows' coordinates, evolves them with the same error
-        bound.  That submatrix is Hermitian because h is, so the check is
-        not repeated, and its Gershgorin interval lies inside h's (each row
-        keeps its diagonal entry and its off-diagonal weight), so it takes
-        at most as many terms.  All of rows returns self.
+        and applied in rows' coordinates (row i stands for state rows[i]),
+        evolves them with the same error bound.  That submatrix is
+        Hermitian because h is, so the check is not repeated, and its
+        Gershgorin interval lies inside h's (each row keeps its diagonal
+        entry and its off-diagonal weight), so it takes at most as many
+        terms.  rows equal to every state in order returns self.
         """
-        if len(rows) == self.shape[0]:
+        if len(rows) == self.shape[0] and np.array_equal(rows, np.arange(len(rows))):
             return self
         sub = self._h[rows]
         inside = np.zeros(self.shape[0], dtype=bool)
@@ -201,6 +214,13 @@ class ChebyshevPropagator:
     def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:
         """Apply exp(-i t h) to a (dim, k) block of columns or to a 1-D vector.
 
+        The one-time case of `apply_times`, with the same arithmetic.
+        """
+        return self.apply_times(block, [t], tol)[0]
+
+    def apply_times(self, block: np.ndarray, times, tol: float) -> np.ndarray:
+        """exp(-i t h) block for every t in times, stacked along a new first axis.
+
         Chebyshev expansion on the Gershgorin interval (Tal-Ezer &
         Kosloff 1984):
 
@@ -210,34 +230,46 @@ class ChebyshevPropagator:
         Every ||T_k|| <= 1 on that interval, so ||error||_2 <= tol *
         ||block||_2 for the whole block.  The term count depends only on
         (h, t, tol), so any split of the columns into blocks gets the same
-        polynomial.
+        polynomial.  The vectors T_k block do not depend on t, so one
+        recurrence, run to the largest term count, serves every time:
+        each time accumulates its own coefficients, in the order a
+        single-time call would, so entry i equals apply(block, times[i],
+        tol) exactly.  Returns a (len(times),) + block.shape array.
         """
         block = np.asarray(block, dtype=complex)
         if block.ndim not in (1, 2) or block.shape[0] != self.shape[0]:
             raise ValueError("dimension mismatch")
         if tol <= 0:
             raise ValueError("tol must be > 0")
-        if t == 0 or block.size == 0:
-            return block.copy()
-        if self._diag is not None:
-            phase = np.exp(-1j * t * self._diag)
-            return (phase if block.ndim == 1 else phase[:, None]) * block
-
-        bessel = _chebyshev_bessel(self._half * t, tol)
-        k = np.arange(len(bessel))
-        coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
-        coeffs[0] /= 2.0
-        out = coeffs[0] * block
-        if len(coeffs) > 1:
+        out = np.empty((len(times),) + block.shape, dtype=complex)
+        series = []  # (output, t, coefficients) of the times the recurrence serves
+        for o, t in zip(out, times):
+            if t == 0 or block.size == 0:
+                o[...] = block
+            elif self._diag is not None:
+                phase = np.exp(-1j * t * self._diag)
+                np.multiply(phase if block.ndim == 1 else phase[:, None], block, out=o)
+            else:
+                bessel = _chebyshev_bessel(self._half * t, tol)
+                k = np.arange(len(bessel))
+                coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
+                coeffs[0] /= 2.0
+                np.multiply(coeffs[0], block, out=o)
+                series.append((o, t, coeffs))
+        n_terms = max((len(c) for _, _, c in series), default=1)
+        if n_terms > 1:
             two_hs = self._two_hs
             prev, cur = block, 0.5 * (two_hs @ block)
-            out += coeffs[1] * cur
-            for c in coeffs[2:]:
-                nxt = two_hs @ cur
-                nxt -= prev
-                out += c * nxt
-                prev, cur = cur, nxt
-        out *= np.exp(-1j * t * self._centre)
+            for k in range(1, n_terms):
+                if k > 1:
+                    nxt = two_hs @ cur
+                    nxt -= prev
+                    prev, cur = cur, nxt
+                for o, _, coeffs in series:
+                    if k < len(coeffs):
+                        o += coeffs[k] * cur
+        for o, t, _ in series:
+            o *= np.exp(-1j * t * self._centre)
         return out
 
 
@@ -306,23 +338,82 @@ def window_sectors(
     return sectors
 
 
-def sweep_window(sector: Sector, fn) -> np.ndarray:
-    """Apply fn to one sector's window columns, a bounded block at a time.
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """Sectors with equal window counts, swept as one block.
+
+    rows concatenates the members' rows, member by member, so member i
+    holds rows[starts[i]:starts[i + 1]]; window[i, j] is the position in
+    rows of member i's window state j.  Column j of the stack's identity
+    block is 1 at window[:, j]: window state j of every member.  Each
+    member is closed under every conserving operator, so the stack's
+    operator is block-diagonal over the members and column j evolves each
+    member's window state j apart from the others.
+    """
+
+    members: tuple[Sector, ...]
+    rows: np.ndarray
+    window: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def entries(self) -> int:
+        """Size of the stack's window columns: dim * n0."""
+        return len(self.rows) * self.window.shape[1]
+
+
+def stack_sectors(sectors: list[Sector]) -> list[Stack]:
+    """Group sectors of equal window count into stacks that fit one sweep block.
+
+    A sector joins the open stack of its window count while the stack's
+    columns stay within _BLOCK_ENTRIES, and opens a new one otherwise, so
+    a sector larger than one block is a stack of its own.  Stacks come in
+    the order of their first members.
+    """
+    groups: list[list[Sector]] = []
+    open_: dict[int, list[Sector]] = {}  # window count -> the stack still growing
+    for s in sectors:
+        members = open_.get(len(s.window))
+        dim = sum(len(m.rows) for m in members) if members else 0
+        if members is None or (dim + len(s.rows)) * len(s.window) > _BLOCK_ENTRIES:
+            members = open_[len(s.window)] = []
+            groups.append(members)
+        members.append(s)
+    out = []
+    for members in groups:
+        starts = np.cumsum([0] + [len(m.rows) for m in members])
+        window = np.stack([m.window + start for m, start in zip(members, starts)])
+        rows = members[0].rows  # a lone sector's own array, not a second copy
+        if len(members) > 1:
+            rows = np.concatenate([m.rows for m in members])
+        out.append(Stack(tuple(members), rows, window, starts))
+    return out
+
+
+def sweep_window(sector: Sector | Stack, fn) -> np.ndarray:
+    """Apply fn to the window columns of a sector or stack, a bounded block at a time.
 
     fn maps a (dim_s, k) block of identity columns in sector coordinates
-    (row i stands for basis state sector.rows[i]) to a (dim_s, k) block.
-    Returns the (dim_s, n0_s) array whose column j is fn applied to the
-    sector's window state j.
+    (row i stands for basis state sector.rows[i]) to an array whose last
+    axis holds the k columns: a (dim_s, k) block, or (n, dim_s, k) for n
+    outputs.  Returns that array with every window column along its last
+    axis: column j is fn applied to window column j.
     """
     dim = len(sector.rows)
     window = sector.window
-    cols = np.empty((dim, len(window)), dtype=complex)
+    n0 = window.shape[-1]
+    cols = None
     step = max(1, _BLOCK_ENTRIES // dim)
-    for start in range(0, len(window), step):
-        part = window[start : start + step]
-        e = np.zeros((dim, len(part)), dtype=complex)
-        e[part, np.arange(len(part))] = 1.0
-        cols[:, start : start + len(part)] = fn(e)
+    for start in range(0, n0, step):
+        part = window[..., start : start + step]
+        k = part.shape[-1]
+        e = np.zeros((dim, k), dtype=complex)
+        e[part, np.arange(k)] = 1.0
+        out = fn(e)
+        if cols is None:
+            cols = np.empty(out.shape[:-1] + (n0,), dtype=complex)
+        cols[..., start : start + k] = out
+        del out  # free this block's output before the next block call
     return cols
 
 
@@ -442,15 +533,22 @@ def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
 
 
 class WindowSweep:
-    """Top singular values of window-column blocks, one sector at a time.
+    """Top singular values of window-column blocks, one stack at a time.
 
     Built once from a basis, an initial window and the operators a check
     propagates (Hermitian matrices or prepared propagators, all
     conserving sector_keys; None is one sector, the whole space): it
     splits the window into sectors (`window_sectors`, so COLUMN_CAP bounds
-    the largest), prepares each operator once and restricts it to each
-    sector once.  `top_singular` then serves every time, step size and
-    escape window of the check.
+    the largest), groups sectors of equal window count into stacks that
+    fit one sweep block (`stack_sectors`), prepares each operator once and
+    restricts it to each stack once.  A union of conserved sectors is
+    closed under every operator, so each restriction is valid, and the
+    stack's operator is block-diagonal over its members.  Its Gershgorin
+    interval is the hull of its members' intervals, so the one polynomial
+    the stack applies approximates exp(-i t h_s) on every member's
+    spectrum with the member's own error bound: each member's error is at
+    most tol * ||block_s||, as if it were swept alone.  `top_singular`
+    then serves every time, step size and escape window of the check.
     """
 
     def __init__(
@@ -464,25 +562,44 @@ class WindowSweep:
         if any(p.shape != (basis.dimension, basis.dimension) for p in props):
             raise ValueError("operator does not match basis dimension")
         self.sectors = window_sectors(window_mask(basis, window0), sector_keys)
-        self._ops = [[p.restrict(s.rows) for p in props] for s in self.sectors]
+        self.stacks = stack_sectors(self.sectors)
+        self._ops = [[p.restrict(s.rows) for p in props] for s in self.stacks]
 
-    def top_singular(self, fn, keep_masks: list[np.ndarray]) -> list[float]:
-        """Per keep mask, the top singular value of the window columns outside it.
+    def top_singular(self, fn, xs, keep_masks) -> list[list[float]]:
+        """Per output and keep mask, the top singular value of the window columns outside it.
 
-        fn(ops_s, e) maps a (dim_s, k) block of identity columns in a
-        sector's coordinates to a (dim_s, k) block, with ops_s the
-        operators restricted to that sector.  The window columns of fn are
-        block-diagonal over the sectors (the keep masks are full-space and
-        diagonal), so each value is the largest over the sectors.  Each
-        sector's columns are swept, reduced for every mask, and freed
-        before the next sector is swept; an empty keep_masks sweeps nothing.
+        Output i belongs to the parameter xs[i] (a time or a step size)
+        and keep_masks[i] lists its full-space keep masks.
+        fn(ops_s, e, xs_b) maps a (dim_s, k) block of identity columns in a
+        stack's coordinates to a (len(xs_b), dim_s, k) array, one block per
+        parameter of the batch xs_b, with ops_s the operators restricted to
+        that stack.  The window columns of fn are block-diagonal over the
+        sectors (the keep masks are full-space and diagonal), so each value
+        is the largest over the sectors: each stack is swept, each member
+        sector cut back out of it and reduced for every mask of every
+        output, and the stack is freed before the next one is swept.  The
+        outputs held at once never exceed COLUMN_CAP entries: a stack takes
+        the outputs in batches that fit, down to one at a time.  An output
+        with no keep mask is not propagated.
         """
-        tops = [0.0] * len(keep_masks)
-        for sector, ops_s in zip(self.sectors, self._ops) if keep_masks else ():
-            block = sweep_window(sector, lambda e: fn(ops_s, e))
-            for i, keep in enumerate(keep_masks):
-                tops[i] = max(tops[i], masked_top_singular(block, keep[sector.rows]))
-            del block  # free this sector's columns before the next one fills
+        tops = [[0.0] * len(masks) for masks in keep_masks]
+        wanted = [i for i, masks in enumerate(keep_masks) if len(masks)]
+        for stack, ops_s in zip(self.stacks, self._ops) if wanted else ():
+            batch = max(1, COLUMN_CAP // stack.entries)
+            for lo in range(0, len(wanted), batch):
+                outs = wanted[lo : lo + batch]
+                cols = sweep_window(stack, lambda e: fn(ops_s, e, [xs[i] for i in outs]))
+                for i, block in zip(outs, cols):
+                    for k, keep in enumerate(keep_masks[i]):
+                        kept = keep[stack.rows]
+                        for start, stop in zip(stack.starts[:-1], stack.starts[1:]):
+                            # one fancy index picks this member's escaped rows
+                            member = np.ones_like(kept)
+                            member[start:stop] = kept[start:stop]
+                            top = masked_top_singular(block, member)
+                            tops[i][k] = max(tops[i][k], top)
+                # free this stack's columns (block is a view) before the next fill
+                del cols, block
         return tops
 
 
@@ -504,7 +621,9 @@ def leakage_norm(
     ResourceLimitError.
     """
     sweep = WindowSweep(basis, window0, [h], sector_keys)
-    (top,) = sweep.top_singular(
-        lambda ops, e: ops[0].apply(e, t, tol), [window_mask(basis, window1)]
+    ((top,),) = sweep.top_singular(
+        lambda ops, e, ts: ops[0].apply_times(e, ts, tol),
+        [t],
+        [[window_mask(basis, window1)]],
     )
     return top

@@ -308,13 +308,16 @@ def empirical_trotter_error(
     column; the window must be small enough for that to be exact).  H and
     every part conserve the model's sector keys, so that block is
     block-diagonal and its top singular value is the largest over the
-    sectors that meet the window.  One `WindowSweep` takes each sector's
-    window columns through both sides in sector coordinates, block by
-    block, and reduces each sector's difference to its top singular value
-    before the next sector is swept.  Each part and H is prepared once,
-    and restricted to each sector once, for every step size and block.  With a budget, every
-    step size's bound is computed first, so an order p that the certified
-    constants do not cover raises ValueError before any propagation.
+    sectors that meet the window.  One `WindowSweep` takes each stack of
+    sectors (equal window counts, one sweep block) through both sides for
+    every step size in one sweep: the exact side exp(-i tau H) runs one
+    Chebyshev recurrence for all step sizes, the product formula runs per
+    step size, and each member sector's difference is reduced to its top
+    singular value before the next stack is swept.  Each part and H is
+    prepared once, and restricted to each stack once, for every step size
+    and block.  With a budget, every step size's bound is computed first,
+    so an order p that the certified constants do not cover raises
+    ValueError before any propagation.
     """
     taus = list(tau_grid)
     if budget is None:
@@ -325,18 +328,20 @@ def empirical_trotter_error(
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
     ops = [*model.parts.values(), model.hamiltonian]
     sweep = WindowSweep(model.basis, window0, ops, model.sector_keys)
-    keep_none = np.zeros(model.dimension, dtype=bool)
-    points = []
-    for tau, bound in zip(taus, bounds):
 
-        def split_error(ops_s, e):
+    def split_errors(ops_s, e, taus_b):
+        errors = ops_s[-1].apply_times(e, taus_b, tol)  # one recurrence for every tau
+        for err, tau in zip(errors, taus_b):
             split = apply_product_formula(ops_s[:-1], e, tau, p, tol)
-            split -= ops_s[-1].apply(e, tau, tol)
-            return split
+            np.subtract(split, err, out=err)
+        return errors
 
-        (error,) = sweep.top_singular(split_error, [keep_none])
-        points.append(TrotterPoint(tau=float(tau), error=error, bound=bound))
-    return points
+    keep_none = np.zeros(model.dimension, dtype=bool)
+    tops = sweep.top_singular(split_errors, taus, [[keep_none]] * len(taus))
+    return [
+        TrotterPoint(tau=float(tau), error=error, bound=bound)
+        for tau, (error,), bound in zip(taus, tops, bounds)
+    ]
 
 
 def error_scaling_slope(points, floor: float = 1e-12) -> float:

@@ -9,18 +9,23 @@ column.  Both exact checks here, the state-truncation leakage
 difference ||(e^{-iHt} - e^{-i Pi H Pi t}) P_lambda0||, are top singular
 values of such columns, and both are measured by one
 `propagate.WindowSweep` built once per experiment (per cutoff for the
-latter): it prepares each Hamiltonian once and restricts it to each
-sector of the model's sector keys (a conserved charge diagonal in the
-Fock basis; Pi is diagonal too, so Pi H Pi keeps them) once.  The
+latter): it prepares each Hamiltonian once and restricts it once to each
+stack of sectors of the model's sector keys (a conserved charge diagonal
+in the Fock basis; Pi is diagonal too, so Pi H Pi keeps them); a stack
+is a union of sectors with equal window counts that fits one sweep
+block, whose column j holds window state j of every member.  The
 projectors are diagonal, so the measured operator is block-diagonal and
 its top singular value is exactly the largest over sectors; each
-sector's columns are propagated together, block by block, by the
-Chebyshev engine, one sector at a time, and the largest sector's
-dim_s * |window in s| is what must fit `propagate.COLUMN_CAP`
-(ResourceLimitError otherwise).  Each sector's Gershgorin interval lies
-inside the full one, so each sector's propagation error is at most
-tol * ||block_s|| and the block-diagonal error at most tol * ||block||:
-the engine slack is unchanged.
+stack's columns are propagated together, for every time of the call at
+once (one Chebyshev recurrence serves them all), block by block, one
+stack at a time, and each member sector is cut back out and reduced on
+its own.  The largest sector's dim_s * |window in s| is what must fit
+`propagate.COLUMN_CAP` (ResourceLimitError otherwise), and the outputs
+of one stack held at once stay within it too.  A stack's Gershgorin
+interval is the hull of its members' intervals, and inside the full
+one, and the stack's operator is block-diagonal, so each member's
+propagation error is at most tol * ||block_s|| and the block-diagonal
+error at most tol * ||block||: the engine slack is unchanged.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -86,19 +91,22 @@ def engine_slack(tol: float) -> float:
     diagonal parts are exact, and higher orders split the tolerance over
     their recursive steps), so ten times the tolerance covers every
     check.  Split into symmetry sectors, the same holds
-    sector by sector: each sector's Gershgorin interval lies inside the
-    full one, its block's error is at most the same multiple of
-    tol * ||block_s||, and the block-diagonal whole, whose top singular
-    value is the largest over sectors, errs by at most the largest of
-    those.  Floating-point roundoff of the Chebyshev recurrence is not
-    part of that bound.  Raises ValueError unless tol > 0.
+    sector by sector: sectors are propagated in stacks, whose operator is
+    block-diagonal over the member sectors and whose Gershgorin interval
+    is the hull of theirs (inside the full one), so each sector's block
+    errs by at most the same multiple of tol * ||block_s||, and the
+    block-diagonal whole, whose top singular value is the largest over
+    sectors, errs by at most the largest of those.  Evolving every time
+    of a check in one recurrence changes no coefficient, so no bound.
+    Floating-point roundoff of the Chebyshev recurrence is not part of
+    that bound.  Raises ValueError unless tol > 0.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     return 10.0 * tol
 
 
-def _report(experiment, inputs, empirical, analytic, tol, t0, notes=""):
+def _report(experiment, inputs, empirical, analytic, tol, runtime_s, notes=""):
     return ExperimentReport(
         experiment=experiment,
         inputs=dict(inputs),
@@ -106,7 +114,7 @@ def _report(experiment, inputs, empirical, analytic, tol, t0, notes=""):
         analytic=float(analytic),
         sound=bool(empirical <= analytic + engine_slack(tol)),
         margin=float(analytic - empirical),
-        runtime_s=time.perf_counter() - t0,
+        runtime_s=runtime_s,
         notes=notes,
     )
 
@@ -129,47 +137,57 @@ def verify_state_truncation(
     window [0, lambda0] is tested against the matching escape window:
     per truncatable mode for mode='per_mode' (the bare bounds), or the
     all-mode window for mode='all' (bounds carry the union factor
-    sqrt(number of truncatable modes)).  Per time, one
-    `WindowSweep.top_singular` call evolves each sector's columns once
-    and folds that sector's top singular value outside every distinct
-    escape window below the cutoff into its running maximum before the
-    next sector is evolved.
+    sqrt(number of truncatable modes)).  One `WindowSweep.top_singular`
+    call evolves each stack of sectors once, for every time at once, and
+    folds each member sector's top singular value outside every distinct
+    (time, escape window) pair below the cutoff into its running maximum
+    before the next stack is evolved; a time whose windows all reach the
+    cutoff is not evolved.  The call makes one sweep for all its times,
+    so every report it returns carries the whole call's elapsed time as
+    runtime_s.
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
+    t0 = time.perf_counter()
     basis = model.basis
     trunc = basis.truncatable_modes
     union = math.sqrt(len(trunc)) if trunc else 1.0
     nus = trunc if mode == "per_mode" else [None]
     window0 = ProjectorSpec(ALL, 0, int(lambda0))
-    # one setup for every time
     sweep = WindowSweep(basis, window0, [model.hamiltonian], model.sector_keys)
     cutoff = model.cutoff
-    reports: list[ExperimentReport] = []
+    times = list(times)
+    points = []  # per time: (kind, delta, window, bound); short and long may coincide
     for t in times:
-        t0 = time.perf_counter()  # each report's runtime_s counts its time's sweep
-        points = []  # (kind, delta, window, bound); short and long may coincide
         within_validity = within_speed_limit(model.profile, lambda0, t)
+        points.append([])
         for delta in deltas:
             if within_validity and delta >= 1:
                 bnd = short_time_bound(model.profile, lambda0, delta, t)
-                points.append(("state_short", delta, int(lambda0) + int(delta) - 1, bnd))
+                points[-1].append(("state_short", delta, int(lambda0) + int(delta) - 1, bnd))
             if delta >= 2:
                 rep = long_time_bound(model.profile, lambda0, delta, t)
-                points.append(("state_long", delta, rep.lambda_, rep.bound))
+                points[-1].append(("state_long", delta, rep.lambda_, rep.bound))
 
-        keeps = {
+    keeps = [
+        {
             (lam, nu): window_mask(basis, ProjectorSpec(ALL if nu is None else nu, 0, lam))
-            for _, _, lam, _ in points
+            for _, _, lam, _ in pts
             if lam < cutoff
             for nu in nus
         }
-        tops = sweep.top_singular(
-            lambda ops, e: ops[0].apply(e, t, tol), list(keeps.values())
-        )
-        empirical = dict(zip(keeps, tops))
+        for pts in points
+    ]
+    tops = sweep.top_singular(
+        lambda ops, e, ts: ops[0].apply_times(e, ts, tol),
+        times,
+        [list(k.values()) for k in keeps],
+    )
 
-        for kind, delta, lam, bound in points:
+    rows = []
+    for t, pts, keep, top in zip(times, points, keeps, tops):
+        empirical = dict(zip(keep, top))
+        for kind, delta, lam, bound in pts:
             for nu in nus:
                 notes = "exact column sweep"
                 if lam >= cutoff:
@@ -184,8 +202,12 @@ def verify_state_truncation(
                 }
                 analytic = min(1.0, union * bound) if nu is None else bound
                 leak = empirical.get((lam, nu), 0.0)
-                reports.append(_report(kind, inputs, leak, analytic, tol, t0, notes))
-    return reports
+                rows.append((kind, inputs, leak, analytic, notes))
+    runtime = time.perf_counter() - t0
+    return [
+        _report(kind, inputs, leak, analytic, tol, runtime, notes)
+        for kind, inputs, leak, analytic, notes in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +244,11 @@ def verify_hamiltonian_truncation(
         # Pi is diagonal, so Pi H Pi keeps the sector keys
         sweep = WindowSweep(basis, window0, [model.hamiltonian, h_trunc], model.sector_keys)
 
-        def difference(ops, e):
-            return ops[0].apply(e, t, tol) - ops[1].apply(e, t, tol)
+        def difference(ops, e, ts):
+            return ops[0].apply_times(e, ts, tol) - ops[1].apply_times(e, ts, tol)
 
         keep_none = np.zeros(basis.dimension, dtype=bool)
-        return sweep.top_singular(difference, [keep_none])[0]
+        return sweep.top_singular(difference, [t], [[keep_none]])[0][0]
 
     model = model_factory(n_max)
     empirical = empirical_at(model)
@@ -249,7 +271,8 @@ def verify_hamiltonian_truncation(
         "lambda_tilde": int(lambda_tilde),
         "t": float(t),
     }
-    return _report("hamiltonian_truncation", inputs, empirical, analytic, tol, t0, notes)
+    runtime = time.perf_counter() - t0
+    return _report("hamiltonian_truncation", inputs, empirical, analytic, tol, runtime, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +325,8 @@ def verify_tail(
             "epsilon": float(eps),
             "window": int(rep.lambda_),
         }
-        reports.append(_report("tail", inputs, empirical, float(eps), tol, t0, notes))
+        runtime = time.perf_counter() - t0
+        reports.append(_report("tail", inputs, empirical, float(eps), tol, runtime, notes))
     return reports
 
 
@@ -365,7 +389,8 @@ def coherent_oracle_check(
         worst_mean = max(worst_mean, abs(float(n @ probs) - lam))
     inputs = {"t_grid": [float(t) for t in t_grid]}
     notes = f"worst mean deviation {worst_mean:.3e} (target 1e-6)"
-    rep = _report("coherent_oracle", inputs, worst_pmf, 1e-8, tol, t0, notes)
+    runtime = time.perf_counter() - t0
+    rep = _report("coherent_oracle", inputs, worst_pmf, 1e-8, tol, runtime, notes)
     if worst_mean > 1e-6:
         rep = replace(rep, sound=False)
     return rep

@@ -551,10 +551,145 @@ def test_window_sweep_without_masks_propagates_nothing():
     sweep = WindowSweep(model.basis, window0, [model.hamiltonian], model.sector_keys)
     assert len(sweep.sectors) == 9
 
-    def unreachable(ops, e):
+    def unreachable(ops, e, xs):
         raise AssertionError("a sector was swept")
 
-    assert sweep.top_singular(unreachable, []) == []
+    assert sweep.top_singular(unreachable, [], []) == []
+    assert sweep.top_singular(unreachable, [0.5, 1.0], [[], []]) == [[], []]
+
+
+def _one_time_recurrence(prop, block, t, tol):
+    """exp(-i t h) block by a Chebyshev recurrence of its own, term for term
+    the arithmetic of a single-time propagator."""
+    block = np.asarray(block, dtype=complex)
+    if t == 0:
+        return block.copy()
+    if prop._diag is not None:
+        phase = np.exp(-1j * t * prop._diag)
+        return (phase if block.ndim == 1 else phase[:, None]) * block
+    bessel = propagate._chebyshev_bessel(prop._half * t, tol)
+    k = np.arange(len(bessel))
+    coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
+    coeffs[0] /= 2.0
+    out = coeffs[0] * block
+    if len(coeffs) > 1:
+        prev, cur = block, 0.5 * (prop._two_hs @ block)
+        out += coeffs[1] * cur
+        for c in coeffs[2:]:
+            nxt = prop._two_hs @ cur
+            nxt -= prev
+            out += c * nxt
+            prev, cur = cur, nxt
+    out *= np.exp(-1j * t * prop._centre)
+    return out
+
+
+MULTI_TIME_MODELS = [
+    hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=4),
+    dicke(2, 1.0, 0.7, 0.6, 10),
+]
+
+
+@pytest.mark.parametrize("model", MULTI_TIME_MODELS, ids=["hh", "dicke"])
+def test_multi_time_recurrence_equals_single_time_calls(model):
+    """One recurrence for many times: every time's block is exactly the one a
+    single-time call gives, and exactly a recurrence run for that time alone,
+    for a block and a vector, with t = 0, a repeated and a negative time, on
+    the Hamiltonian and on every part (one of them diagonal)."""
+    times = [0.3, 0.0, -1.2, 2.5, 0.3]
+    block = _random_block(model.dimension, 4, 21)
+    ops = [model.hamiltonian, *model.parts.values()]
+    props = [ChebyshevPropagator(h) for h in ops]
+    assert any(p._diag is not None for p in props)
+    assert any(p._diag is None for p in props)
+    for prop in props:
+        for b in (block, block[:, 1]):
+            many = prop.apply_times(b, times, 1e-10)
+            assert many.shape == (len(times),) + b.shape
+            for got, t in zip(many, times):
+                assert np.array_equal(got, prop.apply(b, t, 1e-10))
+                assert np.array_equal(got, _one_time_recurrence(prop, b, t, 1e-10))
+    assert props[0].apply_times(block, [], 1e-10).shape == (0,) + block.shape
+
+
+@pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
+def test_stacked_sweep_matches_per_sector_sweep(model, window0, t):
+    """The stacked sweep's values, for several times and escape windows per
+    time, equal a sweep of each sector on its own within the engine slack."""
+    basis, keys = model.basis, model.sector_keys
+    sweep = WindowSweep(basis, window0, [model.hamiltonian], keys)
+    assert any(len(stack.members) > 1 for stack in sweep.stacks)
+    times = [t, 0.0, 2.0 * t]
+    lams = [window0.hi + 1, window0.hi + 2]
+    keeps = [[window_mask(basis, ProjectorSpec(ALL, 0, lam)) for lam in lams]] * len(times)
+    got = sweep.top_singular(lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
+    prop = ChebyshevPropagator(model.hamiltonian)
+    slack = engine_slack(TOL)
+    for ti, masks, row in zip(times, keeps, got):
+        for keep, value in zip(masks, row):
+            want = 0.0
+            for s in sweep.sectors:
+                prop_s = prop.restrict(s.rows)
+                cols = sweep_window(s, lambda e: prop_s.apply(e, ti, TOL))
+                want = max(want, masked_top_singular(cols, keep[s.rows]))
+            assert abs(value - want) <= slack
+    assert any(v > 1e-4 for v in got[0])
+    assert got[1] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
+def test_stacks_hold_equal_window_counts_within_one_block(model, window0, t):
+    sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
+    stacks = propagate.stack_sectors(sectors)
+    members = [s for stack in stacks for s in stack.members]
+    assert sorted(map(id, members)) == sorted(map(id, sectors))
+    for stack in stacks:
+        n0 = len(stack.members[0].window)
+        assert all(len(s.window) == n0 for s in stack.members)
+        assert stack.window.shape == (len(stack.members), n0)
+        assert len(stack.members) == 1 or stack.entries <= propagate._BLOCK_ENTRIES
+        for i, s in enumerate(stack.members):
+            start, stop = stack.starts[i], stack.starts[i + 1]
+            assert np.array_equal(stack.rows[start:stop], s.rows)
+            assert np.array_equal(stack.window[i], start + s.window)
+
+
+def test_large_sectors_are_stacks_of_their_own(monkeypatch):
+    """A block too small for two sectors leaves every sector alone; an
+    unbounded block stacks every sector of one window count together."""
+    model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
+    sectors = window_sectors(window_mask(model.basis, ProjectorSpec(ALL, 0, 2)), model.sector_keys)
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 1)
+    assert [len(s.members) for s in propagate.stack_sectors(sectors)] == [1] * len(sectors)
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 1 << 40)
+    widths = {len(s.window) for s in sectors}
+    assert len(propagate.stack_sectors(sectors)) == len(widths)
+
+
+def test_window_sweep_batches_outputs_under_the_cap(monkeypatch):
+    """Outputs held at once times stack entries stay within COLUMN_CAP: a
+    cap below two outputs of the largest stack takes one time at a time
+    there, with the same values."""
+    model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
+    window0 = ProjectorSpec(ALL, 0, 2)
+    sweep = WindowSweep(model.basis, window0, [model.hamiltonian], model.sector_keys)
+    times = [0.2, 0.5, 0.9]
+    keeps = [[window_mask(model.basis, ProjectorSpec(ALL, 0, 3))]] * len(times)
+    batches = []
+
+    def evolve_times(ops, e, ts):
+        batches.append((e.shape[0] * e.shape[1], len(ts)))
+        return ops[0].apply_times(e, ts, TOL)
+
+    whole = sweep.top_singular(evolve_times, times, keeps)
+    assert max(n for _, n in batches) == len(times)
+    largest = max(stack.entries for stack in sweep.stacks)
+    monkeypatch.setattr(propagate, "COLUMN_CAP", 2 * largest - 1)
+    batches.clear()
+    split = sweep.top_singular(evolve_times, times, keeps)
+    assert split == whole
+    assert min(n for _, n in batches) == 1
+    assert all(entries * n <= 2 * largest - 1 for entries, n in batches)
 
 
 def test_restrict_rejects_rows_coupled_to_the_rest():

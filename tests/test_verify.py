@@ -73,42 +73,59 @@ def test_state_truncation_all_mode_uses_union_bound():
 
 
 def test_state_truncation_measures_each_window_once(monkeypatch):
-    """Per time, each sector is evolved once, and each distinct escape
-    window (short- and long-time windows often coincide) is measured once
-    on each sector."""
-    evolved, measured, applied = [], [], []
+    """One call evolves each stack once, for every time at once; each
+    distinct (time, escape window) pair (short- and long-time windows often
+    coincide) is measured once on each member sector, and a pair no report
+    reads (a window past the cutoff) is never measured, so a time with no
+    window below the cutoff is not evolved at all."""
+    swept, measured, applied = [], [], []
     real_sweep, real_measure = propagate.sweep_window, propagate.masked_top_singular
-    real_apply = ChebyshevPropagator.apply
+    real_apply = ChebyshevPropagator.apply_times
 
-    def spying_apply(prop, block, t, tol):
-        applied.append(t)
-        return real_apply(prop, block, t, tol)
+    def spying_apply(prop, block, times, tol):
+        applied.extend(times)
+        return real_apply(prop, block, times, tol)
 
-    def counting_sweep(sector, fn):
+    def counting_sweep(stack, fn):
         applied.clear()
-        cols = real_sweep(sector, fn)
-        (t,) = set(applied)  # one sweep evolves its sector at one time
-        evolved.append(t)
+        cols = real_sweep(stack, fn)
+        swept.append((stack, sorted(set(applied))))
         return cols
 
     def counting_measure(cols, keep):
         measured.append(cols.shape)
         return real_measure(cols, keep)
 
-    monkeypatch.setattr(ChebyshevPropagator, "apply", spying_apply)
+    monkeypatch.setattr(ChebyshevPropagator, "apply_times", spying_apply)
     monkeypatch.setattr(propagate, "sweep_window", counting_sweep)
     monkeypatch.setattr(propagate, "masked_top_singular", counting_measure)
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
-    times = [0.2, 0.25]
+    times = [0.2, 0.25, 2.0, 3.0]
     reports = verify_state_truncation(model, 0, times, deltas=(2, 3))
     mask0 = window_mask(model.basis, ProjectorSpec(ALL, 0, 0))
-    n_sectors = len(window_sectors(mask0, model.sector_keys))
-    assert n_sectors > 1
+    sectors = window_sectors(mask0, model.sector_keys)
+    stacks = propagate.stack_sectors(sectors)
+    assert len(stacks) < len(sectors)
     windows = {(r.inputs["t"], r.inputs["window"], r.inputs["mode"]) for r in reports}
-    assert all(w < model.cutoff for _, w, _ in windows)
+    below = {w for w in windows if w[1] < model.cutoff}
+    assert below < windows
     assert len(reports) > len(windows)
-    assert sorted(evolved) == sorted(t for t in times for _ in range(n_sectors))
-    assert len(measured) == len(windows) * n_sectors
+    measured_times = sorted({t for t, _, _ in below})
+    assert measured_times == [0.2, 0.25, 2.0]
+    assert [(len(stack.members), ts) for stack, ts in swept] == [
+        (len(stack.members), measured_times) for stack in stacks
+    ]
+    assert len(measured) == len(below) * len(sectors)
+
+
+def test_state_truncation_reports_share_the_call_runtime():
+    """One sweep serves every time, so every report of one call carries the
+    call's elapsed time."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=6)
+    reports = verify_state_truncation(model, 1, [0.2, 0.5, 1.0], deltas=(2, 3))
+    assert len({r.inputs["t"] for r in reports}) == 3
+    (runtime,) = {r.runtime_s for r in reports}
+    assert runtime > 0.0
 
 
 def test_sectors_keep_the_exact_path_past_the_unsectored_cap(monkeypatch):
