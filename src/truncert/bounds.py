@@ -25,8 +25,11 @@ ascending scan of that table (`_scan_table`): an entry qualifies when
 its lambda_ <= lam, replaces the running best (starting at 1.0) only
 when strictly smaller, so ties go to the smallest delta, and the scan
 stops at the first qualifying bound of 0.0.  A threshold search builds
-one table and answers every window it probes from it; no table
-outlives the call that built it.
+one table and answers every window it probes from it, and a call that
+evaluates several windows (`leakage_bounds_at`, and through it
+`hamiltonian_truncation_bounds`) builds one table for all of them; the
+one-window functions are their one-element cases.  No table outlives
+the call that built it.
 
 All functions are pure arithmetic: same inputs, bit-identical outputs.
 """
@@ -56,8 +59,11 @@ __all__ = [
     "short_time_bound",
     "adaptive_schedule",
     "long_time_bound",
+    "leakage_bounds_at",
     "leakage_bound_at",
     "minimal_state_threshold",
+    "check_truncation_window",
+    "hamiltonian_truncation_bounds",
     "hamiltonian_truncation_bound",
     "minimal_hamiltonian_threshold",
     "energy_threshold_single_mode",
@@ -343,6 +349,31 @@ def _scan_table(table: list[tuple[int, float, int]], lam: int) -> tuple[float, i
     return best, best_delta
 
 
+def leakage_bounds_at(
+    profile: WalkProfile,
+    lambda0: int,
+    lams: Sequence[int],
+    t: float,
+    delta_max: int = DELTA_MAX,
+) -> list[float]:
+    """Certified leakage outside [-lam, lam] after time t for every lam in lams.
+
+    Minimizes the long-time bound over all step growths delta whose grown
+    window stays within lam: one delta table for the call, one scan per
+    window (strict <, ties to the smallest delta, stop at 0).  Capped at
+    1; a window no delta qualifies for (too tight for the elapsed time)
+    reads 1.
+    """
+    if any(lam < lambda0 for lam in lams):
+        raise ValueError("lam must be >= lambda0")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
+        return [0.0] * len(lams)
+    table = _delta_table(profile, int(lambda0), t, delta_max)
+    return [_scan_table(table, int(lam))[0] for lam in lams]
+
+
 def leakage_bound_at(
     profile: WalkProfile,
     lambda0: int,
@@ -352,20 +383,9 @@ def leakage_bound_at(
 ) -> float:
     """Certified leakage outside [-lam, lam] after time t, starting inside lambda0.
 
-    Minimizes the long-time bound over all step growths delta whose grown
-    window stays within lam: one delta table for this call, one scan
-    (strict <, ties to the smallest delta, stop at 0).  Capped at 1;
-    returns 1 when no delta qualifies (the window is too tight for the
-    elapsed time).
+    The one-window case of `leakage_bounds_at`.
     """
-    if lam < lambda0:
-        raise ValueError("lam must be >= lambda0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return 0.0
-    bound, _ = _scan_table(_delta_table(profile, int(lambda0), t, delta_max), int(lam))
-    return bound
+    return leakage_bounds_at(profile, lambda0, [lam], t, delta_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,42 +434,67 @@ def minimal_state_threshold(
     )
 
 
-def _truncation_error(
-    hquery: HamTruncationQuery, leak_at: Callable[[int], float]
-) -> float:
-    """(t^2/2) comm sqrt(n_modes) leak, with leak = leak_at(lambda_tilde - 2).
+def check_truncation_window(lambda0: int, lambda_tilde: int) -> None:
+    """Raise ValueError unless lambda_tilde >= lambda0 + 2.
 
-    The one evaluation of the Hamiltonian-truncation bound; leak_at maps
-    a window to its certified leakage.
+    The Hamiltonian-truncation bound needs the truncated and full
+    Hamiltonians to agree on the initial window, two levels inside the
+    truncation window.
+    """
+    if int(lambda_tilde) < lambda0 + 2:
+        raise ValueError(
+            f"lambda_tilde = {int(lambda_tilde)} must be >= lambda0 + 2 = {lambda0 + 2}"
+        )
+
+
+def _truncation_error(hquery: HamTruncationQuery, leak: float) -> float:
+    """(t^2/2) comm sqrt(n_modes) leak, with leak the certified leakage at lambda_tilde - 2.
+
+    The one evaluation of the Hamiltonian-truncation bound, for a window
+    already checked by `check_truncation_window`.
     """
     q = hquery.query
-    lam_t = int(hquery.lambda_tilde)
-    if lam_t < q.lambda0 + 2:
-        raise ValueError(
-            f"lambda_tilde = {lam_t} must be >= lambda0 + 2 = {q.lambda0 + 2}"
-        )
     if q.time == 0:
         return 0.0
-    comm = hquery.comm_norm(lam_t)
+    comm = hquery.comm_norm(int(hquery.lambda_tilde))
     if comm < 0:
         raise ValueError("comm_norm must be nonnegative")
-    leak = leak_at(lam_t - 2)
     return 0.5 * q.time**2 * comm * math.sqrt(hquery.n_modes) * leak
+
+
+def hamiltonian_truncation_bounds(
+    profile: WalkProfile, hqueries: Sequence[HamTruncationQuery]
+) -> list[float]:
+    """Evolution error bounds for truncating the Hamiltonian, one per query.
+
+    Each bounds ||(exp(-itH~) - exp(-itH)) Pi_all|| by the crude time
+    integral (t^2/2) of the commutator norm times the leakage reachable
+    two levels inside its truncation window, with the sqrt(n_modes)
+    union-bound factor.  The queries share one TruncationQuery
+    (ValueError otherwise), so one delta table answers every window.
+    Every window is checked (`check_truncation_window`) before any bound
+    is evaluated.
+    """
+    if len({hq.query for hq in hqueries}) > 1:
+        raise ValueError("the queries must share one TruncationQuery")
+    for hq in hqueries:
+        check_truncation_window(hq.query.lambda0, hq.lambda_tilde)
+    if not hqueries:
+        return []
+    q = hqueries[0].query
+    lams = [int(hq.lambda_tilde) - 2 for hq in hqueries]
+    leaks = leakage_bounds_at(profile, q.lambda0, lams, q.time)
+    return [_truncation_error(hq, leak) for hq, leak in zip(hqueries, leaks)]
 
 
 def hamiltonian_truncation_bound(profile: WalkProfile, hquery: HamTruncationQuery) -> float:
     """Evolution error bound for truncating the Hamiltonian at lambda_tilde.
 
-    Bounds ||(exp(-itH~) - exp(-itH)) Pi_all|| by the crude time integral
-    (t^2/2) of the commutator norm times the leakage reachable two levels
-    inside the truncation window, with the sqrt(n_modes) union-bound
-    factor.  Requires lambda_tilde >= lambda0 + 2 so that the truncated
-    and full Hamiltonians agree on the initial window.
+    The one-query case of `hamiltonian_truncation_bounds`.  Requires
+    lambda_tilde >= lambda0 + 2 so that the truncated and full
+    Hamiltonians agree on the initial window.
     """
-    q = hquery.query
-    return _truncation_error(
-        hquery, lambda lam: leakage_bound_at(profile, q.lambda0, lam, q.time)
-    )
+    return hamiltonian_truncation_bounds(profile, [hquery])[0]
 
 
 def _smallest_qualifying(
@@ -501,7 +546,7 @@ def minimal_hamiltonian_threshold(
 
     def bound_at(lam_t: int) -> float:
         hq = HamTruncationQuery(lam_t, n_modes, comm_norm, query)
-        return _truncation_error(hq, lambda lam: _scan_table(table, lam)[0])
+        return _truncation_error(hq, _scan_table(table, lam_t - 2)[0])
 
     lam_t = _smallest_qualifying(
         lambda lam_t: bound_at(lam_t) <= query.epsilon,

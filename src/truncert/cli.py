@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import io
 import json
@@ -339,24 +340,18 @@ def _verify_times(args, fallback):
 
 def _suite_ham(args):
     from .models import single_mode
-    from .verify import verify_hamiltonian_truncation
+    from .verify import verify_hamiltonian_truncations
 
     if args.model != "single":
         raise ValueError("the hamiltonian-truncation suite runs on --model single")
-    factory = lambda nm: single_mode(args.g, args.omega0, nm)
-    reports = []
-    for lam in args.lambda_tildes:
-        reports.append(
-            verify_hamiltonian_truncation(
-                factory,
-                n_max=args.n_max,
-                lambda0=args.lambda0,
-                lambda_tilde=lam,
-                t=args.t_single,
-                check_padding=args.check_padding,
-            )
-        )
-    return reports
+    return verify_hamiltonian_truncations(
+        lambda nm: single_mode(args.g, args.omega0, nm),
+        n_max=args.n_max,
+        lambda0=args.lambda0,
+        lambda_tildes=args.lambda_tildes,
+        t=args.t_single,
+        check_padding=args.check_padding,
+    )
 
 
 def _suite_trotter(args):
@@ -500,7 +495,7 @@ def _cmd_sweep(args):
             raise ValueError(f"bad --set {spec!r}; want key=value")
         base_tokens += _flag_tokens(*spec.split("=", 1))
 
-    parser = build_parser()
+    parser = _shared_parser()
     varied_names = [k for k, _ in varied]
     columns = None
     rows = []
@@ -640,6 +635,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser `main` and `sweep` use, built on first use, once per process.
+
+    Parsing keeps no state in the parser, and no command mutates the
+    list defaults it hands out (`--eps-list`, `--lambda-tildes`,
+    `--taus`; the append actions `--vary` and `--set` copy theirs), so
+    one parser serves every call.
+    """
+    return build_parser()
+
+
 # ---------------------------------------------------------------------------
 # config files and entry point
 # ---------------------------------------------------------------------------
@@ -680,9 +687,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"truncert: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -26,14 +26,14 @@ is closed under every operator).  Column j of a stack's identity block
 holds window state j of every member, and the stack's operator is
 block-diagonal over its members, so one block call evolves every
 member's columns.  Its `top_singular` then sweeps one stack's columns at
-a time, for every time or step size of the check at once (in batches
-that keep the outputs held within `COLUMN_CAP`), a bounded block at a
-time (`sweep_window`), cuts each member sector back out, reduces it to
-one top singular value per escape mask (`masked_top_singular`) and frees
-the stack before the next one; each value is the largest over the
-sectors.  No key is one sector, the whole space.  `DensePropagator` (one
-dense eigendecomposition) is the exact oracle the tests compare it
-against.
+a time, for every output of the check at once (a time, a step size or a
+truncated operator; in batches that keep the outputs held within
+`COLUMN_CAP`), a bounded block at a time (`sweep_window`), cuts each
+member sector back out, reduces it to one top singular value per escape
+mask (`masked_top_singular`) and frees the stack before the next one;
+each value is the largest over the sectors.  No key is one sector, the
+whole space.  `DensePropagator` (one dense eigendecomposition) is the
+exact oracle the tests compare it against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
 seeds: same inputs, same outputs.  `scipy.linalg` and ARPACK are
 imported inside `DensePropagator` and `lowest_eigenpairs`, their only
@@ -568,8 +568,9 @@ class WindowSweep:
     def top_singular(self, fn, xs, keep_masks) -> list[list[float]]:
         """Per output and keep mask, the top singular value of the window columns outside it.
 
-        Output i belongs to the parameter xs[i] (a time or a step size)
-        and keep_masks[i] lists its full-space keep masks.
+        Output i belongs to the parameter xs[i] (a time, a step size or the
+        index of a truncated operator) and keep_masks[i] lists its
+        full-space keep masks.
         fn(ops_s, e, xs_b) maps a (dim_s, k) block of identity columns in a
         stack's coordinates to a (len(xs_b), dim_s, k) array, one block per
         parameter of the batch xs_b, with ops_s the operators restricted to

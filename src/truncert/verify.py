@@ -8,24 +8,28 @@ column.  Both exact checks here, the state-truncation leakage
 ||(1 - P_lambda) e^{-iHt} P_lambda0|| and the Hamiltonian-truncation
 difference ||(e^{-iHt} - e^{-i Pi H Pi t}) P_lambda0||, are top singular
 values of such columns, and both are measured by one
-`propagate.WindowSweep` built once per experiment (per cutoff for the
-latter): it prepares each Hamiltonian once and restricts it once to each
-stack of sectors of the model's sector keys (a conserved charge diagonal
-in the Fock basis; Pi is diagonal too, so Pi H Pi keeps them); a stack
-is a union of sectors with equal window counts that fits one sweep
-block, whose column j holds window state j of every member.  The
-projectors are diagonal, so the measured operator is block-diagonal and
-its top singular value is exactly the largest over sectors; each
-stack's columns are propagated together, for every time of the call at
-once (one Chebyshev recurrence serves them all), block by block, one
-stack at a time, and each member sector is cut back out and reduced on
-its own.  The largest sector's dim_s * |window in s| is what must fit
-`propagate.COLUMN_CAP` (ResourceLimitError otherwise), and the outputs
-of one stack held at once stay within it too.  A stack's Gershgorin
-interval is the hull of its members' intervals, and inside the full
-one, and the stack's operator is block-diagonal, so each member's
-propagation error is at most tol * ||block_s|| and the block-diagonal
-error at most tol * ||block||: the engine slack is unchanged.
+`propagate.WindowSweep` built once per call (once per cutoff for the
+latter, on H and the Pi H Pi of every lambda-tilde of the call, so each
+block is evolved under H once for all of them): it prepares each
+Hamiltonian once and restricts it once to each stack of sectors of the
+model's sector keys (a conserved charge diagonal in the Fock basis; Pi
+is diagonal too, so Pi H Pi keeps them); a stack is a union of sectors
+with equal window counts that fits one sweep block, whose column j
+holds window state j of every member.  The projectors are diagonal, so
+the measured operator is block-diagonal and its top singular value is
+exactly the largest over sectors; each stack's columns are propagated
+together, for every time of the call at once (one Chebyshev recurrence
+serves them all), block by block, one stack at a time, and each member
+sector is cut back out and reduced on its own.  The largest sector's
+dim_s * |window in s| is what must fit `propagate.COLUMN_CAP`
+(ResourceLimitError otherwise), and the outputs of one stack held at
+once stay within it too.  A stack's Gershgorin interval is the hull of
+its members' intervals, and inside the full one, and the stack's
+operator is block-diagonal, so each member's propagation error is at
+most tol * ||block_s|| and the block-diagonal error at most tol *
+||block||: the engine slack is unchanged.  Both checks make one sweep
+per call (per cutoff) for all their outputs, so every report of one
+call carries the call's elapsed time as runtime_s.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -45,7 +49,8 @@ from .bounds import (
     HamTruncationQuery,
     TailQuery,
     TruncationQuery,
-    hamiltonian_truncation_bound,
+    check_truncation_window,
+    hamiltonian_truncation_bounds,
     long_time_bound,
     short_time_bound,
     tail_threshold,
@@ -59,6 +64,7 @@ __all__ = [
     "ExperimentReport",
     "engine_slack",
     "verify_state_truncation",
+    "verify_hamiltonian_truncations",
     "verify_hamiltonian_truncation",
     "verify_tail",
     "tail_profile",
@@ -214,6 +220,103 @@ def verify_state_truncation(
 # Hamiltonian-truncation soundness
 # ---------------------------------------------------------------------------
 
+def verify_hamiltonian_truncations(
+    model_factory: Callable[[int], ModelInstance],
+    n_max: int,
+    lambda0: int,
+    lambda_tildes: Sequence[int],
+    t: float,
+    tol: float = TOL,
+    check_padding: bool = False,
+) -> list[ExperimentReport]:
+    """Evolution differences under Hamiltonian truncation versus their bounds.
+
+    One report per lambda_tilde, in order.  The factory builds the model
+    at a requested cutoff, once per cutoff; each truncated Hamiltonian
+    Pi H Pi lives on the same padded space, so the evolutions subtract
+    directly.  Per cutoff, one `WindowSweep` on [H, *every Pi H Pi]
+    prepares and restricts each operator once, and each block of window
+    columns is evolved under H once per output batch and every truncated
+    evolution subtracted from it.  With check_padding the empirical
+    values are recomputed at double the cutoff and each shift goes in its
+    notes.  The analytic side reads one delta table for every
+    lambda_tilde (`hamiltonian_truncation_bounds`).  Every lambda_tilde
+    is checked against lambda0 + 2 before any model is built, and
+    against each cutoff's padding (cutoff >= lambda_tilde + 2) before
+    anything is propagated; either raises ValueError.  The call makes
+    one sweep per cutoff for all its lambda-tildes, so every report it
+    returns carries the whole call's elapsed time as runtime_s.
+    """
+    t0 = time.perf_counter()
+    lambda_tildes = [int(lam) for lam in lambda_tildes]
+    for lam in lambda_tildes:
+        check_truncation_window(int(lambda0), lam)
+    if not lambda_tildes:
+        return []
+    window0 = ProjectorSpec(ALL, 0, int(lambda0))
+
+    def empirical_at(model: ModelInstance) -> list[float]:
+        if model.cutoff < max(lambda_tildes) + 2:
+            raise ValueError(
+                f"padding insufficient: cutoff {model.cutoff} < lambda_tilde + 2"
+            )
+        basis, h = model.basis, model.hamiltonian
+        truncated = []
+        for lam in lambda_tildes:
+            pi = projector(basis, ProjectorSpec(ALL, 0, lam))
+            truncated.append((pi @ h @ pi).tocsr())
+        # Pi is diagonal, so every Pi H Pi keeps the sector keys
+        sweep = WindowSweep(basis, window0, [h, *truncated], model.sector_keys)
+
+        def differences(ops, e, picks):
+            full = ops[0].apply(e, t, tol)
+            out = np.empty((len(picks),) + e.shape, dtype=complex)
+            for o, i in zip(out, picks):
+                np.subtract(full, ops[1 + i].apply(e, t, tol), out=o)
+            return out
+
+        keep_none = np.zeros(basis.dimension, dtype=bool)
+        tops = sweep.top_singular(
+            differences, range(len(lambda_tildes)), [[keep_none]] * len(lambda_tildes)
+        )
+        return [top for (top,) in tops]
+
+    model = model_factory(n_max)
+    empirical = empirical_at(model)
+    query = TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=1.0)
+    n_modes = len(model.basis.truncatable_modes)
+    analytic = hamiltonian_truncation_bounds(
+        model.profile,
+        [HamTruncationQuery(lam, n_modes, model.comm_norm, query) for lam in lambda_tildes],
+    )
+    notes = ["exact column sweep"] * len(lambda_tildes)
+    if check_padding:
+        shifted = empirical_at(model_factory(2 * n_max))
+        notes = [
+            f"{note}; padding doubling shifts empirical by {abs(s - e):.3e}"
+            for note, s, e in zip(notes, shifted, empirical)
+        ]
+    runtime = time.perf_counter() - t0
+    return [
+        _report(
+            "hamiltonian_truncation",
+            {
+                "model": model.label,
+                "n_max": int(n_max),
+                "lambda0": int(lambda0),
+                "lambda_tilde": lam,
+                "t": float(t),
+            },
+            emp,
+            bound,
+            tol,
+            runtime,
+            note,
+        )
+        for lam, emp, bound, note in zip(lambda_tildes, empirical, analytic, notes)
+    ]
+
+
 def verify_hamiltonian_truncation(
     model_factory: Callable[[int], ModelInstance],
     n_max: int,
@@ -225,54 +328,12 @@ def verify_hamiltonian_truncation(
 ) -> ExperimentReport:
     """Evolution difference under Hamiltonian truncation versus its bound.
 
-    The factory builds the model at a requested cutoff; the truncated
-    Hamiltonian Pi H Pi lives on the same padded space so the two
-    evolutions subtract directly, one sector's window columns at a time.  With check_padding the empirical value
-    is recomputed at double the cutoff and the shift goes in the notes.
+    The one-lambda_tilde case of `verify_hamiltonian_truncations`.
     """
-    t0 = time.perf_counter()
-
-    def empirical_at(model: ModelInstance) -> float:
-        if model.cutoff < lambda_tilde + 2:
-            raise ValueError(
-                f"padding insufficient: cutoff {model.cutoff} < lambda_tilde + 2"
-            )
-        basis = model.basis
-        window0 = ProjectorSpec(ALL, 0, int(lambda0))
-        pi = projector(basis, ProjectorSpec(ALL, 0, int(lambda_tilde)))
-        h_trunc = (pi @ model.hamiltonian @ pi).tocsr()
-        # Pi is diagonal, so Pi H Pi keeps the sector keys
-        sweep = WindowSweep(basis, window0, [model.hamiltonian, h_trunc], model.sector_keys)
-
-        def difference(ops, e, ts):
-            return ops[0].apply_times(e, ts, tol) - ops[1].apply_times(e, ts, tol)
-
-        keep_none = np.zeros(basis.dimension, dtype=bool)
-        return sweep.top_singular(difference, [t], [[keep_none]])[0][0]
-
-    model = model_factory(n_max)
-    empirical = empirical_at(model)
-    notes = "exact column sweep"
-    if check_padding:
-        shifted = empirical_at(model_factory(2 * n_max))
-        notes += f"; padding doubling shifts empirical by {abs(shifted - empirical):.3e}"
-    query = TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=1.0)
-    hq = HamTruncationQuery(
-        lambda_tilde=int(lambda_tilde),
-        n_modes=len(model.basis.truncatable_modes),
-        comm_norm=model.comm_norm,
-        query=query,
+    (report,) = verify_hamiltonian_truncations(
+        model_factory, n_max, lambda0, [lambda_tilde], t, tol, check_padding
     )
-    analytic = hamiltonian_truncation_bound(model.profile, hq)
-    inputs = {
-        "model": model.label,
-        "n_max": int(n_max),
-        "lambda0": int(lambda0),
-        "lambda_tilde": int(lambda_tilde),
-        "t": float(t),
-    }
-    runtime = time.perf_counter() - t0
-    return _report("hamiltonian_truncation", inputs, empirical, analytic, tol, runtime, notes)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from truncert.bounds import (
     energy_threshold_hubbard_holstein,
     energy_threshold_single_mode,
     hamiltonian_truncation_bound,
+    hamiltonian_truncation_bounds,
     leakage_bound_at,
+    leakage_bounds_at,
     long_time_bound,
     minimal_hamiltonian_threshold,
     minimal_state_threshold,
@@ -340,6 +342,62 @@ def test_hamiltonian_truncation_bound_composition():
                             query=TruncationQuery(0, 1.5, 0.5))
     expected = (1.5 ** 2 / 2.0) * 144.0 * 2.0 * leakage_bound_at(BOSON, 0, 10, 1.5)
     assert hamiltonian_truncation_bound(BOSON, hq) == pytest.approx(expected)
+
+
+def test_shared_table_bounds_equal_one_query_bounds():
+    """Several lambda-tildes read one delta table and give, to the bit,
+    what one-query calls give and what the per-delta loop gives."""
+    comm = lambda lam: 0.5 * float(lam) ** 1.5 + 1.0
+    for profile in (GAUGE, BOSON, WalkProfile(chi=1.5, r=0.9)):
+        for lambda0 in (0, 3):
+            for t in (0.0, 0.7, 3.0):
+                q = TruncationQuery(lambda0, t, 0.5)
+                lams = [lambda0 + 30, lambda0 + 2, lambda0 + 9, lambda0 + 2]
+                hqs = [HamTruncationQuery(lam, 3, comm, q) for lam in lams]
+                got = hamiltonian_truncation_bounds(profile, hqs)
+                assert got == [hamiltonian_truncation_bound(profile, hq) for hq in hqs]
+                leaks = [
+                    _per_delta_leakage_min(profile, lambda0, lam - 2, t, DELTA_MAX)[0]
+                    for lam in lams
+                ]
+                want = [
+                    0.0 if t == 0 else 0.5 * t**2 * comm(lam) * math.sqrt(3) * leak
+                    for lam, leak in zip(lams, leaks)
+                ]
+                assert got == want
+                windows = [lam - 2 for lam in lams]
+                assert leakage_bounds_at(profile, lambda0, windows, t) == [
+                    leakage_bound_at(profile, lambda0, lam, t) for lam in windows
+                ]
+
+
+def test_shared_table_bounds_build_one_table(monkeypatch):
+    calls = _count_long_time_bound(monkeypatch)
+    q = TruncationQuery(0, 1.0, 0.5)
+    hqs = [HamTruncationQuery(lam, 1, lambda lam: 1.0, q) for lam in (20, 40, 80)]
+    assert len(hamiltonian_truncation_bounds(BOSON, hqs)) == 3
+    assert len(calls) == DELTA_MAX - 1
+    calls.clear()
+    assert len(leakage_bounds_at(BOSON, 0, [10, 20, 30], 1.0)) == 3
+    assert len(calls) == DELTA_MAX - 1
+    assert hamiltonian_truncation_bounds(BOSON, []) == []
+
+
+def test_shared_table_bounds_check_every_window_first():
+    """A window below lambda0 + 2 anywhere in the list raises before any
+    commutator norm is evaluated; queries must share one TruncationQuery."""
+    norms = []
+    comm = lambda lam: norms.append(lam) or 1.0
+    q = TruncationQuery(4, 1.0, 0.5)
+    hqs = [HamTruncationQuery(lam, 1, comm, q) for lam in (12, 5)]
+    with pytest.raises(ValueError, match="lambda_tilde = 5 must be >= lambda0 [+] 2 = 6"):
+        hamiltonian_truncation_bounds(BOSON, hqs)
+    assert norms == []
+    other = HamTruncationQuery(12, 1, comm, TruncationQuery(4, 2.0, 0.5))
+    with pytest.raises(ValueError, match="share one TruncationQuery"):
+        hamiltonian_truncation_bounds(BOSON, [hqs[0], other])
+    with pytest.raises(ValueError, match="lam must be >= lambda0"):
+        leakage_bounds_at(BOSON, 4, [6, 3], 1.0)
 
 
 def test_minimal_hamiltonian_threshold_frozen_oracle():

@@ -176,6 +176,72 @@ def test_reruns_are_bit_identical(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_parser_is_built_once_for_many_calls(capsys, monkeypatch):
+    """main and sweep share one parser, built on the first call."""
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    try:
+        codes = [
+            cli.main(argv)
+            for argv in (
+                ["threshold", "energy", "--model", "single"],
+                ["sweep", "--cmd", "threshold-state", "--vary", "g=0.5,1", "--set", "t=1"],
+                ["threshold", "nonsense"],
+                ["compare", "--tpoints", "3"],
+            )
+        ]
+    finally:
+        cli._shared_parser.cache_clear()
+    capsys.readouterr()
+    assert codes == [0, 0, 1, 0]
+    assert builds == [1]
+
+
+#: Commands that read a list default: --eps-list (threshold tail and verify
+#: tail), --lambda-tildes (verify ham) and --taus (verify trotter).
+_DEFAULT_LIST_ARGV = [
+    ["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5"],
+    ["verify", "tail", "--model", "hh", "--n-max", "4"],
+    ["verify", "ham", "--model", "single"],
+    ["verify", "trotter", "--model", "single", "--n-max", "12"],
+]
+
+
+def test_default_list_commands_rerun_identically(capsys):
+    """The shared parser hands every call the same default lists; a rerun of
+    each command after the others (and a sweep) prints the same output."""
+
+    def run(argv):
+        code, out = _run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        if "runtime_s" in payload["columns"]:
+            i = payload["columns"].index("runtime_s")
+            for row in payload["rows"]:
+                row[i] = None
+        return payload
+
+    first = [run(argv) for argv in _DEFAULT_LIST_ARGV]
+    for argv in _DEFAULT_LIST_ARGV[::-1]:
+        run(argv)
+    run(["sweep", "--cmd", "threshold-state", "--vary", "g=0.5,1", "--set", "t=1"])
+    assert [run(argv) for argv in _DEFAULT_LIST_ARGV] == first
+    assert first[0]["config"]["eps_list"] == "0.01,0.0001,1e-06"
+    assert first[2]["config"]["lambda_tildes"] == "10"
+    assert first[3]["config"]["taus"] == "0.2,0.1,0.05,0.025"
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
@@ -342,6 +408,35 @@ def test_trotter_order_without_constants_exits_one_before_propagating(
     captured = capsys.readouterr()
     assert code == 1
     assert "certified per-step constants cover p in {1, 2}" in captured.err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lambda0", "5", "--lambda-tildes", "20,6"],
+         "lambda_tilde = 6 must be >= lambda0 + 2 = 7"),
+        (["--lambda0", "1", "--lambda-tildes", "20,199"],
+         "padding insufficient: cutoff 200 < lambda_tilde + 2"),
+    ],
+)
+def test_bad_lambda_tilde_exits_one_before_propagating(extra, message, capsys, monkeypatch):
+    """Every lambda-tilde is checked before the first one is propagated."""
+    calls = []
+    real = propagate.ChebyshevPropagator.apply_times
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(propagate.ChebyshevPropagator, "apply_times", counting)
+    code = cli.main(
+        ["verify", "ham", "--model", "single", "--n-max", "200", "--check-padding"] + extra
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"truncert: error: {message}\n"
+    assert captured.out == ""
     assert calls == []
 
 

@@ -120,3 +120,17 @@ def test_star_import_and_dir_cover_the_package_names():
     )
     assert len(got["all"]) == len(truncert.__all__) > 0
     assert got["star"] == [] and got["dir"] == []
+
+
+def test_cli_parser_is_built_on_first_call_not_at_import():
+    got = _fresh(
+        "import contextlib, io, json\n"
+        "from truncert import cli\n"
+        "builds = [cli._shared_parser.cache_info().misses]\n"
+        "for argv in (['threshold', 'energy'], ['compare', '--tpoints', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        "    builds.append(cli._shared_parser.cache_info().misses)\n"
+        "print(json.dumps(builds))\n"
+    )
+    assert got == [0, 1, 1]

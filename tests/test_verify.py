@@ -1,6 +1,7 @@
 """Verification layer: report plumbing and the bound-vs-empirical suites."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from truncert.verify import (
     tail_decay_slope,
     tail_profile,
     verify_hamiltonian_truncation,
+    verify_hamiltonian_truncations,
     verify_state_truncation,
     verify_tail,
 )
@@ -198,6 +200,102 @@ def test_sectored_hamiltonian_truncation_matches_one_sector():
     single = verify_hamiltonian_truncation(one_sector, 6, 1, 4, 0.5)
     assert abs(many.empirical - single.empirical) <= engine_slack(TOL)
     assert many.empirical == pytest.approx(0.0023517361454766083, rel=0.0, abs=1e-12)
+
+
+HAM_CASES = {
+    # single mode, padding-checked at twice the cutoff
+    "single": (lambda nm: single_mode(0.5, 1.0, nm), 48, 0, [6, 10, 14], 1.0, True),
+    # 2-site HH, nine (N_up, N_dn) sectors
+    "hh": (lambda nm: hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=nm), 6, 1, [4, 3], 0.5, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAM_CASES))
+def test_multi_lambda_tilde_call_equals_one_element_calls(case):
+    """One sweep per cutoff for every lambda-tilde gives each report the
+    separate one-element call's values exactly, in the order asked."""
+    factory, n_max, lambda0, lambda_tildes, t, padding = HAM_CASES[case]
+    together = verify_hamiltonian_truncations(
+        factory, n_max, lambda0, lambda_tildes, t, check_padding=padding
+    )
+    apart = [
+        verify_hamiltonian_truncation(factory, n_max, lambda0, lam, t, check_padding=padding)
+        for lam in lambda_tildes
+    ]
+    assert [r.inputs["lambda_tilde"] for r in together] == lambda_tildes
+    assert len({r.empirical for r in together}) == len(lambda_tildes)
+    for rep, ref in zip(together, apart, strict=True):
+        assert rep.empirical == ref.empirical
+        assert rep.analytic == ref.analytic
+        assert rep.notes == ref.notes
+        assert rep.inputs == ref.inputs
+        assert rep.sound and ref.sound
+    assert ("padding doubling" in together[0].notes) == padding
+    (runtime,) = {r.runtime_s for r in together}
+    assert runtime > 0.0
+
+
+@pytest.mark.parametrize("check_padding, cutoffs", [(False, [6]), (True, [6, 12])])
+def test_hamiltonian_truncations_prepare_each_operator_once_per_cutoff(
+    check_padding, cutoffs, monkeypatch
+):
+    """The factory runs once per cutoff, and H and every Pi H Pi are checked
+    for Hermiticity once per cutoff: (1 + L) x cutoffs checks."""
+    built, checks = [], []
+    real = propagate.hermiticity_defect
+
+    def counting(op):
+        checks.append(op.shape)
+        return real(op)
+
+    def factory(nm):
+        built.append(nm)
+        return hubbard_holstein_1d(2, g=0.5, n_max=nm)
+
+    monkeypatch.setattr(propagate, "hermiticity_defect", counting)
+    lambda_tildes = [3, 4, 3]
+    reports = verify_hamiltonian_truncations(
+        factory, 6, 1, lambda_tildes, 0.4, check_padding=check_padding
+    )
+    assert len(reports) == len(lambda_tildes)
+    assert built == cutoffs
+    assert len(checks) == (1 + len(lambda_tildes)) * len(cutoffs)
+
+
+def test_hamiltonian_truncations_without_lambda_tildes_build_nothing():
+    built = []
+    assert verify_hamiltonian_truncations(built.append, 6, 1, [], 0.4, check_padding=True) == []
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "lambda0, lambda_tildes, message",
+    [
+        (5, [20, 6], "lambda_tilde = 6 must be >= lambda0 + 2 = 7"),
+        (1, [10, 29], "padding insufficient: cutoff 30 < lambda_tilde + 2"),
+    ],
+)
+def test_hamiltonian_truncations_check_every_window_before_propagating(
+    lambda0, lambda_tildes, message, monkeypatch
+):
+    """A lambda-tilde that breaks the lambda0 + 2 rule or the padding rule
+    raises before anything is propagated, wherever it sits in the list."""
+    calls, built = [], []
+    real = ChebyshevPropagator.apply_times
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    def factory(nm):
+        built.append(nm)
+        return single_mode(0.5, 1.0, nm)
+
+    monkeypatch.setattr(ChebyshevPropagator, "apply_times", counting)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_hamiltonian_truncations(factory, 30, lambda0, lambda_tildes, 1.0, check_padding=True)
+    assert calls == []
+    assert built == ([] if "lambda0" in message else [30])
 
 
 # ---------------------------------------------------------------------------
