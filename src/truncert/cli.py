@@ -3,15 +3,18 @@
 Layout:
 
     truncert threshold state|ham|energy|tail [flags]
+    truncert compare [flags]
     truncert verify state|ham|tail|trotter|coherent|all [flags]
     truncert sweep --cmd <threshold command> --vary key=v1,v2 [flags]
 
 Every output artifact starts with a header block echoing the parsed
-configuration and the tool version; analytic columns are bit-stable
-across reruns of the same configuration.  Config files hold key=value
-lines matching the long flag names (dashes or underscores); flags given
-on the command line win.  Exit codes: 0 success and all reports sound,
-1 usage error, 2 resource or guard error, 3 soundness violation.
+configuration and the tool version; each command declares only the
+flags it reads (for some --model), so the header names only inputs that
+reached the result.  Analytic columns are bit-stable across reruns of
+the same configuration.  Config files hold key=value lines naming flags
+of the command (dashes or underscores); flags given on the command line
+win.  Exit codes: 0 success and all reports sound, 1 usage error, 2
+resource or guard error, 3 soundness violation.
 
 The threshold commands other than `threshold ham`, `compare` and
 `sweep` need only `bounds` and `walk_profiles`, which import nothing but
@@ -338,20 +341,67 @@ def _verify_times(args, fallback):
     return _time_grid(args)
 
 
+def _suite_state(args):
+    from .verify import verify_state_truncation
+
+    return verify_state_truncation(
+        _MODELS[args.model].build(args, args.n_max),
+        args.lambda0,
+        _verify_times(args, [0.25]),
+        mode=args.windows,
+        deltas=args.deltas if args.deltas is not None else [2, 3, 4, 5],
+    )
+
+
 def _suite_ham(args):
-    from .models import single_mode
     from .verify import verify_hamiltonian_truncations
 
     if args.model != "single":
         raise ValueError("the hamiltonian-truncation suite runs on --model single")
     return verify_hamiltonian_truncations(
-        lambda nm: single_mode(args.g, args.omega0, nm),
+        functools.partial(_MODELS[args.model].build, args),
         n_max=args.n_max,
         lambda0=args.lambda0,
         lambda_tildes=args.lambda_tildes,
         t=args.t_single,
         check_padding=args.check_padding,
     )
+
+
+def _suite_tail(args):
+    from .verify import verify_tail
+
+    return verify_tail(_MODELS[args.model].build(args, args.n_max), args.eps_list)
+
+
+def _suite_coherent(args):
+    from .propagate import TOL
+    from .verify import coherent_oracle_check
+
+    return [coherent_oracle_check(_verify_times(args, [0.5, 1.0, 2.0, 3.0]), tol=TOL)]
+
+
+def _suite_all(args):
+    """`verify all`: four fixed verify commands, parsed and run like any other."""
+    reports = []
+    for argv in (
+        ("state", "--n-max", "48", "--t", "0.25"),
+        ("ham", "--n-max", "48"),
+        ("tail", "--model", "hh", "--n-max", "12", "--eps-list", "0.01,0.0001"),
+        ("coherent", "--t", "0.5,1,2"),
+    ):
+        fixed = _shared_parser().parse_args(["verify", *argv])
+        reports += _SUITES[fixed.suite](fixed)
+    return reports
+
+
+_SUITES = {
+    "state": _suite_state,
+    "ham": _suite_ham,
+    "tail": _suite_tail,
+    "coherent": _suite_coherent,
+    "all": _suite_all,
+}
 
 
 def _suite_trotter(args):
@@ -363,7 +413,7 @@ def _suite_trotter(args):
         error_scaling_slope,
         safe_window,
     )
-    from .verify import engine_slack
+    from .verify import is_sound
 
     trotter = _model_hook(args, "trotter", "the trotter suite runs on --model single or hh")
     model = _MODELS[args.model].build(args, args.n_max)
@@ -372,9 +422,8 @@ def _suite_trotter(args):
     lambda1 = safe_window(args.lambda0, p)
     budget = ab_quantities(summaries, lambda1, p, model.cutoff)
     points = empirical_trotter_error(model, p, args.taus, args.lambda0, budget=budget)
-    slack = engine_slack(TOL)
     columns = ["tau", "error", "bound", "sound"]
-    rows = [[pt.tau, pt.error, pt.bound, pt.error <= pt.bound + slack] for pt in points]
+    rows = [[pt.tau, pt.error, pt.bound, is_sound(pt.error, pt.bound, TOL)] for pt in points]
     try:
         slope = error_scaling_slope(points)
     except ValueError:  # fewer than two points above the noise floor to fit
@@ -384,60 +433,8 @@ def _suite_trotter(args):
     return columns, rows, meta, code
 
 
-def _suite_all():
-    """The fixed instances behind `verify all`, which takes no model flags."""
-    from .models import hubbard_holstein_1d, single_mode
-    from .propagate import TOL
-    from .verify import (
-        coherent_oracle_check,
-        verify_hamiltonian_truncation,
-        verify_state_truncation,
-        verify_tail,
-    )
-
-    reports = verify_state_truncation(
-        single_mode(0.5, 1.0, 48), 0, [0.25], deltas=[2, 3, 4, 5]
-    )
-    reports.append(
-        verify_hamiltonian_truncation(
-            lambda nm: single_mode(0.5, 1.0, nm),
-            n_max=48,
-            lambda0=0,
-            lambda_tilde=10,
-            t=1.0,
-        )
-    )
-    reports += verify_tail(hubbard_holstein_1d(2, n_max=12), [1e-2, 1e-4])
-    reports.append(coherent_oracle_check([0.5, 1.0, 2.0], tol=TOL))
-    return reports
-
-
 def _cmd_verify(args):
-    from .propagate import TOL
-    from .verify import coherent_oracle_check, verify_state_truncation, verify_tail
-
-    if args.suite == "trotter":
-        return _suite_trotter(args)
-    if args.suite == "coherent":
-        times = _verify_times(args, [0.5, 1.0, 2.0, 3.0])
-        reports = [coherent_oracle_check(times, tol=TOL)]
-    elif args.suite == "state":
-        reports = verify_state_truncation(
-            _MODELS[args.model].build(args, args.n_max),
-            args.lambda0,
-            _verify_times(args, [0.25]),
-            mode=args.windows,
-            deltas=args.deltas if args.deltas is not None else [2, 3, 4, 5],
-        )
-    elif args.suite == "ham":
-        reports = _suite_ham(args)
-    elif args.suite == "tail":
-        model = _MODELS[args.model].build(args, args.n_max)
-        reports = verify_tail(model, args.eps_list)
-    elif args.suite == "all":
-        reports = _suite_all()
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
+    reports = _SUITES[args.suite](args)
     rows = [_report_row(rep) for rep in reports]
     code = EXIT_OK if all(rep.sound for rep in reports) else EXIT_UNSOUND
     return _REPORT_COLUMNS, rows, {"reports": len(rows)}, code
@@ -520,10 +517,17 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="key=value config file; flags win")
 
 
-def _add_model_params(sub, with_cutoff=True):
+def _add_profile_params(sub):
+    """--model and the couplings a walk profile reads."""
     sub.add_argument("--model", choices=tuple(_MODELS), default="single")
     sub.add_argument("--g", type=float, default=0.5, help="coupling (g_GM for u1)")
     sub.add_argument("--gb", type=float, default=0.0, help="magnetic weight for u1")
+    sub.add_argument("--n", type=int, default=100, help="mode/spin/site count for formulas")
+
+
+def _add_model_params(sub):
+    """The profile flags, every model builder's couplings and the cutoff --n-max."""
+    _add_profile_params(sub)
     sub.add_argument("--gm", type=float, default=1.0, help="staggered mass for u1")
     sub.add_argument("--ge", type=float, default=1.0, help="electric weight for u1")
     sub.add_argument("--omega0", type=float, default=1.0)
@@ -531,11 +535,15 @@ def _add_model_params(sub, with_cutoff=True):
     sub.add_argument("--hop", type=float, default=1.0)
     sub.add_argument("--u", type=float, default=0.0)
     sub.add_argument("--mu", type=float, default=0.0)
-    sub.add_argument("--n", type=int, default=100, help="mode/spin/site count for formulas")
     sub.add_argument("--sites", type=int, default=2)
     sub.add_argument("--field-cap", dest="field_cap", type=int, default=1)
-    if with_cutoff:
-        sub.add_argument("--n-max", dest="n_max", type=int, default=16)
+    sub.add_argument("--n-max", dest="n_max", type=int, default=16)
+
+
+def _add_time_grid(sub, tmax=None, tpoints=21):
+    sub.add_argument("--t", type=_floats, default=None, help="comma list of times")
+    sub.add_argument("--tmax", type=float, default=tmax)
+    sub.add_argument("--tpoints", type=int, default=tpoints)
 
 
 def build_parser() -> _Parser:
@@ -547,12 +555,10 @@ def build_parser() -> _Parser:
     thr_sub = thr.add_subparsers(dest="kind", required=True, parser_class=_Parser)
 
     t_state = thr_sub.add_parser("state", help="state-truncation window over a time grid")
-    _add_model_params(t_state, with_cutoff=False)
+    _add_profile_params(t_state)
     t_state.add_argument("--lambda0", type=int, default=0)
     t_state.add_argument("--eps", type=float, default=1e-2)
-    t_state.add_argument("--t", type=_floats, default=None, help="comma list of times")
-    t_state.add_argument("--tmax", type=float, default=None)
-    t_state.add_argument("--tpoints", type=int, default=21)
+    _add_time_grid(t_state)
     t_state.add_argument("--optimize-lambda", dest="optimize_lambda", action="store_true")
     t_state.add_argument("--delta-max", dest="delta_max", type=int, default=512)
     _add_common(t_state)
@@ -567,7 +573,8 @@ def build_parser() -> _Parser:
     t_ham.set_defaults(func=_cmd_threshold_ham)
 
     t_energy = thr_sub.add_parser("energy", help="energy-conservation competitor window")
-    _add_model_params(t_energy, with_cutoff=False)
+    _add_profile_params(t_energy)
+    t_energy.add_argument("--omega0", type=float, default=1.0)
     t_energy.add_argument("--lambda0", type=int, default=0)
     t_energy.add_argument("--eps", type=float, default=1e-2)
     t_energy.add_argument("--ef", type=float, default=0.0, help="fermionic ground energy")
@@ -576,7 +583,7 @@ def build_parser() -> _Parser:
     t_energy.set_defaults(func=_cmd_threshold_energy)
 
     t_tail = thr_sub.add_parser("tail", help="eigenstate tail window from (lambda_bar, gap)")
-    _add_model_params(t_tail, with_cutoff=False)
+    _add_profile_params(t_tail)
     t_tail.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=None)
     t_tail.add_argument("--gap", type=float, default=None)
     t_tail.add_argument(
@@ -585,44 +592,42 @@ def build_parser() -> _Parser:
     _add_common(t_tail)
     t_tail.set_defaults(func=_cmd_threshold_tail)
 
+    # compare always computes the Hubbard-Holstein curve: no --model
     cmp_cmd = top.add_parser("compare", help="walk threshold vs energy threshold curve")
-    _add_model_params(cmp_cmd, with_cutoff=False)
+    cmp_cmd.add_argument("--g", type=float, default=0.5)
+    cmp_cmd.add_argument("--omega0", type=float, default=1.0)
+    cmp_cmd.add_argument("--n", type=int, default=100, help="site count")
     cmp_cmd.add_argument("--lambda0", type=int, default=4)
     cmp_cmd.add_argument("--eps", type=float, default=1e-2)
-    cmp_cmd.add_argument("--t", type=_floats, default=None)
-    cmp_cmd.add_argument("--tmax", type=float, default=10.0)
-    cmp_cmd.add_argument("--tpoints", type=int, default=21)
+    _add_time_grid(cmp_cmd, tmax=10.0)
     _add_common(cmp_cmd)
     cmp_cmd.set_defaults(func=_cmd_compare)
 
     ver = top.add_parser("verify", help="bound-vs-empirical experiment suites")
     ver_sub = ver.add_subparsers(dest="suite", required=True, parser_class=_Parser)
-    for suite in ("state", "ham", "tail", "trotter", "coherent"):
-        v = ver_sub.add_parser(suite)
-        _add_model_params(v)
-        v.add_argument("--lambda0", type=int, default=0)
-        v.add_argument("--t", type=_floats, default=None)
-        v.add_argument("--tmax", type=float, default=None)
-        v.add_argument("--tpoints", type=int, default=9)
-        v.add_argument("--t-single", dest="t_single", type=float, default=1.0)
-        v.add_argument("--deltas", type=_ints, default=None)
-        v.add_argument("--windows", choices=("per_mode", "all"), default="per_mode")
-        v.add_argument(
-            "--lambda-tildes", dest="lambda_tildes", type=_ints, default=[10]
-        )
-        v.add_argument("--check-padding", dest="check_padding", action="store_true")
-        v.add_argument(
-            "--eps-list", dest="eps_list", type=_floats, default=[1e-2, 1e-4, 1e-6]
-        )
-        v.add_argument("--p", type=int, default=0, help="product-formula order")
-        v.add_argument(
-            "--taus", type=_floats, default=[0.2, 0.1, 0.05, 0.025]
-        )
-        _add_common(v)
-        v.set_defaults(func=_cmd_verify, suite=suite)
-    v_all = ver_sub.add_parser("all", help="fixed built-in instances; no model flags")
-    _add_common(v_all)
-    v_all.set_defaults(func=_cmd_verify, suite="all")
+    v = {}
+    for suite in ("state", "ham", "tail", "trotter", "coherent", "all"):
+        help_ = "four fixed suite runs; output flags only" if suite == "all" else None
+        v[suite] = ver_sub.add_parser(suite, help=help_)
+        _add_common(v[suite])
+        v[suite].set_defaults(func=_cmd_verify, suite=suite)
+    for suite in ("state", "ham", "tail", "trotter"):
+        _add_model_params(v[suite])
+    for suite in ("state", "ham", "trotter"):
+        v[suite].add_argument("--lambda0", type=int, default=0)
+    for suite in ("state", "coherent"):
+        _add_time_grid(v[suite], tpoints=9)
+    v["state"].add_argument("--deltas", type=_ints, default=None)
+    v["state"].add_argument("--windows", choices=("per_mode", "all"), default="per_mode")
+    v["ham"].add_argument("--t-single", dest="t_single", type=float, default=1.0)
+    v["ham"].add_argument("--lambda-tildes", dest="lambda_tildes", type=_ints, default=[10])
+    v["ham"].add_argument("--check-padding", dest="check_padding", action="store_true")
+    v["tail"].add_argument(
+        "--eps-list", dest="eps_list", type=_floats, default=[1e-2, 1e-4, 1e-6]
+    )
+    v["trotter"].add_argument("--p", type=int, default=0, help="product-formula order")
+    v["trotter"].add_argument("--taus", type=_floats, default=[0.2, 0.1, 0.05, 0.025])
+    v["trotter"].set_defaults(func=_suite_trotter)
 
     sweep = top.add_parser("sweep", help="cartesian parameter sweep of a threshold command")
     sweep.add_argument("--cmd", required=True, help="threshold-state, threshold-energy, compare")
@@ -675,9 +680,9 @@ def _inject_config(argv: list[str]) -> list[str]:
     extra: list[str] = []
     for key, value in load_config(argv[i + 1]).items():
         extra += _flag_tokens(key, value)
-    n_cmd = 1 if argv and argv[0] == "sweep" else 2
-    n_cmd = min(n_cmd, len(argv))
-    return argv[:n_cmd] + extra + argv[n_cmd:]
+    # after the command words, which end at the first flag (--config at the latest)
+    first = next(j for j, tok in enumerate(argv) if tok.startswith("-"))
+    return argv[:first] + extra + argv[first:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -372,13 +372,14 @@ def stack_sectors(sectors: list[Sector]) -> list[Stack]:
     """
     groups: list[list[Sector]] = []
     open_: dict[int, list[Sector]] = {}  # window count -> the stack still growing
+    dims: dict[int, int] = {}  # window count -> rows of that open stack
     for s in sectors:
-        members = open_.get(len(s.window))
-        dim = sum(len(m.rows) for m in members) if members else 0
-        if members is None or (dim + len(s.rows)) * len(s.window) > _BLOCK_ENTRIES:
-            members = open_[len(s.window)] = []
-            groups.append(members)
-        members.append(s)
+        n0 = len(s.window)
+        if n0 not in open_ or (dims[n0] + len(s.rows)) * n0 > _BLOCK_ENTRIES:
+            open_[n0], dims[n0] = [], 0
+            groups.append(open_[n0])
+        open_[n0].append(s)
+        dims[n0] += len(s.rows)
     out = []
     for members in groups:
         starts = np.cumsum([0] + [len(m.rows) for m in members])
@@ -594,10 +595,7 @@ class WindowSweep:
                     for k, keep in enumerate(keep_masks[i]):
                         kept = keep[stack.rows]
                         for start, stop in zip(stack.starts[:-1], stack.starts[1:]):
-                            # one fancy index picks this member's escaped rows
-                            member = np.ones_like(kept)
-                            member[start:stop] = kept[start:stop]
-                            top = masked_top_singular(block, member)
+                            top = masked_top_singular(block[start:stop], kept[start:stop])
                             tops[i][k] = max(tops[i][k], top)
                 # free this stack's columns (block is a view) before the next fill
                 del cols, block

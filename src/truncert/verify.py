@@ -63,6 +63,7 @@ from .propagate import TOL, WindowSweep, evolve, lowest_eigenpairs
 __all__ = [
     "ExperimentReport",
     "engine_slack",
+    "is_sound",
     "verify_state_truncation",
     "verify_hamiltonian_truncations",
     "verify_hamiltonian_truncation",
@@ -112,13 +113,18 @@ def engine_slack(tol: float) -> float:
     return 10.0 * tol
 
 
+def is_sound(empirical: float, analytic: float, tol: float) -> bool:
+    """The one soundness rule: empirical <= analytic + engine_slack(tol)."""
+    return bool(empirical <= analytic + engine_slack(tol))
+
+
 def _report(experiment, inputs, empirical, analytic, tol, runtime_s, notes=""):
     return ExperimentReport(
         experiment=experiment,
         inputs=dict(inputs),
         empirical=float(empirical),
         analytic=float(analytic),
-        sound=bool(empirical <= analytic + engine_slack(tol)),
+        sound=is_sound(empirical, analytic, tol),
         margin=float(analytic - empirical),
         runtime_s=runtime_s,
         notes=notes,

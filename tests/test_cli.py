@@ -1,5 +1,6 @@
 """CLI surface: output contract, config precedence, sweeps, exit codes."""
 
+import argparse
 import json
 import os
 
@@ -126,6 +127,24 @@ def test_flags_beat_config_file(tmp_path, capsys):
     lam = int(_data_lines(out)[1].split(",")[1])
     assert lam != 1694
     assert lam < 1694
+
+
+def test_config_file_on_one_word_command(tmp_path, capsys):
+    """compare takes one command word: the config flags go in before its flags."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps=0.1\n")
+    for via_config, direct in (
+        (["compare", "--config", str(cfg)], ["compare", "--eps", "0.1"]),
+        (["compare", "--tpoints", "2", "--config", str(cfg), "--eps", "0.5"],
+         ["compare", "--tpoints", "2", "--eps", "0.5"]),
+    ):
+        code, out = _run(via_config, capsys)
+        code2, out2 = _run(direct, capsys)
+        assert code == code2 == 0
+        assert _data_lines(out) == _data_lines(out2)
+    cfg.write_text("model=u1\n")
+    assert cli.main(["compare", "--config", str(cfg)]) == 1
+    assert "unrecognized arguments: --model u1" in capsys.readouterr().err
 
 
 def test_bad_config_line_is_usage_error(tmp_path, capsys):
@@ -492,6 +511,30 @@ def test_verify_all_takes_no_model_flags(capsys):
     assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
+def _masked_json(argv, capsys):
+    code, out = _run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    i = payload["columns"].index("runtime_s")
+    for row in payload["rows"]:
+        row[i] = None
+    return payload
+
+
+def test_verify_all_is_four_fixed_commands(capsys):
+    """verify all's rows are, in order, those of its four fixed verify commands."""
+    fixed = [
+        ["verify", "state", "--n-max", "48", "--t", "0.25"],
+        ["verify", "ham", "--n-max", "48"],
+        ["verify", "tail", "--model", "hh", "--n-max", "12", "--eps-list", "0.01,0.0001"],
+        ["verify", "coherent", "--t", "0.5,1,2"],
+    ]
+    whole = _masked_json(["verify", "all"], capsys)
+    parts = [_masked_json(argv, capsys) for argv in fixed]
+    assert whole["rows"] == [row for part in parts for row in part["rows"]]
+    assert len(whole["rows"]) == int(whole["config"]["reports"]) == 12
+
+
 def test_unsound_report_exits_three(capsys, monkeypatch):
     from dataclasses import replace
 
@@ -546,3 +589,69 @@ def test_csv_cells_with_commas_are_quoted(capsys):
     assert all(len(row) == len(header) for row in data)
     inputs = data[0][header.index("inputs")]
     assert "t_grid=0.5,1.0" in inputs
+
+
+# ---------------------------------------------------------------------------
+# each command's flags
+# ---------------------------------------------------------------------------
+
+_COMMON = {"--out", "--format", "--config"}
+_PROFILE = {"--model", "--g", "--gb", "--n"}
+_MODEL = _PROFILE | {"--gm", "--ge", "--omega0", "--omega-z", "--hop", "--u", "--mu",
+                     "--sites", "--field-cap", "--n-max"}
+_TIMES = {"--t", "--tmax", "--tpoints"}
+
+#: Every command's flags: the ones it reads (a model flag counts if some
+#: --model reads it) and the output flags.
+_COMMAND_FLAGS = {
+    "threshold state": _PROFILE | _TIMES | {"--lambda0", "--eps", "--optimize-lambda",
+                                            "--delta-max"},
+    "threshold ham": _MODEL | {"--lambda0", "--eps", "--t-single"},
+    "threshold energy": _PROFILE | {"--omega0", "--lambda0", "--eps", "--ef", "--etotal"},
+    "threshold tail": _PROFILE | {"--lambda-bar", "--gap", "--eps-list"},
+    "compare": _TIMES | {"--g", "--omega0", "--n", "--lambda0", "--eps"},
+    "verify state": _MODEL | _TIMES | {"--lambda0", "--deltas", "--windows"},
+    "verify ham": _MODEL | {"--lambda0", "--t-single", "--lambda-tildes", "--check-padding"},
+    "verify tail": _MODEL | {"--eps-list"},
+    "verify trotter": _MODEL | {"--lambda0", "--p", "--taus"},
+    "verify coherent": _TIMES,
+    "verify all": set(),
+    "sweep": {"--cmd", "--vary", "--set", "--max-rows"},
+}
+
+
+def _leaf_flags(parser, path=()):
+    """{command words: its long flags} for every leaf command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): {a.option_strings[-1] for a in parser._actions
+                                 if a.option_strings and a.dest != "help"}}
+    return {
+        cmd: flags
+        for action in subs
+        for name, sub in action.choices.items()
+        for cmd, flags in _leaf_flags(sub, path + (name,)).items()
+    }
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    got = _leaf_flags(cli.build_parser())
+    assert got == {cmd: flags | _COMMON for cmd, flags in _COMMAND_FLAGS.items()}
+    assert sum(len(flags) for flags in got.values()) == 165
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "coherent", "--model", "hh"],
+        ["verify", "tail", "--lambda0", "1"],
+        ["verify", "state", "--taus", "0.1"],
+        ["compare", "--model", "u1"],
+        ["threshold", "state", "--sites", "3"],
+    ],
+)
+def test_command_refuses_a_flag_it_does_not_read(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == ""
