@@ -572,8 +572,11 @@ def build_parser() -> _Parser:
     _add_common(t_ham)
     t_ham.set_defaults(func=_cmd_threshold_ham)
 
+    # the energy baselines read --model --g --n but not --gb, the u1 profile's weight
     t_energy = thr_sub.add_parser("energy", help="energy-conservation competitor window")
-    _add_profile_params(t_energy)
+    t_energy.add_argument("--model", choices=tuple(_MODELS), default="single")
+    t_energy.add_argument("--g", type=float, default=0.5, help="coupling")
+    t_energy.add_argument("--n", type=int, default=100, help="site count for hh")
     t_energy.add_argument("--omega0", type=float, default=1.0)
     t_energy.add_argument("--lambda0", type=int, default=0)
     t_energy.add_argument("--eps", type=float, default=1e-2)

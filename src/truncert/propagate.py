@@ -5,9 +5,17 @@ Chebyshev expansion of exp(-i t h) applied as sparse x dense-block
 products, with the term count fixed in advance by a rigorous Bessel-tail
 bound, so one 2-norm error bound covers the whole block.  Building one
 does the per-operator setup (Hermiticity check, diagonal test, Gershgorin
-interval, scaled operator) once; its `apply` then serves every block and
-time, so callers that evolve one operator repeatedly prepare it once per
-command and pass it wherever a Hamiltonian is taken (`as_propagator`).
+interval) once, on a private copy, so the caller's matrix is never
+reordered; the scaled operator is built on the first `apply`, so an
+operator that is only restricted to sectors never builds it.  Its
+`apply` then serves every block and time, so callers that evolve one
+operator repeatedly prepare it once per command and pass it wherever a
+Hamiltonian is taken (`as_propagator`).  Every model's operators are
+real in the Fock basis, and a real operator runs in float64: the copy,
+the scaled operator and, for a real block (the identity window columns
+of a sweep), the whole recurrence; a complex block of two or more
+columns multiplies as a real block of twice the width.  The values
+equal those of complex arithmetic exactly.
 `evolve` is the one-shot form, for a vector or a block.  The vectors
 T_k(h_s) block of the recurrence do not depend on t, so `apply_times`
 runs one recurrence, to the largest term count, for every time of a
@@ -35,7 +43,8 @@ each value is the largest over the sectors.  No key is one sector, the
 whole space.  `DensePropagator` (one dense eigendecomposition) is the
 exact oracle the tests compare it against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
-seeds: same inputs, same outputs.  `scipy.linalg` and ARPACK are
+seeds: same inputs, same outputs.  `lowest_eigenpairs` solves a real H
+as a real symmetric problem.  `scipy.linalg` and ARPACK are
 imported inside `DensePropagator` and `lowest_eigenpairs`, their only
 users, so the sparse evolution paths never load them.
 
@@ -100,12 +109,28 @@ TOL = 1e-10
 # block Chebyshev evolution
 # ---------------------------------------------------------------------------
 
-def _diagonal_if_diagonal(h: sp.spmatrix) -> np.ndarray | None:
-    coo = sp.coo_matrix(h)
-    if coo.nnz and not np.array_equal(coo.row, coo.col):
+def _owned_csr(h: sp.spmatrix) -> sp.csr_matrix:
+    """A private canonical CSR copy of h; float64 when every imaginary part is zero.
+
+    scipy sorts a CSR matrix's entries in place on its first reduction
+    (abs, a product), so the engines work on a copy and never reorder the
+    caller's matrix.  A real copy owns its data, indices and indptr: one
+    viewing h.real and sharing h's indices would, once sorted, leave the
+    complex matrix's entries misplaced.
+    """
+    h = sp.csr_matrix(h)  # shares h's arrays when h is CSR already
+    data = h.data.real if np.iscomplexobj(h.data) and not h.data.imag.any() else h.data
+    h = sp.csr_matrix((data.copy(), h.indices.copy(), h.indptr.copy()), shape=h.shape)
+    h.sum_duplicates()
+    return h
+
+
+def _diagonal_if_diagonal(h: sp.csr_matrix) -> np.ndarray | None:
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    if not np.array_equal(rows, h.indices):
         return None
     diag = np.zeros(h.shape[0], dtype=complex)
-    diag[coo.row] = coo.data
+    diag[rows] = h.data
     return diag
 
 
@@ -152,39 +177,55 @@ def _chebyshev_terms(x: float, tol: float) -> int:
 class ChebyshevPropagator:
     """exp(-i t h) for one Hermitian h, prepared once and applied many times.
 
-    Building it does all the per-operator work: the Hermiticity check,
-    the diagonal test (diagonal operators take the elementwise
-    exponential), the Gershgorin interval [c - r, c + r] and the scaled
-    operator 2 (h - c) / r.  `apply` then evolves any block for any time
-    and tolerance.  Build one per operator for as long as a loop evolves
-    it; nothing is cached beyond the object's life.
+    Building it does the per-operator checks on a private copy of h
+    (float64 when h is real): the Hermiticity check, the diagonal test
+    (diagonal operators take the elementwise exponential) and each row's
+    Gershgorin interval, whose hull [c - r, c + r] fixes the expansion.
+    The scaled operator 2 (h - c) / r is built on the first `apply` that
+    needs it, so a propagator only restricted to sectors never builds
+    one.  `apply` then evolves any block for any time and tolerance.
+    Build one per operator for as long as a loop evolves it; nothing is
+    cached beyond the object's life.
     """
 
     def __init__(self, h: sp.spmatrix):
-        h = sp.csr_matrix(h)
+        h = _owned_csr(h)
         if h.shape[1] != h.shape[0]:
             raise ValueError("dimension mismatch")
         if hermiticity_defect(h) > _HERM_TOL:
             raise ValueError("hamiltonian is not Hermitian")
         self._prepare(h)
 
-    def _prepare(self, h: sp.csr_matrix) -> None:
-        dim = h.shape[0]
+    def _prepare(self, h: sp.csr_matrix, row_bounds=None) -> None:
+        """Set up for the canonical CSR h, which the propagator then owns.
+
+        row_bounds, when given, holds each row's Gershgorin (lo, hi) end.
+        """
         self._h = h
         self.shape = h.shape
         self._diag = _diagonal_if_diagonal(h)
         self._centre = self._half = 0.0
+        self._row_bounds = None
         self._two_hs = None
         if self._diag is None:
-            d = h.diagonal().real
-            radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
-            lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+            if row_bounds is None:
+                d = h.diagonal().real
+                radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
+                row_bounds = d - radius, d + radius
+            self._row_bounds = row_bounds
+            lo, hi = float(np.min(row_bounds[0])), float(np.max(row_bounds[1]))
             self._centre, self._half = (hi + lo) / 2.0, (hi - lo) / 2.0
-            # a zero-width interval needs no recurrence (one term, x = 0)
-            if self._half > 0.0:
-                # the recurrence is T_{k+1} = two_hs T_k - T_{k-1}
-                eye = sp.identity(dim, format="csr")
-                self._two_hs = (h - eye * self._centre) * (2.0 / self._half)
+
+    def _scaled(self) -> sp.csr_matrix:
+        """two_hs = 2 (h - c) / r of the recurrence T_{k+1} = two_hs T_k - T_{k-1}.
+
+        Built on first use, in h's dtype; only a recurrence of two or more
+        terms asks for it, and that needs r > 0.
+        """
+        if self._two_hs is None:
+            eye = sp.identity(self.shape[0], format="csr")
+            self._two_hs = (self._h - eye * self._centre) * (2.0 / self._half)
+        return self._two_hs
 
     def restrict(self, rows: np.ndarray) -> ChebyshevPropagator:
         """The propagator of h on the states rows (distinct, in any order).
@@ -195,10 +236,11 @@ class ChebyshevPropagator:
         returned propagator, built on the principal submatrix h[rows, rows]
         and applied in rows' coordinates (row i stands for state rows[i]),
         evolves them with the same error bound.  That submatrix is
-        Hermitian because h is, so the check is not repeated, and its
-        Gershgorin interval lies inside h's (each row keeps its diagonal
-        entry and its off-diagonal weight), so it takes at most as many
-        terms.  rows equal to every state in order returns self.
+        Hermitian because h is, so the check is not repeated, and each of
+        its rows keeps its diagonal entry and its off-diagonal weight, so
+        it takes h's Gershgorin ends of those rows: its interval lies
+        inside h's and it takes at most as many terms.  rows equal to
+        every state in order returns self.
         """
         if len(rows) == self.shape[0] and np.array_equal(rows, np.arange(len(rows))):
             return self
@@ -208,7 +250,8 @@ class ChebyshevPropagator:
         if not inside[sub.indices[sub.data != 0]].all():
             raise ValueError("rows are coupled to states outside them")
         out = ChebyshevPropagator.__new__(ChebyshevPropagator)
-        out._prepare(sub[:, rows])
+        bounds = self._row_bounds
+        out._prepare(sub[:, rows], None if bounds is None else (bounds[0][rows], bounds[1][rows]))
         return out
 
     def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:
@@ -234,13 +277,22 @@ class ChebyshevPropagator:
         recurrence, run to the largest term count, serves every time:
         each time accumulates its own coefficients, in the order a
         single-time call would, so entry i equals apply(block, times[i],
-        tol) exactly.  Returns a (len(times),) + block.shape array.
+        tol) exactly.  Returns a complex (len(times),) + block.shape array.
+
+        A real h and a real block (by dtype) run the recurrence in
+        float64: each coefficient is real for even k and imaginary for
+        odd k, so term k adds into one real accumulator per time, of the
+        real or of the imaginary part.  A real h takes a complex block of
+        two or more columns as a real block of twice the width.  Both give
+        the complex recurrence's values exactly.
         """
-        block = np.asarray(block, dtype=complex)
+        block = np.asarray(block)
         if block.ndim not in (1, 2) or block.shape[0] != self.shape[0]:
             raise ValueError("dimension mismatch")
         if tol <= 0:
             raise ValueError("tol must be > 0")
+        real = not (np.iscomplexobj(self._h.data) or np.iscomplexobj(block))
+        block = np.asarray(block, dtype=float if real else complex)
         out = np.empty((len(times),) + block.shape, dtype=complex)
         series = []  # (output, t, coefficients) of the times the recurrence serves
         for o, t in zip(out, times):
@@ -254,23 +306,68 @@ class ChebyshevPropagator:
                 k = np.arange(len(bessel))
                 coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
                 coeffs[0] /= 2.0
-                np.multiply(coeffs[0], block, out=o)
                 series.append((o, t, coeffs))
         n_terms = max((len(c) for _, _, c in series), default=1)
-        if n_terms > 1:
-            two_hs = self._two_hs
-            prev, cur = block, 0.5 * (two_hs @ block)
-            for k in range(1, n_terms):
-                if k > 1:
-                    nxt = two_hs @ cur
-                    nxt -= prev
-                    prev, cur = cur, nxt
-                for o, _, coeffs in series:
-                    if k < len(coeffs):
-                        o += coeffs[k] * cur
+        blocks = self._chebyshev_blocks(block, n_terms)
+        (_real_series if real else _complex_series)(block, series, blocks)
         for o, t, _ in series:
             o *= np.exp(-1j * t * self._centre)
         return out
+
+    def _chebyshev_blocks(self, block: np.ndarray, n_terms: int):
+        """T_1(h_s) block .. T_{n_terms - 1}(h_s) block in turn, h_s = (h - c) / r.
+
+        A complex block of two or more columns multiplies a real h as a
+        float64 block of twice the width (the same values, faster); a
+        one-column product stays as it is.
+        """
+        if n_terms < 2:
+            return
+        two_hs = self._scaled()
+        mul = two_hs.__matmul__
+        if block.dtype != two_hs.dtype and block.ndim == 2 and block.shape[1] > 1:
+            block = np.ascontiguousarray(block)
+            mul = lambda x: (two_hs @ x.view(np.float64)).view(complex)  # noqa: E731
+        prev, cur = block, 0.5 * mul(block)
+        yield cur
+        for _ in range(2, n_terms):
+            nxt = mul(cur)
+            nxt -= prev
+            prev, cur = cur, nxt
+            yield cur
+
+
+def _complex_series(block, series, blocks) -> None:
+    """Set each (output, t, coefficients) of series to sum_k c_k T_k block.
+
+    blocks yields T_1 block, T_2 block, ... up to the longest series.
+    """
+    for o, _, coeffs in series:
+        np.multiply(coeffs[0], block, out=o)
+    for k, cur in enumerate(blocks, 1):
+        for o, _, coeffs in series:
+            if k < len(coeffs):
+                o += coeffs[k] * cur
+
+
+def _real_series(block, series, blocks) -> None:
+    """`_complex_series` for a real h and block, in float64.
+
+    c_0 and every even c_k are real and every odd c_k is imaginary, so
+    the real part of each output sums the even terms and the imaginary
+    part the odd ones, each in one contiguous float64 accumulator.
+    """
+    parts = np.zeros((len(series), 2) + block.shape)  # (real, imaginary) per output
+    for (_, _, coeffs), acc in zip(series, parts):
+        np.multiply(coeffs[0].real, block, out=acc[0])
+    term = np.empty_like(block)
+    for k, cur in enumerate(blocks, 1):
+        for (_, _, coeffs), acc in zip(series, parts):
+            if k < len(coeffs):
+                c = coeffs[k].imag if k % 2 else coeffs[k].real
+                acc[k % 2] += np.multiply(c, cur, out=term)
+    for (o, _, _), (re, im) in zip(series, parts):
+        o.real, o.imag = re, im
 
 
 #: A Hermitian sparse matrix, or one already prepared for propagation.
@@ -394,7 +491,7 @@ def stack_sectors(sectors: list[Sector]) -> list[Stack]:
 def sweep_window(sector: Sector | Stack, fn) -> np.ndarray:
     """Apply fn to the window columns of a sector or stack, a bounded block at a time.
 
-    fn maps a (dim_s, k) block of identity columns in sector coordinates
+    fn maps a (dim_s, k) float64 block of identity columns in sector coordinates
     (row i stands for basis state sector.rows[i]) to an array whose last
     axis holds the k columns: a (dim_s, k) block, or (n, dim_s, k) for n
     outputs.  Returns that array with every window column along its last
@@ -408,7 +505,7 @@ def sweep_window(sector: Sector | Stack, fn) -> np.ndarray:
     for start in range(0, n0, step):
         part = window[..., start : start + step]
         k = part.shape[-1]
-        e = np.zeros((dim, k), dtype=complex)
+        e = np.zeros((dim, k))
         e[part, np.arange(k)] = 1.0
         out = fn(e)
         if cols is None:
@@ -443,9 +540,11 @@ def lowest_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues and eigenvectors, residual-checked.
 
+    Works on a private copy of h, so h's entries are never reordered; a
+    real h is solved as a real symmetric problem (float64 eigenvectors).
     ARPACK's start vector is drawn from a fixed seed.
     """
-    h = sp.csr_matrix(h)
+    h = _owned_csr(h)
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise ValueError("k out of range")

@@ -559,24 +559,25 @@ def test_window_sweep_without_masks_propagates_nothing():
 
 
 def _one_time_recurrence(prop, block, t, tol):
-    """exp(-i t h) block by a Chebyshev recurrence of its own, term for term
-    the arithmetic of a single-time propagator."""
+    """exp(-i t h) block by the complex Chebyshev recurrence, term for term
+    the arithmetic of a single-time complex128 propagator."""
     block = np.asarray(block, dtype=complex)
     if t == 0:
         return block.copy()
     if prop._diag is not None:
         phase = np.exp(-1j * t * prop._diag)
         return (phase if block.ndim == 1 else phase[:, None]) * block
+    two_hs = sp.csr_matrix(prop._scaled(), dtype=complex)
     bessel = propagate._chebyshev_bessel(prop._half * t, tol)
     k = np.arange(len(bessel))
     coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
     coeffs[0] /= 2.0
     out = coeffs[0] * block
     if len(coeffs) > 1:
-        prev, cur = block, 0.5 * (prop._two_hs @ block)
+        prev, cur = block, 0.5 * (two_hs @ block)
         out += coeffs[1] * cur
         for c in coeffs[2:]:
-            nxt = prop._two_hs @ cur
+            nxt = two_hs @ cur
             nxt -= prev
             out += c * nxt
             prev, cur = cur, nxt
@@ -593,23 +594,110 @@ MULTI_TIME_MODELS = [
 @pytest.mark.parametrize("model", MULTI_TIME_MODELS, ids=["hh", "dicke"])
 def test_multi_time_recurrence_equals_single_time_calls(model):
     """One recurrence for many times: every time's block is exactly the one a
-    single-time call gives, and exactly a recurrence run for that time alone,
-    for a block and a vector, with t = 0, a repeated and a negative time, on
-    the Hamiltonian and on every part (one of them diagonal)."""
+    single-time call gives, and byte for byte the complex recurrence run for
+    that time alone, with t = 0, a repeated and a negative time, on the
+    Hamiltonian and on every part (one of them diagonal; all real, so in
+    float64): for a real block (the float64 recurrence), a complex block of
+    8 columns (its float64 view of width 16), and a complex block of 1
+    column and a strided vector (the complex product)."""
     times = [0.3, 0.0, -1.2, 2.5, 0.3]
-    block = _random_block(model.dimension, 4, 21)
+    block = _random_block(model.dimension, 8, 21)
     ops = [model.hamiltonian, *model.parts.values()]
     props = [ChebyshevPropagator(h) for h in ops]
     assert any(p._diag is not None for p in props)
     assert any(p._diag is None for p in props)
     for prop in props:
-        for b in (block, block[:, 1]):
+        assert prop._h.dtype == np.float64
+        for b in (block, block[:, 1], block.real.copy(), block[:, :1]):
             many = prop.apply_times(b, times, 1e-10)
             assert many.shape == (len(times),) + b.shape
             for got, t in zip(many, times):
                 assert np.array_equal(got, prop.apply(b, t, 1e-10))
-                assert np.array_equal(got, _one_time_recurrence(prop, b, t, 1e-10))
+                assert got.tobytes() == _one_time_recurrence(prop, b, t, 1e-10).tobytes()
     assert props[0].apply_times(block, [], 1e-10).shape == (0,) + block.shape
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic: float64 recurrence and eigensolve, caller's matrices untouched
+# ---------------------------------------------------------------------------
+
+def test_real_hamiltonian_runs_in_float64():
+    """A real H is kept, scaled and solved in float64; the scaled operator
+    is built on the first apply, and not at all by a propagator that is
+    only restricted."""
+    model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=4)
+    prop = ChebyshevPropagator(model.hamiltonian)
+    assert prop._h.dtype == np.float64 and prop._two_hs is None
+    rows = np.flatnonzero(model.sector_keys == model.sector_keys[0])
+    prop.restrict(rows)
+    assert prop._two_hs is None
+    prop.apply(np.eye(model.dimension, 2), 0.4, 1e-10)
+    assert prop._scaled().dtype == np.float64
+    assert prop._scaled().data.flags.c_contiguous
+    _, vecs = lowest_eigenpairs(model.hamiltonian, k=2)
+    assert vecs.dtype == np.float64
+    complex_h = ChebyshevPropagator(_random_hermitian(30, 5))
+    assert complex_h._h.dtype == complex
+
+
+def test_restricted_stack_takes_its_rows_gershgorin_ends():
+    """A stack restricted from 2-site HH has the (centre, half) of a
+    from-scratch preparation of the same rows, bit for bit, and its
+    float64 recurrence equals the complex one byte for byte."""
+    model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 2), [model.hamiltonian],
+                        model.sector_keys)
+    stack = max(sweep.stacks, key=lambda s: len(s.members))
+    assert len(stack.members) > 1
+    (sub,) = sweep._ops[sweep.stacks.index(stack)]
+    h = sp.csr_matrix(model.hamiltonian)
+    fresh = ChebyshevPropagator.__new__(ChebyshevPropagator)
+    fresh._prepare(propagate._owned_csr(h[stack.rows][:, stack.rows]))
+    assert (sub._centre, sub._half) == (fresh._centre, fresh._half)
+    assert sub._half > 0.0
+    e = np.zeros((len(stack.rows), stack.window.shape[1]))
+    e[stack.window, np.arange(stack.window.shape[1])] = 1.0
+    times = [0.3, 0.0, -1.2, 2.5]
+    for block in (e, _random_block(len(stack.rows), 8, 29)):
+        for got, t in zip(sub.apply_times(block, times, 1e-10), times):
+            assert got.tobytes() == _one_time_recurrence(sub, block, t, 1e-10).tobytes()
+
+
+def test_lowest_eigenpairs_twice_on_one_hamiltonian():
+    """The real symmetric solve leaves H intact: a second solve of the same
+    H passes the residual check with the same eigenvalues."""
+    h = hubbard_holstein_1d(2, u=0.0, n_max=16).hamiltonian
+    assert h.shape[0] > 400  # the sparse (ARPACK) path
+    for _ in range(2):
+        vals, _ = lowest_eigenpairs(h, k=2)
+        assert abs(vals[0] + 2.093462541041) <= 1e-9
+        assert abs(vals[1] + 1.384285307211) <= 1e-9
+
+
+def _csr_bytes(op):
+    return tuple(a.tobytes() for a in (op.indptr, op.indices, op.data))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=12), lambda: dicke(2, 1.0, 0.7, 0.6, 10)],
+    ids=["hh", "dicke"],
+)
+def test_engine_calls_leave_the_callers_matrices_alone(build):
+    """Preparing a propagator, a WindowSweep, an evolve and an eigensolve
+    never reorder the entries of H or of any part (the HH and Dicke
+    Hamiltonians and the HH coupling hold unsorted indices)."""
+    model = build()
+    ops = [model.hamiltonian, *model.parts.values()]
+    before = [_csr_bytes(op) for op in ops]
+    for op in ops:
+        ChebyshevPropagator(op).apply(np.ones(model.dimension), 0.3, 1e-10)
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
+    sweep.top_singular(lambda o, e, ts: o[0].apply_times(e, ts, TOL), [0.3],
+                       [[window_mask(model.basis, ProjectorSpec(ALL, 0, 2))]])
+    evolve(model.hamiltonian, _random_state(model.dimension, 3), 0.3)
+    lowest_eigenpairs(model.hamiltonian, k=2)
+    assert [_csr_bytes(op) for op in ops] == before
 
 
 @pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
