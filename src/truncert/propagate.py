@@ -206,7 +206,7 @@ class ChebyshevPropagator:
         self._diag = _diagonal_if_diagonal(h)
         self._centre = self._half = 0.0
         self._row_bounds = None
-        self._two_hs = None
+        self._two_hs = self._complex_two_hs = None
         if self._diag is None:
             if row_bounds is None:
                 d = h.diagonal().real
@@ -284,7 +284,7 @@ class ChebyshevPropagator:
         odd k, so term k adds into one real accumulator per time, of the
         real or of the imaginary part.  A real h takes a complex block of
         two or more columns as a real block of twice the width.  Both give
-        the complex recurrence's values exactly.
+        the complex recurrence's values exactly (`_chebyshev_blocks`).
         """
         block = np.asarray(block)
         if block.ndim not in (1, 2) or block.shape[0] != self.shape[0]:
@@ -319,15 +319,22 @@ class ChebyshevPropagator:
 
         A complex block of two or more columns multiplies a real h as a
         float64 block of twice the width (the same values, faster); a
-        one-column product stays as it is.
+        complex column, where that view is slower, multiplies a complex
+        copy of the scaled operator, made on first use (scipy would
+        convert the real matrix on every product).
         """
         if n_terms < 2:
             return
         two_hs = self._scaled()
-        mul = two_hs.__matmul__
-        if block.dtype != two_hs.dtype and block.ndim == 2 and block.shape[1] > 1:
+        if block.dtype == two_hs.dtype:
+            mul = two_hs.__matmul__
+        elif block.ndim == 2 and block.shape[1] > 1:
             block = np.ascontiguousarray(block)
             mul = lambda x: (two_hs @ x.view(np.float64)).view(complex)  # noqa: E731
+        else:
+            if self._complex_two_hs is None:
+                self._complex_two_hs = two_hs.astype(complex)
+            mul = self._complex_two_hs.__matmul__
         prev, cur = block, 0.5 * mul(block)
         yield cur
         for _ in range(2, n_terms):
