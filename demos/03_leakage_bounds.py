@@ -13,9 +13,9 @@ import numpy as np
 
 from truncert import (
     ALL,
+    Leakage,
     ProjectorSpec,
     hubbard_holstein_1d,
-    leakage_bound_at,
     leakage_norm,
     tail_profile,
     verify_state_truncation,
@@ -30,7 +30,7 @@ lambda0, delta, t = 0, 3, 0.5
 window0 = ProjectorSpec(mode_index=ALL, lo=0, hi=lambda0)
 window1 = ProjectorSpec(mode_index=ALL, lo=0, hi=lambda0 + delta)
 leak = leakage_norm(model.basis, model.hamiltonian, window0, window1, t)
-bound = leakage_bound_at(model.profile, lambda0, lambda0 + delta, t)
+bound, _ = Leakage(model.profile, lambda0, t).at(lambda0 + delta)
 print(f"\nworst-case escaped amplitude at t = {t}, Delta = {delta}:")
 print(f"  measured {leak:.6e}  <=  certified {bound:.6e}")
 

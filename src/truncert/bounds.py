@@ -17,28 +17,32 @@ The guard errors the CLI maps to exit code 2 live here too
 (`CapExceededError`, `ResourceLimitError`, `ConvergenceError`), so that
 catching them imports nothing beyond this module.
 
-The long-time bound for a given delta does not depend on the window it
-is compared against, so every leakage minimum over delta reads a delta
-table: the (lambda_, bound, delta) of each delta = 2..delta_max, built
-once per call (`_delta_table`).  A window lam is answered by one
-ascending scan of that table (`_scan_table`): an entry qualifies when
-its lambda_ <= lam, replaces the running best (starting at 1.0) only
-when strictly smaller, so ties go to the smallest delta, and the scan
-stops at the first qualifying bound of 0.0.  A threshold search builds
-one table and answers every window it probes from it, and a call that
-evaluates several windows (`leakage_bounds_at`, and through it
-`hamiltonian_truncation_bounds`) builds one table for all of them; the
-one-window functions are their one-element cases.  No table outlives
-the call that built it.
+Every consumer of the long-time bound reads one `Leakage` table: the
+(lambda_, bound, delta) of the long-time bound for each delta =
+2..delta_max, which does not depend on the window it is compared
+against.  `Leakage.rows` yields the rows in ascending delta, each
+computed once, on first demand: `minimal_state_threshold` pays only for
+the rows up to the first that meets its target, and
+`verify.verify_state_truncation` only for those up to its largest
+delta.  The row windows strictly increase with delta, so that first row
+also has the smallest window of any qualifying row.  `Leakage.at`
+answers a window lam from the whole table by one ascending scan: a row
+qualifies when its lambda_ <= lam, replaces the running best (starting
+at 1.0) only when strictly smaller, so ties go to the smallest delta,
+and the scan stops at the first qualifying bound of 0.0.  The threshold
+searches and `hamiltonian_truncation_bounds` read every window they
+probe from one table.  No table outlives the object that built it.
 
-All functions are pure arithmetic: same inputs, bit-identical outputs.
+A time that is not finite raises ValueError; a finite one whose grown
+window overflows a float raises CapExceededError.  All functions are
+pure arithmetic: same inputs, bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 from .walk_profiles import WalkProfile, profile_hubbard_holstein, speed_limit
 
@@ -46,7 +50,6 @@ __all__ = [
     "TruncationQuery",
     "Schedule",
     "BoundReport",
-    "HamTruncationQuery",
     "TailQuery",
     "TailReport",
     "ValidityError",
@@ -59,12 +62,10 @@ __all__ = [
     "short_time_bound",
     "adaptive_schedule",
     "long_time_bound",
-    "leakage_bounds_at",
-    "leakage_bound_at",
+    "Leakage",
     "minimal_state_threshold",
     "check_truncation_window",
     "hamiltonian_truncation_bounds",
-    "hamiltonian_truncation_bound",
     "minimal_hamiltonian_threshold",
     "energy_threshold_single_mode",
     "energy_threshold_hubbard_holstein",
@@ -122,8 +123,8 @@ class TruncationQuery:
     def __post_init__(self):
         if self.lambda0 < 0 or int(self.lambda0) != self.lambda0:
             raise ValueError("lambda0 must be a nonnegative integer")
-        if self.time < 0:
-            raise ValueError("time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"time must be finite and >= 0, not {self.time}")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
 
@@ -148,29 +149,6 @@ class BoundReport:
     lambda_: int
     bound: float
     delta_used: int
-    details: str = ""
-
-
-@dataclass(frozen=True)
-class HamTruncationQuery:
-    """Inputs of the Hamiltonian-truncation bound.
-
-    comm_norm maps a window cap L to an upper bound on the spectral norm
-    of the commutator [H, Pi H Pi] at that cap; it must be nonnegative
-    and nondecreasing.  n_modes counts the truncated modes/links (the
-    union-bound factor enters as sqrt(n_modes)).
-    """
-
-    lambda_tilde: int
-    n_modes: int
-    comm_norm: Callable[[int], float]
-    query: TruncationQuery
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if int(self.lambda_tilde) != self.lambda_tilde:
-            raise ValueError("lambda_tilde must be an integer")
 
 
 @dataclass(frozen=True)
@@ -298,14 +276,15 @@ def long_time_bound(
 
     The window grows to lambda = lambda0 + J*(delta-1) where J counts the
     adaptive steps needed to cover time t; the leakage bound is J times
-    the one-step factor, clipped to at most 1.
+    the one-step factor, clipped to at most 1.  A time whose grown window
+    overflows a float raises CapExceededError.
     """
     if lambda0 < 0 or int(lambda0) != lambda0:
         raise ValueError("lambda0 must be a nonnegative integer")
     if delta <= 1 or int(delta) != delta:
         raise ValueError("delta must be an integer > 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, not {t}")
     delta = int(delta)
     lambda0 = int(lambda0)
     if t == 0.0 or profile.chi == 0.0:
@@ -314,78 +293,67 @@ def long_time_bound(
     inner = lambda0**one_minus_r + 2.0 * profile.chi * t * one_minus_r * (delta - 1)
     # any positive time needs at least one step; the max(1, .) also guards
     # against the lambda0 power round-trip landing slightly below lambda0
-    j_count = max(1, math.ceil((inner ** (1.0 / one_minus_r) - lambda0) / (delta - 1)))
+    try:
+        j_count = max(1, math.ceil((inner ** (1.0 / one_minus_r) - lambda0) / (delta - 1)))
+    except OverflowError:
+        raise CapExceededError(f"the window grown by t = {t} overflows a float") from None
     lam = lambda0 + j_count * (delta - 1)
     bound = min(1.0, j_count * step_bound(delta, profile.r))
     return BoundReport(lambda_=lam, bound=bound, delta_used=delta)
 
 
-def _delta_table(
-    profile: WalkProfile, lambda0: int, t: float, delta_max: int
-) -> list[tuple[int, float, int]]:
-    """(lambda_, bound, delta) of the long-time bound for delta = 2..delta_max."""
-    table = []
-    for delta in range(2, delta_max + 1):
-        rep = long_time_bound(profile, lambda0, delta, t)
-        table.append((rep.lambda_, rep.bound, delta))
-    return table
+class Leakage:
+    """Certified leakage after time t of a state starting inside [0, lambda0].
 
-
-def _scan_table(table: list[tuple[int, float, int]], lam: int) -> tuple[float, int]:
-    """Best bound in table whose grown window fits inside lam.
-
-    Ascending in delta, strict < against a running best that starts at
-    1.0 (ties go to the smallest delta), stopping at the first qualifying
-    bound of 0.0.  Returns (bound, delta); (1.0, 0) when none qualifies.
+    One row (lambda_, bound, delta) per step growth delta = 2..delta_max:
+    leakage at most bound outside the window lambda_ (`long_time_bound`,
+    which checks t when the first row is computed).  `rows` computes the
+    rows on demand; `at` answers a window from the whole table.
     """
-    best = 1.0
-    best_delta = 0
-    for lam_d, bound, delta in table:
-        if lam_d <= lam and bound < best:
-            best = bound
-            best_delta = delta
-            if best == 0.0:
-                break
-    return best, best_delta
 
+    def __init__(
+        self, profile: WalkProfile, lambda0: int, t: float, delta_max: int = DELTA_MAX
+    ):
+        if lambda0 < 0 or int(lambda0) != lambda0:
+            raise ValueError("lambda0 must be a nonnegative integer")
+        self.profile = profile
+        self.lambda0 = int(lambda0)
+        self.t = t
+        self.delta_max = int(delta_max)
+        self._rows: list[tuple[int, float, int]] = []
 
-def leakage_bounds_at(
-    profile: WalkProfile,
-    lambda0: int,
-    lams: Sequence[int],
-    t: float,
-    delta_max: int = DELTA_MAX,
-) -> list[float]:
-    """Certified leakage outside [-lam, lam] after time t for every lam in lams.
+    def rows(self) -> Iterator[tuple[int, float, int]]:
+        """(lambda_, bound, delta) for delta = 2..delta_max, each computed once, on demand."""
+        rows = self._rows
+        for delta in range(2, self.delta_max + 1):
+            if len(rows) == delta - 2:
+                rep = long_time_bound(self.profile, self.lambda0, delta, self.t)
+                rows.append((rep.lambda_, rep.bound, delta))
+            yield rows[delta - 2]
 
-    Minimizes the long-time bound over all step growths delta whose grown
-    window stays within lam: one delta table for the call, one scan per
-    window (strict <, ties to the smallest delta, stop at 0).  Capped at
-    1; a window no delta qualifies for (too tight for the elapsed time)
-    reads 1.
-    """
-    if any(lam < lambda0 for lam in lams):
-        raise ValueError("lam must be >= lambda0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return [0.0] * len(lams)
-    table = _delta_table(profile, int(lambda0), t, delta_max)
-    return [_scan_table(table, int(lam))[0] for lam in lams]
+    def at(self, lam: int) -> tuple[float, int]:
+        """(bound, delta): the least leakage outside [0, lam] over the rows that fit lam.
 
-
-def leakage_bound_at(
-    profile: WalkProfile,
-    lambda0: int,
-    lam: int,
-    t: float,
-    delta_max: int = DELTA_MAX,
-) -> float:
-    """Certified leakage outside [-lam, lam] after time t, starting inside lambda0.
-
-    The one-window case of `leakage_bounds_at`.
-    """
-    return leakage_bounds_at(profile, lambda0, [lam], t, delta_max)[0]
+        The first call builds the whole table.  The scan ascends in
+        delta, strict < against a running best that starts at 1.0 (ties
+        go to the smallest delta), stopping at the first qualifying
+        bound of 0.0; (1.0, 0) when no row fits lam (a window too tight
+        for the elapsed time).
+        """
+        if lam < self.lambda0:
+            raise ValueError("lam must be >= lambda0")
+        if len(self._rows) < self.delta_max - 1:
+            for _ in self.rows():
+                pass
+        best = 1.0
+        best_delta = 0
+        for lam_d, bound, delta in self._rows:
+            if lam_d <= lam and bound < best:
+                best = bound
+                best_delta = delta
+                if best == 0.0:
+                    break
+        return best, best_delta
 
 
 # ---------------------------------------------------------------------------
@@ -395,42 +363,25 @@ def leakage_bound_at(
 def minimal_state_threshold(
     profile: WalkProfile,
     query: TruncationQuery,
-    optimize_lambda: bool = False,
     delta_max: int = DELTA_MAX,
 ) -> BoundReport:
     """Smallest certified window for evolving a state for query.time.
 
-    Scans delta = 2, 3, ... and by default returns the first delta whose
-    long-time bound meets query.epsilon (the smallest-growth recipe).
-    With optimize_lambda the scan continues through delta_max and returns
-    the qualifying delta with the smallest window instead; the details
-    field records both choices.
+    The first `Leakage` row (smallest delta) whose bound meets
+    query.epsilon.  Its window is also the smallest of any qualifying
+    row: the window is lambda0 + J (delta - 1), where J rounds up the
+    secant slope from delta = 1 of a convex function of delta, so J never
+    decreases and the window strictly increases with delta.  Time 0
+    needs no growth: (lambda0, 0.0, delta 0).
     """
-    first: BoundReport | None = None
-    best: BoundReport | None = None
-    for delta in range(2, delta_max + 1):
-        rep = long_time_bound(profile, query.lambda0, delta, query.time)
-        if rep.bound <= query.epsilon:
-            if first is None:
-                first = rep
-                if not optimize_lambda:
-                    return rep
-            if best is None or rep.lambda_ < best.lambda_:
-                best = rep
-    if first is None:
-        raise CapExceededError(
-            f"no delta <= {delta_max} reaches epsilon = {query.epsilon} "
-            f"at t = {query.time}"
-        )
-    assert best is not None
-    return BoundReport(
-        lambda_=best.lambda_,
-        bound=best.bound,
-        delta_used=best.delta_used,
-        details=(
-            f"window-minimizing delta={best.delta_used}; "
-            f"smallest-delta choice: delta={first.delta_used}, lambda={first.lambda_}"
-        ),
+    if query.time == 0:
+        return BoundReport(lambda_=query.lambda0, bound=0.0, delta_used=0)
+    for lam, bound, delta in Leakage(profile, query.lambda0, query.time, delta_max).rows():
+        if bound <= query.epsilon:
+            return BoundReport(lambda_=lam, bound=bound, delta_used=delta)
+    raise CapExceededError(
+        f"no delta <= {delta_max} reaches epsilon = {query.epsilon} "
+        f"at t = {query.time}"
     )
 
 
@@ -447,54 +398,43 @@ def check_truncation_window(lambda0: int, lambda_tilde: int) -> None:
         )
 
 
-def _truncation_error(hquery: HamTruncationQuery, leak: float) -> float:
-    """(t^2/2) comm sqrt(n_modes) leak, with leak the certified leakage at lambda_tilde - 2.
-
-    The one evaluation of the Hamiltonian-truncation bound, for a window
-    already checked by `check_truncation_window`.
-    """
-    q = hquery.query
-    if q.time == 0:
-        return 0.0
-    comm = hquery.comm_norm(int(hquery.lambda_tilde))
-    if comm < 0:
-        raise ValueError("comm_norm must be nonnegative")
-    return 0.5 * q.time**2 * comm * math.sqrt(hquery.n_modes) * leak
-
-
 def hamiltonian_truncation_bounds(
-    profile: WalkProfile, hqueries: Sequence[HamTruncationQuery]
+    leak: Leakage,
+    lambda_tildes: Sequence[int],
+    n_modes: int,
+    comm_norm: Callable[[int], float],
 ) -> list[float]:
-    """Evolution error bounds for truncating the Hamiltonian, one per query.
+    """Evolution error bounds for truncating the Hamiltonian, one per lambda_tilde.
 
-    Each bounds ||(exp(-itH~) - exp(-itH)) Pi_all|| by the crude time
-    integral (t^2/2) of the commutator norm times the leakage reachable
-    two levels inside its truncation window, with the sqrt(n_modes)
-    union-bound factor.  The queries share one TruncationQuery
-    (ValueError otherwise), so one delta table answers every window.
-    Every window is checked (`check_truncation_window`) before any bound
-    is evaluated.
+    Each bounds ||(exp(-itH~) - exp(-itH)) Pi_all|| for the start window
+    and time of leak by the crude time integral (t^2/2) of the
+    commutator norm times the leakage two levels inside the truncation
+    window, leak.at(lambda_tilde - 2), with the sqrt(n_modes)
+    union-bound factor.  comm_norm maps a window cap L to an upper bound
+    on the spectral norm of [H, Pi H Pi] at that cap (nonnegative,
+    nondecreasing); n_modes counts the truncated modes/links.  Every
+    window is checked (`check_truncation_window`) before any bound is
+    evaluated; time 0 reads no table and no norm.
     """
-    if len({hq.query for hq in hqueries}) > 1:
-        raise ValueError("the queries must share one TruncationQuery")
-    for hq in hqueries:
-        check_truncation_window(hq.query.lambda0, hq.lambda_tilde)
-    if not hqueries:
-        return []
-    q = hqueries[0].query
-    lams = [int(hq.lambda_tilde) - 2 for hq in hqueries]
-    leaks = leakage_bounds_at(profile, q.lambda0, lams, q.time)
-    return [_truncation_error(hq, leak) for hq, leak in zip(hqueries, leaks)]
-
-
-def hamiltonian_truncation_bound(profile: WalkProfile, hquery: HamTruncationQuery) -> float:
-    """Evolution error bound for truncating the Hamiltonian at lambda_tilde.
-
-    The one-query case of `hamiltonian_truncation_bounds`.  Requires
-    lambda_tilde >= lambda0 + 2 so that the truncated and full
-    Hamiltonians agree on the initial window.
-    """
-    return hamiltonian_truncation_bounds(profile, [hquery])[0]
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    for lam_t in lambda_tildes:
+        if int(lam_t) != lam_t:
+            raise ValueError("lambda_tilde must be an integer")
+        check_truncation_window(leak.lambda0, lam_t)
+    if leak.t == 0:
+        return [0.0] * len(lambda_tildes)
+    out = []
+    for lam_t in lambda_tildes:
+        leak_at, _ = leak.at(int(lam_t) - 2)
+        comm = comm_norm(int(lam_t))
+        if comm < 0:
+            raise ValueError("comm_norm must be nonnegative")
+        try:
+            out.append(0.5 * leak.t**2 * comm * math.sqrt(n_modes) * leak_at)
+        except OverflowError:
+            raise CapExceededError(f"t**2 overflows a float at t = {leak.t}") from None
+    return out
 
 
 def _smallest_qualifying(
@@ -538,15 +478,14 @@ def minimal_hamiltonian_threshold(
 ) -> BoundReport:
     """Smallest truncation window certifying the evolution to query.epsilon.
 
-    One delta table (up to delta_max) answers every window the search
-    probes and the reported (bound, delta_used), so both come from the
-    same scan.
+    One `Leakage` table (up to delta_max) answers every window the
+    search probes and the reported (bound, delta_used), so both come
+    from the same scan.
     """
-    table = _delta_table(profile, query.lambda0, query.time, delta_max)
+    leak = Leakage(profile, query.lambda0, query.time, delta_max)
 
     def bound_at(lam_t: int) -> float:
-        hq = HamTruncationQuery(lam_t, n_modes, comm_norm, query)
-        return _truncation_error(hq, _scan_table(table, lam_t - 2)[0])
+        return hamiltonian_truncation_bounds(leak, [lam_t], n_modes, comm_norm)[0]
 
     lam_t = _smallest_qualifying(
         lambda lam_t: bound_at(lam_t) <= query.epsilon,
@@ -554,7 +493,7 @@ def minimal_hamiltonian_threshold(
         lambda_cap,
         "hamiltonian threshold",
     )
-    _, delta = _scan_table(table, lam_t - 2)
+    _, delta = leak.at(lam_t - 2)
     return BoundReport(lambda_=lam_t, bound=bound_at(lam_t), delta_used=delta)
 
 
@@ -647,13 +586,12 @@ def tail_threshold(
     * filter width sigma such that 4*sqrt(2)*exp(-gap^2/(2 sigma^2)) <= eps/3,
     * time cutoff T such that 4*sqrt(2)*sqrt(2/pi)*exp(-sigma^2 T^2/2) <= eps/3,
     * window L as the smallest integer with
-      (1/OVERLAP_FLOOR) * leakage_bound_at(ceil(2*lambda_bar), L, T) <= eps/3.
+      (1/OVERLAP_FLOOR) * Leakage(ceil(2*lambda_bar), T).at(L) <= eps/3.
 
     The Markov core ceil(2*lambda_bar) anchors the scan; the reported
-    bound is the sum of the three achieved terms (<= epsilon).  One delta
-    table at (lambda0, T, delta_max) answers every probed window and the
-    reported (bound, delta_used): strict <, ties to the smallest delta,
-    stop at 0.
+    bound is the sum of the three achieved terms (<= epsilon).  One
+    `Leakage` table at (lambda0, T, delta_max) answers every probed
+    window and the reported (bound, delta_used).
     """
     eps3 = tquery.epsilon / 3.0
     c1 = 4.0 * math.sqrt(2.0)
@@ -661,15 +599,14 @@ def tail_threshold(
     c2 = c1 * math.sqrt(2.0 / math.pi)
     t_window = math.sqrt(2.0 * math.log(c2 / eps3)) / sigma
     lambda0 = math.ceil(2.0 * tquery.lambda_bar)
-
-    table = _delta_table(profile, lambda0, t_window, delta_max)
+    leakage = Leakage(profile, lambda0, t_window, delta_max)
 
     def ok(lam: int) -> bool:
-        leak, _ = _scan_table(table, lam)
+        leak, _ = leakage.at(lam)
         return leak / OVERLAP_FLOOR <= eps3
 
     lam = _smallest_qualifying(ok, lambda0, lambda_cap, "tail threshold")
-    leak, delta = _scan_table(table, lam)
+    leak, delta = leakage.at(lam)
     achieved = 2.0 * eps3 + leak / OVERLAP_FLOOR
     return TailReport(
         lambda_=lam,
@@ -731,14 +668,11 @@ def compare_thresholds(
     rows = []
     crossover = None
     for t in times:
-        if t == 0:
-            rep = BoundReport(lambda_=int(lambda0), bound=0.0, delta_used=0)
-        else:
-            rep = minimal_state_threshold(
-                profile,
-                TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=eps_mode),
-                delta_max=delta_max,
-            )
+        rep = minimal_state_threshold(
+            profile,
+            TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=eps_mode),
+            delta_max=delta_max,
+        )
         rows.append(
             CompareRow(
                 t=float(t),

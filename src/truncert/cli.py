@@ -245,13 +245,9 @@ def _cmd_threshold_state(args):
     columns = ["t", "lambda_ours", "bound", "delta"]
     rows = []
     for t in _time_grid(args):
-        if t == 0:
-            rows.append([0.0, args.lambda0, 0.0, 0])
-            continue
         rep = minimal_state_threshold(
             profile,
             TruncationQuery(lambda0=args.lambda0, time=t, epsilon=args.eps),
-            optimize_lambda=args.optimize_lambda,
             delta_max=args.delta_max,
         )
         rows.append([t, rep.lambda_, rep.bound, rep.delta_used])
@@ -559,7 +555,6 @@ def build_parser() -> _Parser:
     t_state.add_argument("--lambda0", type=int, default=0)
     t_state.add_argument("--eps", type=float, default=1e-2)
     _add_time_grid(t_state)
-    t_state.add_argument("--optimize-lambda", dest="optimize_lambda", action="store_true")
     t_state.add_argument("--delta-max", dest="delta_max", type=int, default=512)
     _add_common(t_state)
     t_state.set_defaults(func=_cmd_threshold_state)

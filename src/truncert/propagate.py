@@ -94,6 +94,11 @@ __all__ = [
 #: of complex128); window_sectors raises ResourceLimitError past it.
 COLUMN_CAP = 1 << 24
 
+#: Most Chebyshev terms one evolution may take; a longer expansion (the
+#: Gershgorin half-width times |t| past about this many) raises
+#: ResourceLimitError.
+_TERM_CAP = 1 << 20
+
 #: Largest dim * columns that sweep_window hands to one block call; it
 #: bounds the block propagator's working set (a few such blocks).
 _BLOCK_ENTRIES = 1 << 15
@@ -147,7 +152,10 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     is at most 2 a_{M+1} / (1 - q).  M is the first index with q < 1/2
     at which that remainder is below tol * _REMAINDER_SHARE (logs keep
     large |x| finite).  The terms K + 1 .. M are the exact 2|J_k(x)|, so
-    the bound on the tail past K is their sum plus the remainder.
+    the bound on the tail past K is their sum plus the remainder.  An M
+    past _TERM_CAP raises ResourceLimitError before any Bessel value is
+    computed; M >= |x| - 2 (q < 1/2 needs it), so a larger |x| skips the
+    search.
     """
     y = abs(x) / 2.0
     if y == 0.0:
@@ -155,13 +163,18 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     log_y = math.log(y)
     log_rest = math.log(tol * _REMAINDER_SHARE / 2.0)
     log_a = log_y  # log a_{M+1} at M = 0
-    m = 0
-    while True:
+    m = 0 if 2.0 * y <= _TERM_CAP else _TERM_CAP + 1
+    while m <= _TERM_CAP:
         q = y / (m + 2)
         if q < 0.5 and log_a - math.log1p(-q) <= log_rest:
             break
         m += 1
         log_a += log_y - math.log(m + 1)
+    else:
+        raise ResourceLimitError(
+            f"an evolution of half-width times time {abs(x):.3g} at tol {tol:g} "
+            f"takes more than {_TERM_CAP} Chebyshev terms"
+        )
     bessel = jv(np.arange(m + 1), x)
     # tails[K] bounds sum_{k>K} 2|J_k(x)| for K = 0 .. M; nonincreasing in K
     terms = 2.0 * np.abs(bessel[:0:-1])
@@ -291,6 +304,8 @@ class ChebyshevPropagator:
             raise ValueError("dimension mismatch")
         if tol <= 0:
             raise ValueError("tol must be > 0")
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"evolution times must be finite: {list(times)}")
         real = not (np.iscomplexobj(self._h.data) or np.iscomplexobj(block))
         block = np.asarray(block, dtype=float if real else complex)
         out = np.empty((len(times),) + block.shape, dtype=complex)

@@ -34,6 +34,11 @@ call carries the call's elapsed time as runtime_s.
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
 proxy obeys the same walk profile as the unbounded Hamiltonian.
+
+The analytic side of every check but the short-time rows reads one
+`bounds.Leakage` table per start window and time: the long-time rows of
+`verify_state_truncation` (delta up to the largest one asked for), the
+Hamiltonian-truncation bounds, and the tail windows of `tail_threshold`.
 """
 
 from __future__ import annotations
@@ -46,12 +51,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import (
-    HamTruncationQuery,
+    Leakage,
     TailQuery,
-    TruncationQuery,
     check_truncation_window,
     hamiltonian_truncation_bounds,
-    long_time_bound,
     short_time_bound,
     tail_threshold,
     within_speed_limit,
@@ -149,14 +152,15 @@ def verify_state_truncation(
     window [0, lambda0] is tested against the matching escape window:
     per truncatable mode for mode='per_mode' (the bare bounds), or the
     all-mode window for mode='all' (bounds carry the union factor
-    sqrt(number of truncatable modes)).  One `WindowSweep.top_singular`
-    call evolves each stack of sectors once, for every time at once, and
-    folds each member sector's top singular value outside every distinct
-    (time, escape window) pair below the cutoff into its running maximum
-    before the next stack is evolved; a time whose windows all reach the
-    cutoff is not evolved.  The call makes one sweep for all its times,
-    so every report it returns carries the whole call's elapsed time as
-    runtime_s.
+    sqrt(number of truncatable modes)).  The long-time rows of each time
+    are those of one `Leakage` table up to the largest delta.  One
+    `WindowSweep.top_singular` call evolves each stack of sectors once,
+    for every time at once, and folds each member sector's top singular
+    value outside every distinct (time, escape window) pair below the
+    cutoff into its running maximum before the next stack is evolved; a
+    time whose windows all reach the cutoff is not evolved.  The call
+    makes one sweep for all its times, so every report it returns
+    carries the whole call's elapsed time as runtime_s.
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
@@ -172,14 +176,15 @@ def verify_state_truncation(
     points = []  # per time: (kind, delta, window, bound); short and long may coincide
     for t in times:
         within_validity = within_speed_limit(model.profile, lambda0, t)
+        leak = list(Leakage(model.profile, lambda0, t, max(deltas, default=1)).rows())
         points.append([])
         for delta in deltas:
             if within_validity and delta >= 1:
                 bnd = short_time_bound(model.profile, lambda0, delta, t)
                 points[-1].append(("state_short", delta, int(lambda0) + int(delta) - 1, bnd))
             if delta >= 2:
-                rep = long_time_bound(model.profile, lambda0, delta, t)
-                points[-1].append(("state_long", delta, rep.lambda_, rep.bound))
+                lam, bound, _ = leak[delta - 2]
+                points[-1].append(("state_long", delta, lam, bound))
 
     keeps = [
         {
@@ -245,7 +250,7 @@ def verify_hamiltonian_truncations(
     columns is evolved under H once per output batch and every truncated
     evolution subtracted from it.  With check_padding the empirical
     values are recomputed at double the cutoff and each shift goes in its
-    notes.  The analytic side reads one delta table for every
+    notes.  The analytic side reads one `Leakage` table for every
     lambda_tilde (`hamiltonian_truncation_bounds`).  Every lambda_tilde
     is checked against lambda0 + 2 before any model is built, and
     against each cutoff's padding (cutoff >= lambda_tilde + 2) before
@@ -289,11 +294,11 @@ def verify_hamiltonian_truncations(
 
     model = model_factory(n_max)
     empirical = empirical_at(model)
-    query = TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=1.0)
-    n_modes = len(model.basis.truncatable_modes)
     analytic = hamiltonian_truncation_bounds(
-        model.profile,
-        [HamTruncationQuery(lam, n_modes, model.comm_norm, query) for lam in lambda_tildes],
+        Leakage(model.profile, int(lambda0), float(t)),
+        lambda_tildes,
+        len(model.basis.truncatable_modes),
+        model.comm_norm,
     )
     notes = ["exact column sweep"] * len(lambda_tildes)
     if check_padding:
@@ -434,6 +439,8 @@ def coherent_oracle_check(
     must hold for the report to be sound.  Its default tolerance is
     tighter than `TOL`, the one every other check defaults to.
     """
+    if not all(math.isfinite(t) for t in t_grid):
+        raise ValueError(f"oracle times must be finite: {list(t_grid)}")
     t0 = time.perf_counter()
     worst_pmf = 0.0
     worst_mean = 0.0

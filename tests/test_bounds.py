@@ -7,18 +7,16 @@ import pytest
 from truncert import bounds
 from truncert.bounds import (
     DELTA_MAX,
+    BoundReport,
     CapExceededError,
-    HamTruncationQuery,
+    Leakage,
     TailQuery,
     TruncationQuery,
     ValidityError,
     adaptive_schedule,
     energy_threshold_hubbard_holstein,
     energy_threshold_single_mode,
-    hamiltonian_truncation_bound,
     hamiltonian_truncation_bounds,
-    leakage_bound_at,
-    leakage_bounds_at,
     long_time_bound,
     minimal_hamiltonian_threshold,
     minimal_state_threshold,
@@ -130,32 +128,33 @@ def test_long_time_bound_decreases_with_delta_eventually():
 # ---------------------------------------------------------------------------
 
 def test_leakage_bound_at_zero_time():
-    assert leakage_bound_at(BOSON, 2, 7, 0.0) == 0.0
+    assert Leakage(BOSON, 2, 0.0).at(7)[0] == 0.0
 
 
 def test_leakage_bound_at_rejects_window_below_start():
     with pytest.raises(ValueError):
-        leakage_bound_at(BOSON, 5, 4, 1.0)
+        Leakage(BOSON, 5, 1.0).at(4)
 
 
 def test_leakage_bound_at_monotone_in_window():
     prev = math.inf
+    leak = Leakage(BOSON, 0, 1.0)
     for lam in range(2, 40, 2):
-        cur = leakage_bound_at(BOSON, 0, lam, 1.0)
+        cur, _ = leak.at(lam)
         assert cur <= prev + 1e-18
         prev = cur
 
 
 def test_leakage_bound_at_monotone_in_time():
     for lam in (10, 20):
-        b1 = leakage_bound_at(BOSON, 0, lam, 0.5)
-        b2 = leakage_bound_at(BOSON, 0, lam, 1.5)
+        b1, _ = Leakage(BOSON, 0, 0.5).at(lam)
+        b2, _ = Leakage(BOSON, 0, 1.5).at(lam)
         assert b1 <= b2
 
 
 def test_leakage_bound_at_beats_any_single_delta():
     lam, t = 24, 1.0
-    best = leakage_bound_at(BOSON, 0, lam, t)
+    best, _ = Leakage(BOSON, 0, t).at(lam)
     for delta in range(2, 10):
         rep = long_time_bound(BOSON, 0, delta, t)
         if rep.lambda_ <= lam:
@@ -163,7 +162,7 @@ def test_leakage_bound_at_beats_any_single_delta():
 
 
 def _per_delta_leakage_min(profile, lambda0, lam, t, delta_max):
-    """The per-delta loop that the delta table replaced, kept verbatim."""
+    """The per-delta loop that the Leakage table replaced, kept verbatim."""
     best = 1.0
     best_delta = 0
     for delta in range(2, delta_max + 1):
@@ -176,21 +175,44 @@ def _per_delta_leakage_min(profile, lambda0, lam, t, delta_max):
     return best, best_delta
 
 
+def _minimal_state_threshold_loop(profile, query, optimize_lambda, delta_max):
+    """The delta loop that minimal_state_threshold replaced, kept verbatim
+    with both recipes (details dropped): the smallest qualifying delta, or
+    with optimize_lambda the qualifying delta with the smallest window."""
+    first = None
+    best = None
+    for delta in range(2, delta_max + 1):
+        rep = long_time_bound(profile, query.lambda0, delta, query.time)
+        if rep.bound <= query.epsilon:
+            if first is None:
+                first = rep
+                if not optimize_lambda:
+                    return rep
+            if best is None or rep.lambda_ < best.lambda_:
+                best = rep
+    if first is None:
+        raise CapExceededError(
+            f"no delta <= {delta_max} reaches epsilon = {query.epsilon} "
+            f"at t = {query.time}"
+        )
+    return best
+
+
+PROFILES = [GAUGE, BOSON, WalkProfile(chi=1.5, r=0.9), WalkProfile(chi=0.0, r=0.5)]
+
+
 def test_delta_table_scan_matches_per_delta_loop():
-    profiles = [GAUGE, BOSON, WalkProfile(chi=1.5, r=0.9), WalkProfile(chi=0.0, r=0.5)]
     seen = set()
-    for profile in profiles:
+    for profile in PROFILES:
         for lambda0 in range(6):
             for delta_max in (2, 3, 512):
                 for t in (0.0, 0.7, 3.0, 1e6):
-                    table = bounds._delta_table(profile, lambda0, t, delta_max)
-                    assert len(table) == delta_max - 1
+                    leak = Leakage(profile, lambda0, t, delta_max)
+                    rows = list(leak.rows())
+                    assert [delta for _, _, delta in rows] == list(range(2, delta_max + 1))
                     for lam in (lambda0, lambda0 + 7, 300, 10**9):
                         want = _per_delta_leakage_min(profile, lambda0, lam, t, delta_max)
-                        assert bounds._scan_table(table, lam) == want
-                        if lam == 300 and t > 0:
-                            got = leakage_bound_at(profile, lambda0, lam, t, delta_max)
-                            assert got == want[0]
+                        assert leak.at(lam) == want
                         if want == (1.0, 0):
                             seen.add("none qualifies")
                         elif want[0] == 0.0 and t > 0 and profile.chi > 0:
@@ -210,6 +232,67 @@ def _count_long_time_bound(monkeypatch):
 
     monkeypatch.setattr(bounds, "long_time_bound", counted)
     return calls
+
+
+def test_state_threshold_matches_both_recipes_of_the_delta_loop():
+    """The first qualifying row is the old smallest-delta answer and also
+    the old window-minimizing answer, on the grid of the scan test."""
+    seen = set()
+    for profile in PROFILES:
+        for lambda0 in range(6):
+            for delta_max in (2, 3, 512):
+                for t in (0.0, 0.7, 3.0, 1e6):
+                    for eps in (0.5, 1e-3, 1e-30):
+                        q = TruncationQuery(lambda0, t, eps)
+                        try:
+                            first = _minimal_state_threshold_loop(profile, q, False, delta_max)
+                        except CapExceededError:
+                            with pytest.raises(CapExceededError):
+                                _minimal_state_threshold_loop(profile, q, True, delta_max)
+                            with pytest.raises(CapExceededError):
+                                minimal_state_threshold(profile, q, delta_max)
+                            seen.add("cap")
+                            continue
+                        best = _minimal_state_threshold_loop(profile, q, True, delta_max)
+                        assert best == first
+                        got = minimal_state_threshold(profile, q, delta_max)
+                        if t == 0:
+                            # the one t = 0 rule: no growth, delta 0
+                            assert got == BoundReport(lambda0, 0.0, 0)
+                            assert (first.lambda_, first.bound) == (lambda0, 0.0)
+                            seen.add("t = 0")
+                        else:
+                            assert got == first
+                            seen.add("qualifies")
+    assert seen == {"cap", "t = 0", "qualifies"}
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 0.75, 0.9, 0.99])
+def test_window_strictly_increases_with_delta(r):
+    """lambda0 + J (delta - 1) with J the rounded-up secant slope of a
+    convex function from delta = 1: so the first qualifying delta always
+    has the smallest window."""
+    for chi in (0.05, 1.0, 2.0 * math.sqrt(2.0)):
+        for lambda0 in (0, 3, 1000):
+            for t in (0.01, 0.37, 1.0, 10.0, 100.0):
+                windows = []
+                try:
+                    for lam, _, _ in Leakage(WalkProfile(chi=chi, r=r), lambda0, t).rows():
+                        windows.append(lam)
+                except CapExceededError:  # r near 1: the grown window overflows a float
+                    assert r == 0.99
+                assert len(windows) >= 2
+                assert all(a < b for a, b in zip(windows, windows[1:]))
+
+
+def test_state_threshold_reads_only_the_rows_it_needs(monkeypatch):
+    calls = _count_long_time_bound(monkeypatch)
+    rep = minimal_state_threshold(BOSON, TruncationQuery(0, 1.0, 1e-2))
+    assert rep.delta_used == 7
+    assert len(calls) == 6
+    calls.clear()
+    assert minimal_state_threshold(BOSON, TruncationQuery(3, 0.0, 1e-2)) == BoundReport(3, 0.0, 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("delta_max", [DELTA_MAX, 64])
@@ -267,7 +350,7 @@ def test_minimal_state_threshold_meets_target():
     q = TruncationQuery(lambda0=0, time=1.0, epsilon=1e-3)
     rep = minimal_state_threshold(BOSON, q)
     assert rep.bound <= 1e-3
-    assert leakage_bound_at(BOSON, 0, rep.lambda_, 1.0) <= 1e-3
+    assert Leakage(BOSON, 0, 1.0).at(rep.lambda_)[0] <= 1e-3
 
 
 def test_minimal_state_threshold_zero_time():
@@ -278,11 +361,17 @@ def test_minimal_state_threshold_zero_time():
 
 
 def test_minimal_state_threshold_optimized_never_larger():
+    """No qualifying row has a smaller window than the one returned."""
     q = TruncationQuery(lambda0=0, time=2.0, epsilon=1e-4)
     first = minimal_state_threshold(BOSON, q)
-    best = minimal_state_threshold(BOSON, q, optimize_lambda=True)
-    assert best.lambda_ <= first.lambda_
-    assert best.bound <= 1e-4
+    best = min(
+        (lam, bound)
+        for lam, bound, _ in Leakage(BOSON, q.lambda0, q.time).rows()
+        if bound <= q.epsilon
+    )
+    assert best[0] <= first.lambda_
+    assert best == (first.lambda_, first.bound)
+    assert best[1] <= 1e-4
 
 
 def test_minimal_state_threshold_shrinks_with_epsilon():
@@ -322,40 +411,35 @@ def test_truncation_query_validation(kwargs):
 # ---------------------------------------------------------------------------
 
 def test_hamiltonian_truncation_bound_zero_time():
-    hq = HamTruncationQuery(lambda_tilde=8, n_modes=2, comm_norm=lambda lam: 4.0,
-                            query=TruncationQuery(0, 0.0, 0.5))
-    assert hamiltonian_truncation_bound(BOSON, hq) == 0.0
+    got = hamiltonian_truncation_bounds(Leakage(BOSON, 0, 0.0), [8], 2, lambda lam: 4.0)
+    assert got == [0.0]
 
 
 def test_hamiltonian_truncation_bound_needs_padding():
     with pytest.raises(ValueError):
-        hamiltonian_truncation_bound(
-            BOSON,
-            HamTruncationQuery(lambda_tilde=5, n_modes=1, comm_norm=lambda lam: 1.0,
-                               query=TruncationQuery(4, 1.0, 0.5)),
-        )
+        hamiltonian_truncation_bounds(Leakage(BOSON, 4, 1.0), [5], 1, lambda lam: 1.0)
 
 
 def test_hamiltonian_truncation_bound_composition():
     comm = lambda lam: float(lam) ** 2
-    hq = HamTruncationQuery(lambda_tilde=12, n_modes=4, comm_norm=comm,
-                            query=TruncationQuery(0, 1.5, 0.5))
-    expected = (1.5 ** 2 / 2.0) * 144.0 * 2.0 * leakage_bound_at(BOSON, 0, 10, 1.5)
-    assert hamiltonian_truncation_bound(BOSON, hq) == pytest.approx(expected)
+    expected = (1.5 ** 2 / 2.0) * 144.0 * 2.0 * Leakage(BOSON, 0, 1.5).at(10)[0]
+    (got,) = hamiltonian_truncation_bounds(Leakage(BOSON, 0, 1.5), [12], 4, comm)
+    assert got == pytest.approx(expected)
 
 
 def test_shared_table_bounds_equal_one_query_bounds():
-    """Several lambda-tildes read one delta table and give, to the bit,
-    what one-query calls give and what the per-delta loop gives."""
+    """Several lambda-tildes read one Leakage table and give, to the bit,
+    what one-lambda-tilde calls give and what the per-delta loop gives."""
     comm = lambda lam: 0.5 * float(lam) ** 1.5 + 1.0
     for profile in (GAUGE, BOSON, WalkProfile(chi=1.5, r=0.9)):
         for lambda0 in (0, 3):
             for t in (0.0, 0.7, 3.0):
-                q = TruncationQuery(lambda0, t, 0.5)
                 lams = [lambda0 + 30, lambda0 + 2, lambda0 + 9, lambda0 + 2]
-                hqs = [HamTruncationQuery(lam, 3, comm, q) for lam in lams]
-                got = hamiltonian_truncation_bounds(profile, hqs)
-                assert got == [hamiltonian_truncation_bound(profile, hq) for hq in hqs]
+                got = hamiltonian_truncation_bounds(Leakage(profile, lambda0, t), lams, 3, comm)
+                assert got == [
+                    hamiltonian_truncation_bounds(Leakage(profile, lambda0, t), [lam], 3, comm)[0]
+                    for lam in lams
+                ]
                 leaks = [
                     _per_delta_leakage_min(profile, lambda0, lam - 2, t, DELTA_MAX)[0]
                     for lam in lams
@@ -366,38 +450,34 @@ def test_shared_table_bounds_equal_one_query_bounds():
                 ]
                 assert got == want
                 windows = [lam - 2 for lam in lams]
-                assert leakage_bounds_at(profile, lambda0, windows, t) == [
-                    leakage_bound_at(profile, lambda0, lam, t) for lam in windows
+                leak = Leakage(profile, lambda0, t)
+                assert [leak.at(lam) for lam in windows] == [
+                    Leakage(profile, lambda0, t).at(lam) for lam in windows
                 ]
 
 
 def test_shared_table_bounds_build_one_table(monkeypatch):
     calls = _count_long_time_bound(monkeypatch)
-    q = TruncationQuery(0, 1.0, 0.5)
-    hqs = [HamTruncationQuery(lam, 1, lambda lam: 1.0, q) for lam in (20, 40, 80)]
-    assert len(hamiltonian_truncation_bounds(BOSON, hqs)) == 3
+    leak = Leakage(BOSON, 0, 1.0)
+    assert len(hamiltonian_truncation_bounds(leak, [20, 40, 80], 1, lambda lam: 1.0)) == 3
     assert len(calls) == DELTA_MAX - 1
     calls.clear()
-    assert len(leakage_bounds_at(BOSON, 0, [10, 20, 30], 1.0)) == 3
+    leak = Leakage(BOSON, 0, 1.0)
+    assert len([leak.at(lam) for lam in (10, 20, 30)]) == 3
     assert len(calls) == DELTA_MAX - 1
-    assert hamiltonian_truncation_bounds(BOSON, []) == []
+    assert hamiltonian_truncation_bounds(leak, [], 1, lambda lam: 1.0) == []
 
 
 def test_shared_table_bounds_check_every_window_first():
     """A window below lambda0 + 2 anywhere in the list raises before any
-    commutator norm is evaluated; queries must share one TruncationQuery."""
+    commutator norm is evaluated."""
     norms = []
     comm = lambda lam: norms.append(lam) or 1.0
-    q = TruncationQuery(4, 1.0, 0.5)
-    hqs = [HamTruncationQuery(lam, 1, comm, q) for lam in (12, 5)]
     with pytest.raises(ValueError, match="lambda_tilde = 5 must be >= lambda0 [+] 2 = 6"):
-        hamiltonian_truncation_bounds(BOSON, hqs)
+        hamiltonian_truncation_bounds(Leakage(BOSON, 4, 1.0), [12, 5], 1, comm)
     assert norms == []
-    other = HamTruncationQuery(12, 1, comm, TruncationQuery(4, 2.0, 0.5))
-    with pytest.raises(ValueError, match="share one TruncationQuery"):
-        hamiltonian_truncation_bounds(BOSON, [hqs[0], other])
     with pytest.raises(ValueError, match="lam must be >= lambda0"):
-        leakage_bounds_at(BOSON, 4, [6, 3], 1.0)
+        Leakage(BOSON, 4, 1.0).at(3)
 
 
 def test_minimal_hamiltonian_threshold_frozen_oracle():
@@ -416,9 +496,7 @@ def test_minimal_hamiltonian_threshold_matches_exhaustive_scan():
     rep = minimal_hamiltonian_threshold(GAUGE, q, n_modes=4, comm_norm=comm)
 
     def bound_at(lam):
-        hq = HamTruncationQuery(lambda_tilde=lam, n_modes=4, comm_norm=comm,
-                                query=q)
-        return hamiltonian_truncation_bound(GAUGE, hq)
+        return hamiltonian_truncation_bounds(Leakage(GAUGE, 0, 1.0), [lam], 4, comm)[0]
 
     qualifying = [lam for lam in range(2, 40) if bound_at(lam) <= 1e-6]
     assert rep.lambda_ == min(qualifying)
@@ -434,7 +512,7 @@ def test_minimal_hamiltonian_threshold_searches_with_its_delta_max():
     assert rep.bound == pytest.approx(4.7806e-4, rel=1e-4)
     # no delta <= 3 leaks little enough at any window for this growing
     # commutator norm (0.816 at window 40 against 0.306 with delta <= 512)
-    assert leakage_bound_at(profile, 0, 40, 1.0, delta_max=3) > 0.8
+    assert Leakage(profile, 0, 1.0, delta_max=3).at(40)[0] > 0.8
     for delta_max in (3, 6):
         with pytest.raises(CapExceededError):
             minimal_hamiltonian_threshold(
@@ -444,7 +522,7 @@ def test_minimal_hamiltonian_threshold_searches_with_its_delta_max():
     rep = minimal_hamiltonian_threshold(
         profile, q, n_modes=1, comm_norm=lambda lam: 1.0, delta_max=3
     )
-    leak = leakage_bound_at(profile, 0, rep.lambda_ - 2, 0.3, delta_max=3)
+    leak, _ = Leakage(profile, 0, 0.3, delta_max=3).at(rep.lambda_ - 2)
     assert rep.bound == 0.5 * 0.3**2 * 1.0 * math.sqrt(1) * leak
     assert 2 <= rep.delta_used <= 3
     used = long_time_bound(profile, 0, rep.delta_used, 0.3)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import time
 
 import pytest
 
@@ -299,22 +300,20 @@ def test_sweep_rejects_unknown_command(capsys):
     assert code == 1
 
 
-def test_sweep_switch_values_match_scalar_calls(capsys):
-    base = ["--set", "g=1", "--set", "eps=1e-3"]
-    for value, switch in (("true", ["--optimize-lambda"]), ("false", [])):
-        code, out = _run(
-            ["sweep", "--cmd", "threshold-state", "--vary", "t=0.5,1",
-             "--set", f"optimize_lambda={value}"] + base,
-            capsys,
-        )
-        assert code == 0
-        swept = [row.split(",", 1)[1] for row in _data_lines(out)[1:]]
-        code2, out2 = _run(
-            ["threshold", "state", "--t", "0.5,1", "--g", "1", "--eps", "1e-3"] + switch,
-            capsys,
-        )
-        assert code2 == 0
-        assert swept == _data_lines(out2)[1:]
+def test_sweep_switch_values_match_scalar_calls(tmp_path, capsys):
+    """A switch set to true or false (in a config file, as in a sweep's
+    --set) equals giving or omitting the bare flag."""
+    base = ["verify", "ham", "--n-max", "20", "--lambda-tildes", "6,10"]
+    for value, switch in (("true", ["--check-padding"]), ("false", [])):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"check_padding={value}\n")
+        configured = _masked_json(base + ["--config", str(cfg)], capsys)
+        direct = _masked_json(base + switch, capsys)
+        assert configured["rows"] == direct["rows"]
+        assert configured["config"]["check_padding"] == value
+        notes = [row[configured["columns"].index("notes")] for row in configured["rows"]]
+        assert len(notes) == 2
+        assert all(("padding doubling shifts" in note) == (value == "true") for note in notes)
 
 
 @pytest.mark.parametrize(
@@ -393,6 +392,49 @@ def test_resource_guard_exits_two(capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["threshold", "state", "--t", "inf"], 1),
+        (["threshold", "state", "--t", "nan"], 1),
+        (["compare", "--t", "inf"], 1),
+        (["threshold", "ham", "--t-single", "inf"], 1),
+        (["verify", "state", "--t", "inf", "--n-max", "8"], 1),
+        (["verify", "coherent", "--t", "inf"], 1),
+        (["threshold", "state", "--t", "1e200"], 2),
+        (["threshold", "tail", "--lambda-bar", "0.1", "--gap", "1e-300"], 2),
+        (["verify", "state", "--t", "1e200", "--n-max", "8"], 2),
+        (["threshold", "ham", "--t-single", "1e200"], 2),
+        (["threshold", "ham", "--model", "u1", "--field-cap", "4", "--t-single", "1e200"], 2),
+        # the engine refuses a time it cannot expand instead of spinning on it
+        (["verify", "ham", "--t-single", "inf"], 1),
+        (["verify", "ham", "--t-single", "nan"], 1),
+        (["verify", "ham", "--t-single", "1e12"], 2),
+        (["verify", "trotter", "--taus", "inf"], 1),
+    ],
+)
+def test_bad_time_is_one_error_line(argv, code, capsys):
+    """A time that is not finite is a usage error, one past float range or
+    the engine's term cap a guard error: one line, at once, no traceback."""
+    start = time.perf_counter()
+    assert cli.main(argv) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    prefix = "truncert: error: " if code == 1 else "truncert: resource/guard error: "
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_huge_finite_time_keeps_its_row(capsys):
+    """t = 1e150 stays inside float range: its window has 305 digits."""
+    code, out = _run(["threshold", "state", "--t", "1e150"], capsys)
+    assert code == 0
+    t, lam, bound, delta = _data_lines(out)[1].split(",")
+    assert (t, bound, delta) == ("1e+150", "0.004138655306088551", "239")
+    assert lam.startswith("566440000000000026909516") and len(lam) == 305
 
 
 def test_verify_state_past_the_sector_guard_exits_two(capsys, monkeypatch):
@@ -604,8 +646,7 @@ _TIMES = {"--t", "--tmax", "--tpoints"}
 #: Every command's flags: the ones it reads (a model flag counts if some
 #: --model reads it) and the output flags.
 _COMMAND_FLAGS = {
-    "threshold state": _PROFILE | _TIMES | {"--lambda0", "--eps", "--optimize-lambda",
-                                            "--delta-max"},
+    "threshold state": _PROFILE | _TIMES | {"--lambda0", "--eps", "--delta-max"},
     "threshold ham": _MODEL | {"--lambda0", "--eps", "--t-single"},
     "threshold energy": {"--model", "--g", "--n", "--omega0", "--lambda0", "--eps", "--ef",
                          "--etotal"},
@@ -638,7 +679,7 @@ def _leaf_flags(parser, path=()):
 def test_each_command_takes_only_the_flags_it_reads():
     got = _leaf_flags(cli.build_parser())
     assert got == {cmd: flags | _COMMON for cmd, flags in _COMMAND_FLAGS.items()}
-    assert sum(len(flags) for flags in got.values()) == 164
+    assert sum(len(flags) for flags in got.values()) == 163
 
 
 @pytest.mark.parametrize(
