@@ -3,9 +3,11 @@
 Modes are truncated bosons, spinless fermions, spin-1/2 sites, or integer
 rotors (gauge links in the electric basis |k>, k in [-K, K]).  A
 CompositeBasis fixes an ordered mode list, mode 0 the most significant
-mixed-radix digit.  Operators on the full space are assembled by index
-arithmetic on that basis, with Jordan-Wigner sign strings over the
-fermionic subsequence for fermionic ladder operators.
+mixed-radix digit.  A single-mode operator is embedded in the full space
+by index arithmetic on that basis, with Jordan-Wigner sign strings over
+the fermionic subsequence for fermionic ladder operators: `mode_entries`
+gives its (rows, cols, values), the one embedding the package has, and
+`mode_operator` the CSR matrix of those entries.
 
 Projector windows act on the per-mode quantum number: occupation for
 bosons and fermions, excitation index for spins, |k| for rotors (so the
@@ -35,6 +37,7 @@ __all__ = [
     "spin_half",
     "rotor",
     "build_basis",
+    "mode_entries",
     "mode_operator",
     "window_mask",
     "projector",
@@ -216,8 +219,10 @@ def _local_entries(mode: ModeSpec, kind: str):
     raise TypeError(f"kind {kind!r} undefined for {mode.kind} modes")
 
 
-def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
-    """Embed a single-mode operator into the full space.
+def mode_entries(
+    basis: CompositeBasis, mode_index: int, kind: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of a single-mode operator embedded in the full space.
 
     The full operator is I_left (x) L (x) I_right on the mixed-radix basis:
     each local entry (a, b, v) of L lands at row l*d*R + a*R + r and column
@@ -228,7 +233,9 @@ def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_m
     transparent to the string).  Matrix conventions: <m-1| b |m> = sqrt(m);
     position is (b + b^dag)/sqrt(2); momentum is i (b^dag - b)/sqrt(2);
     efield is diagonal with eigenvalue k; lower_link maps |k> to |k-1>.
-    Entries below SPARSE_TOL are not stored.
+    Entries below SPARSE_TOL are not stored.  Values are complex; no
+    position repeats, and every kind but position and momentum has at most
+    one entry per column (it sends each basis state to at most one state).
     """
     if not 0 <= mode_index < basis.n_modes:
         raise ValueError(f"mode_index {mode_index} out of range")
@@ -248,17 +255,17 @@ def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_m
         vals = vals * ((-1) ** occupied)[:, None]
     base = (left * block)[:, None, None] + np.arange(stride)[None, None, :]
     full = (len(left), len(rows), stride)
-    # the COO -> CSR conversion leaves the column indices sorted
-    return sp.csr_matrix(
-        (
-            np.broadcast_to(vals[..., None], full).ravel(),
-            (
-                (base + rows[:, None] * stride).ravel(),
-                (base + cols[:, None] * stride).ravel(),
-            ),
-        ),
-        shape=(basis.dimension, basis.dimension),
+    return (
+        (base + rows[:, None] * stride).ravel(),
+        (base + cols[:, None] * stride).ravel(),
+        np.broadcast_to(vals[..., None], full).ravel(),
     )
+
+
+def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
+    """The CSR matrix of `mode_entries` (column indices sorted in each row)."""
+    rows, cols, vals = mode_entries(basis, mode_index, kind)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +312,20 @@ def projector(basis: CompositeBasis, spec: ProjectorSpec) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 def hermiticity_defect(op: sp.spmatrix) -> float:
-    """Largest entry magnitude of op - op^dagger."""
-    diff = sp.coo_matrix(op - sp.csr_matrix(op).getH())
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.abs(diff.data).max())
+    """Largest entry magnitude of op - op^dagger.
+
+    A canonical op (sorted, no duplicates) whose transpose has the same
+    sparsity pattern is compared with it entry by entry; any other op
+    through the sparse difference.  Neither reorders the caller's matrix.
+    """
+    a = sp.csr_matrix(op)
+    t = a.T.tocsr()
+    if (
+        a.has_canonical_format
+        and np.array_equal(a.indptr, t.indptr)
+        and np.array_equal(a.indices, t.indices)
+    ):
+        diff = a.data - t.data.conj()
+    else:
+        diff = (a - t.conj()).data
+    return float(np.abs(diff).max()) if len(diff) else 0.0

@@ -5,6 +5,16 @@ sparse Hamiltonian the instance assembles as their sum, the walk profile
 governing quantum-number growth, and the per-mode walk parts H_W used by
 the empirical soundness experiments.
 
+The builders assemble every term by index arithmetic on the embedded
+mode entries (`fock_algebra.mode_entries`): a product of operators that
+each send a basis state to at most one state is one index gather per
+factor, diagonal terms add into one vector in term order, and each part
+is built as CSR once.  A sparse product remains only where two factors
+both move states (the Hubbard-Holstein and Dicke couplings), for the
+stored order of its rows.  Every stored array (values to the bit, stored
+zeros, column order) is the one the sparse algebra of the same terms
+gives, which the tests check against such an assembly.
+
 The instances are finite proxies of unbounded Hamiltonians: build them
 with cutoffs strictly above every window you intend to probe, and check
 insensitivity by doubling the cutoff (padding discipline).
@@ -27,7 +37,7 @@ from .fock_algebra import (
     build_basis,
     fermion,
     hermiticity_defect,
-    mode_operator,
+    mode_entries,
     projector,
     rotor,
     spin_half,
@@ -107,8 +117,9 @@ class ModelInstance:
         if keys.shape != (self.dimension,) or keys.dtype.kind not in "iu":
             raise ValueError("sector_keys needs one integer per basis state")
         for name, op in [("hamiltonian", self.hamiltonian), *self.parts.items()]:
-            coo = sp.coo_matrix(op)
-            cross = (keys[coo.row] != keys[coo.col]) & (coo.data != 0)
+            op = sp.csr_matrix(op)
+            row_keys = np.repeat(keys, np.diff(op.indptr))
+            cross = (row_keys != keys[op.indices]) & (op.data != 0)
             if cross.any():
                 raise ValueError(f"{name} couples states of different sector keys")
 
@@ -134,6 +145,66 @@ class ModelInstance:
 
 def _zero(dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((dim, dim), dtype=complex)
+
+
+def _moves(basis: CompositeBasis, mode_index: int, kind: str):
+    """(target, amp) of a mode operator that sends each state to at most one state.
+
+    target[j] is the state the operator sends basis state j to and amp[j]
+    its real amplitude; target is -1 and amp 0 where it annihilates j.  A
+    diagonal kind has target[j] = j wherever amp[j] is nonzero, and amp is
+    its diagonal.
+    """
+    rows, cols, vals = mode_entries(basis, mode_index, kind)
+    target = np.full(basis.dimension, -1)
+    target[cols] = rows
+    amp = np.zeros(basis.dimension)
+    amp[cols] = vals.real
+    return target, amp
+
+
+def _diagonal(basis: CompositeBasis, mode_index: int, kind: str) -> np.ndarray:
+    return _moves(basis, mode_index, kind)[1]
+
+
+def _product(*factors: tuple[np.ndarray, np.ndarray]):
+    """(rows, cols, values) of the matrix product of `_moves` factors.
+
+    The rightmost factor acts first; each column is one index gather per
+    factor, and the amplitudes multiply left factor times right.
+    """
+    target, amp = factors[-1]
+    for t, a in reversed(factors[:-1]):
+        live = target >= 0
+        src = np.where(live, target, 0)
+        amp = np.where(live, a[src] * amp, 0.0)
+        target = np.where(live, t[src], -1)
+    cols = np.flatnonzero(target >= 0)
+    return target[cols], cols, amp[cols]
+
+
+def _summed(terms: list, diag: np.ndarray) -> sp.csr_matrix:
+    """Canonical CSR of a sum: (rows, cols, values) terms plus a diagonal vector.
+
+    The terms' entries lie off the diagonal at distinct positions, and the
+    diagonal holds the diagonal terms already added in order, so every
+    entry is the value a chain of sparse additions would store; like that
+    chain, this stores only the nonzero entries.
+    """
+    idx = np.arange(len(diag))
+    rows, cols, vals = (np.concatenate(x) for x in zip((idx, idx, diag), *terms))
+    stored = vals != 0
+    return sp.csr_matrix(
+        (vals[stored].astype(complex), (rows[stored], cols[stored])),
+        shape=(len(diag), len(diag)),
+    )
+
+
+def _displacement(basis: CompositeBasis, mode_index: int) -> sp.csr_matrix:
+    """b + b^dag of one boson mode."""
+    rows, cols, vals = mode_entries(basis, mode_index, "annihilate")
+    amp = vals.real
+    return _summed([(rows, cols, amp), (cols, rows, amp)], np.zeros(basis.dimension))
 
 
 def _sector_keys(*charges: np.ndarray) -> np.ndarray:
@@ -168,17 +239,15 @@ def single_mode(g_lin: float, omega0: float, n_max: int) -> ModelInstance:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     basis = build_basis([boson(n_max, "b")])
-    b = mode_operator(basis, 0, "annihilate")
-    num = mode_operator(basis, 0, "number")
-    drive = g_lin * (b + b.getH())
-    osc = omega0 * num
+    drive = g_lin * _displacement(basis, 0)
+    osc = omega0 * _summed([], _diagonal(basis, 0, "number"))
     return ModelInstance(
         label="single_mode",
         basis=basis,
-        parts={"drive": drive.tocsr(), "oscillator": osc.tocsr()},
+        parts={"drive": drive, "oscillator": osc},
         profile=profile_single_mode(g_lin),
         params={"g_lin": g_lin, "omega0": omega0, "n_max": n_max},
-        walk_parts={0: drive.tocsr()},
+        walk_parts={0: drive},
     )
 
 
@@ -213,38 +282,45 @@ def hubbard_holstein_1d(
     up = lambda x: 3 * x
     dn = lambda x: 3 * x + 1
     bmode = lambda x: 3 * x + 2
+    occupied = [
+        (_diagonal(basis, up(x), "number"), _diagonal(basis, dn(x), "number"))
+        for x in range(n_sites)
+    ]
 
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    h_f = _zero(dim)
+    hops = []
     bonds = [(x, x + 1) for x in range(n_sites - 1)]
     if not open_boundary and n_sites > 2:
         bonds.append((n_sites - 1, 0))
     for x, y in bonds:
         for site_of in (up, dn):
-            cx = mode_operator(basis, site_of(x), "annihilate")
-            cy = mode_operator(basis, site_of(y), "annihilate")
-            h_f = h_f + (-hop) * (cx.getH() @ cy + cy.getH() @ cx)
-    for x in range(n_sites):
-        nup = mode_operator(basis, up(x), "number")
-        ndn = mode_operator(basis, dn(x), "number")
-        h_f = h_f + u * ((nup - 0.5 * ident) @ (ndn - 0.5 * ident))
-        h_f = h_f + (-mu) * (nup + ndn)
+            for a, b in ((x, y), (y, x)):
+                rows, cols, vals = _product(
+                    _moves(basis, site_of(a), "create"), _moves(basis, site_of(b), "annihilate")
+                )
+                hops.append((rows, cols, -hop * vals))
+    onsite = np.zeros(dim)
+    for nup, ndn in occupied:
+        onsite += u * ((nup - 0.5) * (ndn - 0.5))
+        onsite += (-mu) * (nup + ndn)
 
-    h_fb = _zero(dim)
+    # the sparse product stores each row of a coupling term with descending
+    # columns and the sparse sums interleave them, the stored order that
+    # comm_norm_exact's products of H read
     walk_parts: dict[int, sp.csr_matrix] = {}
-    for x in range(n_sites):
-        bx = mode_operator(basis, bmode(x), "annihilate")
-        nup = mode_operator(basis, up(x), "number")
-        ndn = mode_operator(basis, dn(x), "number")
-        term = (g * (bx + bx.getH()) @ (nup + ndn - ident)).tocsr()
-        walk_parts[bmode(x)] = term
-        h_fb = h_fb + term
+    for x, (nup, ndn) in enumerate(occupied):
+        walk_parts[bmode(x)] = (g * _displacement(basis, bmode(x))) @ _summed(
+            [], nup + ndn - 1.0
+        )
 
-    h_b = _zero(dim)
+    phonons = np.zeros(dim)
     for x in range(n_sites):
-        h_b = h_b + omega0 * mode_operator(basis, bmode(x), "number")
+        phonons += omega0 * _diagonal(basis, bmode(x), "number")
 
-    parts = {"fermion": h_f.tocsr(), "coupling": h_fb.tocsr(), "boson": h_b.tocsr()}
+    parts = {
+        "fermion": _summed(hops, onsite),
+        "coupling": sum(walk_parts.values(), _zero(dim)),
+        "boson": _summed([], phonons),
+    }
     # hopping, Hubbard and phonon terms all conserve N_up and N_dn
     n_up = sum(basis.local_indices(up(x)) for x in range(n_sites))
     n_dn = sum(basis.local_indices(dn(x)) for x in range(n_sites))
@@ -286,17 +362,17 @@ def dicke(
     basis = build_basis(specs)
     dim = basis.dimension
 
-    num = mode_operator(basis, 0, "number")
-    b = mode_operator(basis, 0, "annihilate")
-    sum_z = _zero(dim)
-    sum_x = _zero(dim)
+    sum_z = np.zeros(dim)
     for i in range(n_spins):
-        sum_z = sum_z + mode_operator(basis, 1 + i, "pauli_z")
-        sum_x = sum_x + mode_operator(basis, 1 + i, "pauli_x")
+        sum_z += _diagonal(basis, 1 + i, "pauli_z")
+    flips = [_product(_moves(basis, 1 + i, "pauli_x")) for i in range(n_spins)]
 
-    cavity = (omega_c * num).tocsr()
-    spins = (omega_z * sum_z).tocsr()
-    coupling = ((g / math.sqrt(n_spins)) * (b + b.getH()) @ sum_x).tocsr()
+    cavity = omega_c * _summed([], _diagonal(basis, 0, "number"))
+    spins = omega_z * _summed([], sum_z)
+    # a sparse product, for its stored order (see hubbard_holstein_1d)
+    coupling = ((g / math.sqrt(n_spins)) * _displacement(basis, 0)) @ _summed(
+        flips, np.zeros(dim)
+    )
     # (b + b^dag) sigma_x moves the photon number and one spin index by one
     # each, so the parity of their sum is conserved
     excitations = sum(basis.local_indices(j) for j in range(1 + n_spins))
@@ -344,27 +420,31 @@ def u1_lgt_1d(
     site = lambda x: 2 * x
     link = lambda x: 2 * x + 1
 
-    h_m = _zero(dim)
+    mass = np.zeros(dim)
     for x in range(n_sites):
-        h_m = h_m + g_m * (-1) ** x * mode_operator(basis, site(x), "number")
+        mass += g_m * (-1) ** x * _diagonal(basis, site(x), "number")
 
-    h_gm = _zero(dim)
     walk_parts: dict[int, sp.csr_matrix] = {}
     for x in range(n_sites - 1):
-        phi_x = mode_operator(basis, site(x), "annihilate")
-        phi_y = mode_operator(basis, site(x + 1), "annihilate")
-        u_x = mode_operator(basis, link(x), "lower_link")
-        term = phi_x.getH() @ u_x @ phi_y
-        term = (g_gm * (term + term.getH())).tocsr()
-        walk_parts[link(x)] = term
-        h_gm = h_gm + term
+        rows, cols, vals = _product(
+            _moves(basis, site(x), "create"),
+            _moves(basis, link(x), "lower_link"),
+            _moves(basis, site(x + 1), "annihilate"),
+        )
+        walk_parts[link(x)] = g_gm * _summed(
+            [(rows, cols, vals), (cols, rows, vals)], np.zeros(dim)
+        )
 
-    h_e = _zero(dim)
+    electric = np.zeros(dim)
     for x in range(n_sites - 1):
-        e_x = mode_operator(basis, link(x), "efield")
-        h_e = h_e + g_e * (e_x @ e_x)
+        e_x = _diagonal(basis, link(x), "efield")
+        electric += g_e * (e_x * e_x)
 
-    parts = {"mass": h_m.tocsr(), "hopping": h_gm.tocsr(), "electric": h_e.tocsr()}
+    parts = {
+        "mass": _summed([], mass),
+        "hopping": sum(walk_parts.values(), _zero(dim)),
+        "electric": _summed([], electric),
+    }
     # Gauss-law charges G_x = E_x - E_{x-1} + n_x with the signed field
     # E = k (not the window quantum number |k|) and no field past the ends:
     # phi_x^dag U_x phi_{x+1} moves a fermion from x + 1 to x and lowers E_x

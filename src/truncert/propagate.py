@@ -29,8 +29,8 @@ per basis state, it splits the window into `Sector`s (`window_sectors`,
 which also enforces `COLUMN_CAP` on the largest sector), groups sectors
 with equal window counts into `Stack`s that fit one sweep block
 (`stack_sectors`), prepares each operator once and restricts it to each
-stack once (`ChebyshevPropagator.restrict`; a union of conserved sectors
-is closed under every operator).  Column j of a stack's identity block
+stack once (`ChebyshevPropagator.restrict`, by an index map; a union of
+conserved sectors is closed under every operator).  Column j of a stack's identity block
 holds window state j of every member, and the stack's operator is
 block-diagonal over its members, so one block call evolves every
 member's columns.  Its `top_singular` then sweeps one stack's columns at
@@ -143,6 +143,11 @@ def _diagonal_if_diagonal(h: sp.csr_matrix) -> np.ndarray | None:
 #: `_chebyshev_bessel`; the exact Bessel terms below M get the rest.
 _REMAINDER_SHARE = 1.0 / 1024.0
 
+#: Log margin by which `_chebyshev_bessel`'s closed-form stopping test at
+#: _TERM_CAP must fail before it rejects |x| without the term search; it
+#: covers the rounding of the search's running log a_{M+1} many times over.
+_CAP_MARGIN = 1.0
+
 
 def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     """J_0(x) .. J_K(x) for the smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol.
@@ -155,7 +160,11 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     the bound on the tail past K is their sum plus the remainder.  An M
     past _TERM_CAP raises ResourceLimitError before any Bessel value is
     computed; M >= |x| - 2 (q < 1/2 needs it), so a larger |x| skips the
-    search.
+    search.  Where q < 1/2 both a_{M+1} and 1/(1 - q) shrink as M grows,
+    so the stopping test fails at every M once it fails at M = _TERM_CAP:
+    that test, in closed form (lgamma) with a margin of _CAP_MARGIN in
+    the log for the rounding of the search's running sum, rejects such
+    an |x| without the search.
     """
     y = abs(x) / 2.0
     if y == 0.0:
@@ -164,6 +173,11 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     log_rest = math.log(tol * _REMAINDER_SHARE / 2.0)
     log_a = log_y  # log a_{M+1} at M = 0
     m = 0 if 2.0 * y <= _TERM_CAP else _TERM_CAP + 1
+    if m == 0:
+        q = y / (_TERM_CAP + 2)
+        log_a_cap = (_TERM_CAP + 1) * log_y - math.lgamma(_TERM_CAP + 2)
+        if log_a_cap - math.log1p(-q) > log_rest + _CAP_MARGIN:
+            m = _TERM_CAP + 1
     while m <= _TERM_CAP:
         q = y / (m + 2)
         if q < 0.5 and log_a - math.log1p(-q) <= log_rest:
@@ -185,6 +199,34 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
 def _chebyshev_terms(x: float, tol: float) -> int:
     """Smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol."""
     return len(_chebyshev_bessel(x, tol)) - 1
+
+
+def _principal_submatrix(h: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """h[rows][:, rows] for distinct rows closed under h, by one index map.
+
+    Each of rows' rows of h is gathered in its stored order and its
+    columns are renumbered by their position in rows; entries pointing
+    outside rows are dropped, which must all be stored zeros (ValueError
+    otherwise).  The result has the arrays (dtype, index dtype, entry
+    order, explicit zeros) that scipy's two fancy-indexing steps give.
+    """
+    rows = np.asarray(rows)
+    index = h.indices.dtype
+    position = np.full(h.shape[0], -1, dtype=index)
+    position[rows] = np.arange(len(rows), dtype=index)
+    starts = h.indptr[rows]
+    counts = h.indptr[rows + 1] - starts
+    offsets = np.cumsum(counts) - counts  # where each row starts in the result
+    row_of = np.repeat(np.arange(len(rows)), counts)
+    take = np.arange(len(row_of)) + np.repeat(starts - offsets, counts)
+    cols = position[h.indices[take]]
+    data = h.data[take]
+    inside = cols >= 0
+    if not inside[data != 0].all():
+        raise ValueError("rows are coupled to states outside them")
+    indptr = np.zeros(len(rows) + 1, dtype=index)
+    np.cumsum(np.bincount(row_of[inside], minlength=len(rows)), out=indptr[1:])
+    return sp.csr_matrix((data[inside], cols[inside], indptr), shape=(len(rows), len(rows)))
 
 
 class ChebyshevPropagator:
@@ -253,18 +295,18 @@ class ChebyshevPropagator:
         its rows keeps its diagonal entry and its off-diagonal weight, so
         it takes h's Gershgorin ends of those rows: its interval lies
         inside h's and it takes at most as many terms.  rows equal to
-        every state in order returns self.
+        every state in order returns self.  The submatrix is built by an
+        index map (`_principal_submatrix`), with exactly the arrays of
+        scipy's h[rows][:, rows].
         """
         if len(rows) == self.shape[0] and np.array_equal(rows, np.arange(len(rows))):
             return self
-        sub = self._h[rows]
-        inside = np.zeros(self.shape[0], dtype=bool)
-        inside[rows] = True
-        if not inside[sub.indices[sub.data != 0]].all():
-            raise ValueError("rows are coupled to states outside them")
         out = ChebyshevPropagator.__new__(ChebyshevPropagator)
         bounds = self._row_bounds
-        out._prepare(sub[:, rows], None if bounds is None else (bounds[0][rows], bounds[1][rows]))
+        out._prepare(
+            _principal_submatrix(self._h, rows),
+            None if bounds is None else (bounds[0][rows], bounds[1][rows]),
+        )
         return out
 
     def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:

@@ -428,6 +428,18 @@ def test_bad_time_is_one_error_line(argv, code, capsys):
     assert captured.out == ""
 
 
+def test_reach_under_the_term_cap_exits_as_fast_as_one_far_past_it(capsys):
+    """t = 1e5 reaches 9.7e5, under the 2^20-term cap yet past what 2^20
+    terms can expand: it exits 2 as fast as t = 1e12, with no term search."""
+    seconds = {}
+    for t in ("1e12", "1e5", "1e12"):
+        start = time.perf_counter()
+        assert cli.main(["verify", "ham", "--t-single", t]) == 2
+        seconds[t] = time.perf_counter() - start
+        assert "Chebyshev terms" in capsys.readouterr().err
+    assert seconds["1e5"] < 3.0 * seconds["1e12"] + 0.1
+
+
 def test_huge_finite_time_keeps_its_row(capsys):
     """t = 1e150 stays inside float range: its window has 305 digits."""
     code, out = _run(["threshold", "state", "--t", "1e150"], capsys)

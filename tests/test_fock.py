@@ -19,6 +19,7 @@ from truncert.fock_algebra import (
     build_basis,
     fermion,
     hermiticity_defect,
+    mode_entries,
     mode_operator,
     projector,
     rotor,
@@ -412,3 +413,61 @@ def test_hermiticity_defect_detects_asymmetry():
     assert hermiticity_defect(a) > 0.9
     x = mode_operator(basis, 0, "position")
     assert hermiticity_defect(x) < 1e-15
+
+
+def _hermiticity_defect_by_coo(op):
+    """The sparse-difference form of hermiticity_defect, verbatim."""
+    diff = sp.coo_matrix(op - sp.csr_matrix(op).getH())
+    if diff.nnz == 0:
+        return 0.0
+    return float(np.abs(diff.data).max())
+
+
+def _unsorted_with_duplicates(symmetric: bool) -> sp.csr_matrix:
+    """4x4 CSR with descending columns, a duplicate entry and explicit zeros.
+
+    Dense value: [[1, 2-i, 0, 0], [2+i, 0, 0, 0.5], [0, 0, 3, 0], [0, a, 0, 0]]
+    with a = 0.5 (Hermitian) or 0.75 (not); entry (1, 0) is stored as two
+    duplicates that sum to it, and (2, 1) is a stored zero.
+    """
+    a = 0.5 if symmetric else 0.75
+    return sp.csr_matrix(
+        (
+            np.array([2 - 1j, 1.0, 0.5, 1.5 + 1j, 0.5, 3.0, 0.0, a]),
+            np.array([1, 0, 3, 0, 0, 2, 1, 1], dtype=np.int32),
+            np.array([0, 2, 5, 7, 8], dtype=np.int32),
+        ),
+        shape=(4, 4),
+    )
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_hermiticity_defect_never_reorders_its_argument(symmetric):
+    """On a non-canonical, duplicate-carrying input the defect is the
+    sparse difference's, and the argument's arrays are left as they were."""
+    op = _unsorted_with_duplicates(symmetric)
+    assert not op.has_canonical_format
+    arrays = op.indptr.copy(), op.indices.copy(), op.data.copy()
+    got = hermiticity_defect(op)
+    assert got == _hermiticity_defect_by_coo(op)
+    assert got == (0.0 if symmetric else 0.25)
+    for before, after in zip(arrays, (op.indptr, op.indices, op.data)):
+        assert before.tobytes() == after.tobytes()
+    # an asymmetric sparsity pattern takes the sparse difference
+    upper = sp.csr_matrix(np.triu(op.toarray()))
+    assert hermiticity_defect(upper) == _hermiticity_defect_by_coo(upper) == math.hypot(2, 1)
+
+
+def test_one_to_one_kinds_send_each_state_to_at_most_one_state():
+    """mode_entries stores each position once, and every kind but position
+    and momentum has at most one entry per column."""
+    for specs in _ORACLE_BASES.values():
+        basis = build_basis(specs)
+        for j, mode in enumerate(basis.modes):
+            for kind in _KINDS_OF[mode.kind]:
+                rows, cols, vals = mode_entries(basis, j, kind)
+                assert len(np.unique(rows * basis.dimension + cols)) == len(rows)
+                if kind not in ("position", "momentum"):
+                    assert len(np.unique(cols)) == len(cols)
+                op = mode_operator(basis, j, kind)
+                assert op.nnz == len(vals)

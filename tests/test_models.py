@@ -1,14 +1,16 @@
 """Model builders: spectra, part decompositions, walk-profile soundness."""
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from test_fock import kron_mode_operator
 
-from truncert import models
+from truncert import fock_algebra, models
 from truncert.fock_algebra import ALL, ProjectorSpec, mode_operator, projector, window_mask
 from truncert.models import (
     comm_norm_exact,
@@ -18,6 +20,12 @@ from truncert.models import (
     u1_lgt_1d,
 )
 from truncert.propagate import op_norm, window_sectors
+from truncert.walk_profiles import (
+    profile_dicke,
+    profile_hubbard_holstein,
+    profile_single_mode,
+    profile_u1,
+)
 
 
 def _dense(op):
@@ -232,21 +240,207 @@ def test_u1_profile_is_gauge_type():
 
 
 # ---------------------------------------------------------------------------
-# assembly: the index-arithmetic embedding against the Kronecker chain
+# assembly: the index-arithmetic builders against sparse-algebra builders
 # ---------------------------------------------------------------------------
+#
+# The oracle builders below assemble every model by sparse algebra (sums,
+# products, adjoints and scalar multiples of embedded mode operators), the
+# way the package built them before it assembled them by index arithmetic.
+# They take the mode-operator embedding as an argument; the test runs them
+# on the Kronecker-chain embedding of test_fock, so no package assembly
+# code enters the reference.
 
+
+def _algebraic_single_mode(op, g_lin, omega0, n_max):
+    basis = fock_algebra.build_basis([fock_algebra.boson(n_max, "b")])
+    b = op(basis, 0, "annihilate")
+    num = op(basis, 0, "number")
+    drive = g_lin * (b + b.getH())
+    osc = omega0 * num
+    return models.ModelInstance(
+        label="single_mode",
+        basis=basis,
+        parts={"drive": drive.tocsr(), "oscillator": osc.tocsr()},
+        profile=profile_single_mode(g_lin),
+        params={"g_lin": g_lin, "omega0": omega0, "n_max": n_max},
+        walk_parts={0: drive.tocsr()},
+    )
+
+
+def _algebraic_hubbard_holstein_1d(
+    op, n_sites, hop=1.0, u=0.0, mu=0.0, g=0.5, omega0=1.0, n_max=8, open_boundary=True
+):
+    specs = []
+    for x in range(n_sites):
+        specs += [
+            fock_algebra.fermion(f"up{x}"),
+            fock_algebra.fermion(f"dn{x}"),
+            fock_algebra.boson(n_max, f"b{x}"),
+        ]
+    basis = fock_algebra.build_basis(specs)
+    dim = basis.dimension
+    up = lambda x: 3 * x
+    dn = lambda x: 3 * x + 1
+    bmode = lambda x: 3 * x + 2
+
+    ident = sp.identity(dim, format="csr", dtype=complex)
+    h_f = models._zero(dim)
+    bonds = [(x, x + 1) for x in range(n_sites - 1)]
+    if not open_boundary and n_sites > 2:
+        bonds.append((n_sites - 1, 0))
+    for x, y in bonds:
+        for site_of in (up, dn):
+            cx = op(basis, site_of(x), "annihilate")
+            cy = op(basis, site_of(y), "annihilate")
+            h_f = h_f + (-hop) * (cx.getH() @ cy + cy.getH() @ cx)
+    for x in range(n_sites):
+        nup = op(basis, up(x), "number")
+        ndn = op(basis, dn(x), "number")
+        h_f = h_f + u * ((nup - 0.5 * ident) @ (ndn - 0.5 * ident))
+        h_f = h_f + (-mu) * (nup + ndn)
+
+    h_fb = models._zero(dim)
+    walk_parts = {}
+    for x in range(n_sites):
+        bx = op(basis, bmode(x), "annihilate")
+        nup = op(basis, up(x), "number")
+        ndn = op(basis, dn(x), "number")
+        term = (g * (bx + bx.getH()) @ (nup + ndn - ident)).tocsr()
+        walk_parts[bmode(x)] = term
+        h_fb = h_fb + term
+
+    h_b = models._zero(dim)
+    for x in range(n_sites):
+        h_b = h_b + omega0 * op(basis, bmode(x), "number")
+
+    parts = {"fermion": h_f.tocsr(), "coupling": h_fb.tocsr(), "boson": h_b.tocsr()}
+    n_up = sum(basis.local_indices(up(x)) for x in range(n_sites))
+    n_dn = sum(basis.local_indices(dn(x)) for x in range(n_sites))
+    return models.ModelInstance(
+        label="hubbard_holstein_1d",
+        basis=basis,
+        parts=parts,
+        profile=profile_hubbard_holstein(abs(g)),
+        params={},
+        walk_parts=walk_parts,
+        sector_keys=models._sector_keys(n_up, n_dn),
+    )
+
+
+def _algebraic_dicke(op, n_spins, omega_c, omega_z, g, n_max):
+    specs = [fock_algebra.boson(n_max, "cavity")]
+    specs += [fock_algebra.spin_half(f"s{i}") for i in range(n_spins)]
+    basis = fock_algebra.build_basis(specs)
+    dim = basis.dimension
+
+    num = op(basis, 0, "number")
+    b = op(basis, 0, "annihilate")
+    sum_z = models._zero(dim)
+    sum_x = models._zero(dim)
+    for i in range(n_spins):
+        sum_z = sum_z + op(basis, 1 + i, "pauli_z")
+        sum_x = sum_x + op(basis, 1 + i, "pauli_x")
+
+    cavity = (omega_c * num).tocsr()
+    spins = (omega_z * sum_z).tocsr()
+    coupling = ((g / math.sqrt(n_spins)) * (b + b.getH()) @ sum_x).tocsr()
+    excitations = sum(basis.local_indices(j) for j in range(1 + n_spins))
+    return models.ModelInstance(
+        label="dicke",
+        basis=basis,
+        parts={"cavity": cavity, "spins": spins, "coupling": coupling},
+        profile=profile_dicke(abs(g), n_spins),
+        params={},
+        walk_parts={0: coupling},
+        sector_keys=models._sector_keys(excitations % 2),
+    )
+
+
+def _algebraic_u1_lgt_1d(op, n_sites, g_m, g_gm, g_e, field_cap):
+    specs = []
+    for x in range(n_sites):
+        specs.append(fock_algebra.fermion(f"phi{x}"))
+        if x < n_sites - 1:
+            specs.append(fock_algebra.rotor(field_cap, f"link{x}"))
+    basis = fock_algebra.build_basis(specs)
+    dim = basis.dimension
+    site = lambda x: 2 * x
+    link = lambda x: 2 * x + 1
+
+    h_m = models._zero(dim)
+    for x in range(n_sites):
+        h_m = h_m + g_m * (-1) ** x * op(basis, site(x), "number")
+
+    h_gm = models._zero(dim)
+    walk_parts = {}
+    for x in range(n_sites - 1):
+        phi_x = op(basis, site(x), "annihilate")
+        phi_y = op(basis, site(x + 1), "annihilate")
+        u_x = op(basis, link(x), "lower_link")
+        term = phi_x.getH() @ u_x @ phi_y
+        term = (g_gm * (term + term.getH())).tocsr()
+        walk_parts[link(x)] = term
+        h_gm = h_gm + term
+
+    h_e = models._zero(dim)
+    for x in range(n_sites - 1):
+        e_x = op(basis, link(x), "efield")
+        h_e = h_e + g_e * (e_x @ e_x)
+
+    parts = {"mass": h_m.tocsr(), "hopping": h_gm.tocsr(), "electric": h_e.tocsr()}
+    return models.ModelInstance(
+        label="u1_lgt_1d",
+        basis=basis,
+        parts=parts,
+        profile=profile_u1(0.0, abs(g_gm)),
+        params={},
+        walk_parts=walk_parts,
+    )
+
+
+ORACLES = {
+    single_mode: _algebraic_single_mode,
+    hubbard_holstein_1d: _algebraic_hubbard_holstein_1d,
+    dicke: _algebraic_dicke,
+    u1_lgt_1d: _algebraic_u1_lgt_1d,
+}
+
+#: name -> (builder, call); call(f) builds the case with f, the package
+#: builder or its oracle.  Zero, negative and mixed-sign couplings reach
+#: the stored-zero and signed-zero cases of the sparse algebra.
 BUILDS = {
-    "single_mode": lambda: single_mode(0.8, 1.3, 9),
-    "hh2_open": lambda: hubbard_holstein_1d(2, hop=1.0, u=2.0, mu=0.3, g=0.5, n_max=4),
-    "hh2_periodic": lambda: hubbard_holstein_1d(
-        2, hop=0.7, u=0.5, g=0.4, n_max=3, open_boundary=False
+    "single_mode": (single_mode, lambda f: f(0.8, 1.3, 9)),
+    "single_mode_undriven": (single_mode, lambda f: f(0.0, -1.3, 9)),
+    "hh2_open": (hubbard_holstein_1d, lambda f: f(2, hop=1.0, u=2.0, mu=0.3, g=0.5, n_max=4)),
+    "hh2_periodic": (
+        hubbard_holstein_1d,
+        lambda f: f(2, hop=0.7, u=0.5, g=0.4, n_max=3, open_boundary=False),
     ),
-    "hh3_open": lambda: hubbard_holstein_1d(3, u=0.7, g=0.4, n_max=2),
-    "hh3_periodic": lambda: hubbard_holstein_1d(
-        3, hop=1.2, u=0.7, mu=0.1, g=0.4, n_max=2, open_boundary=False
+    "hh2_nmax13": (
+        hubbard_holstein_1d, lambda f: f(2, hop=1.0, u=0.5, g=0.5, omega0=1.0, n_max=13)
     ),
-    "dicke": lambda: dicke(2, 1.0, 0.7, 0.4, 5),
-    "u1": lambda: u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2),
+    "hh2_negative_g": (
+        hubbard_holstein_1d, lambda f: f(2, hop=0.9, u=0.5, g=-0.45, omega0=1.1, n_max=6)
+    ),
+    "hh2_mu": (
+        hubbard_holstein_1d, lambda f: f(2, hop=-1.1, u=-0.3, mu=0.7, g=0.35, n_max=5)
+    ),
+    "hh2_zero_couplings": (
+        hubbard_holstein_1d, lambda f: f(2, hop=0.0, u=0.0, mu=0.0, g=0.0, omega0=0.0, n_max=3)
+    ),
+    "hh1": (hubbard_holstein_1d, lambda f: f(1, u=1.5, mu=-0.2, g=0.6, n_max=5)),
+    "hh3_open": (hubbard_holstein_1d, lambda f: f(3, u=0.7, g=0.4, n_max=2)),
+    "hh3_periodic": (
+        hubbard_holstein_1d,
+        lambda f: f(3, hop=1.2, u=0.7, mu=0.1, g=0.4, n_max=2, open_boundary=False),
+    ),
+    "dicke": (dicke, lambda f: f(2, 1.0, 0.7, 0.4, 5)),
+    "dicke1": (dicke, lambda f: f(1, 1.0, 0.7, 0.4, 6)),
+    "dicke3": (dicke, lambda f: f(3, 1.0, 0.7, 0.4, 20)),
+    "dicke3_signs": (dicke, lambda f: f(3, 0.0, -0.6, -0.3, 4)),
+    "u1": (u1_lgt_1d, lambda f: f(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2)),
+    "u1_signs": (u1_lgt_1d, lambda f: f(4, g_m=-0.7, g_gm=-0.8, g_e=0.0, field_cap=1)),
+    "u1_zero_hopping": (u1_lgt_1d, lambda f: f(2, g_m=0.5, g_gm=0.0, g_e=1.3, field_cap=3)),
 }
 
 
@@ -263,11 +457,15 @@ def _same_csr(a, b):
 
 
 @pytest.mark.parametrize("name", BUILDS)
-def test_models_bit_identical_to_kronecker_assembly(name, monkeypatch):
-    built = BUILDS[name]()
-    monkeypatch.setattr(models, "mode_operator", kron_mode_operator)
-    ref = BUILDS[name]()
-    assert _same_csr(built.hamiltonian, ref.hamiltonian)
+def test_models_bit_identical_to_kronecker_assembly(name):
+    """Every builder stores exactly the arrays of its sparse-algebra oracle
+    on the Kronecker embedding: values to the bit (signed zeros included),
+    stored zeros, and the column order of every row."""
+    builder, call = BUILDS[name]
+    built = call(builder)
+    ref = call(functools.partial(ORACLES[builder], kron_mode_operator))
+    # H as the sparse sum of the oracle's parts, in their order
+    assert _same_csr(built.hamiltonian, functools.reduce(operator.add, ref.parts.values()))
     assert list(built.parts) == list(ref.parts)
     for key in ref.parts:
         assert _same_csr(built.parts[key], ref.parts[key]), key

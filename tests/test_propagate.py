@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
+from test_models import _same_csr
 
 from truncert import propagate
 from truncert.fock_algebra import (
@@ -793,6 +794,121 @@ def test_restrict_rejects_rows_coupled_to_the_rest():
         prop.restrict(phonon_vacuum)
     with pytest.raises(ValueError, match="one entry per basis state"):
         window_sectors(np.ones(4, dtype=bool), np.zeros(3, dtype=int))
+
+
+def _stack_rows(model, lam=1):
+    """The rows of every stack of the model's [0, lam] window, largest first."""
+    mask = window_mask(model.basis, ProjectorSpec(ALL, 0, lam))
+    stacks = propagate.stack_sectors(window_sectors(mask, model.sector_keys))
+    return sorted((st.rows for st in stacks), key=len, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        hubbard_holstein_1d(2, hop=1.0, u=0.5, g=0.5, n_max=13),
+        hubbard_holstein_1d(3, u=0.7, g=-0.4, n_max=2, open_boundary=False),
+        dicke(3, 1.0, -0.7, 0.4, 6),
+        u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2),
+    ],
+    ids=["hh2", "hh3_periodic", "dicke3", "u1"],
+)
+def test_restrict_is_scipy_fancy_indexing_byte_for_byte(model):
+    """The index-map submatrix has exactly the arrays of h[rows][:, rows]:
+    on the propagator's canonical copy, on the caller's mixed-order H (HH
+    and Dicke store some rows with descending columns), on multi-member
+    stacks and on rows in any order."""
+    stacks = _stack_rows(model)
+    assert any(len(np.unique(model.sector_keys[rows])) > 1 for rows in stacks)
+    rng = np.random.default_rng(7)
+    for op in [model.hamiltonian, *model.parts.values()]:
+        prop = ChebyshevPropagator(op)
+        for rows in [*stacks, rng.permutation(stacks[0])]:
+            assert _same_csr(prop.restrict(rows)._h, prop._h[rows][:, rows])
+            assert _same_csr(propagate._principal_submatrix(op, rows), op[rows][:, rows])
+    mixed = model.hamiltonian
+    if model.label in ("hubbard_holstein_1d", "dicke"):
+        rows_of = np.repeat(np.arange(mixed.shape[0]), np.diff(mixed.indptr))
+        descending = (np.diff(mixed.indices) < 0) & (np.diff(rows_of) == 0)
+        assert descending.any()
+
+
+def test_restrict_drops_stored_zeros_that_point_outside():
+    """Stored zeros may couple rows to the rest: they are dropped, as
+    fancy indexing drops them, and stored zeros inside are kept."""
+    # rows [2, 0, 3]: the stored zeros (0, 1) and (2, 1) point outside,
+    # (3, 0) points inside; row 2 stores its columns descending
+    h = sp.csr_matrix(
+        (
+            np.array([1.0, 0.0, 2.0, 3.0, 4.0, 0.0, 2.0, 5.0, 0.0]),
+            np.array([0, 1, 2, 1, 2, 1, 0, 3, 0], dtype=np.int32),
+            np.array([0, 3, 4, 7, 9], dtype=np.int32),
+        ),
+        shape=(4, 4),
+    )
+    rows = np.array([2, 0, 3])
+    sub = propagate._principal_submatrix(h, rows)
+    assert _same_csr(sub, h[rows][:, rows])
+    assert sub.nnz == 6
+    np.testing.assert_array_equal(sub.toarray(), h.toarray()[np.ix_(rows, rows)])
+    bad = h.copy()
+    bad.data[5] = 1e-300
+    with pytest.raises(ValueError, match="coupled to states outside"):
+        propagate._principal_submatrix(bad, rows)
+
+
+def _chebyshev_search_without_cap_check(x, tol):
+    """The term search of `_chebyshev_bessel` before its closed-form cap
+    test, verbatim (M only)."""
+    y = abs(x) / 2.0
+    log_y = math.log(y)
+    log_rest = math.log(tol * propagate._REMAINDER_SHARE / 2.0)
+    log_a = log_y
+    m = 0 if 2.0 * y <= propagate._TERM_CAP else propagate._TERM_CAP + 1
+    while m <= propagate._TERM_CAP:
+        q = y / (m + 2)
+        if q < 0.5 and log_a - math.log1p(-q) <= log_rest:
+            return m, log_a, q
+        m += 1
+        log_a += log_y - math.log(m + 1)
+    return None
+
+
+def test_chebyshev_cap_test_keeps_every_accepted_expansion():
+    """The closed-form test at the cap rejects only reaches the search
+    would reject: every expansion the search accepts is kept, term count
+    and coefficients to the bit."""
+    for x in (1e-3, 0.5, 3.0, 40.0, 1e3, 2.5e4):
+        for tol in (1e-6, 1e-10, 1e-14):
+            m, log_a, q = _chebyshev_search_without_cap_check(x, tol)
+            bessel = jv(np.arange(m + 1), x)
+            terms = 2.0 * np.abs(bessel[:0:-1])
+            tails = np.append(np.cumsum(terms)[::-1], 0.0) + 2.0 * math.exp(log_a) / (1.0 - q)
+            want = bessel[: np.count_nonzero(tails > tol) + 1]
+            assert propagate._chebyshev_bessel(x, tol).tobytes() == want.tobytes()
+
+
+def test_chebyshev_cap_test_rejects_past_the_cap_at_once(monkeypatch):
+    """Just past the largest reach 2^20 terms can expand (about 7.7e5 at
+    tol 1e-10) the cap test rejects without the search: the search's
+    per-term log is never called."""
+    calls = []
+    real_log = math.log
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def log(v):
+            calls.append(v)
+            return real_log(v)
+
+    monkeypatch.setattr(propagate, "math", CountingMath())
+    for x in (7.72e5, 1.9e6, 1e13):
+        with pytest.raises(ResourceLimitError, match="Chebyshev terms"):
+            propagate._chebyshev_bessel(x, 1e-10)
+    assert len(calls) <= 6
 
 
 # ---------------------------------------------------------------------------
