@@ -26,18 +26,13 @@ the rows up to the first that meets its target, and
 `verify.verify_state_truncation` only for those up to its largest
 delta.  In exact arithmetic the row windows strictly increase with
 delta, so that first row also has the smallest window of any qualifying
-row.  `Leakage.at`
-answers a window lam with what one ascending scan of the whole table
-gives: a row qualifies when its lambda_ <= lam, replaces the running
-best (starting at 1.0) only when strictly smaller, so ties go to the
-smallest delta, and the scan stops at the first qualifying bound of
-0.0.  Where the windows never decrease with delta (checked once per
-table; rounding in the step count can break it), the qualifying rows
-are a prefix of the table: the scan's answer for every prefix is stored
-once and each window is one bisection.  Any other table is scanned.
-The threshold searches and `hamiltonian_truncation_bounds` read every
-window they probe from one table.  No table outlives the object that
-built it.
+row.  `Leakage.at` answers a window lam from the whole table by one
+ascending scan: a row qualifies when its lambda_ <= lam, replaces the
+running best (starting at 1.0) only when strictly smaller, so ties go
+to the smallest delta, and the scan stops at the first qualifying bound
+of 0.0.  The scan does not rely on the window order.  The threshold
+searches and `hamiltonian_truncation_bounds` read every window they
+probe from one table.  No table outlives the object that built it.
 
 A time that is not finite raises ValueError; a finite one whose grown
 window overflows a float raises CapExceededError.  All functions are
@@ -47,7 +42,6 @@ pure arithmetic: same inputs, bit-identical outputs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -327,8 +321,6 @@ class Leakage:
         self.t = t
         self.delta_max = int(delta_max)
         self._rows: list[tuple[int, float, int]] = []
-        self._windows: list[int] | None = None
-        self._prefix: list[tuple[float, int]] | None = None
 
     def rows(self) -> Iterator[tuple[int, float, int]]:
         """(lambda_, bound, delta) for delta = 2..delta_max, each computed once, on demand."""
@@ -342,52 +334,26 @@ class Leakage:
     def at(self, lam: int) -> tuple[float, int]:
         """(bound, delta): the least leakage outside [0, lam] over the rows that fit lam.
 
-        The answer of one ascending scan over the whole table: strict <
-        against a running best that starts at 1.0 (ties go to the smallest
-        delta), stopping at the first qualifying bound of 0.0; (1.0, 0)
-        when no row fits lam (a window too tight for the elapsed time).
-        The first call builds the whole table (`_index`); then, where
-        the windows never decrease with delta, the rows that fit lam are
-        a prefix and the answer is the stored one for that prefix.
+        The first call builds the whole table.  The scan ascends in
+        delta, strict < against a running best that starts at 1.0 (ties
+        go to the smallest delta), stopping at the first qualifying
+        bound of 0.0; (1.0, 0) when no row fits lam (a window too tight
+        for the elapsed time).
         """
         if lam < self.lambda0:
             raise ValueError("lam must be >= lambda0")
-        if self._windows is None:
-            self._index()
-        if self._prefix is None:
-            return _scan(self._rows, lam)
-        return self._prefix[bisect_right(self._windows, lam)]
-
-    def _index(self) -> None:
-        """Build every row, and the scan's answer after each prefix of them.
-
-        The prefix answers are stored only when the windows never
-        decrease with delta (checked here, once).
-        """
-        for _ in self.rows():
-            pass
-        self._windows = [lam_d for lam_d, _, _ in self._rows]
-        if any(a > b for a, b in zip(self._windows, self._windows[1:])):
-            return
-        best = (1.0, 0)
-        self._prefix = [best]
-        for _, bound, delta in self._rows:
-            if bound < best[0] and best[0] != 0.0:
-                best = (bound, delta)
-            self._prefix.append(best)
-
-
-def _scan(rows: list[tuple[int, float, int]], lam: int) -> tuple[float, int]:
-    """`Leakage.at`'s scan over rows in any window order."""
-    best = 1.0
-    best_delta = 0
-    for lam_d, bound, delta in rows:
-        if lam_d <= lam and bound < best:
-            best = bound
-            best_delta = delta
-            if best == 0.0:
-                break
-    return best, best_delta
+        if len(self._rows) < self.delta_max - 1:
+            for _ in self.rows():
+                pass
+        best = 1.0
+        best_delta = 0
+        for lam_d, bound, delta in self._rows:
+            if lam_d <= lam and bound < best:
+                best = bound
+                best_delta = delta
+                if best == 0.0:
+                    break
+        return best, best_delta
 
 
 # ---------------------------------------------------------------------------

@@ -314,18 +314,9 @@ def projector(basis: CompositeBasis, spec: ProjectorSpec) -> sp.csr_matrix:
 def hermiticity_defect(op: sp.spmatrix) -> float:
     """Largest entry magnitude of op - op^dagger.
 
-    A canonical op (sorted, no duplicates) whose transpose has the same
-    sparsity pattern is compared with it entry by entry; any other op
-    through the sparse difference.  Neither reorders the caller's matrix.
+    One sparse difference, without a COO copy; the caller's matrix is
+    not reordered.
     """
     a = sp.csr_matrix(op)
-    t = a.T.tocsr()
-    if (
-        a.has_canonical_format
-        and np.array_equal(a.indptr, t.indptr)
-        and np.array_equal(a.indices, t.indices)
-    ):
-        diff = a.data - t.data.conj()
-    else:
-        diff = (a - t.conj()).data
+    diff = (a - a.T.tocsr().conj()).data
     return float(np.abs(diff).max()) if len(diff) else 0.0

@@ -222,46 +222,15 @@ def test_delta_table_scan_matches_per_delta_loop():
     assert seen == {"none qualifies", "stop at 0"}
 
 
-def _scan_at(rows, lam):
-    """`Leakage.at`'s answer as one ascending scan of the table rows, verbatim."""
-    best = 1.0
-    best_delta = 0
-    for lam_d, bound, delta in rows:
-        if lam_d <= lam and bound < best:
-            best = bound
-            best_delta = delta
-            if best == 0.0:
-                break
-    return best, best_delta
-
-
-def test_bisected_table_matches_the_scan():
-    """Every window on the scan test's grid, including each row's own
-    window and its neighbours, gets the scan's (bound, delta) exactly."""
-    queries = 0
-    for profile in PROFILES:
-        for lambda0 in range(6):
-            for delta_max in (2, 3, 512):
-                for t in (0.0, 0.7, 3.0, 1e6):
-                    leak = Leakage(profile, lambda0, t, delta_max)
-                    rows = list(leak.rows())
-                    probes = {lambda0, lambda0 + 7, 300, 10**9}
-                    probes |= {w + d for w, _, _ in rows for d in (-1, 0, 1) if w + d >= lambda0}
-                    for lam in sorted(probes):
-                        assert leak.at(lam) == _scan_at(rows, lam)
-                        queries += 1
-    assert queries > 20_000
-
-
-def test_decreasing_windows_fall_back_to_the_scan():
-    """Rounding can make a window decrease with delta: at chi = 1 + 2^-52,
-    t = 1/2 and lambda0 = 3, J rounds up to 2 at delta = 5 and to 1 at
-    delta = 6.  Such a table is answered by the scan."""
-    leak = Leakage(WalkProfile(chi=1.0 + 2.0**-52, r=0.0), 3, 0.5)
-    rows = list(leak.rows())
-    assert [lam for lam, _, _ in rows[:5]] == [4, 5, 9, 11, 8]
+def test_rounding_can_make_a_window_decrease():
+    """At chi = 1 + 2^-52, t = 1/2 and lambda0 = 3, J rounds up to 2 at
+    delta = 5 and to 1 at delta = 6, so the window drops from 11 to 8.
+    The scan still gives the per-delta loop's answer at every window."""
+    profile = WalkProfile(chi=1.0 + 2.0**-52, r=0.0)
+    leak = Leakage(profile, 3, 0.5)
+    assert [lam for lam, _, _ in list(leak.rows())[:5]] == [4, 5, 9, 11, 8]
     for lam in range(3, 40):
-        assert leak.at(lam) == _scan_at(rows, lam)
+        assert leak.at(lam) == _per_delta_leakage_min(profile, 3, lam, 0.5, DELTA_MAX)
     assert leak.at(8)[1] == 6
 
 

@@ -453,7 +453,10 @@ def test_hermiticity_defect_never_reorders_its_argument(symmetric):
     assert got == (0.0 if symmetric else 0.25)
     for before, after in zip(arrays, (op.indptr, op.indices, op.data)):
         assert before.tobytes() == after.tobytes()
-    # an asymmetric sparsity pattern takes the sparse difference
+    # a canonical input, and one whose sparsity pattern is asymmetric
+    canon = op.copy()
+    canon.sum_duplicates()
+    assert hermiticity_defect(canon) == _hermiticity_defect_by_coo(canon) == got
     upper = sp.csr_matrix(np.triu(op.toarray()))
     assert hermiticity_defect(upper) == _hermiticity_defect_by_coo(upper) == math.hypot(2, 1)
 
