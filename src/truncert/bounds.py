@@ -24,9 +24,11 @@ against.  `Leakage.rows` yields the rows in ascending delta, each
 computed once, on first demand: `minimal_state_threshold` pays only for
 the rows up to the first that meets its target, and
 `verify.verify_state_truncation` only for those up to its largest
-delta.  In exact arithmetic the row windows strictly increase with
-delta, so that first row also has the smallest window of any qualifying
-row.  `Leakage.at` answers a window lam from the whole table by one
+delta.  `minimal_state_threshold` returns the first row that meets
+eps; in exact arithmetic also the smallest window, since the row
+windows then strictly increase with delta.  The step count J is a
+rounded float quotient, so a later row can have a smaller window.
+`Leakage.at` answers a window lam from the whole table by one
 ascending scan: a row qualifies when its lambda_ <= lam, replaces the
 running best (starting at 1.0) only when strictly smaller, so ties go
 to the smallest delta, and the scan stops at the first qualifying bound
@@ -34,8 +36,8 @@ of 0.0.  The scan does not rely on the window order.  The threshold
 searches and `hamiltonian_truncation_bounds` read every window they
 probe from one table.  No table outlives the object that built it.
 
-A time that is not finite raises ValueError; a finite one whose grown
-window overflows a float raises CapExceededError.  All functions are
+An input that is not finite raises ValueError naming it; a finite one
+whose window overflows a float raises CapExceededError.  All functions are
 pure arithmetic: same inputs, bit-identical outputs.
 """
 
@@ -81,7 +83,7 @@ __all__ = [
 #: factorial limit (~170) stays usable.
 DELTA_MAX = 512
 
-#: Default cap on threshold searches over the window size.
+#: Cap on threshold searches over the window size.
 LAMBDA_CAP = 1 << 24
 
 #: Absolute slack of the speed-limit test, so that a time equal to the
@@ -136,7 +138,6 @@ class Schedule:
 
     delta: int
     steps: tuple[tuple[float, int], ...]
-    note: str = ""
 
     @property
     def j_count(self) -> int:
@@ -163,8 +164,8 @@ class TailQuery:
     def __post_init__(self):
         if not math.isfinite(self.lambda_bar) or self.lambda_bar < 0:
             raise ValueError("lambda_bar must be finite and >= 0")
-        if self.gap <= 0:
-            raise ValueError("gap must be > 0")
+        if not 0 < self.gap < math.inf:
+            raise ValueError(f"gap must be finite and > 0, not {self.gap}")
         if not 0 < self.epsilon <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
 
@@ -240,7 +241,8 @@ def adaptive_schedule(
     Each step advances time by the current speed limit and the window cap
     by (delta - 1).  The iteration stops at the first step time >= horizon,
     so the final step may overshoot.  A zero horizon yields no steps; a
-    vanishing chi cannot grow the window and returns a single flagged step.
+    vanishing chi cannot grow the window and returns a single step of
+    infinite time.
     """
     if lambda0 < 0 or int(lambda0) != lambda0:
         raise ValueError("lambda0 must be a nonnegative integer")
@@ -252,11 +254,7 @@ def adaptive_schedule(
         return Schedule(delta=int(delta), steps=())
     if profile.chi == 0.0:
         lam1 = int(lambda0) + (int(delta) - 1)
-        return Schedule(
-            delta=int(delta),
-            steps=((math.inf, lam1),),
-            note="no growth possible: chi = 0",
-        )
+        return Schedule(delta=int(delta), steps=((math.inf, lam1),))
     steps: list[tuple[float, int]] = []
     t = 0.0
     lam = int(lambda0)
@@ -276,7 +274,7 @@ def long_time_bound(
 
     The window grows to lambda = lambda0 + J*(delta-1) where J counts the
     adaptive steps needed to cover time t; the leakage bound is J times
-    the one-step factor, clipped to at most 1.  A time whose grown window
+    the one-step factor, clipped to at most 1.  A grown window that
     overflows a float raises CapExceededError.
     """
     if lambda0 < 0 or int(lambda0) != lambda0:
@@ -290,10 +288,10 @@ def long_time_bound(
     if t == 0.0 or profile.chi == 0.0:
         return BoundReport(lambda_=lambda0, bound=0.0, delta_used=delta)
     one_minus_r = 1.0 - profile.r
-    inner = lambda0**one_minus_r + 2.0 * profile.chi * t * one_minus_r * (delta - 1)
     # any positive time needs at least one step; the max(1, .) also guards
     # against the lambda0 power round-trip landing slightly below lambda0
     try:
+        inner = lambda0**one_minus_r + 2.0 * profile.chi * t * one_minus_r * (delta - 1)
         j_count = max(1, math.ceil((inner ** (1.0 / one_minus_r) - lambda0) / (delta - 1)))
     except OverflowError:
         raise CapExceededError(f"the window grown by t = {t} overflows a float") from None
@@ -365,14 +363,16 @@ def minimal_state_threshold(
     query: TruncationQuery,
     delta_max: int = DELTA_MAX,
 ) -> BoundReport:
-    """Smallest certified window for evolving a state for query.time.
+    """Certified window for evolving a state for query.time.
 
-    The first `Leakage` row (smallest delta) whose bound meets
-    query.epsilon.  Its window is also the smallest of any qualifying
-    row: the window is lambda0 + J (delta - 1), where J rounds up the
-    secant slope from delta = 1 of a convex function of delta, so J never
-    decreases and the window strictly increases with delta.  Time 0
-    needs no growth: (lambda0, 0.0, delta 0).
+    The first row that meets eps: the `Leakage` row of smallest delta
+    whose bound is at most query.epsilon.  In exact arithmetic also the
+    smallest window: the window is lambda0 + J (delta - 1), where J
+    rounds up the secant slope from delta = 1 of a convex function of
+    delta, so J never decreases and the window strictly increases with
+    delta.  J is a rounded float quotient, so a later qualifying row can
+    have a smaller window (`Leakage.at` reads every row).  Time 0 needs
+    no growth: (lambda0, 0.0, delta 0).
     """
     if query.time == 0:
         return BoundReport(lambda_=query.lambda0, bound=0.0, delta_used=0)
@@ -474,15 +474,13 @@ def minimal_hamiltonian_threshold(
     n_modes: int,
     comm_norm: Callable[[int], float],
     lambda_cap: int = LAMBDA_CAP,
-    delta_max: int = DELTA_MAX,
 ) -> BoundReport:
     """Smallest truncation window certifying the evolution to query.epsilon.
 
-    One `Leakage` table (up to delta_max) answers every window the
-    search probes and the reported (bound, delta_used), so both come
-    from the same scan.
+    One `Leakage` table answers every window the search probes and the
+    reported (bound, delta_used), so both come from the same scan.
     """
-    leak = Leakage(profile, query.lambda0, query.time, delta_max)
+    leak = Leakage(profile, query.lambda0, query.time)
 
     def bound_at(lam_t: int) -> float:
         return hamiltonian_truncation_bounds(leak, [lam_t], n_modes, comm_norm)[0]
@@ -501,20 +499,28 @@ def minimal_hamiltonian_threshold(
 # energy-conservation competitor thresholds
 # ---------------------------------------------------------------------------
 
+def _check_omega0(omega0: float) -> None:
+    if not 0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be finite and > 0, not {omega0}")
+
+
 def energy_threshold_single_mode(omega0: float, lambda0: int, epsilon: float) -> int:
     """Energy-based window for a single driven oscillator.
 
     Uses energy conservation plus a Chebyshev-type argument: the smallest
     L with L + 1 >= ((2/omega0 + sqrt(lambda0+1))**2 - 1) / epsilon**2.
+    A window that overflows a float raises CapExceededError.
     """
-    if omega0 <= 0:
-        raise ValueError("omega0 must be > 0")
+    _check_omega0(omega0)
     if lambda0 < 0 or int(lambda0) != lambda0:
         raise ValueError("lambda0 must be a nonnegative integer")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    need = ((2.0 / omega0 + math.sqrt(lambda0 + 1.0)) ** 2 - 1.0) / epsilon**2
-    return max(0, math.ceil(need - 1.0))
+    try:
+        need = ((2.0 / omega0 + math.sqrt(lambda0 + 1.0)) ** 2 - 1.0) / epsilon**2
+        return max(0, math.ceil(need - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        raise CapExceededError("the energy window overflows a float") from None
 
 
 def energy_threshold_hubbard_holstein(
@@ -538,30 +544,36 @@ def energy_threshold_hubbard_holstein(
     estimate e_f_ground + n_sites*(omega0*lambda0 + 2|g|*sqrt(lambda0+1))
     (fermionic ground state tensored with at most lambda0 quanta per
     mode).  A negative right-hand side returns 0: the energy budget
-    already pins the occupation below one quantum.
+    already pins the occupation below one quantum.  A window that
+    overflows a float raises CapExceededError.
     """
-    if omega0 <= 0:
-        raise ValueError("omega0 must be > 0")
+    _check_omega0(omega0)
+    for name, value in (("g", g), ("e_f_ground", e_f_ground), ("e_total", e_total)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    if e_total is None:
-        e_total = e_f_ground + n_sites * (
-            omega0 * lambda0 + 2.0 * abs(g) * math.sqrt(lambda0 + 1.0)
-        )
-    rhs = e_total - e_f_ground + (n_sites - 1) * (g**2 / omega0 + omega0)
-    if rhs < 0:
-        return 0
-    disc = g**2 + omega0 * (omega0 + rhs)
-    if disc <= 0:
-        return 0
-    u = (abs(g) + math.sqrt(disc)) / omega0
-    n = u**2 - 1.0
-    if n <= 0:
-        return 0
-    need = n * n_sites / epsilon**2
-    return max(0, math.ceil(need - 1.0))
+    try:
+        if e_total is None:
+            e_total = e_f_ground + n_sites * (
+                omega0 * lambda0 + 2.0 * abs(g) * math.sqrt(lambda0 + 1.0)
+            )
+        rhs = e_total - e_f_ground + (n_sites - 1) * (g**2 / omega0 + omega0)
+        if rhs < 0:
+            return 0
+        disc = g**2 + omega0 * (omega0 + rhs)
+        if disc <= 0:
+            return 0
+        u = (abs(g) + math.sqrt(disc)) / omega0
+        n = u**2 - 1.0
+        if n <= 0:
+            return 0
+        need = n * n_sites / epsilon**2
+        return max(0, math.ceil(need - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        raise CapExceededError("the energy window overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +585,7 @@ def energy_threshold_hubbard_holstein(
 OVERLAP_FLOOR = 1.0 / (2.0 * math.sqrt(2.0))
 
 
-def tail_threshold(
-    profile: WalkProfile,
-    tquery: TailQuery,
-    delta_max: int = DELTA_MAX,
-    lambda_cap: int = LAMBDA_CAP,
-) -> TailReport:
+def tail_threshold(profile: WalkProfile, tquery: TailQuery) -> TailReport:
     """Window outside which a gapped ground state's quantum number tail is < epsilon.
 
     Concrete three-way error split over the Gaussian-filter construction:
@@ -590,22 +597,28 @@ def tail_threshold(
 
     The Markov core ceil(2*lambda_bar) anchors the scan; the reported
     bound is the sum of the three achieved terms (<= epsilon).  One
-    `Leakage` table at (lambda0, T, delta_max) answers every probed
-    window and the reported (bound, delta_used).
+    `Leakage` table at (lambda0, T) answers every probed window and the
+    reported (bound, delta_used); the search stops at LAMBDA_CAP.  A T
+    or Markov core that overflows a float raises CapExceededError.
     """
     eps3 = tquery.epsilon / 3.0
     c1 = 4.0 * math.sqrt(2.0)
-    sigma = tquery.gap / math.sqrt(2.0 * math.log(c1 / eps3))
-    c2 = c1 * math.sqrt(2.0 / math.pi)
-    t_window = math.sqrt(2.0 * math.log(c2 / eps3)) / sigma
-    lambda0 = math.ceil(2.0 * tquery.lambda_bar)
-    leakage = Leakage(profile, lambda0, t_window, delta_max)
+    try:
+        sigma = tquery.gap / math.sqrt(2.0 * math.log(c1 / eps3))
+        c2 = c1 * math.sqrt(2.0 / math.pi)
+        t_window = math.sqrt(2.0 * math.log(c2 / eps3)) / sigma
+        lambda0 = math.ceil(2.0 * tquery.lambda_bar)
+        if t_window == math.inf:
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise CapExceededError(f"the tail window for {tquery} overflows a float") from None
+    leakage = Leakage(profile, lambda0, t_window)
 
     def ok(lam: int) -> bool:
         leak, _ = leakage.at(lam)
         return leak / OVERLAP_FLOOR <= eps3
 
-    lam = _smallest_qualifying(ok, lambda0, lambda_cap, "tail threshold")
+    lam = _smallest_qualifying(ok, lambda0, LAMBDA_CAP, "tail threshold")
     leak, delta = leakage.at(lam)
     achieved = 2.0 * eps3 + leak / OVERLAP_FLOOR
     return TailReport(
@@ -643,7 +656,6 @@ def compare_thresholds(
     times: Sequence[float],
     omega0: float = 1.0,
     g: float = 0.5,
-    delta_max: int = DELTA_MAX,
 ) -> ThresholdComparison:
     """Walk-bound thresholds against the energy-conservation recipe.
 
@@ -653,6 +665,8 @@ def compare_thresholds(
     split internally.  The energy side is time-independent; the crossover
     is the first grid time where the walk threshold stops winning.
     """
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
     profile = profile_hubbard_holstein(abs(g))
     eps_mode = min(1.0, epsilon / math.sqrt(n_modes))
     lam_energy = energy_threshold_hubbard_holstein(
@@ -670,7 +684,6 @@ def compare_thresholds(
         rep = minimal_state_threshold(
             profile,
             TruncationQuery(lambda0=int(lambda0), time=float(t), epsilon=eps_mode),
-            delta_max=delta_max,
         )
         rows.append(
             CompareRow(

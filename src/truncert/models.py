@@ -136,7 +136,7 @@ class ModelInstance:
         return min(int(self.basis.modes[j].cutoff) for j in t)
 
     def comm_norm(self, lambda_tilde: int) -> float:
-        """Cached exact commutator norm ||[H, Pi H Pi]|| at the given window."""
+        """Cached ||[H, Pi H Pi]|| at a window, estimated from below (`comm_norm_exact`)."""
         key = int(lambda_tilde)
         if key not in self._comm_cache:
             self._comm_cache[key] = comm_norm_exact(self, key)
@@ -475,21 +475,21 @@ def u1_lgt_1d(
 # commutator norms for the Hamiltonian-truncation bound
 # ---------------------------------------------------------------------------
 
-def comm_norm_exact(
-    model: ModelInstance, lambda_tilde: int, require_padding: bool = True
-) -> float:
+def comm_norm_exact(model: ModelInstance, lambda_tilde: int) -> float:
     """Spectral norm of [H, Pi H Pi] with Pi the all-mode window [0, lambda_tilde].
 
     The commutator is supported within two quantum numbers of the window
     edge, so a padding of two levels above lambda_tilde captures it
-    exactly; by default the model must provide that padding.  Pass
-    require_padding=False to evaluate boundary artifacts at the cutoff
-    itself.
+    exactly; the model must provide that padding (ValueError otherwise).
+    The norm is a power-iteration estimate (`propagate.op_norm`), which
+    converges from below: 4.9e-6 relative under the dense norm on
+    `dicke(3, 1.0, 0.7, 2.0, 12)` at lambda_tilde 10, so it is not yet
+    the upper bound `bounds.hamiltonian_truncation_bounds` asks for.
     """
     lam = int(lambda_tilde)
     if lam < 0:
         raise ValueError("lambda_tilde must be >= 0")
-    if require_padding and model.cutoff < lam + 2:
+    if model.cutoff < lam + 2:
         raise ValueError(
             f"padding insufficient: cutoff {model.cutoff} < lambda_tilde + 2 = {lam + 2}"
         )

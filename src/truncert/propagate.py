@@ -599,14 +599,19 @@ class DensePropagator:
 # eigenpairs
 # ---------------------------------------------------------------------------
 
-def lowest_eigenpairs(
-    h: sp.spmatrix, k: int = 2, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+#: Largest residual ||h v - lambda v|| (relative above |lambda| = 1) that
+#: `lowest_eigenpairs` accepts from ARPACK.
+EIG_RESIDUAL_TOL = 1e-9
+
+
+def lowest_eigenpairs(h: sp.spmatrix, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenvalues and eigenvectors, residual-checked.
 
-    Works on a private copy of h, so h's entries are never reordered; a
-    real h is solved as a real symmetric problem (float64 eigenvectors).
-    ARPACK's start vector is drawn from a fixed seed.
+    Raises ConvergenceError when a sparse eigenpair's residual exceeds
+    EIG_RESIDUAL_TOL.  Works on a private copy of h, so h's entries are
+    never reordered; a real h is solved as a real symmetric problem
+    (float64 eigenvectors).  ARPACK's start vector is drawn from a fixed
+    seed.
     """
     h = _owned_csr(h)
     dim = h.shape[0]
@@ -634,13 +639,14 @@ def lowest_eigenpairs(
     vals, vecs = vals[order], vecs[:, order]
     for i in range(k):
         res = np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i])
-        if res > max(tol, tol * abs(vals[i])):
+        tol = EIG_RESIDUAL_TOL * max(1.0, abs(vals[i]))
+        if res > tol:
             raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.3e}")
     return vals, vecs
 
 
-def ground_state(h: sp.spmatrix, tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    vals, vecs = lowest_eigenpairs(h, k=1, tol=tol)
+def ground_state(h: sp.spmatrix) -> tuple[float, np.ndarray]:
+    vals, vecs = lowest_eigenpairs(h, k=1)
     return float(vals[0]), vecs[:, 0]
 
 

@@ -107,7 +107,6 @@ class CommutatorBudget:
 class TrotterPlan:
     r_steps: int
     total_time: float
-    prefactor: float
     beta: float
     p: int
 
@@ -226,25 +225,23 @@ def beta_comm(budget: CommutatorBudget) -> float:
     return out
 
 
-def trotter_steps(
-    total_time: float, epsilon: float, p: int, beta: float, prefactor: float = 1.0
-) -> TrotterPlan:
-    """Step count R = ceil(prefactor * T^(1+1/p) * beta^(1/p) / epsilon^(1/p)).
+def trotter_steps(total_time: float, epsilon: float, p: int, beta: float) -> TrotterPlan:
+    """Step count R = ceil(T^(1+1/p) * beta^(1/p) / epsilon^(1/p)).
 
-    The prefactor hides the uncertified order-dependent constant; the
-    empirical order-scaling checks are the accuracy contract.
+    A planning estimate, never a certificate: it leaves out the
+    order-dependent constant of the error theory.  The certified error
+    of a step is `per_step_error_bound`; the empirical order-scaling
+    checks are the accuracy contract.
     """
     if total_time <= 0:
         raise ValueError("total_time must be > 0")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    if beta < 0 or prefactor <= 0:
-        raise ValueError("beta >= 0 and prefactor > 0 required")
-    raw = prefactor * total_time ** (1.0 + 1.0 / p) * (beta / epsilon) ** (1.0 / p)
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    raw = total_time ** (1.0 + 1.0 / p) * (beta / epsilon) ** (1.0 / p)
     r = max(1, math.ceil(raw))
-    return TrotterPlan(
-        r_steps=r, total_time=total_time, prefactor=prefactor, beta=beta, p=p
-    )
+    return TrotterPlan(r_steps=r, total_time=total_time, beta=beta, p=p)
 
 
 def per_step_error_bound(p: int, beta: float, tau: float) -> float:
@@ -344,10 +341,14 @@ def empirical_trotter_error(
     ]
 
 
-def error_scaling_slope(points, floor: float = 1e-12) -> float:
-    """Slope of log error against log tau over points above the noise floor."""
-    taus = [pt.tau for pt in points if pt.error > floor]
-    errs = [pt.error for pt in points if pt.error > floor]
+#: Errors at or below this noise floor are left out of the scaling fit.
+ERROR_FLOOR = 1e-12
+
+
+def error_scaling_slope(points) -> float:
+    """Slope of log error against log tau over points above ERROR_FLOOR."""
+    taus = [pt.tau for pt in points if pt.error > ERROR_FLOOR]
+    errs = [pt.error for pt in points if pt.error > ERROR_FLOOR]
     if len(taus) < 2:
         raise ValueError("not enough points above the noise floor")
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]

@@ -413,10 +413,14 @@ def tail_profile(model: ModelInstance, lambda_grid: Sequence[int]) -> list[tuple
     return out
 
 
-def tail_decay_slope(profile_points: Sequence[tuple[int, float]], floor: float = 1e-13) -> float:
-    """Regression slope of log tail against sqrt(window) above the noise floor."""
-    xs = [math.sqrt(lam) for lam, tail in profile_points if tail > floor]
-    ys = [math.log(tail) for _, tail in profile_points if tail > floor]
+#: Tail weights at or below this noise floor are left out of the decay fit.
+TAIL_FLOOR = 1e-13
+
+
+def tail_decay_slope(profile_points: Sequence[tuple[int, float]]) -> float:
+    """Regression slope of log tail against sqrt(window) above TAIL_FLOOR."""
+    xs = [math.sqrt(lam) for lam, tail in profile_points if tail > TAIL_FLOOR]
+    ys = [math.log(tail) for _, tail in profile_points if tail > TAIL_FLOOR]
     if len(xs) < 2:
         raise ValueError("not enough tail points above the noise floor")
     return float(np.polyfit(xs, ys, 1)[0])

@@ -282,8 +282,10 @@ def test_state_threshold_matches_both_recipes_of_the_delta_loop():
 @pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 0.75, 0.9, 0.99])
 def test_window_strictly_increases_with_delta(r):
     """lambda0 + J (delta - 1) with J the rounded-up secant slope of a
-    convex function from delta = 1: so the first qualifying delta always
-    has the smallest window."""
+    convex function from delta = 1: on this grid the windows increase, so
+    the first row that meets eps also has the smallest window.  In exact
+    arithmetic that holds everywhere; J is a rounded float quotient, so it
+    can fail (`test_state_threshold_is_the_first_row_not_the_smallest_window`)."""
     for chi in (0.05, 1.0, 2.0 * math.sqrt(2.0)):
         for lambda0 in (0, 3, 1000):
             for t in (0.01, 0.37, 1.0, 10.0, 100.0):
@@ -297,6 +299,19 @@ def test_window_strictly_increases_with_delta(r):
                 assert all(a < b for a, b in zip(windows, windows[1:]))
 
 
+def test_state_threshold_is_the_first_row_not_the_smallest_window():
+    """Where rounding makes a window decrease, minimal_state_threshold
+    still returns the first row that meets eps (the per-delta loop's
+    answer), although a later row certifies a smaller window."""
+    profile = WalkProfile(chi=1.0 + 2.0**-52, r=0.0)
+    q = TruncationQuery(3, 0.5, 1.0417e-3)
+    rep = minimal_state_threshold(profile, q)
+    assert rep == _minimal_state_threshold_loop(profile, q, False, DELTA_MAX)
+    assert (rep.lambda_, rep.delta_used) == (11, 5)
+    bound, delta = Leakage(profile, 3, 0.5).at(8)
+    assert delta == 6 and bound <= 4.35e-5 < q.epsilon
+
+
 def test_state_threshold_reads_only_the_rows_it_needs(monkeypatch):
     calls = _count_long_time_bound(monkeypatch)
     rep = minimal_state_threshold(BOSON, TruncationQuery(0, 1.0, 1e-2))
@@ -307,17 +322,16 @@ def test_state_threshold_reads_only_the_rows_it_needs(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("delta_max", [DELTA_MAX, 64])
-def test_threshold_searches_build_one_delta_table(delta_max, monkeypatch):
+def test_threshold_searches_build_one_delta_table(monkeypatch):
     calls = _count_long_time_bound(monkeypatch)
-    tail_threshold(BOSON, TailQuery(0.3, 0.5, 1e-4), delta_max=delta_max)
-    assert len(calls) == delta_max - 1
+    tail_threshold(BOSON, TailQuery(0.3, 0.5, 1e-4))
+    assert len(calls) == DELTA_MAX - 1
     calls.clear()
     minimal_hamiltonian_threshold(
         GAUGE, TruncationQuery(0, 1.0, 1e-6), n_modes=4,
-        comm_norm=lambda lam: float(lam) ** 2, delta_max=delta_max,
+        comm_norm=lambda lam: float(lam) ** 2,
     )
-    assert len(calls) == delta_max - 1
+    assert len(calls) == DELTA_MAX - 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,28 +529,18 @@ def test_minimal_hamiltonian_threshold_matches_exhaustive_scan():
 
 
 def test_minimal_hamiltonian_threshold_searches_with_its_delta_max():
-    """The search, the bound and delta_used all come from delta <= delta_max."""
+    """The search, the bound and delta_used all come from one DELTA_MAX table."""
     profile = WalkProfile(chi=2.0, r=0.5)
     comm = lambda lam: 2.0 * (lam + 1)
     q = TruncationQuery(0, 1.0, 1e-3)
     rep = minimal_hamiltonian_threshold(profile, q, n_modes=1, comm_norm=comm)
     assert (rep.lambda_, rep.delta_used) == (486, 12)
     assert rep.bound == pytest.approx(4.7806e-4, rel=1e-4)
-    # no delta <= 3 leaks little enough at any window for this growing
-    # commutator norm (0.816 at window 40 against 0.306 with delta <= 512)
-    assert Leakage(profile, 0, 1.0, delta_max=3).at(40)[0] > 0.8
-    for delta_max in (3, 6):
-        with pytest.raises(CapExceededError):
-            minimal_hamiltonian_threshold(
-                profile, q, n_modes=1, comm_norm=comm, delta_max=delta_max
-            )
     q = TruncationQuery(0, 0.3, 1e-2)
-    rep = minimal_hamiltonian_threshold(
-        profile, q, n_modes=1, comm_norm=lambda lam: 1.0, delta_max=3
-    )
-    leak, _ = Leakage(profile, 0, 0.3, delta_max=3).at(rep.lambda_ - 2)
+    rep = minimal_hamiltonian_threshold(profile, q, n_modes=1, comm_norm=lambda lam: 1.0)
+    leak, _ = Leakage(profile, 0, 0.3).at(rep.lambda_ - 2)
     assert rep.bound == 0.5 * 0.3**2 * 1.0 * math.sqrt(1) * leak
-    assert 2 <= rep.delta_used <= 3
+    assert 2 <= rep.delta_used <= DELTA_MAX
     used = long_time_bound(profile, 0, rep.delta_used, 0.3)
     assert used.bound == leak
     assert used.lambda_ <= rep.lambda_ - 2

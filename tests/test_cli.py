@@ -428,6 +428,43 @@ def test_bad_time_is_one_error_line(argv, code, capsys):
     assert captured.out == ""
 
 
+_ENERGY = ["threshold", "energy", "--lambda0", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        # finite inputs whose window overflows a float
+        (_ENERGY + ["--model", "single", "--omega0", "1e-320", "--eps", "0.1"], 2, "overflows"),
+        (_ENERGY + ["--model", "hh", "--omega0", "1e-300", "--eps", "1e-3"], 2, "overflows"),
+        (["compare", "--omega0", "1e-320", "--t", "1"], 2, "overflows"),
+        (["threshold", "tail", "--model", "hh", "--lambda-bar", "1e308", "--gap", "1",
+          "--eps-list", "1e-2"], 2, "lambda_bar=1e+308"),
+        # inputs that are not finite
+        (_ENERGY + ["--model", "hh", "--g", "inf", "--eps", "0.1"], 1, "g must be finite"),
+        (_ENERGY + ["--model", "hh", "--g", "nan", "--eps", "0.1"], 1, "g must be finite"),
+        (_ENERGY + ["--model", "hh", "--etotal", "nan"], 1, "e_total must be finite"),
+        (_ENERGY + ["--model", "hh", "--ef", "inf"], 1, "e_f_ground must be finite"),
+        (_ENERGY + ["--model", "hh", "--omega0", "nan"], 1, "omega0 must be finite"),
+        (_ENERGY + ["--model", "single", "--omega0", "nan"], 1, "omega0 must be finite"),
+        (["compare", "--omega0", "nan", "--t", "1"], 1, "omega0 must be finite"),
+        (["threshold", "tail", "--lambda-bar", "0.3", "--gap", "nan"], 1, "gap must be finite"),
+        # a lambda0 past float range, and no modes to split eps over
+        (["threshold", "state", "--lambda0", "9" * 320, "--t", "1"], 2, "overflows"),
+        (["compare", "--n", "0", "--t", "1"], 1, "n_modes must be >= 1"),
+    ],
+)
+def test_analytic_command_input_errors_name_the_input(argv, code, named, capsys):
+    """No traceback from an analytic command: a non-finite input exits 1
+    naming it, a finite one whose window overflows a float exits 2."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    prefix = "truncert: error: " if code == 1 else "truncert: resource/guard error: "
+    assert captured.err.startswith(prefix) and named in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_reach_under_the_term_cap_exits_as_fast_as_one_far_past_it(capsys):
     """t = 1e5 reaches 9.7e5, under the 2^20-term cap yet past what 2^20
     terms can expand: it exits 2 as fast as t = 1e12, with no term search."""

@@ -936,3 +936,34 @@ def test_sector_guard_bounds_the_largest_sector(monkeypatch):
     factory = lambda nm: hubbard_holstein_1d(2, g=0.5, n_max=nm)
     with pytest.raises(ResourceLimitError, match="over the cap"):
         verify_hamiltonian_truncation(factory, 5, 1, 3, 0.4)
+
+
+def test_chebyshev_matches_expm_multiply_past_dense_size():
+    """An independent engine as the oracle where no dense eigh is cheap:
+    scipy's scaling-and-squaring Taylor action (``expm_multiply``, no
+    shared code) agrees with the Chebyshev recurrence to within tol (plus
+    1e-12 for expm_multiply's own error) in the 2-norm, on the largest
+    sector (dim 4,608) of 3-site HH at n_max 7 and on the 4-member stack of
+    its [0, 1] window, for a real and a complex 8-column block at three
+    times.  The stack's members have different Gershgorin intervals, so the
+    stack's hull is wider than some member's own."""
+    model = hubbard_holstein_1d(3, u=0.5, g=0.5, n_max=7)
+    prop = ChebyshevPropagator(model.hamiltonian)
+    keys = model.sector_keys
+    largest = np.flatnonzero(keys == np.bincount(keys).argmax())
+    mask = window_mask(model.basis, ProjectorSpec(ALL, 0, 1))
+    (stack,) = [s for s in propagate.stack_sectors(window_sectors(mask, keys))
+                if len(s.members) > 1]
+    assert (len(largest), len(stack.members), len(stack.rows)) == (4608, 4, 2048)
+    hulls = {(m._centre, m._half) for m in (prop.restrict(s.rows) for s in stack.members)}
+    assert len(hulls) > 1
+    for rows in (largest, stack.rows):
+        sub = prop.restrict(rows)
+        h = sub._h.tocsc()
+        complex_block = _random_block(len(rows), 8, 31)
+        for block in (complex_block.real.copy(), complex_block):
+            scale = np.linalg.norm(block, 2)
+            for t in (0.25, 1.0, 4.0):
+                ref = expm_multiply(-1j * t * h, block.astype(complex))
+                err = np.linalg.norm(sub.apply(block, t, TOL) - ref, 2)
+                assert err <= (TOL + 1e-12) * scale
