@@ -595,11 +595,11 @@ def tail_threshold(profile: WalkProfile, tquery: TailQuery) -> TailReport:
     * window L as the smallest integer with
       (1/OVERLAP_FLOOR) * Leakage(ceil(2*lambda_bar), T).at(L) <= eps/3.
 
-    The Markov core ceil(2*lambda_bar) anchors the scan; the reported
-    bound is the sum of the three achieved terms (<= epsilon).  One
-    `Leakage` table at (lambda0, T) answers every probed window and the
-    reported (bound, delta_used); the search stops at LAMBDA_CAP.  A T
-    or Markov core that overflows a float raises CapExceededError.
+    The reported bound is the sum of the three achieved terms (<= eps).
+    `at` never increases with the window and no row's window is below the
+    Markov core, so L is the smallest row window of one `Leakage` table at
+    (lambda0, T) whose bound qualifies, up to LAMBDA_CAP.  A T or Markov
+    core that overflows a float raises CapExceededError.
     """
     eps3 = tquery.epsilon / 3.0
     c1 = 4.0 * math.sqrt(2.0)
@@ -612,13 +612,15 @@ def tail_threshold(profile: WalkProfile, tquery: TailQuery) -> TailReport:
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise CapExceededError(f"the tail window for {tquery} overflows a float") from None
+    if lambda0 > LAMBDA_CAP:
+        raise CapExceededError(
+            f"tail threshold: search starts at {lambda0} > cap {LAMBDA_CAP}"
+        )
     leakage = Leakage(profile, lambda0, t_window)
-
-    def ok(lam: int) -> bool:
-        leak, _ = leakage.at(lam)
-        return leak / OVERLAP_FLOOR <= eps3
-
-    lam = _smallest_qualifying(ok, lambda0, LAMBDA_CAP, "tail threshold")
+    fits = [lam for lam, bound, _ in leakage.rows() if bound / OVERLAP_FLOOR <= eps3]
+    lam = min(fits, default=LAMBDA_CAP + 1)
+    if lam > LAMBDA_CAP:
+        raise CapExceededError(f"tail threshold: no window <= {LAMBDA_CAP} qualifies")
     leak, delta = leakage.at(lam)
     achieved = 2.0 * eps3 + leak / OVERLAP_FLOOR
     return TailReport(

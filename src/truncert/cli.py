@@ -8,10 +8,12 @@ Layout:
     truncert sweep --cmd <threshold command> --vary key=v1,v2 [flags]
 
 Every output artifact starts with a header block echoing the parsed
-configuration and the tool version; each command declares only the
-flags it reads (for some --model), so the header names only inputs that
-reached the result.  Analytic columns are bit-stable across reruns of
-the same configuration.  Config files hold key=value lines naming flags
+configuration and the tool version.  Each command declares only the
+flags some --model reads; `threshold state|tail` refuse a profile flag
+their --model does not read, so their header names only inputs that
+reached the result (the model commands echo every builder flag, a known
+limit).  Analytic columns are bit-stable across reruns of the same
+configuration.  Config files hold key=value lines naming flags
 of the command (dashes or underscores); flags given on the command line
 win.  Exit codes: 0 success and all reports sound, 1 usage error, 2
 resource or guard error, 3 soundness violation.
@@ -175,6 +177,7 @@ class _Model:
     build: Callable  # (args, n_max) -> ModelInstance
     trotter: Callable | None = None  # args -> (CoefficientSummaries, default p)
     energy: Callable | None = None  # args -> energy-argument cutoff
+    profile_flags: tuple[str, ...] = ("g",)  # the flags `profile` reads
 
 
 def _hh_couplings(args) -> dict:
@@ -210,14 +213,31 @@ _MODELS = {
     "dicke": _Model(
         profile=lambda a: profile_dicke(abs(a.g), a.n),
         build=lambda a, n_max: _lib("models").dicke(a.n, a.omega0, a.omega_z, a.g, n_max),
+        profile_flags=("g", "n"),
     ),
     "u1": _Model(
         profile=lambda a: profile_u1(abs(a.gb), abs(a.g)),
         build=lambda a, n_max: _lib("models").u1_lgt_1d(
             a.sites, a.gm, a.g, a.ge, a.field_cap
         ),
+        profile_flags=("g", "gb"),
     ),
 }
+
+#: Defaults of the profile flags not every profile reads (see `_profile`).
+_PROFILE_DEFAULTS = {"gb": 0.0, "n": 100}
+_GIVEN_ONLY = dict.fromkeys(_PROFILE_DEFAULTS, argparse.SUPPRESS)
+
+
+def _profile(args):
+    """--model's walk profile; a profile flag the model does not read is refused."""
+    model = _MODELS[args.model]
+    for flag, default in _PROFILE_DEFAULTS.items():
+        if flag in model.profile_flags:
+            vars(args).setdefault(flag, default)  # so the header echoes it
+        elif flag in vars(args):
+            raise ValueError(f"--model {args.model} does not read --{flag}")
+    return model.profile(args)
 
 
 def _model_hook(args, hook: str, unsupported: str) -> Callable:
@@ -241,7 +261,7 @@ def _time_grid(args) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_threshold_state(args):
-    profile = _MODELS[args.model].profile(args)
+    profile = _profile(args)
     columns = ["t", "lambda_ours", "bound", "delta"]
     rows = []
     for t in _time_grid(args):
@@ -273,7 +293,7 @@ def _cmd_threshold_ham(args):
 
 
 def _cmd_threshold_tail(args):
-    profile = _MODELS[args.model].profile(args)
+    profile = _profile(args)
     if args.lambda_bar is None or args.gap is None:
         raise ValueError("tail thresholds need --lambda-bar and --gap")
     columns = ["eps", "lambda_tail", "delta", "sigma", "t_window", "bound"]
@@ -513,12 +533,12 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="key=value config file; flags win")
 
 
-def _add_profile_params(sub):
+def _add_profile_params(sub, defaults=_PROFILE_DEFAULTS):
     """--model and the couplings a walk profile reads."""
     sub.add_argument("--model", choices=tuple(_MODELS), default="single")
     sub.add_argument("--g", type=float, default=0.5, help="coupling (g_GM for u1)")
-    sub.add_argument("--gb", type=float, default=0.0, help="magnetic weight for u1")
-    sub.add_argument("--n", type=int, default=100, help="mode/spin/site count for formulas")
+    sub.add_argument("--gb", type=float, default=defaults["gb"], help="magnetic weight for u1")
+    sub.add_argument("--n", type=int, default=defaults["n"], help="spin count for dicke")
 
 
 def _add_model_params(sub):
@@ -551,7 +571,7 @@ def build_parser() -> _Parser:
     thr_sub = thr.add_subparsers(dest="kind", required=True, parser_class=_Parser)
 
     t_state = thr_sub.add_parser("state", help="state-truncation window over a time grid")
-    _add_profile_params(t_state)
+    _add_profile_params(t_state, _GIVEN_ONLY)
     t_state.add_argument("--lambda0", type=int, default=0)
     t_state.add_argument("--eps", type=float, default=1e-2)
     _add_time_grid(t_state)
@@ -581,7 +601,7 @@ def build_parser() -> _Parser:
     t_energy.set_defaults(func=_cmd_threshold_energy)
 
     t_tail = thr_sub.add_parser("tail", help="eigenstate tail window from (lambda_bar, gap)")
-    _add_profile_params(t_tail)
+    _add_profile_params(t_tail, _GIVEN_ONLY)
     t_tail.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=None)
     t_tail.add_argument("--gap", type=float, default=None)
     t_tail.add_argument(

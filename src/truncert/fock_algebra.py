@@ -6,8 +6,7 @@ CompositeBasis fixes an ordered mode list, mode 0 the most significant
 mixed-radix digit.  A single-mode operator is embedded in the full space
 by index arithmetic on that basis, with Jordan-Wigner sign strings over
 the fermionic subsequence for fermionic ladder operators: `mode_entries`
-gives its (rows, cols, values), the one embedding the package has, and
-`mode_operator` the CSR matrix of those entries.
+gives its (rows, cols, values), the one embedding the package has.
 
 Projector windows act on the per-mode quantum number: occupation for
 bosons and fermions, excitation index for spins, |k| for rotors (so the
@@ -38,7 +37,6 @@ __all__ = [
     "rotor",
     "build_basis",
     "mode_entries",
-    "mode_operator",
     "window_mask",
     "projector",
     "hermiticity_defect",
@@ -184,19 +182,10 @@ def _local_entries(mode: ModeSpec, kind: str):
     d = mode.dim
     if mode.kind == "boson":
         n = np.arange(1, d)
-        amp = np.sqrt(n)
         if kind == "annihilate":
-            return n - 1, n, amp  # <n-1| b |n> = sqrt(n)
-        if kind == "create":
-            return n, n - 1, amp
+            return n - 1, n, np.sqrt(n)  # <n-1| b |n> = sqrt(n)
         if kind == "number":
             return n, n, n.astype(float)
-        rows = np.concatenate([n - 1, n])
-        cols = np.concatenate([n, n - 1])
-        if kind == "position":
-            return rows, cols, np.concatenate([amp, amp]) * (1 / math.sqrt(2.0))
-        if kind == "momentum":
-            return rows, cols, np.concatenate([-amp, amp]) * 1j * (1 / math.sqrt(2.0))
     elif mode.kind == "fermion":
         if kind == "annihilate":
             return [0], [1], [1.0]
@@ -231,11 +220,9 @@ def mode_entries(
     up the Jordan-Wigner sign (-1)^(occupation of the preceding fermion
     modes), read from each left block's digits (other mode kinds are
     transparent to the string).  Matrix conventions: <m-1| b |m> = sqrt(m);
-    position is (b + b^dag)/sqrt(2); momentum is i (b^dag - b)/sqrt(2);
     efield is diagonal with eigenvalue k; lower_link maps |k> to |k-1>.
-    Entries below SPARSE_TOL are not stored.  Values are complex; no
-    position repeats, and every kind but position and momentum has at most
-    one entry per column (it sends each basis state to at most one state).
+    Entries below SPARSE_TOL are not stored.  Values are real, stored as
+    complex, at most one per column: each kind sends a state to at most one.
     """
     if not 0 <= mode_index < basis.n_modes:
         raise ValueError(f"mode_index {mode_index} out of range")
@@ -260,12 +247,6 @@ def mode_entries(
         (base + cols[:, None] * stride).ravel(),
         np.broadcast_to(vals[..., None], full).ravel(),
     )
-
-
-def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
-    """The CSR matrix of `mode_entries` (column indices sorted in each row)."""
-    rows, cols, vals = mode_entries(basis, mode_index, kind)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
 
 
 # ---------------------------------------------------------------------------

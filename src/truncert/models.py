@@ -64,7 +64,7 @@ _HERM_TOL = 1e-12
 
 @dataclass
 class ModelInstance:
-    """An assembled model: basis, Hamiltonian, parts, profile, parameters.
+    """An assembled model: basis, Hamiltonian, parts, walk profile.
 
     hamiltonian is not passed in: building the instance sums parts in
     their order into it, so the parts add up to it by construction.
@@ -93,7 +93,6 @@ class ModelInstance:
     basis: CompositeBasis
     parts: dict[str, sp.csr_matrix]
     profile: WalkProfile
-    params: dict
     walk_parts: dict[int, sp.csr_matrix] = field(default_factory=dict)
     sector_keys: np.ndarray | None = None
     hamiltonian: sp.csr_matrix = field(init=False)
@@ -246,7 +245,6 @@ def single_mode(g_lin: float, omega0: float, n_max: int) -> ModelInstance:
         basis=basis,
         parts={"drive": drive, "oscillator": osc},
         profile=profile_single_mode(g_lin),
-        params={"g_lin": g_lin, "omega0": omega0, "n_max": n_max},
         walk_parts={0: drive},
     )
 
@@ -329,16 +327,6 @@ def hubbard_holstein_1d(
         basis=basis,
         parts=parts,
         profile=profile_hubbard_holstein(abs(g)),
-        params={
-            "n_sites": n_sites,
-            "hop": hop,
-            "u": u,
-            "mu": mu,
-            "g": g,
-            "omega0": omega0,
-            "n_max": n_max,
-            "open_boundary": open_boundary,
-        },
         walk_parts=walk_parts,
         sector_keys=_sector_keys(n_up, n_dn),
     )
@@ -381,13 +369,6 @@ def dicke(
         basis=basis,
         parts={"cavity": cavity, "spins": spins, "coupling": coupling},
         profile=profile_dicke(abs(g), n_spins),
-        params={
-            "n_spins": n_spins,
-            "omega_c": omega_c,
-            "omega_z": omega_z,
-            "g": g,
-            "n_max": n_max,
-        },
         walk_parts={0: coupling},
         sector_keys=_sector_keys(excitations % 2),
     )
@@ -459,13 +440,6 @@ def u1_lgt_1d(
         basis=basis,
         parts=parts,
         profile=profile_u1(0.0, abs(g_gm)),
-        params={
-            "n_sites": n_sites,
-            "g_m": g_m,
-            "g_gm": g_gm,
-            "g_e": g_e,
-            "field_cap": field_cap,
-        },
         walk_parts=walk_parts,
         sector_keys=_sector_keys(*gauss),
     )

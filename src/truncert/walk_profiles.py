@@ -22,9 +22,7 @@ __all__ = [
     "WalkProfile",
     "profile_single_mode",
     "profile_hubbard_holstein",
-    "profile_boson_fermion_general",
     "profile_u1",
-    "profile_su2",
     "profile_dicke",
     "speed_limit",
 ]
@@ -61,21 +59,6 @@ def profile_hubbard_holstein(g: float) -> WalkProfile:
     return WalkProfile(chi=2.0 * g, r=0.5, label="hubbard-holstein")
 
 
-def profile_boson_fermion_general(max_trace_g: float, max_trace_h: float) -> WalkProfile:
-    """Profile for a general linear boson-fermion coupling.
-
-    Inputs are the largest per-mode trace norms of the position-type and
-    momentum-type coefficient matrices; chi = sqrt(2)*(sum of the two).
-    """
-    if max_trace_g < 0 or max_trace_h < 0:
-        raise ValueError("trace-norm summaries must be >= 0")
-    return WalkProfile(
-        chi=math.sqrt(2.0) * (max_trace_g + max_trace_h),
-        r=0.5,
-        label="boson-fermion",
-    )
-
-
 def profile_u1(g_B: float, g_GM: float) -> WalkProfile:
     """Profile for a U(1) gauge link: chi = 4|g_B| + 2|g_GM|, r = 0.
 
@@ -83,16 +66,6 @@ def profile_u1(g_B: float, g_GM: float) -> WalkProfile:
     hopping terms, and every link operator has unit norm.
     """
     return WalkProfile(chi=4.0 * abs(g_B) + 2.0 * abs(g_GM), r=0.0, label="u1-lgt")
-
-
-def profile_su2(g_B: float, g_GM: float) -> WalkProfile:
-    """Profile for an SU(2) gauge link: chi = 16|g_B| + 8|g_GM|, r = 0.
-
-    The four matrix components of each SU(2) link operator contribute an
-    extra factor of 4 over the U(1) count.  The magnetic weight is read
-    as 16|g_B|, paralleling the U(1) derivation.
-    """
-    return WalkProfile(chi=16.0 * abs(g_B) + 8.0 * abs(g_GM), r=0.0, label="su2-lgt")
 
 
 def profile_dicke(g: float, n_spins: int) -> WalkProfile:

@@ -675,6 +675,47 @@ def test_tail_threshold_frozen_hubbard_holstein_rows(eps, lambda_, delta, bound)
     assert (rep.lambda_, rep.delta_used, rep.bound) == (lambda_, delta, bound)
 
 
+def _tail_by_search(profile, tquery):
+    """(window, bound, delta) by the doubling and bisection search over
+    `Leakage.at`, or the CapExceededError message."""
+    eps3 = tquery.epsilon / 3.0
+    c1 = 4.0 * math.sqrt(2.0)
+    sigma = tquery.gap / math.sqrt(2.0 * math.log(c1 / eps3))
+    t_window = math.sqrt(2.0 * math.log(c1 * math.sqrt(2.0 / math.pi) / eps3)) / sigma
+    lambda0 = math.ceil(2.0 * tquery.lambda_bar)
+    leak = Leakage(profile, lambda0, t_window)
+    try:
+        lam = bounds._smallest_qualifying(
+            lambda lam: leak.at(lam)[0] / bounds.OVERLAP_FLOOR <= eps3,
+            lambda0, bounds.LAMBDA_CAP, "tail threshold",
+        )
+    except CapExceededError as exc:
+        return str(exc)
+    bound, delta = leak.at(lam)
+    return lam, 2.0 * eps3 + bound / bounds.OVERLAP_FLOOR, delta
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [BOSON, GAUGE, WalkProfile(chi=0.05, r=0.5), WalkProfile(chi=0.0, r=0.5)],
+    ids=["boson", "gauge", "weak", "free"],
+)
+def test_tail_threshold_reads_the_window_the_search_finds(profile):
+    """The smallest qualifying row window is the smallest window the
+    search over `Leakage.at` finds, with the same bound and delta, and
+    the same guard error when no window up to LAMBDA_CAP qualifies."""
+    for lambda_bar in (0.0, 0.3, 7.5, 1e7):
+        for gap in (0.01, 0.5, 3.0):
+            for eps in (1.0, 1e-2, 1e-8):
+                query = TailQuery(lambda_bar, gap, eps)
+                try:
+                    rep = tail_threshold(profile, query)
+                    got = rep.lambda_, rep.bound, rep.delta_used
+                except CapExceededError as exc:
+                    got = str(exc)
+                assert got == _tail_by_search(profile, query), query
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

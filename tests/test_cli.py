@@ -747,3 +747,90 @@ def test_command_refuses_a_flag_it_does_not_read(argv, capsys):
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# the profile flags of threshold state and threshold tail
+# ---------------------------------------------------------------------------
+
+_TAIL = ["--lambda-bar", "1", "--gap", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["threshold", "state", "--model", "hh", "--gb", "3", "--n", "7", "--t", "1"],
+         "--model hh does not read --gb"),
+        (["threshold", "state", "--n", "7", "--t", "1"], "--model single does not read --n"),
+        (["threshold", "tail", "--model", "dicke", "--gb", "0"] + _TAIL,
+         "--model dicke does not read --gb"),
+        (["threshold", "tail", "--model", "u1", "--n", "100"] + _TAIL,
+         "--model u1 does not read --n"),
+        (["sweep", "--cmd", "threshold-state", "--set", "model=hh", "--vary", "gb=2,5",
+          "--set", "t=1"], "--model hh does not read --gb"),
+        (["sweep", "--cmd", "threshold-state", "--vary", "model=dicke,single",
+          "--set", "n=7", "--set", "t=1"], "--model single does not read --n"),
+    ],
+)
+def test_threshold_commands_refuse_a_profile_flag_the_model_does_not_read(
+    argv, refused, capsys
+):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"truncert: error: {refused}\n"
+    assert captured.out == ""
+
+
+def test_profile_flag_from_a_config_file_is_refused_too(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=hh\ngb=3\n")
+    assert cli.main(["threshold", "state", "--t", "1", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "truncert: error: --model hh does not read --gb\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, echoed, rows",
+    [
+        (["threshold", "state", "--model", "u1", "--gb", "3", "--t", "1"],
+         {"g=0.5", "gb=3.0"}, ["1.0,130,0.0011284722222222223,6"]),
+        (["threshold", "state", "--model", "dicke", "--n", "7", "--t", "1"],
+         {"g=0.5", "n=7"}, ["1.0,258,0.009463966914928701,7"]),
+        (["threshold", "state", "--model", "u1", "--t", "1"], {"g=0.5", "gb=0.0"}, None),
+        (["threshold", "state", "--model", "hh", "--t", "1"], {"g=0.5"}, None),
+        (["threshold", "tail", "--model", "u1", "--gb", "3"] + _TAIL, {"g=0.5", "gb=3.0"},
+         ["0.01,2669,8,0.2592962993483232,14.645769109270383,0.0068754709849578955",
+          "0.0001,4970,9,0.20376938071382047,23.856781399707117,8.557414430721099e-05",
+          "1e-06,8602,11,0.17330741018219498,33.06741937678345,7.261763679214906e-07"]),
+        (["threshold", "tail", "--model", "dicke", "--n", "7"] + _TAIL, {"g=0.5", "n=7"},
+         ["0.01,182888,12,0.2592962993483232,14.645769109270383,0.0077158088163306335",
+          "0.0001,783372,15,0.20376938071382047,23.856781399707117,7.51138933496099e-05",
+          "1e-06,1963442,17,0.17330741018219498,33.06741937678345,9.474869395362716e-07"]),
+        (["threshold", "tail", "--model", "single"] + _TAIL, {"g=0.5"}, None),
+    ],
+)
+def test_threshold_header_echoes_only_the_profile_flags_the_model_reads(
+    argv, echoed, rows, capsys
+):
+    code, out = _run(argv, capsys)
+    assert code == 0
+    header = {ln[2:] for ln in out.splitlines()[1:] if ln.startswith("# ")}
+    assert {h for h in header if h.split("=")[0] in ("g", "gb", "n")} == echoed
+    if rows is not None:
+        assert _data_lines(out)[1:] == rows
+
+
+def test_sweep_over_a_profile_flag_the_model_reads(capsys):
+    code, out = _run(
+        ["sweep", "--cmd", "threshold-state", "--set", "model=dicke", "--vary", "n=2,5",
+         "--set", "t=1"],
+        capsys,
+    )
+    assert code == 0
+    assert _data_lines(out) == [
+        "n,t,lambda_ours,bound,delta",
+        "2,1.0,78,0.0028611992998621655,7",
+        "5,1.0,186,0.006822859868902086,7",
+    ]
+

@@ -20,7 +20,6 @@ from truncert.fock_algebra import (
     fermion,
     hermiticity_defect,
     mode_entries,
-    mode_operator,
     projector,
     rotor,
     spin_half,
@@ -172,6 +171,10 @@ def test_unknown_kind_raises():
         mode_operator(basis, 0, "pauli_x")
     with pytest.raises(TypeError):
         mode_operator(basis, 1, "position")
+    # no model reads them, so the package defines no boson create, position, momentum
+    for kind in _COMPOSED:
+        with pytest.raises(TypeError):
+            mode_entries(basis, 0, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +228,37 @@ def test_mixed_basis_six_fermions_anticommute():
 
 
 # ---------------------------------------------------------------------------
-# reference embedding: the Kronecker chain mode_operator replaced
+# the CSR the algebra checks and model oracles use, and the Kronecker
+# chain reference it is checked against
 # ---------------------------------------------------------------------------
+
+#: Boson operators no model reads: `mode_operator` composes them from the
+#: annihilator's entries for the algebra checks.
+_COMPOSED = ("create", "position", "momentum")
+
+
+def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
+    """The CSR matrix of `mode_entries` (column indices sorted in each row).
+
+    A boson's create, position (b + b^dag)/sqrt(2) and momentum
+    i (b^dag - b)/sqrt(2) are built from the entries of b.
+    """
+    if kind in _COMPOSED and basis.modes[mode_index].kind == "boson":
+        rows, cols, vals = mode_entries(basis, mode_index, "annihilate")
+        amp = vals.real
+        if kind == "create":
+            rows, cols = cols, rows
+        else:
+            rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+            if kind == "position":
+                vals = np.concatenate([amp, amp]) * (1 / math.sqrt(2.0))
+            else:
+                vals = np.concatenate([-amp, amp]) * 1j * (1 / math.sqrt(2.0))
+        vals = vals.astype(complex)
+    else:
+        rows, cols, vals = mode_entries(basis, mode_index, kind)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
+
 
 def _boson_local(kind: str, n_max: int) -> sp.csr_matrix:
     d = n_max + 1
@@ -323,8 +355,9 @@ def kron_mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.
     return _clean(_kron_chain(factors))
 
 
+#: The kinds `mode_entries` defines, per mode kind.
 _KINDS_OF = {
-    "boson": ("annihilate", "create", "number", "position", "momentum"),
+    "boson": ("annihilate", "number"),
     "fermion": ("annihilate", "create", "number"),
     "spin_half": ("pauli_x", "pauli_z"),
     "rotor": ("efield", "lower_link"),
@@ -348,7 +381,7 @@ _ORACLE_CASES = [
     pytest.param(name, j, kind, id=f"{name}-{j}-{kind}")
     for name, modes in _ORACLE_BASES.items()
     for j, mode in enumerate(modes)
-    for kind in _KINDS_OF[mode.kind]
+    for kind in _KINDS_OF[mode.kind] + (_COMPOSED if mode.kind == "boson" else ())
 ]
 
 
@@ -462,15 +495,14 @@ def test_hermiticity_defect_never_reorders_its_argument(symmetric):
 
 
 def test_one_to_one_kinds_send_each_state_to_at_most_one_state():
-    """mode_entries stores each position once, and every kind but position
-    and momentum has at most one entry per column."""
+    """Every kind of mode_entries has at most one entry per column, and
+    real values stored as complex128 (what models._moves assumes)."""
     for specs in _ORACLE_BASES.values():
         basis = build_basis(specs)
         for j, mode in enumerate(basis.modes):
             for kind in _KINDS_OF[mode.kind]:
                 rows, cols, vals = mode_entries(basis, j, kind)
-                assert len(np.unique(rows * basis.dimension + cols)) == len(rows)
-                if kind not in ("position", "momentum"):
-                    assert len(np.unique(cols)) == len(cols)
+                assert len(np.unique(cols)) == len(cols)
+                assert vals.dtype == np.complex128 and np.all(vals.imag == 0)
                 op = mode_operator(basis, j, kind)
                 assert op.nnz == len(vals)

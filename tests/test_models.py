@@ -8,10 +8,10 @@ import operator
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from test_fock import kron_mode_operator
+from test_fock import kron_mode_operator, mode_operator
 
 from truncert import fock_algebra, models
-from truncert.fock_algebra import ALL, ProjectorSpec, mode_operator, projector, window_mask
+from truncert.fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from truncert.models import (
     comm_norm_exact,
     dicke,
@@ -262,7 +262,6 @@ def _algebraic_single_mode(op, g_lin, omega0, n_max):
         basis=basis,
         parts={"drive": drive.tocsr(), "oscillator": osc.tocsr()},
         profile=profile_single_mode(g_lin),
-        params={"g_lin": g_lin, "omega0": omega0, "n_max": n_max},
         walk_parts={0: drive.tocsr()},
     )
 
@@ -321,7 +320,6 @@ def _algebraic_hubbard_holstein_1d(
         basis=basis,
         parts=parts,
         profile=profile_hubbard_holstein(abs(g)),
-        params={},
         walk_parts=walk_parts,
         sector_keys=models._sector_keys(n_up, n_dn),
     )
@@ -350,7 +348,6 @@ def _algebraic_dicke(op, n_spins, omega_c, omega_z, g, n_max):
         basis=basis,
         parts={"cavity": cavity, "spins": spins, "coupling": coupling},
         profile=profile_dicke(abs(g), n_spins),
-        params={},
         walk_parts={0: coupling},
         sector_keys=models._sector_keys(excitations % 2),
     )
@@ -393,7 +390,6 @@ def _algebraic_u1_lgt_1d(op, n_sites, g_m, g_gm, g_e, field_cap):
         basis=basis,
         parts=parts,
         profile=profile_u1(0.0, abs(g_gm)),
-        params={},
         walk_parts=walk_parts,
     )
 
@@ -506,12 +502,15 @@ def _row_sort_labels(*charges):
 
 
 def _charges(model):
-    digit, n = model.basis.local_indices, model.params.get("n_sites")
-    if model.label == "hubbard_holstein_1d":
+    """The conserved charges, sized by the mode list the builder arguments fixed."""
+    digit, modes = model.basis.local_indices, model.basis.modes
+    if model.label == "hubbard_holstein_1d":  # n_sites x [up, dn, boson]
+        n = len(modes) // 3
         return [sum(digit(3 * x + s) for x in range(n)) for s in (0, 1)]
-    if model.label == "dicke":
-        return [sum(digit(j) for j in range(1 + model.params["n_spins"])) % 2]
-    k = model.params["field_cap"]
+    if model.label == "dicke":  # [cavity] + n_spins spins
+        return [sum(digit(j) for j in range(len(modes))) % 2]
+    # n_sites fermions and n_sites - 1 rotor links of cutoff field_cap, interleaved
+    n, k = (len(modes) + 1) // 2, modes[1].cutoff
     field = [0, *(digit(2 * x + 1) - k for x in range(n - 1)), 0]
     return [field[x + 1] - field[x] + digit(2 * x) for x in range(n)]
 

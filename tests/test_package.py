@@ -5,9 +5,12 @@ access; analytic commands load no numpy or scipy, and sparse verify
 commands no dense or ARPACK solver.
 """
 
+import ast
+import glob
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -36,6 +39,37 @@ def test_module_names_are_package_names(module):
 
 def test_package_all_has_no_duplicates():
     assert len(truncert.__all__) == len(set(truncert.__all__))
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_every_public_name_has_a_production_reader():
+    """Each name in truncert.__all__ is loaded (an AST Name or attribute
+    load, so docstrings and __all__ strings do not count) by the package,
+    a demo or the acceptance tests, or named in README.md."""
+    files = [
+        *glob.glob(os.path.join(REPO, "src", "truncert", "*.py")),
+        *glob.glob(os.path.join(REPO, "demos", "*.py")),
+        os.path.join(REPO, "tests", "test_acceptance.py"),
+    ]
+    loaded = set()
+    for path in files:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    with open(os.path.join(REPO, "README.md")) as fh:
+        readme = fh.read()
+    unread = [
+        name
+        for name in truncert.__all__
+        if name not in loaded and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unread == []
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +117,20 @@ def test_analytic_commands_import_no_numpy_or_scipy():
         [
             ["threshold", "state", "--model", "hh", "--t", "0.5,1"],
             ["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5"],
+            # the per-model profile-flag check, and its refusal
+            ["threshold", "state", "--model", "u1", "--gb", "1", "--t", "0.5,1"],
+            ["threshold", "state", "--model", "hh", "--gb", "1", "--t", "1"],
             ["threshold", "energy", "--model", "hh", "--n", "2"],
             ["compare", "--tpoints", "3"],
             ["sweep", "--cmd", "threshold-state", "--vary", "g=0.5,1", "--set", "t=1"],
             ["sweep", "--cmd", "compare", "--vary", "n=2,5", "--set", "tpoints=2"],
+            ["sweep", "--cmd", "threshold-state", "--set", "model=dicke", "--vary", "n=2,5",
+             "--set", "t=1"],
             # the grid guard still maps to exit code 2 without numpy
             ["sweep", "--cmd", "threshold-energy", "--vary", "n=2,5", "--max-rows", "1"],
         ]
     )
-    assert got == {"codes": [0, 0, 0, 0, 0, 0, 2], "heavy": []}
+    assert got == {"codes": [0, 0, 0, 1, 0, 0, 0, 0, 0, 2], "heavy": []}
 
 
 def test_sparse_verify_commands_skip_dense_and_arpack_solvers():

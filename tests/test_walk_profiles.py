@@ -4,10 +4,8 @@ import pytest
 
 from truncert.walk_profiles import (
     WalkProfile,
-    profile_boson_fermion_general,
     profile_dicke,
     profile_hubbard_holstein,
-    profile_su2,
     profile_u1,
     speed_limit,
 )
@@ -31,23 +29,11 @@ def test_hubbard_holstein_profile():
     assert p.r == 0.5
 
 
-def test_boson_fermion_general_profile():
-    p = profile_boson_fermion_general(1.5, 0.5)
-    assert p.chi == pytest.approx(math.sqrt(2.0) * 2.0)
-    assert p.r == 0.5
-
-
 def test_u1_profile_is_gauge_type():
     """Gauge links hop the electric field by one regardless of its value."""
     p = profile_u1(0.25, 1.0)
     assert p.r == 0.0
     assert p.chi == pytest.approx(4 * 0.25 + 2 * 1.0)
-
-
-def test_su2_profile():
-    p = profile_su2(0.5, 0.25)
-    assert p.r == 0.0
-    assert p.chi == pytest.approx(16 * 0.5 + 8 * 0.25)
 
 
 def test_dicke_profile_scales_with_sqrt_spins():
