@@ -9,14 +9,13 @@ Layout:
 
 Every output artifact starts with a header block echoing the parsed
 configuration and the tool version.  Each command declares only the
-flags some --model reads; `threshold state|tail` refuse a profile flag
-their --model does not read, so their header names only inputs that
-reached the result (the model commands echo every builder flag, a known
-limit).  Analytic columns are bit-stable across reruns of the same
-configuration.  Config files hold key=value lines naming flags
-of the command (dashes or underscores); flags given on the command line
-win.  Exit codes: 0 success and all reports sound, 1 usage error, 2
-resource or guard error, 3 soundness violation.
+flags some --model reads and refuses a model flag its --model does not
+read, so the header names only inputs that reached the result.  Analytic
+columns are bit-stable across reruns of the same configuration.  Config
+files hold key=value lines naming flags of the command (dashes or
+underscores); flags given on the command line win.  Exit codes: 0
+success and all reports sound, 1 usage error, 2 resource or guard error,
+3 soundness violation.
 
 The threshold commands other than `threshold ham`, `compare` and
 `sweep` need only `bounds` and `walk_profiles`, which import nothing but
@@ -36,7 +35,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__
@@ -164,87 +162,89 @@ def _lib(name: str):
     return importlib.import_module(f"{__package__}.{name}")
 
 
-@dataclass(frozen=True)
-class _Model:
-    """How the CLI reads one --model: its profile, builder and optional hooks.
-
-    The build and trotter hooks import `models` and `trotter` when first
-    called and look each function up on that module at call time, so a
-    rebinding of e.g. `models.single_mode` reaches every command.
-    """
-
-    profile: Callable  # args -> WalkProfile
-    build: Callable  # (args, n_max) -> ModelInstance
-    trotter: Callable | None = None  # args -> (CoefficientSummaries, default p)
-    energy: Callable | None = None  # args -> energy-argument cutoff
-    profile_flags: tuple[str, ...] = ("g",)  # the flags `profile` reads
-
-
-def _hh_couplings(args) -> dict:
-    return dict(hop=args.hop, u=args.u, mu=args.mu, g=args.g, omega0=args.omega0)
-
-
+#: Each --model's hooks: profile -> WalkProfile, build -> ModelInstance and,
+#: where it has them, trotter -> (CoefficientSummaries, default order p) and
+#: energy -> energy-argument cutoff.  A hook's parameter names are the flags
+#: it reads, declared once.  The build and trotter hooks look each function up
+#: on `models` or `trotter` at call time, importing it on first use, so a
+#: rebinding of e.g. `models.single_mode` reaches every command.
 _MODELS = {
-    "single": _Model(
-        profile=lambda a: profile_single_mode(a.g),
-        build=lambda a, n_max: _lib("models").single_mode(a.g, a.omega0, n_max),
-        trotter=lambda a: (_lib("trotter").summaries_single_mode(a.g, a.omega0), 1),
-        energy=lambda a: energy_threshold_single_mode(a.omega0, a.lambda0, a.eps),
+    "single": dict(
+        profile=lambda g: profile_single_mode(g),
+        build=lambda g, omega0, n_max: _lib("models").single_mode(g, omega0, n_max),
+        trotter=lambda g, omega0: (_lib("trotter").summaries_single_mode(g, omega0), 1),
+        energy=lambda omega0, lambda0, eps: energy_threshold_single_mode(omega0, lambda0, eps),
     ),
-    "hh": _Model(
-        profile=lambda a: profile_hubbard_holstein(abs(a.g)),
-        build=lambda a, n_max: _lib("models").hubbard_holstein_1d(
-            a.sites, n_max=n_max, **_hh_couplings(a)
+    "hh": dict(
+        profile=lambda g: profile_hubbard_holstein(abs(g)),
+        build=lambda sites, hop, u, mu, g, omega0, n_max: _lib("models").hubbard_holstein_1d(
+            sites, hop, u, mu, g, omega0, n_max
         ),
-        trotter=lambda a: (
-            _lib("trotter").summaries_hubbard_holstein(a.sites, **_hh_couplings(a)),
+        trotter=lambda sites, hop, u, mu, g, omega0: (
+            _lib("trotter").summaries_hubbard_holstein(sites, hop, u, mu, g, omega0),
             2,
         ),
-        energy=lambda a: energy_threshold_hubbard_holstein(
-            omega0=a.omega0,
-            g=a.g,
-            n_sites=a.n,
-            lambda0=a.lambda0,
-            e_f_ground=a.ef,
-            e_total=a.etotal,
-            epsilon=a.eps,
+        energy=lambda omega0, g, n, lambda0, ef, etotal, eps: energy_threshold_hubbard_holstein(
+            omega0, g, n, lambda0, ef, etotal, eps
         ),
     ),
-    "dicke": _Model(
-        profile=lambda a: profile_dicke(abs(a.g), a.n),
-        build=lambda a, n_max: _lib("models").dicke(a.n, a.omega0, a.omega_z, a.g, n_max),
-        profile_flags=("g", "n"),
-    ),
-    "u1": _Model(
-        profile=lambda a: profile_u1(abs(a.gb), abs(a.g)),
-        build=lambda a, n_max: _lib("models").u1_lgt_1d(
-            a.sites, a.gm, a.g, a.ge, a.field_cap
+    "dicke": dict(
+        profile=lambda g, n: profile_dicke(abs(g), n),
+        build=lambda n, omega0, omega_z, g, n_max: _lib("models").dicke(
+            n, omega0, omega_z, g, n_max
         ),
-        profile_flags=("g", "gb"),
+    ),
+    "u1": dict(
+        profile=lambda gb, g: profile_u1(abs(gb), abs(g)),
+        build=lambda sites, gm, g, ge, field_cap: _lib("models").u1_lgt_1d(
+            sites, gm, g, ge, field_cap
+        ),
     ),
 }
 
-#: Defaults of the profile flags not every profile reads (see `_profile`).
-_PROFILE_DEFAULTS = {"gb": 0.0, "n": 100}
-_GIVEN_ONLY = dict.fromkeys(_PROFILE_DEFAULTS, argparse.SUPPRESS)
+#: Every model flag: dest -> (type, default, help).  A command registers the
+#: ones its hooks read for some --model; `_bind` gives them their defaults.
+_MODEL_FLAGS = {
+    "g": (float, 0.5, "coupling (g_GM for u1)"),
+    "gb": (float, 0.0, "magnetic weight for u1"),
+    "n": (int, 100, "spin count for dicke, site count for the hh energy baseline"),
+    "gm": (float, 1.0, "staggered mass for u1"),
+    "ge": (float, 1.0, "electric weight for u1"),
+    "omega0": (float, 1.0, None),
+    "omega_z": (float, 1.0, None),
+    "hop": (float, 1.0, None),
+    "u": (float, 0.0, None),
+    "mu": (float, 0.0, None),
+    "sites": (int, 2, None),
+    "field_cap": (int, 1, None),
+    "n_max": (int, 16, None),
+    "ef": (float, 0.0, "fermionic ground energy"),
+    "etotal": (float, None, "total energy budget"),
+}
 
 
-def _profile(args):
-    """--model's walk profile; a profile flag the model does not read is refused."""
-    model = _MODELS[args.model]
-    for flag, default in _PROFILE_DEFAULTS.items():
-        if flag in model.profile_flags:
-            vars(args).setdefault(flag, default)  # so the header echoes it
-        elif flag in vars(args):
-            raise ValueError(f"--model {args.model} does not read --{flag}")
-    return model.profile(args)
+def _reads(hook: Callable) -> tuple[str, ...]:
+    """The flags a hook reads: its parameter names."""
+    return hook.__code__.co_varnames[: hook.__code__.co_argcount]
 
 
-def _model_hook(args, hook: str, unsupported: str) -> Callable:
-    fn = getattr(_MODELS[args.model], hook)
-    if fn is None:
+def _bind(args, *hooks: str, unsupported: str = "") -> list[Callable]:
+    """--model's `hooks`, each bound to the flags it reads (a call may override one).
+
+    The model flags the hooks read get their defaults, so the header echoes
+    them; any other one given raises ValueError naming it, and a hook --model
+    lacks raises ValueError(unsupported), before anything is built or imported.
+    """
+    fns = [_MODELS[args.model].get(hook) for hook in hooks]
+    if None in fns:
         raise ValueError(unsupported)
-    return fn
+    read = {flag for fn in fns for flag in _reads(fn)}
+    for flag, (_, default, _) in _MODEL_FLAGS.items():
+        if flag in read:
+            vars(args).setdefault(flag, default)
+        elif flag in vars(args):
+            raise ValueError(f"--model {args.model} does not read --{flag.replace('_', '-')}")
+    return [functools.partial(fn, **{f: getattr(args, f) for f in _reads(fn)}) for fn in fns]
 
 
 def _time_grid(args) -> list[float]:
@@ -261,7 +261,8 @@ def _time_grid(args) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_threshold_state(args):
-    profile = _profile(args)
+    (profile,) = _bind(args, "profile")
+    profile = profile()
     columns = ["t", "lambda_ours", "bound", "delta"]
     rows = []
     for t in _time_grid(args):
@@ -275,12 +276,13 @@ def _cmd_threshold_state(args):
 
 
 def _cmd_threshold_energy(args):
-    energy = _model_hook(args, "energy", "energy thresholds cover --model single or hh")
-    return ["model", "lambda_energy"], [[args.model, energy(args)]], {}, EXIT_OK
+    (energy,) = _bind(args, "energy", unsupported="energy thresholds cover --model single or hh")
+    return ["model", "lambda_energy"], [[args.model, energy()]], {}, EXIT_OK
 
 
 def _cmd_threshold_ham(args):
-    model = _MODELS[args.model].build(args, args.n_max)
+    (build,) = _bind(args, "build")
+    model = build()
     rep = minimal_hamiltonian_threshold(
         model.profile,
         TruncationQuery(lambda0=args.lambda0, time=args.t_single, epsilon=args.eps),
@@ -293,7 +295,8 @@ def _cmd_threshold_ham(args):
 
 
 def _cmd_threshold_tail(args):
-    profile = _profile(args)
+    (profile,) = _bind(args, "profile")
+    profile = profile()
     if args.lambda_bar is None or args.gap is None:
         raise ValueError("tail thresholds need --lambda-bar and --gap")
     columns = ["eps", "lambda_tail", "delta", "sigma", "t_window", "bound"]
@@ -358,10 +361,11 @@ def _verify_times(args, fallback):
 
 
 def _suite_state(args):
+    (build,) = _bind(args, "build")
     from .verify import verify_state_truncation
 
     return verify_state_truncation(
-        _MODELS[args.model].build(args, args.n_max),
+        build(),
         args.lambda0,
         _verify_times(args, [0.25]),
         mode=args.windows,
@@ -370,12 +374,13 @@ def _suite_state(args):
 
 
 def _suite_ham(args):
-    from .verify import verify_hamiltonian_truncations
-
     if args.model != "single":
         raise ValueError("the hamiltonian-truncation suite runs on --model single")
+    (build,) = _bind(args, "build")
+    from .verify import verify_hamiltonian_truncations
+
     return verify_hamiltonian_truncations(
-        functools.partial(_MODELS[args.model].build, args),
+        lambda n_max: build(n_max=n_max),
         n_max=args.n_max,
         lambda0=args.lambda0,
         lambda_tildes=args.lambda_tildes,
@@ -385,9 +390,10 @@ def _suite_ham(args):
 
 
 def _suite_tail(args):
+    (build,) = _bind(args, "build")
     from .verify import verify_tail
 
-    return verify_tail(_MODELS[args.model].build(args, args.n_max), args.eps_list)
+    return verify_tail(build(), args.eps_list)
 
 
 def _suite_coherent(args):
@@ -421,6 +427,9 @@ _SUITES = {
 
 
 def _suite_trotter(args):
+    build, trotter = _bind(
+        args, "build", "trotter", unsupported="the trotter suite runs on --model single or hh"
+    )
     from .propagate import TOL
     from .trotter import (
         ab_quantities,
@@ -431,9 +440,8 @@ def _suite_trotter(args):
     )
     from .verify import is_sound
 
-    trotter = _model_hook(args, "trotter", "the trotter suite runs on --model single or hh")
-    model = _MODELS[args.model].build(args, args.n_max)
-    summaries, default_p = trotter(args)
+    model = build()
+    summaries, default_p = trotter()
     p = args.p if args.p else default_p
     lambda1 = safe_window(args.lambda0, p)
     budget = ab_quantities(summaries, lambda1, p, model.cutoff)
@@ -533,27 +541,19 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="key=value config file; flags win")
 
 
-def _add_profile_params(sub, defaults=_PROFILE_DEFAULTS):
-    """--model and the couplings a walk profile reads."""
+def _add_model_flags(sub, hooks=("profile", "build", "trotter")):
+    """--model and every model flag some model's `hooks` read, set only if given.
+
+    The model commands take the profile's flags too, as a builder fixes its
+    model's profile: u1's fixes gb at 0, and so refuses --gb by name.
+    """
     sub.add_argument("--model", choices=tuple(_MODELS), default="single")
-    sub.add_argument("--g", type=float, default=0.5, help="coupling (g_GM for u1)")
-    sub.add_argument("--gb", type=float, default=defaults["gb"], help="magnetic weight for u1")
-    sub.add_argument("--n", type=int, default=defaults["n"], help="spin count for dicke")
-
-
-def _add_model_params(sub):
-    """The profile flags, every model builder's couplings and the cutoff --n-max."""
-    _add_profile_params(sub)
-    sub.add_argument("--gm", type=float, default=1.0, help="staggered mass for u1")
-    sub.add_argument("--ge", type=float, default=1.0, help="electric weight for u1")
-    sub.add_argument("--omega0", type=float, default=1.0)
-    sub.add_argument("--omega-z", dest="omega_z", type=float, default=1.0)
-    sub.add_argument("--hop", type=float, default=1.0)
-    sub.add_argument("--u", type=float, default=0.0)
-    sub.add_argument("--mu", type=float, default=0.0)
-    sub.add_argument("--sites", type=int, default=2)
-    sub.add_argument("--field-cap", dest="field_cap", type=int, default=1)
-    sub.add_argument("--n-max", dest="n_max", type=int, default=16)
+    fns = [model[hook] for model in _MODELS.values() for hook in hooks if hook in model]
+    read = {flag for fn in fns for flag in _reads(fn)}
+    for flag, (type_, _, help_) in _MODEL_FLAGS.items():
+        if flag in read:
+            name = "--" + flag.replace("_", "-")
+            sub.add_argument(name, dest=flag, type=type_, default=argparse.SUPPRESS, help=help_)
 
 
 def _add_time_grid(sub, tmax=None, tpoints=21):
@@ -571,7 +571,7 @@ def build_parser() -> _Parser:
     thr_sub = thr.add_subparsers(dest="kind", required=True, parser_class=_Parser)
 
     t_state = thr_sub.add_parser("state", help="state-truncation window over a time grid")
-    _add_profile_params(t_state, _GIVEN_ONLY)
+    _add_model_flags(t_state, ("profile",))
     t_state.add_argument("--lambda0", type=int, default=0)
     t_state.add_argument("--eps", type=float, default=1e-2)
     _add_time_grid(t_state)
@@ -580,28 +580,22 @@ def build_parser() -> _Parser:
     t_state.set_defaults(func=_cmd_threshold_state)
 
     t_ham = thr_sub.add_parser("ham", help="hamiltonian-truncation window (desk scale)")
-    _add_model_params(t_ham)
+    _add_model_flags(t_ham)
     t_ham.add_argument("--lambda0", type=int, default=0)
     t_ham.add_argument("--eps", type=float, default=1e-2)
     t_ham.add_argument("--t-single", dest="t_single", type=float, default=1.0)
     _add_common(t_ham)
     t_ham.set_defaults(func=_cmd_threshold_ham)
 
-    # the energy baselines read --model --g --n but not --gb, the u1 profile's weight
     t_energy = thr_sub.add_parser("energy", help="energy-conservation competitor window")
-    t_energy.add_argument("--model", choices=tuple(_MODELS), default="single")
-    t_energy.add_argument("--g", type=float, default=0.5, help="coupling")
-    t_energy.add_argument("--n", type=int, default=100, help="site count for hh")
-    t_energy.add_argument("--omega0", type=float, default=1.0)
+    _add_model_flags(t_energy, ("energy",))
     t_energy.add_argument("--lambda0", type=int, default=0)
     t_energy.add_argument("--eps", type=float, default=1e-2)
-    t_energy.add_argument("--ef", type=float, default=0.0, help="fermionic ground energy")
-    t_energy.add_argument("--etotal", type=float, default=None, help="total energy budget")
     _add_common(t_energy)
     t_energy.set_defaults(func=_cmd_threshold_energy)
 
     t_tail = thr_sub.add_parser("tail", help="eigenstate tail window from (lambda_bar, gap)")
-    _add_profile_params(t_tail, _GIVEN_ONLY)
+    _add_model_flags(t_tail, ("profile",))
     t_tail.add_argument("--lambda-bar", dest="lambda_bar", type=float, default=None)
     t_tail.add_argument("--gap", type=float, default=None)
     t_tail.add_argument(
@@ -630,7 +624,7 @@ def build_parser() -> _Parser:
         _add_common(v[suite])
         v[suite].set_defaults(func=_cmd_verify, suite=suite)
     for suite in ("state", "ham", "tail", "trotter"):
-        _add_model_params(v[suite])
+        _add_model_flags(v[suite])
     for suite in ("state", "ham", "trotter"):
         v[suite].add_argument("--lambda0", type=int, default=0)
     for suite in ("state", "coherent"):
@@ -689,14 +683,18 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the user's own flags."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    """Expand --config FILE or --config=FILE into flags placed before the user's own."""
+    for i, tok in enumerate(argv):
+        if tok.startswith("--config="):
+            path = tok.partition("=")[2]
+            break
+        if tok == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+            break
+    else:
         return argv
     extra: list[str] = []
-    for key, value in load_config(argv[i + 1]).items():
+    for key, value in load_config(path).items():
         extra += _flag_tokens(key, value)
     # after the command words, which end at the first flag (--config at the latest)
     first = next(j for j, tok in enumerate(argv) if tok.startswith("-"))

@@ -339,10 +339,12 @@ def test_sweep_bad_point_is_one_usage_error(extra, capsys):
 _PAIR_ARGV = {
     "threshold state": ["threshold", "state", "--t", "0.5"],
     "threshold energy": ["threshold", "energy"],
-    "verify trotter": ["verify", "trotter", "--sites", "1", "--n-max", "14",
-                       "--taus", "0.1,0.05"],
+    "verify trotter": ["verify", "trotter", "--n-max", "14", "--taus", "0.1,0.05"],
     "verify ham": ["verify", "ham"],
 }
+
+#: Flags a pair adds for one model: each model is given only flags it reads.
+_PAIR_MODEL_ARGV = {("verify trotter", "hh"): ["--sites", "1"]}
 
 _UNSUPPORTED = {
     "threshold energy": ("dicke", "u1"),
@@ -360,7 +362,9 @@ _MESSAGES = {
 @pytest.mark.parametrize("model", ["single", "hh", "dicke", "u1"])
 @pytest.mark.parametrize("command", list(_PAIR_ARGV))
 def test_every_model_command_pair(command, model, capsys):
-    code = cli.main(_PAIR_ARGV[command] + ["--model", model])
+    code = cli.main(
+        _PAIR_ARGV[command] + _PAIR_MODEL_ARGV.get((command, model), []) + ["--model", model]
+    )
     captured = capsys.readouterr()
     if model in _UNSUPPORTED.get(command, ()):
         assert code == 1
@@ -834,3 +838,150 @@ def test_sweep_over_a_profile_flag_the_model_reads(capsys):
         "5,1.0,186,0.006822859868902086,7",
     ]
 
+
+
+# ---------------------------------------------------------------------------
+# the model flags of every model command
+# ---------------------------------------------------------------------------
+
+#: The model flags (dests) each hook of each model reads.
+_READS = {
+    "profile": {"single": {"g"}, "hh": {"g"}, "dicke": {"g", "n"}, "u1": {"g", "gb"}},
+    "build": {
+        "single": {"g", "omega0", "n_max"},
+        "hh": {"sites", "hop", "u", "mu", "g", "omega0", "n_max"},
+        "dicke": {"n", "omega0", "omega_z", "g", "n_max"},
+        "u1": {"sites", "gm", "g", "ge", "field_cap"},
+    },
+    "energy": {"single": {"omega0"}, "hh": {"omega0", "g", "n", "ef", "etotal"}},
+}
+_MODEL_DESTS = {dest for by_model in _READS.values() for reads in by_model.values()
+                for dest in reads}
+
+#: Small builds, each from flags its model reads.
+_SMALL = {"single": ["--n-max", "8"], "hh": ["--sites", "2", "--n-max", "4"],
+          "dicke": ["--n", "2", "--n-max", "6"], "u1": ["--field-cap", "4"]}
+_ALL_MODELS = ("single", "hh", "dicke", "u1")
+
+#: command: (argv, the hook whose flags it reads, its models, small flags per model).
+#: verify trotter also calls the trotter hook, which reads a subset of the builder's flags.
+_MODEL_COMMANDS = {
+    "threshold state": (["threshold", "state", "--t", "0.5"], "profile", _ALL_MODELS, {}),
+    "threshold tail": (["threshold", "tail"] + _TAIL + ["--eps-list", "0.01"], "profile",
+                       _ALL_MODELS, {}),
+    "threshold energy": (["threshold", "energy"], "energy", ("single", "hh"), {}),
+    "threshold ham": (["threshold", "ham", "--t-single", "0.02", "--eps", "0.3"], "build",
+                      _ALL_MODELS, _SMALL),
+    "verify state": (["verify", "state", "--t", "0.1", "--deltas", "2"], "build",
+                     _ALL_MODELS, _SMALL),
+    "verify ham": (["verify", "ham", "--lambda-tildes", "6"], "build", ("single",), _SMALL),
+    "verify tail": (["verify", "tail", "--eps-list", "0.01"], "build", _ALL_MODELS, _SMALL),
+    "verify trotter": (["verify", "trotter", "--taus", "0.1"], "build", ("single", "hh"),
+                       {"single": ["--n-max", "14"], "hh": ["--sites", "1", "--n-max", "14"]}),
+}
+_PAIRS = [(cmd, model) for cmd, spec in _MODEL_COMMANDS.items() for model in spec[2]]
+
+
+def _model_argv(command, model):
+    argv, _, _, small = _MODEL_COMMANDS[command]
+    return argv + ["--model", model] + small.get(model, [])
+
+
+def _unread_flag(command, model):
+    """The first model flag the command takes that --model does not read, or None."""
+    _, hook, _, _ = _MODEL_COMMANDS[command]
+    taken = {f for f in _leaf_flags(cli.build_parser())[command]
+             if f[2:].replace("-", "_") in _MODEL_DESTS}
+    unread = sorted(taken - {"--" + d.replace("_", "-") for d in _READS[hook][model]})
+    return unread[0] if unread else None
+
+
+def test_model_flag_table_covers_every_hook():
+    assert set(cli._MODEL_FLAGS) == _MODEL_DESTS
+    for hook, by_model in _READS.items():
+        for name, model in cli._MODELS.items():
+            fn = model.get(hook)
+            reads = set(fn.__code__.co_varnames[: fn.__code__.co_argcount]) if fn else None
+            assert (reads & _MODEL_DESTS if fn else None) == by_model.get(name)
+
+
+@pytest.mark.parametrize("command, model", _PAIRS)
+def test_model_command_header_echoes_exactly_the_model_flags_it_reads(
+    command, model, capsys
+):
+    code = cli.main(_model_argv(command, model))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    header = {ln[2:].split("=", 1)[0] for ln in captured.out.splitlines()[1:]
+              if ln.startswith("# ")}
+    assert header & _MODEL_DESTS == _READS[_MODEL_COMMANDS[command][1]][model]
+    assert "model" in header
+
+
+@pytest.mark.parametrize("command, model", _PAIRS)
+def test_model_command_refuses_an_unread_model_flag_from_every_source(
+    command, model, tmp_path, capsys
+):
+    flag = _unread_flag(command, model)
+    if flag is None:  # hh's energy baseline reads every flag threshold energy takes
+        assert (command, model) == ("threshold energy", "hh")
+        return
+    refused = f"truncert: error: --model {model} does not read {flag}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}=3\n")
+    runs = [
+        _model_argv(command, model) + [flag, "3"],
+        _model_argv(command, model) + ["--config", str(cfg)],
+    ]
+    if command in ("threshold state", "threshold energy"):
+        runs.append(["sweep", "--cmd", command.replace(" ", "-"), "--set", f"model={model}",
+                     "--vary", f"{flag[2:]}=3,4"])
+    for argv in runs:
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == refused
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        # the u1 builder fixes the magnetic weight at 0
+        (["threshold", "ham", "--model", "u1", "--gb", "5"], "--model u1 does not read --gb"),
+        # the single-mode energy baseline does not read the coupling
+        (["sweep", "--cmd", "threshold-energy", "--set", "model=single",
+          "--vary", "g=0.5,1,2"], "--model single does not read --g"),
+        (["verify", "state", "--model", "single", "--sites", "5", "--n-max", "8",
+          "--t", "0.2"], "--model single does not read --sites"),
+    ],
+)
+def test_inert_model_flags_are_refused(argv, refused, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"truncert: error: {refused}\n"
+    assert captured.out == ""
+
+
+def test_unsupported_model_error_comes_before_a_refusal(capsys):
+    assert cli.main(["verify", "ham", "--model", "u1", "--n-max", "8"]) == 1
+    assert capsys.readouterr().err == (
+        "truncert: error: the hamiltonian-truncation suite runs on --model single\n"
+    )
+    assert cli.main(["verify", "trotter", "--model", "dicke", "--sites", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "truncert: error: the trotter suite runs on --model single or hh\n"
+    )
+
+
+def test_config_equals_form_reads_the_file(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("eps=0.5\n")
+    outs = [
+        _run(["threshold", "state", "--t", "1"] + form, capsys)
+        for form in (["--config", str(cfg)], [f"--config={cfg}"], [])
+    ]
+    assert [code for code, _ in outs] == [0, 0, 0]
+    spaced, equals, plain = (out for _, out in outs)
+    assert _data_lines(equals) == _data_lines(spaced) != _data_lines(plain)
+    assert _data_lines(equals)[1].startswith("1.0,1,0.35355")
+    assert f"# config={cfg}" in equals.splitlines()

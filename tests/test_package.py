@@ -133,6 +133,21 @@ def test_analytic_commands_import_no_numpy_or_scipy():
     assert got == {"codes": [0, 0, 0, 1, 0, 0, 0, 0, 0, 2], "heavy": []}
 
 
+def test_refused_model_flags_exit_before_numpy_or_scipy():
+    """A model flag the --model does not read is refused before any model is built."""
+    got = _probe_cli(
+        [
+            ["verify", "state", "--model", "single", "--sites", "5", "--n-max", "8",
+             "--t", "0.2"],
+            ["verify", "ham", "--model", "single", "--gb", "1"],
+            ["verify", "tail", "--model", "u1", "--n-max", "8"],
+            ["verify", "trotter", "--model", "hh", "--omega-z", "2"],
+            ["threshold", "ham", "--model", "u1", "--gb", "5"],
+        ]
+    )
+    assert got == {"codes": [1, 1, 1, 1, 1], "heavy": []}
+
+
 def test_sparse_verify_commands_skip_dense_and_arpack_solvers():
     got = _probe_cli(
         [

@@ -312,6 +312,25 @@ def test_tail_reports_sound():
     assert "lambda_bar" in rep.notes
 
 
+def test_tail_reports_carry_the_ground_state_solve(monkeypatch):
+    """Every tail report's runtime_s covers the whole call, the eigensolve too."""
+    import time
+
+    from truncert import verify
+
+    real = verify.lowest_eigenpairs
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "lowest_eigenpairs", slow)
+    model = hubbard_holstein_1d(2, g=0.5, omega0=1.0, n_max=6)
+    reports = verify_tail(model, [1e-2, 1e-4])
+    assert len(reports) == 2
+    assert all(rep.runtime_s >= 0.05 for rep in reports)
+
+
 def test_tail_profile_decreases():
     model = single_mode(0.6, 1.0, 20)
     prof = tail_profile(model, range(0, 10))
