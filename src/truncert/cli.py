@@ -67,11 +67,17 @@ OUTDIR_ENV = "TRUNCERT_OUTDIR"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures remapped from exit code 2 to 1."""
+    """argparse taking flags by their full names only; a usage failure is one line, exit 1.
+
+    With prefix matching, --conf FILE would stand for --config FILE, which
+    `_inject_config` does not expand, so the file would go unread.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"truncert: error: {message}\n")
 
 
 def _floats(text: str) -> list[float]:
@@ -281,7 +287,18 @@ def _cmd_threshold_energy(args):
 
 
 def _cmd_threshold_ham(args):
+    given = set(vars(args))
     (build,) = _bind(args, "build")
+    # the search runs over lambda0 + 2 .. cutoff - 2, the cutoff being the
+    # builder's --n-max (--field-cap for u1); a default cutoff that leaves
+    # no window is a usage error, a given one the search's guard error
+    (flag,) = {"n_max", "field_cap"}.intersection(build.keywords)
+    if flag not in given and build.keywords[flag] - 2 < args.lambda0 + 2:
+        name = "--" + flag.replace("_", "-")
+        raise ValueError(
+            f"the default {name} {build.keywords[flag]} leaves no window to search at "
+            f"--lambda0 {args.lambda0}; give {name} {args.lambda0 + 4} or more"
+        )
     model = build()
     rep = minimal_hamiltonian_threshold(
         model.profile,

@@ -3,10 +3,13 @@
 Every sparse time evolution goes through `ChebyshevPropagator`: a
 Chebyshev expansion of exp(-i t h) applied as sparse x dense-block
 products, with the term count fixed in advance by a rigorous Bessel-tail
-bound, so one 2-norm error bound covers the whole block.  Building one
-does the per-operator setup (Hermiticity check, diagonal test, Gershgorin
-interval) once, on a private copy, so the caller's matrix is never
-reordered; the scaled operator is built on the first `apply`, so an
+bound, so one 2-norm error bound covers the whole block.  The Bessel
+coefficients J_k(r t) come from Miller's normalised backward recurrence
+in plain Python (`_bessel_j`), whose errors over all orders sum to at
+most 2^-50 (1 + r |t|); that error joins the bound, and no command
+imports `scipy.special`.  Building one does the per-operator setup
+(Hermiticity check, diagonal test, Gershgorin interval) once, on a
+private copy, so the caller's matrix is never reordered; the scaled operator is built on the first `apply`, so an
 operator that is only restricted to sectors never builds it.  Its
 `apply` then serves every block and time, so callers that evolve one
 operator repeatedly prepare it once per command and pass it wherever a
@@ -60,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import jv
 
 from .bounds import ConvergenceError, ResourceLimitError
 from .fock_algebra import (
@@ -105,8 +107,9 @@ _BLOCK_ENTRIES = 1 << 15
 
 _HERM_TOL = 1e-10
 
-#: Default propagation tolerance: the 2-norm error bound of one evolution
-#: relative to the norm of the evolved block.
+#: Default propagation tolerance: the 2-norm bound on one evolution's
+#: truncation error relative to the norm of the evolved block (its
+#: Bessel coefficients add at most as much again; see `apply_times`).
 TOL = 1e-10
 
 
@@ -148,6 +151,74 @@ _REMAINDER_SHARE = 1.0 / 1024.0
 #: covers the rounding of the search's running log a_{M+1} many times over.
 _CAP_MARGIN = 1.0
 
+#: Stated error of `_bessel_j`: its values J_0(x) .. J_m(x) err by at
+#: most _BESSEL_ERR (1 + |x|) summed over the orders.
+_BESSEL_ERR = 2.0**-50
+
+#: Log of the per-order truncation error `_bessel_j`'s start index allows.
+_LOG_MILLER_TRUNCATION = -60.0 * math.log(2.0)
+
+#: `_bessel_j` scales its running values down by this power of two, so
+#: exactly, once one grows past it.
+_RESCALE = 2.0**600
+
+
+def _bessel_j(x: float, m: int) -> np.ndarray:
+    """J_0(x) .. J_m(x), for x / 2 != 0, by Miller's normalised backward recurrence.
+
+    The recurrence p_{k-1} = (2k / |x|) p_k - p_{k+1} runs down from
+    p_{N+1} = 0, p_N = 1 (W. Gautschi, SIAM Rev. 9, 24 (1967);
+    Abramowitz & Stegun 9.12), each 2k / |x| one correctly rounded
+    quotient, and the p_k are normalised by J_0 + 2 (J_2 + J_4 + ...) = 1.
+    A value past _RESCALE scales every running value down by _RESCALE,
+    exactly.  J_k(-x) = (-1)^k J_k(x) gives negative x.
+
+    Start index: N >= m is the first with |x| < N + 2 and
+    (2N + 8) a_{N+1} <= 2^-60, where a_k = (|x|/2)^k / k! >= |J_k(x)|.
+    In exact arithmetic the recurrence gives J_k - rho Y_k up to a common
+    factor, rho = J_{N+1} / Y_{N+1}; |Y_k| <= |Y_{N+1}| up to a factor
+    1 + rho^2 (J_k^2 + Y_k^2 grows with k, by Nicholson's formula), and
+    the normalisation sum stops at N, so each normalised value is within
+    2^-59 of J_k(x).  At small |x| that N is a few orders past m.
+
+    Rounding, measured against 40-digit arithmetic for |x| from 1e-8 to
+    3e5: each value errs by at most 2^-48, and the errors of all orders
+    sum to at most _BESSEL_ERR (1 + |x|) = 2^-50 (1 + |x|).  The largest
+    seen were 5.8 and 1.7 (1 + |x|) units of 2^-53.  Each step below |x|
+    adds a rounding error that the recurrence carries on neither damped
+    nor much amplified, so the summed error grows with |x|; the errors
+    add more like a random walk than in phase.
+    """
+    ax = abs(x)
+    log_y = math.log(ax / 2.0)
+    n = m
+    log_a = (n + 1) * log_y - math.lgamma(n + 2)  # log a_{n+1}
+    while ax >= n + 2 or log_a + math.log(2 * n + 8) > _LOG_MILLER_TRUNCATION:
+        n += 1
+        log_a += log_y - math.log(n + 1)
+    big, small = _RESCALE, 1.0 / _RESCALE
+    p_next, p = 0.0, 1.0  # p_{k+1}, p_k
+    evens = 0.0  # sum of p_j over the even j > k
+    kept = []  # p_m, p_{m-1}, ..., p_{k+1}
+    cuts = []  # len(kept) at each rescale
+    for k in range(n, 0, -1):
+        if k <= m:
+            kept.append(p)
+        if not k & 1:
+            evens += p
+        p_next, p = p, (k + k) / ax * p - p_next
+        if p > big or p < -big:
+            p_next, p, evens = p_next * small, p * small, evens * small
+            cuts.append(len(kept))
+    kept.append(p)
+    out = np.array(kept[::-1])
+    for cut in cuts:
+        out[m + 1 - cut :] *= small
+    out /= p + 2.0 * evens
+    if x < 0:
+        out[1::2] *= -1.0
+    return out
+
 
 def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     """J_0(x) .. J_K(x) for the smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol.
@@ -156,15 +227,23 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     shrink at least by q = (|x|/2) / (M + 2) per step, so the tail past M
     is at most 2 a_{M+1} / (1 - q).  M is the first index with q < 1/2
     at which that remainder is below tol * _REMAINDER_SHARE (logs keep
-    large |x| finite).  The terms K + 1 .. M are the exact 2|J_k(x)|, so
-    the bound on the tail past K is their sum plus the remainder.  An M
-    past _TERM_CAP raises ResourceLimitError before any Bessel value is
-    computed; M >= |x| - 2 (q < 1/2 needs it), so a larger |x| skips the
-    search.  Where q < 1/2 both a_{M+1} and 1/(1 - q) shrink as M grows,
-    so the stopping test fails at every M once it fails at M = _TERM_CAP:
-    that test, in closed form (lgamma) with a margin of _CAP_MARGIN in
-    the log for the rounding of the search's running sum, rejects such
-    an |x| without the search.
+    large |x| finite).  The terms K + 1 .. M are 2|J_k(x)| of the values
+    `_bessel_j` computes, so the bound on the tail past K is their sum
+    plus the remainder.  An M past _TERM_CAP raises ResourceLimitError
+    before any Bessel value is computed; M >= |x| - 2 (q < 1/2 needs
+    it), so a larger |x| skips the search.  Where q < 1/2 both a_{M+1}
+    and 1/(1 - q) shrink as M grows, so the stopping test fails at every
+    M once it fails at M = _TERM_CAP: that test, in closed form (lgamma)
+    with a margin of _CAP_MARGIN in the log for the rounding of the
+    search's running sum, rejects such an |x| without the search.
+
+    Coefficient error: the errors of `_bessel_j`'s values J~_k sum to at
+    most _BESSEL_ERR (1 + |x|) over orders 0 .. M.  With c_k =
+    (2 - [k = 0]) (-i)^k J_k(x), the sum over k <= K of c~_k T_k differs
+    from exp(-i x y) on [-1, 1] by at most sum_{k<=K} |c~_k - c_k| plus
+    the exact tail sum_{k>K} |c_k|, and both together are at most the
+    computed tail bound plus 2 sum_{k<=M} |J~_k - J_k|: at most
+    tol + 2 _BESSEL_ERR (1 + |x|) (`_coefficient_error`).
     """
     y = abs(x) / 2.0
     if y == 0.0:
@@ -189,11 +268,16 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
             f"an evolution of half-width times time {abs(x):.3g} at tol {tol:g} "
             f"takes more than {_TERM_CAP} Chebyshev terms"
         )
-    bessel = jv(np.arange(m + 1), x)
+    bessel = _bessel_j(x, m)
     # tails[K] bounds sum_{k>K} 2|J_k(x)| for K = 0 .. M; nonincreasing in K
     terms = 2.0 * np.abs(bessel[:0:-1])
     tails = np.append(np.cumsum(terms)[::-1], 0.0) + 2.0 * math.exp(log_a) / (1.0 - q)
     return bessel[: np.count_nonzero(tails > tol) + 1]
+
+
+def _coefficient_error(x: float) -> float:
+    """Bound on sum_k |c~_k - c_k| of `_chebyshev_bessel`'s coefficients at x."""
+    return 2.0 * _BESSEL_ERR * (1.0 + abs(x))
 
 
 def _chebyshev_terms(x: float, tol: float) -> int:
@@ -227,6 +311,46 @@ def _principal_submatrix(h: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     indptr = np.zeros(len(rows) + 1, dtype=index)
     np.cumsum(np.bincount(row_of[inside], minlength=len(rows)), out=indptr[1:])
     return sp.csr_matrix((data[inside], cols[inside], indptr), shape=(len(rows), len(rows)))
+
+
+def _shift_scale(h: sp.csr_matrix, c: float, s: float) -> sp.csr_matrix:
+    """(h - c I) * s for a CSR h without duplicate entries, from h's arrays.
+
+    Each stored diagonal entry is shifted by -c; when c != 0, each row
+    that stores no diagonal gets -c after its entries left of the
+    diagonal; the entries that are then 0 are dropped, and the rest
+    multiplied by s.  For sorted rows, as every h the engine builds has,
+    the arrays (data, indices, indptr and their dtypes) are those of
+    scipy's (h - identity * c) * s, byte for byte: its csr_minus_csr drops
+    zero results, explicit zeros of h included.
+    """
+    n = h.shape[0]
+    index = h.indices.dtype
+    rows = np.repeat(np.arange(n, dtype=index), np.diff(h.indptr))
+    data = h.data.copy()
+    diagonal = h.indices == rows
+    data[diagonal] -= c
+    keep = data != 0
+    lacking = np.zeros(n, dtype=bool)  # rows that get -c inserted
+    if c != 0:
+        lacking[:] = True
+        lacking[rows[diagonal]] = False
+    data, indices, rows = data[keep], h.indices[keep], rows[keep]
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n) + lacking, out=indptr[1:])
+    if lacking.any():
+        missing = np.flatnonzero(lacking)
+        left = np.bincount(rows[indices < rows], minlength=n)
+        at = indptr[missing] + left[missing]  # where each -c goes
+        old = np.ones(indptr[-1], dtype=bool)
+        old[at] = False
+        grown = np.empty(indptr[-1], dtype=data.dtype)
+        grown[old], grown[at] = data, 0.0 - c
+        data = grown
+        grown = np.empty(indptr[-1], dtype=index)
+        grown[old], grown[at] = indices, missing
+        indices = grown
+    return sp.csr_matrix((data * s, indices, indptr), shape=h.shape)
 
 
 class ChebyshevPropagator:
@@ -274,12 +398,11 @@ class ChebyshevPropagator:
     def _scaled(self) -> sp.csr_matrix:
         """two_hs = 2 (h - c) / r of the recurrence T_{k+1} = two_hs T_k - T_{k-1}.
 
-        Built on first use, in h's dtype; only a recurrence of two or more
-        terms asks for it, and that needs r > 0.
+        Built on first use, in h's dtype, by `_shift_scale`; only a
+        recurrence of two or more terms asks for it, and that needs r > 0.
         """
         if self._two_hs is None:
-            eye = sp.identity(self.shape[0], format="csr")
-            self._two_hs = (self._h - eye * self._centre) * (2.0 / self._half)
+            self._two_hs = _shift_scale(self._h, self._centre, 2.0 / self._half)
         return self._two_hs
 
     def restrict(self, rows: np.ndarray) -> ChebyshevPropagator:
@@ -325,11 +448,16 @@ class ChebyshevPropagator:
             exp(-i t h) = exp(-i t c) sum_k (2 - [k = 0]) (-i)^k J_k(r t) T_k((h - c) / r)
 
         cut after the fewest terms whose Bessel tail bound meets tol.
-        Every ||T_k|| <= 1 on that interval, so ||error||_2 <= tol *
-        ||block||_2 for the whole block.  The term count depends only on
-        (h, t, tol), so any split of the columns into blocks gets the same
-        polynomial.  The vectors T_k block do not depend on t, so one
-        recurrence, run to the largest term count, serves every time:
+        Every ||T_k|| <= 1 on that interval, so the truncation errs by at
+        most tol * ||block||_2 for the whole block, and the computed
+        coefficients add at most e * ||block||_2, e = 2^-49 (1 + r |t|)
+        (`_coefficient_error`).  A time with e > tol raises
+        ResourceLimitError, so ||error||_2 <= 2 tol ||block||_2.  At the
+        default `TOL` that allows r |t| up to about 5.6e4; at r |t| = 200,
+        e = 3.6e-13.  The term count depends only on (h, t, tol), so any
+        split of the columns into blocks gets the same polynomial.  The
+        vectors T_k block do not depend on t, so one recurrence, run to
+        the largest term count, serves every time:
         each time accumulates its own coefficients, in the order a
         single-time call would, so entry i equals apply(block, times[i],
         tol) exactly.  Returns a complex (len(times),) + block.shape array.
@@ -359,7 +487,13 @@ class ChebyshevPropagator:
                 phase = np.exp(-1j * t * self._diag)
                 np.multiply(phase if block.ndim == 1 else phase[:, None], block, out=o)
             else:
-                bessel = _chebyshev_bessel(self._half * t, tol)
+                x = self._half * t
+                bessel = _chebyshev_bessel(x, tol)  # the term cap's error first
+                if _coefficient_error(x) > tol:
+                    raise ResourceLimitError(
+                        f"an evolution of half-width times time {abs(x):.3g} at tol "
+                        f"{tol:g} is past the accuracy of its Bessel coefficients"
+                    )
                 k = np.arange(len(bessel))
                 coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
                 coeffs[0] /= 2.0
@@ -444,7 +578,7 @@ def as_propagator(h: Operator) -> ChebyshevPropagator:
 
 
 def evolve(h: Operator, psi0: np.ndarray, t: float, tol: float = TOL) -> np.ndarray:
-    """Apply exp(-i t h) to a vector or (dim, k) block psi0 to within tol * ||psi0||_2.
+    """Apply exp(-i t h) to a vector or (dim, k) block psi0 to within 2 tol * ||psi0||_2.
 
     The one-shot form of `ChebyshevPropagator.apply`: h is a Hermitian
     sparse matrix (prepared for this one call) or a prepared propagator.
@@ -717,7 +851,7 @@ class WindowSweep:
     interval is the hull of its members' intervals, so the one polynomial
     the stack applies approximates exp(-i t h_s) on every member's
     spectrum with the member's own error bound: each member's error is at
-    most tol * ||block_s||, as if it were swept alone.  `top_singular`
+    most 2 tol * ||block_s||, as if it were swept alone.  `top_singular`
     then serves every time, step size and escape window of the check.
     """
 

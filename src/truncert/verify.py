@@ -26,7 +26,7 @@ dim_s * |window in s| is what must fit `propagate.COLUMN_CAP`
 once stay within it too.  A stack's Gershgorin interval is the hull of
 its members' intervals, and inside the full one, and the stack's
 operator is block-diagonal, so each member's propagation error is at
-most tol * ||block_s|| and the block-diagonal error at most tol *
+most 2 tol * ||block_s|| and the block-diagonal error at most 2 tol *
 ||block||: the engine slack is unchanged.  Both checks make one sweep
 per call (per cutoff) for all their outputs, and the tail check one
 ground-state solve for all its epsilons, so every report of one call
@@ -93,24 +93,26 @@ class ExperimentReport:
 def engine_slack(tol: float) -> float:
     """Allowance for propagation error in every soundness comparison at tolerance tol.
 
-    The block engine bounds its truncation error by tol in the 2-norm of
-    the whole window block, so by Weyl's inequality the top singular
-    value of a masked column block moves by at most tol, whatever the
-    number of window columns.  The Trotter check composes at most five
-    such errors on the single-mode and Hubbard-Holstein suites (the
-    non-diagonal substeps of one Strang step plus the exact step;
-    diagonal parts are exact, and higher orders split the tolerance over
-    their recursive steps), so ten times the tolerance covers every
-    check.  Split into symmetry sectors, the same holds
-    sector by sector: sectors are propagated in stacks, whose operator is
-    block-diagonal over the member sectors and whose Gershgorin interval
-    is the hull of theirs (inside the full one), so each sector's block
-    errs by at most the same multiple of tol * ||block_s||, and the
-    block-diagonal whole, whose top singular value is the largest over
-    sectors, errs by at most the largest of those.  Evolving every time
-    of a check in one recurrence changes no coefficient, so no bound.
-    Floating-point roundoff of the Chebyshev recurrence is not part of
-    that bound.  Raises ValueError unless tol > 0.
+    The block engine bounds its error by 2 tol in the 2-norm of the
+    whole window block (tol for the truncated series, and at most tol
+    more, which the engine enforces, for its computed Bessel
+    coefficients), so by Weyl's inequality the top singular value of a
+    masked column block moves by at most 2 tol, whatever the number of
+    window columns.  The Trotter check composes at most five such errors
+    on the single-mode and Hubbard-Holstein suites (the non-diagonal
+    substeps of one Strang step plus the exact step; diagonal parts are
+    exact, and higher orders split the tolerance over their recursive
+    steps), so ten times the tolerance covers every check.  Split into
+    symmetry sectors, the same holds sector by sector: sectors are
+    propagated in stacks, whose operator is block-diagonal over the
+    member sectors and whose Gershgorin interval is the hull of theirs
+    (inside the full one), so each sector's block errs by at most the
+    same multiple of tol * ||block_s||, and the block-diagonal whole,
+    whose top singular value is the largest over sectors, errs by at
+    most the largest of those.  Evolving every time of a check in one
+    recurrence changes no coefficient, so no bound.  Other floating-point
+    roundoff of the Chebyshev recurrence is not part of that bound.
+    Raises ValueError unless tol > 0.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")

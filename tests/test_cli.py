@@ -985,3 +985,61 @@ def test_config_equals_form_reads_the_file(tmp_path, capsys):
     assert _data_lines(equals) == _data_lines(spaced) != _data_lines(plain)
     assert _data_lines(equals)[1].startswith("1.0,1,0.35355")
     assert f"# config={cfg}" in equals.splitlines()
+
+
+def _parsers(parser):
+    """parser and every subparser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_flag_prefixes_are_not_flags(tmp_path, capsys):
+    """No parser takes a prefix for a flag: --conf FILE once stood for
+    --config FILE, whose file then went unread under a header echoing it.
+    A prefix is a usage error, one line; --config still reads the file."""
+    assert all(p.allow_abbrev is False for p in _parsers(cli.build_parser()))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("eps=0.5\n")
+    for argv, named in (
+        (["threshold", "state", "--t", "1", "--conf", str(cfg)], f"--conf {cfg}"),
+        (["verify", "state", "--n-m", "8"], "--n-m 8"),
+    ):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"truncert: error: unrecognized arguments: {named}\n"
+    code, out = _run(["threshold", "state", "--t", "1", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert _data_lines(out) == ["t,lambda_ours,bound,delta", "1.0,1,0.35355339059327373,2"]
+
+
+@pytest.mark.parametrize(
+    "argv, have, need",
+    [
+        (["--model", "u1"], "--field-cap 1", "--field-cap 4"),
+        (["--model", "u1", "--lambda0", "2"], "--field-cap 1", "--field-cap 6"),
+        (["--model", "hh", "--lambda0", "13"], "--n-max 16", "--n-max 17"),
+    ],
+)
+def test_threshold_ham_default_cutoff_without_a_window_names_its_flag(argv, have, need, capsys):
+    """threshold ham searches lambda0 + 2 .. cutoff - 2.  A default cutoff
+    with no window there (u1's --field-cap 1 at its default --lambda0 0
+    among them) exits 1 naming the model's cutoff flag and the smallest
+    value that leaves one, which then runs the search; a given cutoff with
+    no window stays the search's guard error."""
+    lambda0 = argv[argv.index("--lambda0") + 1] if "--lambda0" in argv else "0"
+    assert cli.main(["threshold", "ham", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"truncert: error: the default {have} leaves no window to search at "
+        f"--lambda0 {lambda0}; give {need} or more\n"
+    )
+    flag, value = need.split()
+    assert cli.main(["threshold", "ham", *argv, flag, value, "--format", "json"]) in (0, 2)
+    assert "leaves no window" not in capsys.readouterr().err
+    assert cli.main(["threshold", "ham", *argv, flag, str(int(value) - 1)]) == 2
+    assert "search starts at" in capsys.readouterr().err

@@ -163,6 +163,21 @@ def test_sparse_verify_commands_skip_dense_and_arpack_solvers():
     assert "scipy.sparse.linalg" not in got["heavy"]
 
 
+def test_no_command_loads_scipy_special():
+    """The Chebyshev engine computes its Bessel coefficients itself: neither
+    every suite (`verify all`) nor a Trotter check loads scipy.special."""
+    got = _probe_cli(
+        [
+            ["verify", "all"],
+            ["verify", "trotter", "--model", "hh", "--sites", "2", "--n-max", "13",
+             "--lambda0", "1", "--taus", "0.2,0.1"],
+        ]
+    )
+    assert got["codes"] == [0, 0]
+    assert "scipy.sparse" in got["heavy"]
+    assert [m for m in got["heavy"] if m.startswith("scipy.special")] == []
+
+
 def test_star_import_and_dir_cover_the_package_names():
     got = _fresh(
         "import json, truncert\n"

@@ -881,7 +881,7 @@ def test_chebyshev_cap_test_keeps_every_accepted_expansion():
     for x in (1e-3, 0.5, 3.0, 40.0, 1e3, 2.5e4):
         for tol in (1e-6, 1e-10, 1e-14):
             m, log_a, q = _chebyshev_search_without_cap_check(x, tol)
-            bessel = jv(np.arange(m + 1), x)
+            bessel = propagate._bessel_j(x, m)
             terms = 2.0 * np.abs(bessel[:0:-1])
             tails = np.append(np.cumsum(terms)[::-1], 0.0) + 2.0 * math.exp(log_a) / (1.0 - q)
             want = bessel[: np.count_nonzero(tails > tol) + 1]
@@ -909,6 +909,122 @@ def test_chebyshev_cap_test_rejects_past_the_cap_at_once(monkeypatch):
         with pytest.raises(ResourceLimitError, match="Chebyshev terms"):
             propagate._chebyshev_bessel(x, 1e-10)
     assert len(calls) <= 6
+
+
+# ---------------------------------------------------------------------------
+# Bessel coefficients by Miller's recurrence, against mpmath
+# ---------------------------------------------------------------------------
+
+def _mp_bessel(x, m):
+    """J_0(x) .. J_m(x) as 40-digit mpf values: the backward recurrence run
+    from far past m and |x| in 40-digit arithmetic, then normalised."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        ax = mpmath.mpf(abs(x))
+        p_next, p, evens = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+        vals = [None] * (m + 1)
+        for k in range(m + int(abs(x)) // 2 + 80, 0, -1):
+            if k <= m:
+                vals[k] = p
+            if k % 2 == 0:
+                evens += p
+            p_next, p = p, 2 * k / ax * p - p_next
+        vals[0] = p
+        norm = p + 2 * evens
+        return [(-1) ** (k * (x < 0)) * v / norm for k, v in enumerate(vals)]
+
+
+@pytest.mark.parametrize(
+    "x", [1e-8, -3e-4, 0.37, -1.0, 2.9, 8.5, -26.0, 97.3, -310.0, 1234.5, 1e4]
+)
+def test_bessel_values_meet_their_stated_error(x):
+    """`_bessel_j` against mpmath: each value within 2^-48 and the errors of
+    all orders within _BESSEL_ERR (1 + |x|), for the orders the term search
+    asks at tol 1e-14 (its widest).  The 40-digit reference is pinned to
+    mpmath.besselj at 30 digits on sampled orders."""
+    import mpmath
+
+    m, _, _ = _chebyshev_search_without_cap_check(x, 1e-14)
+    ref = _mp_bessel(x, m)
+    with mpmath.workdps(30):
+        for k in sorted({0, 1, min(int(abs(x)), m), m}):
+            want = mpmath.besselj(k, x, maxprec=20000)
+            assert abs(ref[k] - want) <= mpmath.mpf(10) ** -28 * max(1, abs(want))
+    err = np.abs(propagate._bessel_j(x, m) - np.array([float(v) for v in ref]))
+    assert err.max() <= 2.0**-48
+    assert err.sum() <= propagate._BESSEL_ERR * (1.0 + abs(x))
+    assert propagate._coefficient_error(x) == 2.0 * propagate._BESSEL_ERR * (1.0 + abs(x))
+
+
+def test_evolution_past_the_coefficients_accuracy_is_a_resource_error():
+    """The coefficients add up to 2^-49 (1 + r|t|) to the error, which must
+    stay within tol: at tol 1e-12, r|t| = 500 evolves (to within 2 tol)
+    and r|t| = 600 is refused."""
+    prop = ChebyshevPropagator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert (prop._centre, prop._half) == (0.0, 1.0)
+    psi = np.array([1.0, 0.0])
+    got = prop.apply(psi, 500.0, 1e-12)
+    np.testing.assert_allclose(got, [math.cos(500.0), -1j * math.sin(500.0)], rtol=0, atol=2e-12)
+    with pytest.raises(ResourceLimitError, match="accuracy of its Bessel coefficients"):
+        prop.apply(psi, 600.0, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scaled operator by index arithmetic
+# ---------------------------------------------------------------------------
+
+def _scaled_oracle(h, c, s):
+    """scipy's (h - c I) * s, which `_shift_scale` reproduces."""
+    return (h - sp.identity(h.shape[0], format="csr") * c) * s
+
+
+SCALED_MODELS = {
+    "single": single_mode(0.5, 1.0, 12),
+    "hh": hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=4),
+    "hh_periodic": hubbard_holstein_1d(3, u=0.5, g=0.5, n_max=2, open_boundary=False),
+    "dicke": dicke(2, 1.0, 0.7, 0.6, 8),
+    "u1": u1_lgt_1d(3, 1.0, 0.5, 0.5, 2),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_MODELS)
+def test_scaled_operator_is_scipys_expression_byte_for_byte(name):
+    """2 (h - c) / r from h's arrays equals scipy's expression in data,
+    indices, indptr and their dtypes: for H and every part, the full
+    operator and each stack it is restricted to, at the centre and at c = 0."""
+    model = SCALED_MODELS[name]
+    checked = 0
+    for h in [model.hamiltonian, *model.parts.values()]:
+        prop = ChebyshevPropagator(h)
+        sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [prop], model.sector_keys)
+        for p in [prop] + [ops[0] for ops in sweep._ops]:
+            if p._diag is not None or p._half == 0.0:
+                continue
+            assert _same_csr(p._scaled(), _scaled_oracle(p._h, p._centre, 2.0 / p._half))
+            zero = propagate._shift_scale(p._h, 0.0, 2.0 / p._half)
+            assert _same_csr(zero, _scaled_oracle(p._h, 0.0, 2.0 / p._half))
+            checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_scaled_operator_drops_and_inserts_as_scipy_does(dtype):
+    """Stored zeros are dropped, a row without a diagonal gets -c at its
+    sorted place (not at c = 0), and a diagonal shifted to 0 is dropped:
+    the arrays equal scipy's expression, for a real and a complex h."""
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        dense = a + a.conj().T
+        h = sp.csr_matrix(dense)
+        h.data[rng.random(h.nnz) < 0.25] = 0.0  # stored zeros
+        h.sum_duplicates()
+        for c in (0.0, 0.75, float(dense[0, 0].real)):
+            assert _same_csr(propagate._shift_scale(h, c, 1.5), _scaled_oracle(h, c, 1.5))
 
 
 # ---------------------------------------------------------------------------
