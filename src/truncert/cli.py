@@ -171,9 +171,11 @@ def _lib(name: str):
 #: Each --model's hooks: profile -> WalkProfile, build -> ModelInstance and,
 #: where it has them, trotter -> (CoefficientSummaries, default order p) and
 #: energy -> energy-argument cutoff.  A hook's parameter names are the flags
-#: it reads, declared once.  The build and trotter hooks look each function up
-#: on `models` or `trotter` at call time, importing it on first use, so a
-#: rebinding of e.g. `models.single_mode` reaches every command.
+#: it reads, declared once; needs maps a hook to the flags it reads that a
+#: command must give, their defaults being sized for other hooks.  The build
+#: and trotter hooks look each function up on `models` or `trotter` at call
+#: time, importing it on first use, so a rebinding of e.g.
+#: `models.single_mode` reaches every command.
 _MODELS = {
     "single": dict(
         profile=lambda g: profile_single_mode(g),
@@ -199,6 +201,7 @@ _MODELS = {
         build=lambda n, omega0, omega_z, g, n_max: _lib("models").dicke(
             n, omega0, omega_z, g, n_max
         ),
+        needs=dict(build=("n",)),  # 100 spins, --n's default, cannot be built
     ),
     "u1": dict(
         profile=lambda gb, g: profile_u1(abs(gb), abs(g)),
@@ -238,18 +241,24 @@ def _bind(args, *hooks: str, unsupported: str = "") -> list[Callable]:
     """--model's `hooks`, each bound to the flags it reads (a call may override one).
 
     The model flags the hooks read get their defaults, so the header echoes
-    them; any other one given raises ValueError naming it, and a hook --model
-    lacks raises ValueError(unsupported), before anything is built or imported.
+    them; any other one given, or one a hook needs not given, raises ValueError
+    naming it, and a hook --model lacks raises ValueError(unsupported), before
+    anything is built or imported.
     """
-    fns = [_MODELS[args.model].get(hook) for hook in hooks]
+    model = _MODELS[args.model]
+    fns = [model.get(hook) for hook in hooks]
     if None in fns:
         raise ValueError(unsupported)
     read = {flag for fn in fns for flag in _reads(fn)}
+    needed = {flag for hook in hooks for flag in model.get("needs", {}).get(hook, ())}
     for flag, (_, default, _) in _MODEL_FLAGS.items():
+        name = "--" + flag.replace("_", "-")
+        if flag in needed and flag not in vars(args):
+            raise ValueError(f"--model {args.model} needs {name} for this command; give {name}")
         if flag in read:
             vars(args).setdefault(flag, default)
         elif flag in vars(args):
-            raise ValueError(f"--model {args.model} does not read --{flag.replace('_', '-')}")
+            raise ValueError(f"--model {args.model} does not read {name}")
     return [functools.partial(fn, **{f: getattr(args, f) for f in _reads(fn)}) for fn in fns]
 
 

@@ -9,15 +9,16 @@ in plain Python (`_bessel_j`), whose errors over all orders sum to at
 most 2^-50 (1 + r |t|); that error joins the bound, and no command
 imports `scipy.special`.  Building one does the per-operator setup
 (Hermiticity check, diagonal test, Gershgorin interval) once, on a
-private copy, so the caller's matrix is never reordered; the scaled operator is built on the first `apply`, so an
-operator that is only restricted to sectors never builds it.  Its
+private copy, so the caller's matrix is never reordered; the scaled
+operator, scipy's (h - I c) * (2 / r), is built on the first `apply`, so
+an operator that is only restricted to sectors never builds it.  Its
 `apply` then serves every block and time, so callers that evolve one
 operator repeatedly prepare it once per command and pass it wherever a
 Hamiltonian is taken (`as_propagator`).  Every model's operators are
 real in the Fock basis, and a real operator runs in float64: the copy,
 the scaled operator and, for a real block (the identity window columns
-of a sweep), the whole recurrence; a complex block of two or more
-columns multiplies as a real block of twice the width.  The values
+of a sweep), the whole recurrence; any complex block, a single column
+included, multiplies as a real block of twice the width.  The values
 equal those of complex arithmetic exactly.
 `evolve` is the one-shot form, for a vector or a block.  The vectors
 T_k(h_s) block of the recurrence do not depend on t, so `apply_times`
@@ -32,11 +33,11 @@ per basis state, it splits the window into `Sector`s (`window_sectors`,
 which also enforces `COLUMN_CAP` on the largest sector), groups sectors
 with equal window counts into `Stack`s that fit one sweep block
 (`stack_sectors`), prepares each operator once and restricts it to each
-stack once (`ChebyshevPropagator.restrict`, by an index map; a union of
-conserved sectors is closed under every operator).  Column j of a stack's identity block
-holds window state j of every member, and the stack's operator is
-block-diagonal over its members, so one block call evolves every
-member's columns.  Its `top_singular` then sweeps one stack's columns at
+stack once (`ChebyshevPropagator.restrict`, scipy's h[rows][:, rows]; a
+union of conserved sectors is closed under every operator).  Column j of
+a stack's identity block holds window state j of every member, and the
+stack's operator is block-diagonal over its members, so one block call
+evolves every member's columns.  Its `top_singular` then sweeps one stack's columns at
 a time, for every output of the check at once (a time, a step size or a
 truncated operator; in batches that keep the outputs held within
 `COLUMN_CAP`), a bounded block at a time (`sweep_window`), cuts each
@@ -133,15 +134,6 @@ def _owned_csr(h: sp.spmatrix) -> sp.csr_matrix:
     return h
 
 
-def _diagonal_if_diagonal(h: sp.csr_matrix) -> np.ndarray | None:
-    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-    if not np.array_equal(rows, h.indices):
-        return None
-    diag = np.zeros(h.shape[0], dtype=complex)
-    diag[rows] = h.data
-    return diag
-
-
 #: Share of tol left to the power-series remainder past M in
 #: `_chebyshev_bessel`; the exact Bessel terms below M get the rest.
 _REMAINDER_SHARE = 1.0 / 1024.0
@@ -220,6 +212,24 @@ def _bessel_j(x: float, m: int) -> np.ndarray:
     return out
 
 
+def _past_term_cap(x: float, tol: float) -> bool:
+    """Whether `_chebyshev_bessel`'s term search at (x, tol) must pass _TERM_CAP.
+
+    Its M >= |x| - 2 (q < 1/2 needs it).  Where q < 1/2 both a_{M+1} and
+    1/(1 - q) shrink as M grows, so the stopping test fails at every M once
+    it fails at M = _TERM_CAP: here in closed form (lgamma), by a margin of
+    _CAP_MARGIN in the log for the rounding of the search's running sum.
+    """
+    y = abs(x) / 2.0
+    if y == 0.0:
+        return False
+    if 2.0 * y > _TERM_CAP:
+        return True
+    q = y / (_TERM_CAP + 2)
+    log_a_cap = (_TERM_CAP + 1) * math.log(y) - math.lgamma(_TERM_CAP + 2)
+    return log_a_cap - math.log1p(-q) > math.log(tol * _REMAINDER_SHARE / 2.0) + _CAP_MARGIN
+
+
 def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     """J_0(x) .. J_K(x) for the smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol.
 
@@ -230,12 +240,8 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     large |x| finite).  The terms K + 1 .. M are 2|J_k(x)| of the values
     `_bessel_j` computes, so the bound on the tail past K is their sum
     plus the remainder.  An M past _TERM_CAP raises ResourceLimitError
-    before any Bessel value is computed; M >= |x| - 2 (q < 1/2 needs
-    it), so a larger |x| skips the search.  Where q < 1/2 both a_{M+1}
-    and 1/(1 - q) shrink as M grows, so the stopping test fails at every
-    M once it fails at M = _TERM_CAP: that test, in closed form (lgamma)
-    with a margin of _CAP_MARGIN in the log for the rounding of the
-    search's running sum, rejects such an |x| without the search.
+    before any Bessel value is computed, and an |x| that `_past_term_cap`
+    marks raises it without the search.
 
     Coefficient error: the errors of `_bessel_j`'s values J~_k sum to at
     most _BESSEL_ERR (1 + |x|) over orders 0 .. M.  With c_k =
@@ -248,15 +254,12 @@ def _chebyshev_bessel(x: float, tol: float) -> np.ndarray:
     y = abs(x) / 2.0
     if y == 0.0:
         return np.ones(1)
-    log_y = math.log(y)
-    log_rest = math.log(tol * _REMAINDER_SHARE / 2.0)
-    log_a = log_y  # log a_{M+1} at M = 0
-    m = 0 if 2.0 * y <= _TERM_CAP else _TERM_CAP + 1
-    if m == 0:
-        q = y / (_TERM_CAP + 2)
-        log_a_cap = (_TERM_CAP + 1) * log_y - math.lgamma(_TERM_CAP + 2)
-        if log_a_cap - math.log1p(-q) > log_rest + _CAP_MARGIN:
-            m = _TERM_CAP + 1
+    if _past_term_cap(x, tol):
+        m = _TERM_CAP + 1  # no search
+    else:
+        m, log_y = 0, math.log(y)
+        log_rest = math.log(tol * _REMAINDER_SHARE / 2.0)
+        log_a = log_y  # log a_{M+1} at M = 0
     while m <= _TERM_CAP:
         q = y / (m + 2)
         if q < 0.5 and log_a - math.log1p(-q) <= log_rest:
@@ -280,77 +283,17 @@ def _coefficient_error(x: float) -> float:
     return 2.0 * _BESSEL_ERR * (1.0 + abs(x))
 
 
-def _chebyshev_terms(x: float, tol: float) -> int:
-    """Smallest K whose bound on sum_{k>K} 2|J_k(x)| is at most tol."""
-    return len(_chebyshev_bessel(x, tol)) - 1
-
-
 def _principal_submatrix(h: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """h[rows][:, rows] for distinct rows closed under h, by one index map.
+    """scipy's h[rows][:, rows], for distinct rows closed under h.
 
-    Each of rows' rows of h is gathered in its stored order and its
-    columns are renumbered by their position in rows; entries pointing
-    outside rows are dropped, which must all be stored zeros (ValueError
-    otherwise).  The result has the arrays (dtype, index dtype, entry
-    order, explicit zeros) that scipy's two fancy-indexing steps give.
+    The column step may drop only stored zeros (ValueError otherwise);
+    nonzeros are counted on the data, as scipy's count sorts in place.
     """
-    rows = np.asarray(rows)
-    index = h.indices.dtype
-    position = np.full(h.shape[0], -1, dtype=index)
-    position[rows] = np.arange(len(rows), dtype=index)
-    starts = h.indptr[rows]
-    counts = h.indptr[rows + 1] - starts
-    offsets = np.cumsum(counts) - counts  # where each row starts in the result
-    row_of = np.repeat(np.arange(len(rows)), counts)
-    take = np.arange(len(row_of)) + np.repeat(starts - offsets, counts)
-    cols = position[h.indices[take]]
-    data = h.data[take]
-    inside = cols >= 0
-    if not inside[data != 0].all():
+    picked = h[rows]
+    sub = picked[:, rows]
+    if np.count_nonzero(sub.data) != np.count_nonzero(picked.data):
         raise ValueError("rows are coupled to states outside them")
-    indptr = np.zeros(len(rows) + 1, dtype=index)
-    np.cumsum(np.bincount(row_of[inside], minlength=len(rows)), out=indptr[1:])
-    return sp.csr_matrix((data[inside], cols[inside], indptr), shape=(len(rows), len(rows)))
-
-
-def _shift_scale(h: sp.csr_matrix, c: float, s: float) -> sp.csr_matrix:
-    """(h - c I) * s for a CSR h without duplicate entries, from h's arrays.
-
-    Each stored diagonal entry is shifted by -c; when c != 0, each row
-    that stores no diagonal gets -c after its entries left of the
-    diagonal; the entries that are then 0 are dropped, and the rest
-    multiplied by s.  For sorted rows, as every h the engine builds has,
-    the arrays (data, indices, indptr and their dtypes) are those of
-    scipy's (h - identity * c) * s, byte for byte: its csr_minus_csr drops
-    zero results, explicit zeros of h included.
-    """
-    n = h.shape[0]
-    index = h.indices.dtype
-    rows = np.repeat(np.arange(n, dtype=index), np.diff(h.indptr))
-    data = h.data.copy()
-    diagonal = h.indices == rows
-    data[diagonal] -= c
-    keep = data != 0
-    lacking = np.zeros(n, dtype=bool)  # rows that get -c inserted
-    if c != 0:
-        lacking[:] = True
-        lacking[rows[diagonal]] = False
-    data, indices, rows = data[keep], h.indices[keep], rows[keep]
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n) + lacking, out=indptr[1:])
-    if lacking.any():
-        missing = np.flatnonzero(lacking)
-        left = np.bincount(rows[indices < rows], minlength=n)
-        at = indptr[missing] + left[missing]  # where each -c goes
-        old = np.ones(indptr[-1], dtype=bool)
-        old[at] = False
-        grown = np.empty(indptr[-1], dtype=data.dtype)
-        grown[old], grown[at] = data, 0.0 - c
-        data = grown
-        grown = np.empty(indptr[-1], dtype=index)
-        grown[old], grown[at] = indices, missing
-        indices = grown
-    return sp.csr_matrix((data * s, indices, indptr), shape=h.shape)
+    return sub
 
 
 class ChebyshevPropagator:
@@ -360,9 +303,7 @@ class ChebyshevPropagator:
     (float64 when h is real): the Hermiticity check, the diagonal test
     (diagonal operators take the elementwise exponential) and each row's
     Gershgorin interval, whose hull [c - r, c + r] fixes the expansion.
-    The scaled operator 2 (h - c) / r is built on the first `apply` that
-    needs it, so a propagator only restricted to sectors never builds
-    one.  `apply` then evolves any block for any time and tolerance.
+    `apply` then evolves any block for any time and tolerance.
     Build one per operator for as long as a loop evolves it; nothing is
     cached beyond the object's life.
     """
@@ -382,10 +323,10 @@ class ChebyshevPropagator:
         """
         self._h = h
         self.shape = h.shape
-        self._diag = _diagonal_if_diagonal(h)
+        rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+        self._diag = h.diagonal().astype(complex) if np.array_equal(rows, h.indices) else None
         self._centre = self._half = 0.0
-        self._row_bounds = None
-        self._two_hs = self._complex_two_hs = None
+        self._row_bounds = self._two_hs = None
         if self._diag is None:
             if row_bounds is None:
                 d = h.diagonal().real
@@ -398,11 +339,14 @@ class ChebyshevPropagator:
     def _scaled(self) -> sp.csr_matrix:
         """two_hs = 2 (h - c) / r of the recurrence T_{k+1} = two_hs T_k - T_{k-1}.
 
-        Built on first use, in h's dtype, by `_shift_scale`; only a
-        recurrence of two or more terms asks for it, and that needs r > 0.
+        Built on first use, in h's dtype, as scipy's (h - I c) * (2 / r),
+        which drops the entries that come out 0; only a recurrence of two
+        or more terms asks for it, and that needs r > 0.
         """
         if self._two_hs is None:
-            self._two_hs = _shift_scale(self._h, self._centre, 2.0 / self._half)
+            h = self._h
+            shift = sp.identity(h.shape[0], dtype=h.dtype, format="csr") * self._centre
+            self._two_hs = (h - shift) * (2.0 / self._half)
         return self._two_hs
 
     def restrict(self, rows: np.ndarray) -> ChebyshevPropagator:
@@ -411,16 +355,14 @@ class ChebyshevPropagator:
         rows must be closed under h: no nonzero entry of h couples them to
         the other states (ValueError otherwise).  Then exp(-i t h) maps
         blocks supported on rows into blocks supported on rows, and the
-        returned propagator, built on the principal submatrix h[rows, rows]
-        and applied in rows' coordinates (row i stands for state rows[i]),
-        evolves them with the same error bound.  That submatrix is
-        Hermitian because h is, so the check is not repeated, and each of
-        its rows keeps its diagonal entry and its off-diagonal weight, so
-        it takes h's Gershgorin ends of those rows: its interval lies
-        inside h's and it takes at most as many terms.  rows equal to
-        every state in order returns self.  The submatrix is built by an
-        index map (`_principal_submatrix`), with exactly the arrays of
-        scipy's h[rows][:, rows].
+        propagator of the principal submatrix, scipy's h[rows][:, rows]
+        (`_principal_submatrix`), applied in rows' coordinates (row i
+        stands for state rows[i]), evolves them with the same error bound.
+        That submatrix is Hermitian because h is, so the check is not
+        repeated, and each of its rows keeps its diagonal entry and its
+        off-diagonal weight, so it takes h's Gershgorin ends of those rows
+        (recomputing them would sort its entries in place): its interval
+        lies inside h's.  rows equal to every state in order returns self.
         """
         if len(rows) == self.shape[0] and np.array_equal(rows, np.arange(len(rows))):
             return self
@@ -452,22 +394,23 @@ class ChebyshevPropagator:
         most tol * ||block||_2 for the whole block, and the computed
         coefficients add at most e * ||block||_2, e = 2^-49 (1 + r |t|)
         (`_coefficient_error`).  A time with e > tol raises
-        ResourceLimitError, so ||error||_2 <= 2 tol ||block||_2.  At the
-        default `TOL` that allows r |t| up to about 5.6e4; at r |t| = 200,
-        e = 3.6e-13.  The term count depends only on (h, t, tol), so any
-        split of the columns into blocks gets the same polynomial.  The
-        vectors T_k block do not depend on t, so one recurrence, run to
-        the largest term count, serves every time:
-        each time accumulates its own coefficients, in the order a
-        single-time call would, so entry i equals apply(block, times[i],
-        tol) exactly.  Returns a complex (len(times),) + block.shape array.
+        ResourceLimitError before any coefficient is computed, so
+        ||error||_2 <= 2 tol ||block||_2.  At the default `TOL` that allows
+        r |t| up to about 5.6e4; at r |t| = 200, e = 3.6e-13.  The term
+        count depends only on (h, t, tol), so any split of the columns into
+        blocks gets the same polynomial.  The vectors T_k block do not
+        depend on t, so one recurrence, run to the largest term count,
+        serves every time: each accumulates its own coefficients in the
+        order a single-time call would, so entry i equals apply(block,
+        times[i], tol) exactly.  Returns a complex (len(times),) +
+        block.shape array.
 
         A real h and a real block (by dtype) run the recurrence in
         float64: each coefficient is real for even k and imaginary for
         odd k, so term k adds into one real accumulator per time, of the
-        real or of the imaginary part.  A real h takes a complex block of
-        two or more columns as a real block of twice the width.  Both give
-        the complex recurrence's values exactly (`_chebyshev_blocks`).
+        real or of the imaginary part.  A real h takes any complex block as
+        a real block of twice the width.  Both give the complex
+        recurrence's values exactly (`_chebyshev_blocks`).
         """
         block = np.asarray(block)
         if block.ndim not in (1, 2) or block.shape[0] != self.shape[0]:
@@ -488,12 +431,14 @@ class ChebyshevPropagator:
                 np.multiply(phase if block.ndim == 1 else phase[:, None], block, out=o)
             else:
                 x = self._half * t
-                bessel = _chebyshev_bessel(x, tol)  # the term cap's error first
-                if _coefficient_error(x) > tol:
+                # refused before any coefficient is computed: past the term
+                # cap's closed form by `_chebyshev_bessel`, else past accuracy here
+                if _coefficient_error(x) > tol and not _past_term_cap(x, tol):
                     raise ResourceLimitError(
                         f"an evolution of half-width times time {abs(x):.3g} at tol "
                         f"{tol:g} is past the accuracy of its Bessel coefficients"
                     )
+                bessel = _chebyshev_bessel(x, tol)
                 k = np.arange(len(bessel))
                 coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
                 coeffs[0] /= 2.0
@@ -508,24 +453,23 @@ class ChebyshevPropagator:
     def _chebyshev_blocks(self, block: np.ndarray, n_terms: int):
         """T_1(h_s) block .. T_{n_terms - 1}(h_s) block in turn, h_s = (h - c) / r.
 
-        A complex block of two or more columns multiplies a real h as a
-        float64 block of twice the width (the same values, faster); a
-        complex column, where that view is slower, multiplies a complex
-        copy of the scaled operator, made on first use (scipy would
-        convert the real matrix on every product).
+        A complex block, a vector or a (dim, k) block, multiplies a real h
+        through its contiguous float64 view as a (dim, 2k) block: the same
+        values as the complex product.
         """
         if n_terms < 2:
             return
         two_hs = self._scaled()
         if block.dtype == two_hs.dtype:
             mul = two_hs.__matmul__
-        elif block.ndim == 2 and block.shape[1] > 1:
-            block = np.ascontiguousarray(block)
-            mul = lambda x: (two_hs @ x.view(np.float64)).view(complex)  # noqa: E731
         else:
-            if self._complex_two_hs is None:
-                self._complex_two_hs = two_hs.astype(complex)
-            mul = self._complex_two_hs.__matmul__
+            block = np.ascontiguousarray(block)
+            dim, shape = block.shape[0], block.shape
+
+            def mul(x):
+                y = two_hs @ x.view(np.float64).reshape(dim, -1)
+                return y.view(complex).reshape(shape)
+
         prev, cur = block, 0.5 * mul(block)
         yield cur
         for _ in range(2, n_terms):

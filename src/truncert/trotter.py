@@ -51,9 +51,9 @@ class CoefficientSummaries:
     """Nonnegative coefficient summaries feeding the budget formulas.
 
     hop: single-particle |t_ij| (diagonal chemical-potential entries
-    included); den: density-density |V|; g/h: position- and momentum-type
-    boson couplings (col = max over modes of the summed fermion weight,
-    mode = max per-mode weight, total = grand sum); omega: frequencies.
+    included); den: density-density |V|; g: position-type boson couplings
+    (col = max over modes of the summed fermion weight, mode = max
+    per-mode weight, total = grand sum); omega: frequencies.
     """
 
     hop_row_max: float = 0.0
@@ -63,9 +63,6 @@ class CoefficientSummaries:
     g_col_max: float = 0.0
     g_mode_max: float = 0.0
     g_total: float = 0.0
-    h_col_max: float = 0.0
-    h_mode_max: float = 0.0
-    h_total: float = 0.0
     omega_max: float = 0.0
     omega_total: float = 0.0
 
@@ -88,10 +85,10 @@ class CommutatorBudget:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if len(self.a_values) != self.p or any(len(a) != 6 for a in self.a_values):
-            raise ValueError("a_values must hold p rows of 6 entries")
-        if len(self.b_values) != 6:
-            raise ValueError("b_values must hold 6 entries")
+        if len(self.a_values) != self.p or any(len(a) != 5 for a in self.a_values):
+            raise ValueError("a_values must hold p rows of 5 entries")
+        if len(self.b_values) != 5:
+            raise ValueError("b_values must hold 5 entries")
         flat = [x for row in self.a_values for x in row] + list(self.b_values)
         if any(x < 0 for x in flat):
             raise ValueError("budget entries must be >= 0")
@@ -183,7 +180,7 @@ def summaries_hubbard_holstein(
 def ab_quantities(
     summaries: CoefficientSummaries, lambda1_prime: int, p: int, lambda_tilde: int
 ) -> CommutatorBudget:
-    """Evaluate the six A-slot and six B-slot budgets on the safe window."""
+    """Evaluate the five A-slot and five B-slot budgets on the safe window."""
     if lambda1_prime < 0:
         raise ValueError("lambda1_prime must be >= 0")
     w = math.sqrt(2.0 * (lambda1_prime + 1.0))
@@ -195,7 +192,6 @@ def ab_quantities(
                 2.0 * q * s.hop_row_max,
                 4.0 * q * s.den_row_max,
                 2.0 * q * s.g_col_max * w + q * s.g_mode_max / w,
-                2.0 * q * s.h_col_max * w + q * s.h_mode_max / w,
                 q * s.omega_max,
                 q * s.omega_max,
             )
@@ -204,7 +200,6 @@ def ab_quantities(
         s.hop_total,
         s.den_total,
         s.g_total * w,
-        s.h_total * w,
         s.omega_total * (lambda1_prime + 1.0),
         s.omega_total * (lambda1_prime + 1.0),
     )

@@ -459,7 +459,7 @@ def coherent_oracle_check(
     for t in t_grid:
         n_max = int(math.ceil(4.0 * t * t + 40.0))
         model = single_mode(1.0, 0.0, n_max)
-        psi0 = np.zeros(model.dimension, dtype=complex)
+        psi0 = np.zeros(model.dimension)
         psi0[0] = 1.0
         psi = evolve(model.hamiltonian, psi0, float(t), tol)
         probs = np.abs(psi) ** 2

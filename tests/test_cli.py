@@ -1043,3 +1043,28 @@ def test_threshold_ham_default_cutoff_without_a_window_names_its_flag(argv, have
     assert "leaves no window" not in capsys.readouterr().err
     assert cli.main(["threshold", "ham", *argv, flag, str(int(value) - 1)]) == 2
     assert "search starts at" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["threshold", "ham"], ["verify", "state"], ["verify", "tail"]]
+)
+def test_dicke_build_at_the_default_n_names_the_flag(command, capsys, monkeypatch):
+    """--n defaults to the hh energy baseline's 100 sites, a 2^100-fold spin
+    space: a Dicke build needs --n given, and without it exits 1 naming the
+    flag before any model is built.  The profile still takes the default."""
+    from truncert import models
+
+    def no_build(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(models, "dicke", no_build)
+    refused = "truncert: error: --model dicke needs --n for this command; give --n\n"
+    for argv in ([*command, "--model", "dicke"], [*command, "--model", "dicke", "--n-max", "6"]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == refused
+        assert captured.out == ""
+    code, out = _run(["threshold", "state", "--model", "dicke", "--t", "1"], capsys)
+    assert code == 0
+    assert "# n=100" in out.splitlines()
+    assert _data_lines(out) == ["t,lambda_ours,bound,delta", "1.0,6400,0.005187624172458306,9"]

@@ -44,12 +44,15 @@ def test_package_all_has_no_duplicates():
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_every_public_name_has_a_production_reader():
-    """Each name in truncert.__all__ is loaded (an AST Name or attribute
-    load, so docstrings and __all__ strings do not count) by the package,
-    a demo or the acceptance tests, or named in README.md."""
+PACKAGE_FILES = glob.glob(os.path.join(REPO, "src", "truncert", "*.py"))
+
+
+def _production_reads() -> tuple[set[str], str]:
+    """The names loaded (an AST Name or attribute load, so docstrings and
+    __all__ strings do not count) by the package, a demo or the acceptance
+    tests, and the text of README.md."""
     files = [
-        *glob.glob(os.path.join(REPO, "src", "truncert", "*.py")),
+        *PACKAGE_FILES,
         *glob.glob(os.path.join(REPO, "demos", "*.py")),
         os.path.join(REPO, "tests", "test_acceptance.py"),
     ]
@@ -63,13 +66,32 @@ def test_every_public_name_has_a_production_reader():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     with open(os.path.join(REPO, "README.md")) as fh:
-        readme = fh.read()
-    unread = [
-        name
-        for name in truncert.__all__
-        if name not in loaded and not re.search(rf"\b{name}\b", readme)
-    ]
-    assert unread == []
+        return loaded, fh.read()
+
+
+def _unread(names) -> list[str]:
+    loaded, readme = _production_reads()
+    return [n for n in names if n not in loaded and not re.search(rf"\b{n}\b", readme)]
+
+
+def test_every_public_name_has_a_production_reader():
+    """Each name in truncert.__all__ is loaded by the package, a demo or the
+    acceptance tests, or named in README.md."""
+    assert _unread(truncert.__all__) == []
+
+
+def test_every_module_function_has_a_production_reader():
+    """So is every module-level function of the package, private ones
+    included (not dunders): a helper only tests call is not shipped."""
+    module_of = {}
+    for path in PACKAGE_FILES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                module_of[node.name] = os.path.basename(path)
+    assert len(module_of) > 50
+    assert {name: module_of[name] for name in _unread(module_of)} == {}
 
 
 # ---------------------------------------------------------------------------

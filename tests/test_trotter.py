@@ -34,9 +34,6 @@ SUMMARIES = CoefficientSummaries(
     g_col_max=0.9,
     g_mode_max=0.4,
     g_total=3.3,
-    h_col_max=0.2,
-    h_mode_max=0.1,
-    h_total=0.8,
     omega_max=1.3,
     omega_total=4.2,
 )
@@ -56,16 +53,16 @@ def test_ab_quantities_dual_transcription():
         assert row[0] == pytest.approx(2 * q * s.hop_row_max)
         assert row[1] == pytest.approx(4 * q * s.den_row_max)
         assert row[2] == pytest.approx(2 * q * s.g_col_max * w + q * s.g_mode_max / w)
-        assert row[3] == pytest.approx(2 * q * s.h_col_max * w + q * s.h_mode_max / w)
+        assert row[3] == pytest.approx(q * s.omega_max)
         assert row[4] == pytest.approx(q * s.omega_max)
-        assert row[5] == pytest.approx(q * s.omega_max)
+        assert len(row) == 5
     b = budget.b_values
     assert b[0] == pytest.approx(s.hop_total)
     assert b[1] == pytest.approx(s.den_total)
     assert b[2] == pytest.approx(s.g_total * w)
-    assert b[3] == pytest.approx(s.h_total * w)
-    assert b[4] == pytest.approx(s.omega_total * (lam1 + 1.0))
-    assert b[5] == b[4]
+    assert b[3] == pytest.approx(s.omega_total * (lam1 + 1.0))
+    assert b[4] == b[3]
+    assert len(b) == 5
 
 
 def test_beta_comm_closed_form():
@@ -95,7 +92,7 @@ def test_negative_summaries_rejected():
 
 def test_budget_shape_validation():
     with pytest.raises(ValueError):
-        CommutatorBudget(p=2, a_values=((1.0,) * 6,), b_values=(1.0,) * 6,
+        CommutatorBudget(p=2, a_values=((1.0,) * 5,), b_values=(1.0,) * 5,
                          lambda1_prime=0, lambda_tilde=30)
 
 
@@ -111,7 +108,6 @@ def test_summaries_single_mode_mapping():
     assert s.g_total == pytest.approx(gw)
     assert s.omega_max == 1.3
     assert s.hop_row_max == 0.0
-    assert s.h_total == 0.0
 
 
 def test_summaries_hubbard_holstein_two_sites():
