@@ -44,8 +44,7 @@ pure arithmetic: same inputs, bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .walk_profiles import WalkProfile, profile_hubbard_holstein, speed_limit
 
@@ -115,25 +114,28 @@ class ConvergenceError(RuntimeError):
 # queries and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationQuery:
-    """Initial window cap lambda0, evolution time, and target error."""
-
+class _TruncationQuery(NamedTuple):
     lambda0: int
     time: float
     epsilon: float
 
-    def __post_init__(self):
-        if self.lambda0 < 0 or int(self.lambda0) != self.lambda0:
+
+class TruncationQuery(_TruncationQuery):
+    """Initial window cap lambda0, evolution time, and target error."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda0: int, time: float, epsilon: float):
+        if lambda0 < 0 or int(lambda0) != lambda0:
             raise ValueError("lambda0 must be a nonnegative integer")
-        if not 0 <= self.time < math.inf:
-            raise ValueError(f"time must be finite and >= 0, not {self.time}")
-        if not 0 < self.epsilon <= 1:
+        if not 0 <= time < math.inf:
+            raise ValueError(f"time must be finite and >= 0, not {time}")
+        if not 0 < epsilon <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
+        return super().__new__(cls, lambda0, time, epsilon)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Adaptive evolution schedule: step times t_j and window caps lambda_j."""
 
     delta: int
@@ -144,8 +146,7 @@ class Schedule:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A certified (window, bound) pair with the step growth that produced it."""
 
     lambda_: int
@@ -153,25 +154,28 @@ class BoundReport:
     delta_used: int
 
 
-@dataclass(frozen=True)
-class TailQuery:
-    """Inputs of the eigenstate tail threshold."""
-
+class _TailQuery(NamedTuple):
     lambda_bar: float
     gap: float
     epsilon: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.lambda_bar) or self.lambda_bar < 0:
+
+class TailQuery(_TailQuery):
+    """Inputs of the eigenstate tail threshold."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_bar: float, gap: float, epsilon: float):
+        if not math.isfinite(lambda_bar) or lambda_bar < 0:
             raise ValueError("lambda_bar must be finite and >= 0")
-        if not 0 < self.gap < math.inf:
-            raise ValueError(f"gap must be finite and > 0, not {self.gap}")
-        if not 0 < self.epsilon <= 1:
+        if not 0 < gap < math.inf:
+            raise ValueError(f"gap must be finite and > 0, not {gap}")
+        if not 0 < epsilon <= 1:
             raise ValueError("epsilon must lie in (0, 1]")
+        return super().__new__(cls, lambda_bar, gap, epsilon)
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     """Tail threshold with the internal filter parameters that produced it."""
 
     lambda_: int
@@ -637,16 +641,14 @@ def tail_threshold(profile: WalkProfile, tquery: TailQuery) -> TailReport:
 # threshold comparison curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     t: float
     lambda_ours: int
     lambda_energy: int
     delta_used: int
 
 
-@dataclass(frozen=True)
-class ThresholdComparison:
+class ThresholdComparison(NamedTuple):
     rows: tuple[CompareRow, ...]
     crossover_t: float | None
 

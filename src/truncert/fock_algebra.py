@@ -108,10 +108,11 @@ def rotor(field_cap: int, label: str = "") -> ModeSpec:
 
 
 class CompositeBasis:
-    """Ordered modes with a mixed-radix codec over the product space.
+    """Ordered modes with a mixed-radix index over the product space.
 
     Mode 0 is the most significant mixed-radix digit: a mode's stride is
-    the product of the dimensions of the modes after it.
+    the product of the dimensions of the modes after it, so a state's
+    index is numpy's row-major `ravel_multi_index` of its local indices.
     """
 
     def __init__(self, modes: Sequence[ModeSpec]):
@@ -138,21 +139,6 @@ class CompositeBasis:
     @property
     def truncatable_modes(self) -> tuple[int, ...]:
         return tuple(j for j, m in enumerate(self.modes) if m.truncatable)
-
-    def encode(self, state: Sequence[int]) -> int:
-        if len(state) != self.n_modes:
-            raise ValueError("state tuple length mismatch")
-        idx = 0
-        for s, d, stride in zip(state, self.dims, self.strides):
-            if not 0 <= s < d:
-                raise ValueError(f"local index {s} out of range [0, {d})")
-            idx += s * stride
-        return idx
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.dimension:
-            raise ValueError("index out of range")
-        return tuple((index // stride) % d for d, stride in zip(self.dims, self.strides))
 
     def local_indices(self, mode_index: int) -> np.ndarray:
         """Local index of the given mode for every full-space basis state."""

@@ -48,9 +48,11 @@ whole space.  `DensePropagator` (one dense eigendecomposition) is the
 exact oracle the tests compare it against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
 seeds: same inputs, same outputs.  `lowest_eigenpairs` solves a real H
-as a real symmetric problem.  `scipy.linalg` and ARPACK are
-imported inside `DensePropagator` and `lowest_eigenpairs`, their only
-users, so the sparse evolution paths never load them.
+as a real symmetric problem: one dense `numpy.linalg.eigh` up to
+dimension 400, a thick-restart Lanczos in numpy above it, with a locked
+second run that finds the other copy of a doubled level.  Every dense
+eigendecomposition is numpy's, so no command loads scipy's dense or
+ARPACK solvers.
 
 Engine accuracy targets sit well below the bound tolerances probed by
 the verification experiments (default budget `TOL` = 1e-10 against
@@ -664,9 +666,7 @@ class DensePropagator:
     """
 
     def __init__(self, h: sp.spmatrix):
-        from scipy.linalg import eigh
-
-        self.w, self.v = eigh(sp.csr_matrix(h).toarray())
+        self.w, self.v = np.linalg.eigh(sp.csr_matrix(h).toarray())
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         coeff = self.v.conj().T @ np.asarray(psi, dtype=complex)
@@ -678,49 +678,118 @@ class DensePropagator:
 # ---------------------------------------------------------------------------
 
 #: Largest residual ||h v - lambda v|| (relative above |lambda| = 1) that
-#: `lowest_eigenpairs` accepts from ARPACK.
+#: `lowest_eigenpairs` accepts.
 EIG_RESIDUAL_TOL = 1e-9
 
 
 def lowest_eigenpairs(h: sp.spmatrix, k: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest eigenvalues and eigenvectors, residual-checked.
+    """The k smallest eigenvalues (ascending) and their eigenvectors, residual-checked.
 
-    Raises ConvergenceError when a sparse eigenpair's residual exceeds
-    EIG_RESIDUAL_TOL.  Works on a private copy of h, so h's entries are
-    never reordered; a real h is solved as a real symmetric problem
-    (float64 eigenvectors).  ARPACK's start vector is drawn from a fixed
-    seed.
+    Works on a private copy of h, so h's entries are never reordered; a
+    real h is solved as a real symmetric problem (float64 eigenvectors).
+    Up to dimension 400 it is one dense `numpy.linalg.eigh`.  Above it, a
+    thick-restart Lanczos on h itself (`_thick_restart_lanczos`), started
+    from a vector drawn from a fixed seed, finds the k lowest pairs.  One
+    Krylov space holds a single vector of each eigenspace, so it cannot
+    see the second copy of a doubled level: the k pairs are locked, and a
+    second run from a fresh seeded vector, kept orthogonal to them, finds
+    the lowest pair of the rest.  Each of those k + 1 vectors takes its
+    Rayleigh quotient as its value, and the k lowest are returned, so a
+    doubled level reads as two equal values.  Raises ConvergenceError
+    when the two runs together pass max(2000, 40 dim) products with h, or
+    when a returned pair's residual ||h v - lambda v|| exceeds
+    EIG_RESIDUAL_TOL max(1, |lambda|).
     """
     h = _owned_csr(h)
     dim = h.shape[0]
     if k < 1 or k > dim:
         raise ValueError("k out of range")
-    if dim <= 400 or k > dim - 2:
-        from scipy.linalg import eigh
-
-        w, v = eigh(h.toarray())
+    ncv = max(2 * k + 1, 20)  # ARPACK's default basis size
+    if dim <= 400 or k + 1 + ncv > dim:
+        w, v = np.linalg.eigh(h.toarray())
         return w[:k], v[:, :k]
-    from scipy.sparse.linalg import eigsh
-
     rng = np.random.default_rng(1123)
-    v0 = rng.standard_normal(dim).astype(h.dtype)
-    # ARPACK is dependable at the large-algebraic end, so shift with a
-    # Gershgorin upper bound and look for the top of c*I - h instead of
-    # asking for "SA" directly (which can skip the true minimum).
-    diag = h.diagonal()
-    row_abs = np.asarray(abs(h).sum(axis=1)).ravel()
-    c = float(np.max(diag.real + row_abs - np.abs(diag))) + 1.0
-    shifted = sp.identity(dim, dtype=h.dtype, format="csr") * c - h
-    mu, vecs = eigsh(shifted, k=k, which="LA", v0=v0, maxiter=max(2000, 40 * dim))
-    vals = c - mu
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    for i in range(k):
-        res = np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i])
+    budget = max(2000, 40 * dim)
+    vecs, used = _thick_restart_lanczos(h, k, np.empty((0, dim), h.dtype), rng, ncv, budget)
+    more, _ = _thick_restart_lanczos(h, 1, vecs, rng, ncv, budget - used)
+    vecs = np.vstack((vecs, more))
+    hvecs = (h @ vecs.T).T
+    vals = np.array([np.vdot(v, hv).real for v, hv in zip(vecs, hvecs)])
+    order = np.argsort(vals, kind="stable")[:k]
+    for i in order:
+        res = np.linalg.norm(hvecs[i] - vals[i] * vecs[i])
         tol = EIG_RESIDUAL_TOL * max(1.0, abs(vals[i]))
         if res > tol:
             raise ConvergenceError(f"eigenpair residual {res:.3e} exceeds {tol:.3e}")
-    return vals, vecs
+    return vals[order], vecs[order].T
+
+
+def _thick_restart_lanczos(h, want, locked, rng, ncv, budget):
+    """Ritz vectors of the want lowest eigenvalues of h off the span of locked's rows.
+
+    Thick-restart Lanczos (K. Wu & H. Simon, SIAM J. Matrix Anal. Appl.
+    22, 602 (2000)) on a basis of ncv orthonormal rows, started from a
+    vector drawn from rng.  Each step multiplies the newest row by h and
+    takes the product through two classical Gram-Schmidt passes against
+    locked's rows and the basis, which keeps the basis orthonormal and
+    orthogonal to locked; the projected matrix t keeps the Lanczos
+    diagonal and couplings.  A coupling below 1e-12 of the largest entry
+    seen so far (an invariant subspace) is dropped, and the basis goes on
+    from a fresh vector of rng.  At each restart the Ritz vectors of the
+    want lowest values and of half of the others are kept, coupled to
+    the residual row that follows them.  The run stops once every wanted
+    pair's residual estimate |beta s_last| is at most EIG_RESIDUAL_TOL /
+    10 max(1, |theta|).  Returns (the want Ritz vectors as rows, the
+    number of products with h); raises ConvergenceError past budget.
+    """
+    dim, p = h.shape[0], len(locked)
+    basis = np.empty((p + ncv + 1, dim), dtype=h.dtype)
+    basis[:p] = locked
+    # the rows themselves when real (no copy), their conjugates when complex
+    adj = np.conj if np.iscomplexobj(basis) else np.asarray
+
+    def fresh(row):
+        w = rng.standard_normal(dim).astype(basis.dtype)
+        for _ in range(2):
+            w -= (adj(basis[:row]) @ w) @ basis[:row]
+        basis[row] = w / np.linalg.norm(w)
+
+    fresh(p)
+    t = np.zeros((ncv, ncv))
+    kept = products = 0
+    scale = 0.0
+    while True:
+        for j in range(kept, ncv):
+            if products == budget:
+                raise ConvergenceError(f"Lanczos not converged after {budget} products with h")
+            q = p + j
+            w = h @ basis[q]
+            products += 1
+            alpha = 0.0
+            for _ in range(2):
+                c = adj(basis[: q + 1]) @ w
+                w -= c @ basis[: q + 1]
+                alpha += c[q].real
+            beta = np.linalg.norm(w)
+            t[j, j] = alpha
+            scale = max(scale, abs(alpha), beta)
+            if beta > 1e-12 * scale:
+                np.divide(w, beta, out=basis[q + 1])
+            else:
+                beta = 0.0
+                fresh(q + 1)
+            if j + 1 < ncv:
+                t[j, j + 1] = t[j + 1, j] = beta
+        theta, s = np.linalg.eigh(t)
+        est = np.abs(beta * s[-1, :want])
+        if np.all(est <= EIG_RESIDUAL_TOL / 10 * np.maximum(1.0, np.abs(theta[:want]))):
+            return s[:, :want].T @ basis[p:-1], products
+        kept = want + (ncv - want) // 2
+        basis[p : p + kept] = s[:, :kept].T @ basis[p:-1]
+        basis[p + kept] = basis[-1]
+        t[:] = 0.0
+        t[range(kept), range(kept)] = theta[:kept]
+        t[kept, :kept] = t[:kept, kept] = beta * s[-1, :kept]
 
 
 def ground_state(h: sp.spmatrix) -> tuple[float, np.ndarray]:

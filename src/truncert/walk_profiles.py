@@ -16,7 +16,7 @@ links.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "WalkProfile",
@@ -28,19 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WalkProfile:
-    """Growth envelope of the quantum-number walk: chi * (L+1)**r."""
-
+class _WalkProfile(NamedTuple):
     chi: float
     r: float
     label: str = ""
 
-    def __post_init__(self):
-        if not math.isfinite(self.chi) or self.chi < 0:
-            raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
-        if not 0 <= self.r < 1:
-            raise ValueError(f"r must lie in [0, 1), got {self.r}")
+
+class WalkProfile(_WalkProfile):
+    """Growth envelope of the quantum-number walk: chi * (L+1)**r."""
+
+    __slots__ = ()
+
+    def __new__(cls, chi: float, r: float, label: str = ""):
+        if not math.isfinite(chi) or chi < 0:
+            raise ValueError(f"chi must be finite and >= 0, got {chi}")
+        if not 0 <= r < 1:
+            raise ValueError(f"r must lie in [0, 1), got {r}")
+        return super().__new__(cls, chi, r, label)
 
 
 def profile_single_mode(g: float) -> WalkProfile:

@@ -432,6 +432,19 @@ def test_bad_time_is_one_error_line(argv, code, capsys):
     assert captured.out == ""
 
 
+def test_tail_on_a_doubled_ground_level_is_refused(capsys):
+    """3-site Hubbard-Holstein at n_max 5 has a spin-flip partner 2e-14
+    above its ground level (in sector 10): the tail check refuses it as
+    degenerate instead of certifying with the next level's gap 0.129477."""
+    argv = ["verify", "tail", "--model", "hh", "--sites", "3", "--n-max", "5",
+            "--eps-list", "0.01"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("truncert: error: ground space nearly degenerate")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 _ENERGY = ["threshold", "energy", "--lambda0", "4"]
 
 

@@ -125,8 +125,8 @@ def test_hh_hopping_sign():
     model = hubbard_holstein_1d(2, hop=0.7, u=0.0, mu=0.0, g=0.0,
                                 omega0=1.0, n_max=0)
     h = _dense(model.parts["fermion"])
-    up0 = model.basis.encode([1, 0, 0, 0, 0, 0])
-    up1 = model.basis.encode([0, 0, 0, 1, 0, 0])
+    up0 = np.ravel_multi_index([1, 0, 0, 0, 0, 0], model.basis.dims)
+    up1 = np.ravel_multi_index([0, 0, 0, 1, 0, 0], model.basis.dims)
     block = h[np.ix_([up0, up1], [up0, up1])]
     assert np.allclose(np.linalg.eigvalsh(block), [-0.7, 0.7])
 
@@ -135,12 +135,12 @@ def test_hh_coupling_counts_charge_deviation():
     model = hubbard_holstein_1d(1, hop=0.0, u=0.0, mu=0.0, g=0.9,
                                 omega0=1.0, n_max=2)
     c = _dense(model.parts["coupling"])
-    empty = model.basis.encode([0, 0, 0])
-    empty1 = model.basis.encode([0, 0, 1])
+    empty = np.ravel_multi_index([0, 0, 0], model.basis.dims)
+    empty1 = np.ravel_multi_index([0, 0, 1], model.basis.dims)
     # (n_up + n_dn - 1) = -1 on the empty site
     assert c[empty1, empty] == pytest.approx(-0.9)
-    both0 = model.basis.encode([1, 1, 0])
-    both1 = model.basis.encode([1, 1, 1])
+    both0 = np.ravel_multi_index([1, 1, 0], model.basis.dims)
+    both1 = np.ravel_multi_index([1, 1, 1], model.basis.dims)
     # ... and +1 on the doubly occupied site
     assert c[both1, both0] == pytest.approx(0.9)
 
@@ -203,8 +203,8 @@ def test_u1_diagonal_without_hopping():
 def test_u1_staggered_mass_alternates():
     model = u1_lgt_1d(2, g_m=2.0, g_gm=0.0, g_e=0.0, field_cap=1)
     h = _dense(model.hamiltonian)
-    occ_even = model.basis.encode([1, 1, 0])
-    occ_odd = model.basis.encode([0, 1, 1])
+    occ_even = np.ravel_multi_index([1, 1, 0], model.basis.dims)
+    occ_odd = np.ravel_multi_index([0, 1, 1], model.basis.dims)
     assert h[occ_even, occ_even] == pytest.approx(2.0)
     assert h[occ_odd, occ_odd] == pytest.approx(-2.0)
 
@@ -213,7 +213,7 @@ def test_u1_electric_energy_quadratic():
     model = u1_lgt_1d(2, g_m=0.0, g_gm=0.0, g_e=0.5, field_cap=2)
     h = _dense(model.hamiltonian)
     for k in range(-2, 3):
-        idx = model.basis.encode([0, k + 2, 0])
+        idx = np.ravel_multi_index([0, k + 2, 0], model.basis.dims)
         assert h[idx, idx] == pytest.approx(0.5 * k * k)
 
 

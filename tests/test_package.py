@@ -1,8 +1,8 @@
 """Package namespace and import layering.
 
 Every library module's public names are re-exported, resolved on first
-access; analytic commands load no numpy or scipy, and sparse verify
-commands no dense or ARPACK solver.
+access; analytic commands load no numpy or scipy (nor dataclasses), and
+no verify command loads scipy's dense or ARPACK solvers.
 """
 
 import ast
@@ -74,22 +74,37 @@ def _unread(names) -> list[str]:
     return [n for n in names if n not in loaded and not re.search(rf"\b{n}\b", readme)]
 
 
+def _package_trees():
+    """(file name, parsed AST) of each package module."""
+    for path in PACKAGE_FILES:
+        with open(path) as fh:
+            yield os.path.basename(path), ast.parse(fh.read())
+
+
 def test_every_public_name_has_a_production_reader():
-    """Each name in truncert.__all__ is loaded by the package, a demo or the
-    acceptance tests, or named in README.md."""
+    """Each name in truncert.__all__, and each public method of a package
+    class, is loaded by the package, a demo or the acceptance tests, or
+    named in README.md."""
     assert _unread(truncert.__all__) == []
+    method_of = {}
+    for name, tree in _package_trees():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        method_of[node.name] = f"{name}:{cls.name}"
+    assert len(method_of) > 15
+    assert {name: method_of[name] for name in _unread(method_of)} == {}
 
 
 def test_every_module_function_has_a_production_reader():
     """So is every module-level function of the package, private ones
     included (not dunders): a helper only tests call is not shipped."""
     module_of = {}
-    for path in PACKAGE_FILES:
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
-                module_of[node.name] = os.path.basename(path)
+                module_of[node.name] = name
     assert len(module_of) > 50
     assert {name: module_of[name] for name in _unread(module_of)} == {}
 
@@ -171,15 +186,19 @@ def test_refused_model_flags_exit_before_numpy_or_scipy():
 
 
 def test_sparse_verify_commands_skip_dense_and_arpack_solvers():
+    """Ground states come from numpy (dense eigh, or the package's Lanczos),
+    so not even the tail checks load scipy.linalg or ARPACK."""
     got = _probe_cli(
         [
             ["verify", "trotter", "--model", "hh", "--n-max", "13", "--lambda0", "1",
              "--taus", "0.2,0.1"],
             ["verify", "state", "--model", "hh", "--n-max", "3", "--lambda0", "1",
              "--t", "0.2", "--deltas", "2"],
+            ["verify", "all"],
+            ["verify", "tail", "--model", "hh", "--n-max", "12"],
         ]
     )
-    assert got["codes"] == [0, 0]
+    assert got["codes"] == [0, 0, 0, 0]
     assert "numpy" in got["heavy"]
     assert "scipy.linalg" not in got["heavy"]
     assert "scipy.sparse.linalg" not in got["heavy"]
@@ -198,6 +217,17 @@ def test_no_command_loads_scipy_special():
     assert got["codes"] == [0, 0]
     assert "scipy.sparse" in got["heavy"]
     assert [m for m in got["heavy"] if m.startswith("scipy.special")] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """The analytic path's records are NamedTuples: a fresh `import
+    truncert.cli` loads neither `dataclasses` nor the `inspect` it imports."""
+    got = _fresh(
+        "import json, sys\n"
+        "import truncert.cli\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
+    )
+    assert got == []
 
 
 def test_star_import_and_dir_cover_the_package_names():

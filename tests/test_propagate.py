@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import jv
 from test_models import _same_csr
 
 from truncert import propagate
+from truncert.bounds import ConvergenceError
 from truncert.fock_algebra import (
     ALL,
     ProjectorSpec,
@@ -361,6 +363,53 @@ def test_lowest_eigenpairs_sparse_path():
     assert abs(abs(vecs[0, 0]) - 1.0) < 1e-6
 
 
+def test_lowest_eigenpairs_see_a_doubled_level():
+    """h + h (dim 1152) doubles every level; a single Krylov space sees one
+    copy of each, and the locked rerun finds the second."""
+    h = hubbard_holstein_1d(2, g=0.5, n_max=5).hamiltonian
+    doubled = sp.block_diag((h, h), format="csr")
+    assert doubled.shape[0] > 400  # the Lanczos path
+    vals, vecs = lowest_eigenpairs(doubled, k=2)
+    e0 = np.linalg.eigvalsh(h.toarray())[0]
+    assert abs(vals[1] - vals[0]) <= 1e-12
+    assert np.allclose(vals, e0, rtol=1e-12, atol=0.0)
+    assert abs(np.vdot(vecs[:, 0], vecs[:, 1])) <= 1e-9
+    for i in range(2):
+        assert np.linalg.norm(doubled @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hubbard_holstein_1d(2, g=0.5, n_max=12),
+        lambda: single_mode(1.5, 1.0, 1000),
+        lambda: SimpleNamespace(hamiltonian=_random_hermitian(450, 3, 0.02), sector_keys=None),
+    ],
+    ids=["hh", "single", "complex"],
+)
+def test_lanczos_values_match_dense_eigvalsh(build):
+    """Above dimension 400 the Lanczos values agree with dense eigvalsh
+    (per conserved sector) to 1e-12 relative, for real and complex h."""
+    model = build()
+    h, keys = model.hamiltonian, model.sector_keys
+    assert h.shape[0] > 400
+    vals, _ = lowest_eigenpairs(h, k=2)
+    dense = h.toarray()
+    blocks = [dense] if keys is None else [
+        dense[np.ix_(keys == key, keys == key)] for key in np.unique(keys)
+    ]
+    exact = np.sort(np.concatenate([np.linalg.eigvalsh(b)[:2] for b in blocks]))[:2]
+    assert np.allclose(vals, exact, rtol=1e-12, atol=0.0)
+
+
+def test_lanczos_past_its_product_budget_raises():
+    h = hubbard_holstein_1d(2, g=0.5, n_max=12).hamiltonian
+    none = np.empty((0, h.shape[0]))
+    rng = np.random.default_rng(1123)
+    with pytest.raises(ConvergenceError, match="30 products"):
+        propagate._thick_restart_lanczos(propagate._owned_csr(h), 2, none, rng, 20, 30)
+
+
 def test_ground_state_vacuum():
     model = single_mode(0.0, 1.0, 10)
     energy, vec = ground_state(model.hamiltonian)
@@ -668,7 +717,7 @@ def test_lowest_eigenpairs_twice_on_one_hamiltonian():
     """The real symmetric solve leaves H intact: a second solve of the same
     H passes the residual check with the same eigenvalues."""
     h = hubbard_holstein_1d(2, u=0.0, n_max=16).hamiltonian
-    assert h.shape[0] > 400  # the sparse (ARPACK) path
+    assert h.shape[0] > 400  # the Lanczos path
     for _ in range(2):
         vals, _ = lowest_eigenpairs(h, k=2)
         assert abs(vals[0] + 2.093462541041) <= 1e-9
