@@ -207,15 +207,15 @@ def mode_entries(
     modes), read from each left block's digits (other mode kinds are
     transparent to the string).  Matrix conventions: <m-1| b |m> = sqrt(m);
     efield is diagonal with eigenvalue k; lower_link maps |k> to |k-1>.
-    Entries below SPARSE_TOL are not stored.  Values are real, stored as
-    complex, at most one per column: each kind sends a state to at most one.
+    Entries below SPARSE_TOL are not stored.  Values are float64, at most
+    one per column: each kind sends a state to at most one.
     """
     if not 0 <= mode_index < basis.n_modes:
         raise ValueError(f"mode_index {mode_index} out of range")
     mode = basis.modes[mode_index]
     rows, cols, vals = (np.asarray(x) for x in _local_entries(mode, kind))
     keep = np.abs(vals) >= SPARSE_TOL
-    rows, cols, vals = rows[keep], cols[keep], vals[keep].astype(complex)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep].astype(float)
 
     stride = basis.strides[mode_index]
     block = mode.dim * stride
@@ -269,9 +269,9 @@ def window_mask(basis: CompositeBasis, spec: ProjectorSpec) -> np.ndarray:
 
 
 def projector(basis: CompositeBasis, spec: ProjectorSpec) -> sp.csr_matrix:
-    """Diagonal 0/1 projector onto the window (windows clip to mode range)."""
+    """Diagonal float64 0/1 projector onto the window (windows clip to mode range)."""
     mask = window_mask(basis, spec)
-    return sp.csr_matrix(sp.diags(mask.astype(complex)))
+    return sp.csr_matrix(sp.diags(mask.astype(float)))
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,14 @@ class ModelInstance:
     empirical checks measure is block-diagonal, and its top singular value
     is exactly the largest over sectors.  The checks evolve the window
     columns of sectors with equal window counts together, as one stack,
-    under the principal submatrix of the union of those sectors: it is
-    block-diagonal over them, and its Gershgorin interval is the hull of
-    theirs and lies inside the full one, so the engine's error bound holds
+    by a propagator prepared on the principal submatrix of the union of
+    those sectors: it is block-diagonal over them, and its Gershgorin
+    interval is the hull of theirs, so the engine's error bound holds
     sector by sector with the same tolerance.  None means one sector: the
     whole space.
+
+    Every builder's parts, walk parts and Hamiltonian are float64: each
+    mode entry and coupling is real.
     """
 
     label: str
@@ -143,14 +146,14 @@ class ModelInstance:
 
 
 def _zero(dim: int) -> sp.csr_matrix:
-    return sp.csr_matrix((dim, dim), dtype=complex)
+    return sp.csr_matrix((dim, dim))
 
 
 def _moves(basis: CompositeBasis, mode_index: int, kind: str):
     """(target, amp) of a mode operator that sends each state to at most one state.
 
     target[j] is the state the operator sends basis state j to and amp[j]
-    its real amplitude; target is -1 and amp 0 where it annihilates j.  A
+    its amplitude; target is -1 and amp 0 where it annihilates j.  A
     diagonal kind has target[j] = j wherever amp[j] is nonzero, and amp is
     its diagonal.
     """
@@ -158,7 +161,7 @@ def _moves(basis: CompositeBasis, mode_index: int, kind: str):
     target = np.full(basis.dimension, -1)
     target[cols] = rows
     amp = np.zeros(basis.dimension)
-    amp[cols] = vals.real
+    amp[cols] = vals
     return target, amp
 
 
@@ -194,7 +197,7 @@ def _summed(terms: list, diag: np.ndarray) -> sp.csr_matrix:
     rows, cols, vals = (np.concatenate(x) for x in zip((idx, idx, diag), *terms))
     stored = vals != 0
     return sp.csr_matrix(
-        (vals[stored].astype(complex), (rows[stored], cols[stored])),
+        (vals[stored], (rows[stored], cols[stored])),
         shape=(len(diag), len(diag)),
     )
 
@@ -202,8 +205,7 @@ def _summed(terms: list, diag: np.ndarray) -> sp.csr_matrix:
 def _displacement(basis: CompositeBasis, mode_index: int) -> sp.csr_matrix:
     """b + b^dag of one boson mode."""
     rows, cols, vals = mode_entries(basis, mode_index, "annihilate")
-    amp = vals.real
-    return _summed([(rows, cols, amp), (cols, rows, amp)], np.zeros(basis.dimension))
+    return _summed([(rows, cols, vals), (cols, rows, vals)], np.zeros(basis.dimension))
 
 
 def _sector_keys(*charges: np.ndarray) -> np.ndarray:

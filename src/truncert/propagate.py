@@ -9,17 +9,16 @@ in plain Python (`_bessel_j`), whose errors over all orders sum to at
 most 2^-50 (1 + r |t|); that error joins the bound, and no command
 imports `scipy.special`.  Building one does the per-operator setup
 (Hermiticity check, diagonal test, Gershgorin interval) once, on a
-private copy, so the caller's matrix is never reordered; the scaled
-operator, scipy's (h - I c) * (2 / r), is built on the first `apply`, so
-an operator that is only restricted to sectors never builds it.  Its
-`apply` then serves every block and time, so callers that evolve one
-operator repeatedly prepare it once per command and pass it wherever a
-Hamiltonian is taken (`as_propagator`).  Every model's operators are
-real in the Fock basis, and a real operator runs in float64: the copy,
-the scaled operator and, for a real block (the identity window columns
-of a sweep), the whole recurrence; any complex block, a single column
-included, multiplies as a real block of twice the width.  The values
-equal those of complex arithmetic exactly.
+private copy of the matrix it evolves, so the caller's matrix is never
+reordered; the scaled operator, scipy's (h - I c) * (2 / r), is built on
+the first `apply` that takes two or more terms.  Its `apply` then
+serves every block and time, so callers that evolve one operator
+repeatedly prepare it once.  Every model's operators are float64 from
+assembly on, and a real operator runs in float64: the copy, the scaled
+operator and, for a real block (the identity window columns of a sweep),
+the whole recurrence; any complex block, a single column included,
+multiplies as a real block of twice the width.  The values equal those
+of complex arithmetic exactly.
 `evolve` is the one-shot form, for a vector or a block.  The vectors
 T_k(h_s) block of the recurrence do not depend on t, so `apply_times`
 runs one recurrence, to the largest term count, for every time of a
@@ -29,22 +28,22 @@ Every exact check (state leakage, the Hamiltonian-truncation
 difference, the product-formula error) measures a top singular value of
 window columns (every basis state of an initial window), and every one
 goes through one reducer, `WindowSweep`.  Given one conserved integer key
-per basis state, it splits the window into `Sector`s (`window_sectors`,
-which also enforces `COLUMN_CAP` on the largest sector), groups sectors
-with equal window counts into `Stack`s that fit one sweep block
-(`stack_sectors`), prepares each operator once and restricts it to each
-stack once (`ChebyshevPropagator.restrict`, scipy's h[rows][:, rows]; a
-union of conserved sectors is closed under every operator).  Column j of
-a stack's identity block holds window state j of every member, and the
-stack's operator is block-diagonal over its members, so one block call
-evolves every member's columns.  Its `top_singular` then sweeps one stack's columns at
+per basis state, it splits the window into sectors (the states sharing a
+key; `COLUMN_CAP` bounds the largest sector's window columns), groups
+sectors with equal window counts into `Stack`s that fit one sweep block,
+and prepares one propagator per operator and stack, of the stack's
+principal submatrix (scipy's h[rows][:, rows]; a union of conserved
+sectors is closed under every operator).  Column j of a stack's identity
+block holds window state j of every member, and the stack's operator is
+block-diagonal over its members, so one block call evolves every
+member's columns.  Its `top_singular` then sweeps one stack's columns at
 a time, for every output of the check at once (a time, a step size or a
 truncated operator; in batches that keep the outputs held within
-`COLUMN_CAP`), a bounded block at a time (`sweep_window`), cuts each
-member sector back out, reduces it to one top singular value per escape
-mask (`masked_top_singular`) and frees the stack before the next one;
-each value is the largest over the sectors.  No key is one sector, the
-whole space.  `DensePropagator` (one dense eigendecomposition) is the
+`COLUMN_CAP`), a bounded block at a time, cuts each member sector back
+out, reduces it to one top singular value per escape mask
+(`masked_top_singular`) and frees the stack before the next one; each
+value is the largest over the sectors.  No key is one sector, the whole
+space.  `DensePropagator` (one dense eigendecomposition) is the
 exact oracle the tests compare it against.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
 seeds: same inputs, same outputs.  `lowest_eigenpairs` solves a real H
@@ -80,12 +79,7 @@ __all__ = [
     "COLUMN_CAP",
     "evolve",
     "ChebyshevPropagator",
-    "as_propagator",
-    "Sector",
-    "window_sectors",
     "Stack",
-    "stack_sectors",
-    "sweep_window",
     "DensePropagator",
     "lowest_eigenpairs",
     "ground_state",
@@ -96,7 +90,7 @@ __all__ = [
 ]
 
 #: Largest window-column block of one sector, dim_s * n0_s entries (256 MiB
-#: of complex128); window_sectors raises ResourceLimitError past it.
+#: of complex128); a WindowSweep raises ResourceLimitError past it.
 COLUMN_CAP = 1 << 24
 
 #: Most Chebyshev terms one evolution may take; a longer expansion (the
@@ -104,8 +98,8 @@ COLUMN_CAP = 1 << 24
 #: ResourceLimitError.
 _TERM_CAP = 1 << 20
 
-#: Largest dim * columns that sweep_window hands to one block call; it
-#: bounds the block propagator's working set (a few such blocks).
+#: Largest dim * columns that `WindowSweep.top_singular` hands to one block
+#: call; it bounds the block propagator's working set (a few such blocks).
 _BLOCK_ENTRIES = 1 << 15
 
 _HERM_TOL = 1e-10
@@ -121,17 +115,14 @@ TOL = 1e-10
 # ---------------------------------------------------------------------------
 
 def _owned_csr(h: sp.spmatrix) -> sp.csr_matrix:
-    """A private canonical CSR copy of h; float64 when every imaginary part is zero.
+    """A private canonical CSR copy of h, in h's dtype.
 
     scipy sorts a CSR matrix's entries in place on its first reduction
-    (abs, a product), so the engines work on a copy and never reorder the
-    caller's matrix.  A real copy owns its data, indices and indptr: one
-    viewing h.real and sharing h's indices would, once sorted, leave the
-    complex matrix's entries misplaced.
+    (abs, a product), so the engines work on a copy that owns its data,
+    indices and indptr and never reorder the caller's matrix.
     """
     h = sp.csr_matrix(h)  # shares h's arrays when h is CSR already
-    data = h.data.real if np.iscomplexobj(h.data) and not h.data.imag.any() else h.data
-    h = sp.csr_matrix((data.copy(), h.indices.copy(), h.indptr.copy()), shape=h.shape)
+    h = sp.csr_matrix((h.data.copy(), h.indices.copy(), h.indptr.copy()), shape=h.shape)
     h.sum_duplicates()
     return h
 
@@ -301,13 +292,13 @@ def _principal_submatrix(h: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
 class ChebyshevPropagator:
     """exp(-i t h) for one Hermitian h, prepared once and applied many times.
 
-    Building it does the per-operator checks on a private copy of h
-    (float64 when h is real): the Hermiticity check, the diagonal test
-    (diagonal operators take the elementwise exponential) and each row's
-    Gershgorin interval, whose hull [c - r, c + r] fixes the expansion.
-    `apply` then evolves any block for any time and tolerance.
-    Build one per operator for as long as a loop evolves it; nothing is
-    cached beyond the object's life.
+    Building it does the per-operator checks on a private copy of h, in
+    h's dtype: the Hermiticity check, the diagonal test (diagonal
+    operators take the elementwise exponential) and each row's Gershgorin
+    interval, whose hull [c - r, c + r] fixes the expansion.  `apply` then
+    evolves any block for any time and tolerance.  Build one per operator
+    (a `WindowSweep` builds one per operator and stack) for as long as a
+    loop evolves it; nothing is cached beyond the object's life.
     """
 
     def __init__(self, h: sp.spmatrix):
@@ -316,65 +307,30 @@ class ChebyshevPropagator:
             raise ValueError("dimension mismatch")
         if hermiticity_defect(h) > _HERM_TOL:
             raise ValueError("hamiltonian is not Hermitian")
-        self._prepare(h)
-
-    def _prepare(self, h: sp.csr_matrix, row_bounds=None) -> None:
-        """Set up for the canonical CSR h, which the propagator then owns.
-
-        row_bounds, when given, holds each row's Gershgorin (lo, hi) end.
-        """
         self._h = h
         self.shape = h.shape
         rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
         self._diag = h.diagonal().astype(complex) if np.array_equal(rows, h.indices) else None
         self._centre = self._half = 0.0
-        self._row_bounds = self._two_hs = None
+        self._two_hs = None
         if self._diag is None:
-            if row_bounds is None:
-                d = h.diagonal().real
-                radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
-                row_bounds = d - radius, d + radius
-            self._row_bounds = row_bounds
-            lo, hi = float(np.min(row_bounds[0])), float(np.max(row_bounds[1]))
+            d = h.diagonal().real
+            radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
+            lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
             self._centre, self._half = (hi + lo) / 2.0, (hi - lo) / 2.0
 
     def _scaled(self) -> sp.csr_matrix:
         """two_hs = 2 (h - c) / r of the recurrence T_{k+1} = two_hs T_k - T_{k-1}.
 
-        Built on first use, in h's dtype, as scipy's (h - I c) * (2 / r),
-        which drops the entries that come out 0; only a recurrence of two
-        or more terms asks for it, and that needs r > 0.
+        Built on the first `apply` whose recurrence takes two or more
+        terms (so r > 0), in h's dtype, as scipy's (h - I c) * (2 / r),
+        which drops the entries that come out 0.
         """
         if self._two_hs is None:
             h = self._h
             shift = sp.identity(h.shape[0], dtype=h.dtype, format="csr") * self._centre
             self._two_hs = (h - shift) * (2.0 / self._half)
         return self._two_hs
-
-    def restrict(self, rows: np.ndarray) -> ChebyshevPropagator:
-        """The propagator of h on the states rows (distinct, in any order).
-
-        rows must be closed under h: no nonzero entry of h couples them to
-        the other states (ValueError otherwise).  Then exp(-i t h) maps
-        blocks supported on rows into blocks supported on rows, and the
-        propagator of the principal submatrix, scipy's h[rows][:, rows]
-        (`_principal_submatrix`), applied in rows' coordinates (row i
-        stands for state rows[i]), evolves them with the same error bound.
-        That submatrix is Hermitian because h is, so the check is not
-        repeated, and each of its rows keeps its diagonal entry and its
-        off-diagonal weight, so it takes h's Gershgorin ends of those rows
-        (recomputing them would sort its entries in place): its interval
-        lies inside h's.  rows equal to every state in order returns self.
-        """
-        if len(rows) == self.shape[0] and np.array_equal(rows, np.arange(len(rows))):
-            return self
-        out = ChebyshevPropagator.__new__(ChebyshevPropagator)
-        bounds = self._row_bounds
-        out._prepare(
-            _principal_submatrix(self._h, rows),
-            None if bounds is None else (bounds[0][rows], bounds[1][rows]),
-        )
-        return out
 
     def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:
         """Apply exp(-i t h) to a (dim, k) block of columns or to a 1-D vector.
@@ -514,85 +470,29 @@ def _real_series(block, series, blocks) -> None:
         o.real, o.imag = re, im
 
 
-#: A Hermitian sparse matrix, or one already prepared for propagation.
-Operator = sp.spmatrix | ChebyshevPropagator
-
-
-def as_propagator(h: Operator) -> ChebyshevPropagator:
-    """h itself if already prepared, else a new propagator for the matrix h."""
-    return h if isinstance(h, ChebyshevPropagator) else ChebyshevPropagator(h)
-
-
-def evolve(h: Operator, psi0: np.ndarray, t: float, tol: float = TOL) -> np.ndarray:
+def evolve(h: sp.spmatrix, psi0: np.ndarray, t: float, tol: float = TOL) -> np.ndarray:
     """Apply exp(-i t h) to a vector or (dim, k) block psi0 to within 2 tol * ||psi0||_2.
 
     The one-shot form of `ChebyshevPropagator.apply`: h is a Hermitian
-    sparse matrix (prepared for this one call) or a prepared propagator.
+    sparse matrix, prepared for this one call.
     """
-    return as_propagator(h).apply(psi0, t, tol)
-
-
-@dataclass(frozen=True, eq=False)
-class Sector:
-    """The basis states sharing one sector key, and the window among them.
-
-    rows holds their full-space indices and window the positions within
-    rows of the window states; both ascending.  A quantity built from
-    window columns is computed per sector in rows' coordinates.
-    """
-
-    rows: np.ndarray
-    window: np.ndarray
-
-    @property
-    def entries(self) -> int:
-        """Size of the sector's window columns: dim_s * n0_s."""
-        return len(self.rows) * len(self.window)
-
-
-def window_sectors(
-    mask0: np.ndarray, sector_keys: np.ndarray | None = None
-) -> list[Sector]:
-    """The sectors that meet the window mask0, in ascending key order.
-
-    sector_keys holds one integer per basis state; None puts every state
-    in one sector, the whole space.  Raises ResourceLimitError when one
-    sector's window columns would exceed COLUMN_CAP entries.
-    """
-    dim = len(mask0)
-    keys = np.zeros(dim, dtype=int) if sector_keys is None else np.asarray(sector_keys)
-    if keys.shape != (dim,):
-        raise ValueError("sector_keys needs one entry per basis state")
-    order = np.argsort(keys, kind="stable")
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
-    sectors = []
-    for rows in np.split(order, cuts):
-        window = np.flatnonzero(mask0[rows])
-        if len(window):
-            sectors.append(Sector(rows, window))
-    largest = max((s.entries for s in sectors), default=0)
-    if largest > COLUMN_CAP:
-        raise ResourceLimitError(
-            f"window columns of one sector hold {largest} entries, over the "
-            f"cap of {COLUMN_CAP}"
-        )
-    return sectors
+    return ChebyshevPropagator(h).apply(psi0, t, tol)
 
 
 @dataclass(frozen=True, eq=False)
 class Stack:
     """Sectors with equal window counts, swept as one block.
 
-    rows concatenates the members' rows, member by member, so member i
-    holds rows[starts[i]:starts[i + 1]]; window[i, j] is the position in
-    rows of member i's window state j.  Column j of the stack's identity
-    block is 1 at window[:, j]: window state j of every member.  Each
-    member is closed under every conserving operator, so the stack's
-    operator is block-diagonal over the members and column j evolves each
-    member's window state j apart from the others.
+    A sector is the set of basis states sharing one sector key.  rows
+    concatenates the member sectors' states, each member's ascending, so
+    member i holds rows[starts[i]:starts[i + 1]]; window[i, j] is the
+    position in rows of member i's window state j.  Column j of the
+    stack's identity block is 1 at window[:, j]: window state j of every
+    member.  Each member is closed under every conserving operator, so
+    the stack's operator is block-diagonal over the members and column j
+    evolves each member's window state j apart from the others.
     """
 
-    members: tuple[Sector, ...]
     rows: np.ndarray
     window: np.ndarray
     starts: np.ndarray
@@ -603,60 +503,53 @@ class Stack:
         return len(self.rows) * self.window.shape[1]
 
 
-def stack_sectors(sectors: list[Sector]) -> list[Stack]:
-    """Group sectors of equal window count into stacks that fit one sweep block.
+def _window_stacks(mask0: np.ndarray, sector_keys: np.ndarray | None) -> list[Stack]:
+    """The sectors that meet the window mask0, grouped into stacks.
 
-    A sector joins the open stack of its window count while the stack's
-    columns stay within _BLOCK_ENTRIES, and opens a new one otherwise, so
-    a sector larger than one block is a stack of its own.  Stacks come in
-    the order of their first members.
+    sector_keys holds one integer per basis state; None puts every state
+    in one sector, the whole space.  Sectors are taken in ascending key
+    order.  A sector joins the open stack of its window count while the
+    stack's columns stay within _BLOCK_ENTRIES, and opens a new one
+    otherwise, so a sector larger than one block is a stack of its own;
+    stacks come in the order of their first members.  Raises
+    ResourceLimitError when one sector's window columns would exceed
+    COLUMN_CAP entries.
     """
-    groups: list[list[Sector]] = []
-    open_: dict[int, list[Sector]] = {}  # window count -> the stack still growing
-    dims: dict[int, int] = {}  # window count -> rows of that open stack
-    for s in sectors:
-        n0 = len(s.window)
-        if n0 not in open_ or (dims[n0] + len(s.rows)) * n0 > _BLOCK_ENTRIES:
-            open_[n0], dims[n0] = [], 0
-            groups.append(open_[n0])
-        open_[n0].append(s)
-        dims[n0] += len(s.rows)
-    out = []
+    dim = len(mask0)
+    keys = np.zeros(dim, dtype=int) if sector_keys is None else np.asarray(sector_keys)
+    if keys.shape != (dim,):
+        raise ValueError("sector_keys needs one entry per basis state")
+    order = np.argsort(keys, kind="stable")
+    sectors = []  # (rows, window positions within rows), both ascending
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        window = np.flatnonzero(mask0[rows])
+        if len(window):
+            sectors.append((rows, window))
+    largest = max((len(rows) * len(window) for rows, window in sectors), default=0)
+    if largest > COLUMN_CAP:
+        raise ResourceLimitError(
+            f"window columns of one sector hold {largest} entries, over the "
+            f"cap of {COLUMN_CAP}"
+        )
+    groups: list[list] = []
+    open_: dict[int, tuple[list, int]] = {}  # window count -> (open stack, its rows)
+    for rows, window in sectors:
+        n0 = len(window)
+        members, size = open_.get(n0, (None, 0))
+        if members is None or (size + len(rows)) * n0 > _BLOCK_ENTRIES:
+            members, size = [], 0
+            groups.append(members)
+        members.append((rows, window))
+        open_[n0] = members, size + len(rows)
+    stacks = []
     for members in groups:
-        starts = np.cumsum([0] + [len(m.rows) for m in members])
-        window = np.stack([m.window + start for m, start in zip(members, starts)])
-        rows = members[0].rows  # a lone sector's own array, not a second copy
+        starts = np.cumsum([0] + [len(rows) for rows, _ in members])
+        window = np.stack([w + start for (_, w), start in zip(members, starts)])
+        rows = members[0][0]  # a lone sector's own array, not a second copy
         if len(members) > 1:
-            rows = np.concatenate([m.rows for m in members])
-        out.append(Stack(tuple(members), rows, window, starts))
-    return out
-
-
-def sweep_window(sector: Sector | Stack, fn) -> np.ndarray:
-    """Apply fn to the window columns of a sector or stack, a bounded block at a time.
-
-    fn maps a (dim_s, k) float64 block of identity columns in sector coordinates
-    (row i stands for basis state sector.rows[i]) to an array whose last
-    axis holds the k columns: a (dim_s, k) block, or (n, dim_s, k) for n
-    outputs.  Returns that array with every window column along its last
-    axis: column j is fn applied to window column j.
-    """
-    dim = len(sector.rows)
-    window = sector.window
-    n0 = window.shape[-1]
-    cols = None
-    step = max(1, _BLOCK_ENTRIES // dim)
-    for start in range(0, n0, step):
-        part = window[..., start : start + step]
-        k = part.shape[-1]
-        e = np.zeros((dim, k))
-        e[part, np.arange(k)] = 1.0
-        out = fn(e)
-        if cols is None:
-            cols = np.empty(out.shape[:-1] + (n0,), dtype=complex)
-        cols[..., start : start + k] = out
-        del out  # free this block's output before the next block call
-    return cols
+            rows = np.concatenate([rows for rows, _ in members])
+        stacks.append(Stack(rows, window, starts))
+    return stacks
 
 
 class DensePropagator:
@@ -852,35 +745,40 @@ def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
 class WindowSweep:
     """Top singular values of window-column blocks, one stack at a time.
 
-    Built once from a basis, an initial window and the operators a check
-    propagates (Hermitian matrices or prepared propagators, all
-    conserving sector_keys; None is one sector, the whole space): it
-    splits the window into sectors (`window_sectors`, so COLUMN_CAP bounds
-    the largest), groups sectors of equal window count into stacks that
-    fit one sweep block (`stack_sectors`), prepares each operator once and
-    restricts it to each stack once.  A union of conserved sectors is
-    closed under every operator, so each restriction is valid, and the
-    stack's operator is block-diagonal over its members.  Its Gershgorin
-    interval is the hull of its members' intervals, so the one polynomial
-    the stack applies approximates exp(-i t h_s) on every member's
-    spectrum with the member's own error bound: each member's error is at
-    most 2 tol * ||block_s||, as if it were swept alone.  `top_singular`
-    then serves every time, step size and escape window of the check.
+    Built once from a basis, an initial window and the Hermitian
+    matrices a check propagates (all conserving sector_keys; None is one
+    sector, the whole space): it splits the window into sectors and
+    groups sectors of equal window count into stacks that fit one sweep
+    block (COLUMN_CAP bounds the largest sector's window columns), and
+    prepares one `ChebyshevPropagator` per operator and stack, of the
+    stack's principal submatrix, scipy's h[rows][:, rows]
+    (`_principal_submatrix`, which refuses rows coupled to the rest).  A
+    union of conserved sectors is closed under every operator, so the
+    stack's operator is block-diagonal over its members, and its
+    Gershgorin interval is the hull of its members' intervals, so the one
+    polynomial the stack applies approximates exp(-i t h_s) on every
+    member's spectrum with the member's own error bound: each member's
+    error is at most 2 tol * ||block_s||, as if it were swept alone.
+    `top_singular` then serves every time, step size and escape window of
+    the check.
     """
 
     def __init__(
         self,
         basis: CompositeBasis,
         window0: ProjectorSpec,
-        ops: list[Operator],
+        ops: list[sp.spmatrix],
         sector_keys: np.ndarray | None = None,
     ):
-        props = [as_propagator(h) for h in ops]
-        if any(p.shape != (basis.dimension, basis.dimension) for p in props):
+        dim = basis.dimension
+        if any(h.shape != (dim, dim) for h in ops):
             raise ValueError("operator does not match basis dimension")
-        self.sectors = window_sectors(window_mask(basis, window0), sector_keys)
-        self.stacks = stack_sectors(self.sectors)
-        self._ops = [[p.restrict(s.rows) for p in props] for s in self.stacks]
+        ops = [sp.csr_matrix(h) for h in ops]  # shares each CSR matrix's arrays
+        self.stacks = _window_stacks(window_mask(basis, window0), sector_keys)
+        self._ops = [
+            [ChebyshevPropagator(_principal_submatrix(h, s.rows)) for h in ops]
+            for s in self.stacks
+        ]
 
     def top_singular(self, fn, xs, keep_masks) -> list[list[float]]:
         """Per output and keep mask, the top singular value of the window columns outside it.
@@ -888,10 +786,12 @@ class WindowSweep:
         Output i belongs to the parameter xs[i] (a time, a step size or the
         index of a truncated operator) and keep_masks[i] lists its
         full-space keep masks.
-        fn(ops_s, e, xs_b) maps a (dim_s, k) block of identity columns in a
-        stack's coordinates to a (len(xs_b), dim_s, k) array, one block per
-        parameter of the batch xs_b, with ops_s the operators restricted to
-        that stack.  The window columns of fn are block-diagonal over the
+        fn(ops_s, e, xs_b) maps a (dim_s, k) float64 block of identity
+        columns in a stack's coordinates (row i stands for basis state
+        stack.rows[i]) to a (len(xs_b), dim_s, k) array, one block per
+        parameter of the batch xs_b, with ops_s the stack's propagators.
+        Each call takes at most _BLOCK_ENTRIES // dim_s columns (at least
+        one).  The window columns of fn are block-diagonal over the
         sectors (the keep masks are full-space and diagonal), so each value
         is the largest over the sectors: each stack is swept, each member
         sector cut back out of it and reduced for every mask of every
@@ -903,10 +803,18 @@ class WindowSweep:
         tops = [[0.0] * len(masks) for masks in keep_masks]
         wanted = [i for i, masks in enumerate(keep_masks) if len(masks)]
         for stack, ops_s in zip(self.stacks, self._ops) if wanted else ():
+            dim, n0 = len(stack.rows), stack.window.shape[1]
+            step = max(1, _BLOCK_ENTRIES // dim)
             batch = max(1, COLUMN_CAP // stack.entries)
             for lo in range(0, len(wanted), batch):
                 outs = wanted[lo : lo + batch]
-                cols = sweep_window(stack, lambda e: fn(ops_s, e, [xs[i] for i in outs]))
+                cols = np.empty((len(outs), dim, n0), dtype=complex)
+                for start in range(0, n0, step):
+                    part = stack.window[:, start : start + step]
+                    k = part.shape[1]
+                    e = np.zeros((dim, k))
+                    e[part, np.arange(k)] = 1.0
+                    cols[..., start : start + k] = fn(ops_s, e, [xs[i] for i in outs])
                 for i, block in zip(outs, cols):
                     for k, keep in enumerate(keep_masks[i]):
                         kept = keep[stack.rows]
@@ -920,7 +828,7 @@ class WindowSweep:
 
 def leakage_norm(
     basis: CompositeBasis,
-    h: Operator,
+    h: sp.spmatrix,
     window0: ProjectorSpec,
     window1: ProjectorSpec,
     t: float,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fock_algebra import ALL, ProjectorSpec
 from .models import ModelInstance
-from .propagate import TOL, WindowSweep, as_propagator
+from .propagate import TOL, WindowSweep
 
 __all__ = [
     "CoefficientSummaries",
@@ -252,16 +252,14 @@ def per_step_error_bound(p: int, beta: float, tau: float) -> float:
 def apply_product_formula(parts, psi, tau, p, tol=TOL):
     """One product-formula step of order p applied to psi.
 
-    psi is one vector or a (dim, k) block of columns; every exponential
-    is a `ChebyshevPropagator.apply` at tolerance tol, and the parts may
-    come prepared (`as_propagator`) so that repeated steps share their
-    setup.  p = 1 is the Lie
+    psi is one vector or a (dim, k) block of columns; the parts are
+    prepared `ChebyshevPropagator`s, so repeated steps share their setup,
+    and every exponential is one `apply` at tolerance tol.  p = 1 is the Lie
     splitting, p = 2 the symmetric Strang splitting, and even p >= 4 the
     recursive symmetric construction built from p - 2, whose five steps
     each get a fifth of the tolerance: every order then composes at most
     as much propagation error as one p = 2 step.
     """
-    parts = [as_propagator(part) for part in parts]
     if p == 1:
         for part in parts:
             psi = part.apply(psi, tau, tol)
@@ -306,10 +304,10 @@ def empirical_trotter_error(
     Chebyshev recurrence for all step sizes, the product formula runs per
     step size, and each member sector's difference is reduced to its top
     singular value before the next stack is swept.  Each part and H is
-    prepared once, and restricted to each stack once, for every step size
-    and block.  With a budget, every step size's bound is computed first,
-    so an order p that the certified constants do not cover raises
-    ValueError before any propagation.
+    prepared once per stack, on the stack's principal submatrix, for
+    every step size and block.  With a budget, every step size's bound
+    is computed first, so an order p that the certified constants do not
+    cover raises ValueError before any propagation.
     """
     taus = list(tau_grid)
     if budget is None:

@@ -10,27 +10,27 @@ difference ||(e^{-iHt} - e^{-i Pi H Pi t}) P_lambda0||, are top singular
 values of such columns, and both are measured by one
 `propagate.WindowSweep` built once per call (once per cutoff for the
 latter, on H and the Pi H Pi of every lambda-tilde of the call, so each
-block is evolved under H once for all of them): it prepares each
-Hamiltonian once and restricts it once to each stack of sectors of the
-model's sector keys (a conserved charge diagonal in the Fock basis; Pi
-is diagonal too, so Pi H Pi keeps them); a stack is a union of sectors
-with equal window counts that fits one sweep block, whose column j
-holds window state j of every member.  The projectors are diagonal, so
-the measured operator is block-diagonal and its top singular value is
-exactly the largest over sectors; each stack's columns are propagated
-together, for every time of the call at once (one Chebyshev recurrence
-serves them all), block by block, one stack at a time, and each member
-sector is cut back out and reduced on its own.  The largest sector's
-dim_s * |window in s| is what must fit `propagate.COLUMN_CAP`
-(ResourceLimitError otherwise), and the outputs of one stack held at
-once stay within it too.  A stack's Gershgorin interval is the hull of
-its members' intervals, and inside the full one, and the stack's
-operator is block-diagonal, so each member's propagation error is at
-most 2 tol * ||block_s|| and the block-diagonal error at most 2 tol *
-||block||: the engine slack is unchanged.  Both checks make one sweep
-per call (per cutoff) for all their outputs, and the tail check one
-ground-state solve for all its epsilons, so every report of one call
-carries the call's elapsed time as runtime_s.
+block is evolved under H once for all of them): it groups the sectors
+of the model's sector keys (a conserved charge diagonal in the Fock
+basis; Pi is diagonal too, so Pi H Pi keeps them) into stacks, unions
+of sectors with equal window counts that fit one sweep block, whose
+column j holds window state j of every member, and prepares each
+Hamiltonian once per stack, on the stack's principal submatrix.  The
+projectors are diagonal, so the measured operator is block-diagonal and
+its top singular value is exactly the largest over sectors; each stack's
+columns are propagated together, for every time of the call at once (one
+Chebyshev recurrence serves them all), block by block, one stack at a
+time, and each member sector is cut back out and reduced on its own.
+The largest sector's dim_s * |window in s| is what must fit
+`propagate.COLUMN_CAP` (ResourceLimitError otherwise), and the outputs
+of one stack held at once stay within it too.  A stack's Gershgorin
+interval, computed from its own submatrix, is the hull of its members'
+intervals, and the stack's operator is block-diagonal, so each member's
+propagation error is at most 2 tol * ||block_s|| and the block-diagonal
+error at most 2 tol * ||block||: the engine slack is unchanged.  Both
+checks make one sweep per call (per cutoff) for all their outputs, and
+the tail check one ground-state solve for all its epsilons, so every
+report of one call carries the call's elapsed time as runtime_s.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
@@ -104,15 +104,15 @@ def engine_slack(tol: float) -> float:
     exact, and higher orders split the tolerance over their recursive
     steps), so ten times the tolerance covers every check.  Split into
     symmetry sectors, the same holds sector by sector: sectors are
-    propagated in stacks, whose operator is block-diagonal over the
-    member sectors and whose Gershgorin interval is the hull of theirs
-    (inside the full one), so each sector's block errs by at most the
-    same multiple of tol * ||block_s||, and the block-diagonal whole,
-    whose top singular value is the largest over sectors, errs by at
-    most the largest of those.  Evolving every time of a check in one
-    recurrence changes no coefficient, so no bound.  Other floating-point
-    roundoff of the Chebyshev recurrence is not part of that bound.
-    Raises ValueError unless tol > 0.
+    propagated in stacks, each by a propagator of the stack's principal
+    submatrix, which is block-diagonal over the member sectors and whose
+    Gershgorin interval is the hull of theirs, so each sector's block
+    errs by at most the same multiple of tol * ||block_s||, and the
+    block-diagonal whole, whose top singular value is the largest over
+    sectors, errs by at most the largest of those.  Evolving every time
+    of a check in one recurrence changes no coefficient, so no bound.
+    Other floating-point roundoff of the Chebyshev recurrence is not part
+    of that bound.  Raises ValueError unless tol > 0.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -163,10 +163,15 @@ def verify_state_truncation(
     cutoff into its running maximum before the next stack is evolved; a
     time whose windows all reach the cutoff is not evolved.  The call
     makes one sweep for all its times, so every report it returns
-    carries the whole call's elapsed time as runtime_s.
+    carries the whole call's elapsed time as runtime_s.  A delta below 1
+    (no window growth) raises ValueError naming every such delta, before
+    anything is propagated.
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
+    below_one = [int(d) for d in deltas if d < 1]
+    if below_one:
+        raise ValueError(f"deltas must be >= 1, got {', '.join(map(str, below_one))}")
     t0 = time.perf_counter()
     basis = model.basis
     trunc = basis.truncatable_modes
@@ -182,7 +187,7 @@ def verify_state_truncation(
         leak = list(Leakage(model.profile, lambda0, t, max(deltas, default=1)).rows())
         points.append([])
         for delta in deltas:
-            if within_validity and delta >= 1:
+            if within_validity:
                 bnd = short_time_bound(model.profile, lambda0, delta, t)
                 points[-1].append(("state_short", delta, int(lambda0) + int(delta) - 1, bnd))
             if delta >= 2:
@@ -249,7 +254,7 @@ def verify_hamiltonian_truncations(
     at a requested cutoff, once per cutoff; each truncated Hamiltonian
     Pi H Pi lives on the same padded space, so the evolutions subtract
     directly.  Per cutoff, one `WindowSweep` on [H, *every Pi H Pi]
-    prepares and restricts each operator once, and each block of window
+    prepares each operator once per stack, and each block of window
     columns is evolved under H once per output batch and every truncated
     evolution subtracted from it.  With check_padding the empirical
     values are recomputed at double the cutoff and each shift goes in its

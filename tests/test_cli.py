@@ -677,6 +677,20 @@ def test_verify_empty_selection_is_sound(capsys):
     assert rows == ["experiment,empirical,analytic,sound,margin,runtime_s,inputs,notes"]
 
 
+@pytest.mark.parametrize(
+    "deltas, named", [("0,2", "0"), ("0", "0"), ("-3", "-3"), ("2,-1,0,3", "-1, 0")]
+)
+def test_verify_state_refuses_deltas_below_one(deltas, named, capsys):
+    """A window growth below 1 is refused with one error line naming every
+    such delta and no output, not dropped from the report."""
+    argv = ["verify", "state", "--model", "single", "--n-max", "8", "--t", "0.2"]
+    code = cli.main(argv + [f"--deltas={deltas}"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"truncert: error: deltas must be >= 1, got {named}"]
+
+
 def test_verify_coherent_accepts_tmax(capsys):
     code, out = _run(["verify", "coherent", "--tmax", "3", "--tpoints", "5"], capsys)
     assert code == 0

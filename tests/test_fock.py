@@ -185,7 +185,7 @@ def test_unknown_kind_raises():
 def test_jw_anticommutation_pure_fermion_chain():
     basis = build_basis([fermion() for _ in range(4)])
     cs = [mode_operator(basis, i, "annihilate") for i in range(4)]
-    eye = sp.identity(basis.dimension, format="csr", dtype=complex)
+    eye = sp.identity(basis.dimension, format="csr")
     for i in range(4):
         for j in range(4):
             anti = cs[i] @ cs[j] + cs[j] @ cs[i]
@@ -242,20 +242,19 @@ def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_m
     """The CSR matrix of `mode_entries` (column indices sorted in each row).
 
     A boson's create, position (b + b^dag)/sqrt(2) and momentum
-    i (b^dag - b)/sqrt(2) are built from the entries of b.
+    i (b^dag - b)/sqrt(2) are built from the entries of b; momentum is
+    complex, every other kind float64.
     """
     if kind in _COMPOSED and basis.modes[mode_index].kind == "boson":
-        rows, cols, vals = mode_entries(basis, mode_index, "annihilate")
-        amp = vals.real
+        rows, cols, amp = mode_entries(basis, mode_index, "annihilate")
         if kind == "create":
-            rows, cols = cols, rows
+            rows, cols, vals = cols, rows, amp
         else:
             rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
             if kind == "position":
                 vals = np.concatenate([amp, amp]) * (1 / math.sqrt(2.0))
             else:
                 vals = np.concatenate([-amp, amp]) * 1j * (1 / math.sqrt(2.0))
-        vals = vals.astype(complex)
     else:
         rows, cols, vals = mode_entries(basis, mode_index, kind)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
@@ -274,19 +273,19 @@ def _boson_local(kind: str, n_max: int) -> sp.csr_matrix:
     elif kind == "position":
         out = (a + a.T) / math.sqrt(2.0)
     elif kind == "momentum":
-        out = 1j * (a.T - a) / math.sqrt(2.0)
+        return sp.csr_matrix(1j * (a.T - a) / math.sqrt(2.0), dtype=complex)
     else:
         raise TypeError(f"kind {kind!r} undefined for boson modes")
-    return sp.csr_matrix(out, dtype=complex)
+    return sp.csr_matrix(out, dtype=float)
 
 
 def _fermion_local(kind: str) -> sp.csr_matrix:
     if kind == "annihilate":
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
+        m = np.array([[0, 1], [0, 0]], dtype=float)
     elif kind == "create":
-        m = np.array([[0, 0], [1, 0]], dtype=complex)
+        m = np.array([[0, 0], [1, 0]], dtype=float)
     elif kind == "number":
-        m = np.diag([0.0, 1.0]).astype(complex)
+        m = np.diag([0.0, 1.0])
     else:
         raise TypeError(f"kind {kind!r} undefined for fermion modes")
     return sp.csr_matrix(m)
@@ -294,9 +293,9 @@ def _fermion_local(kind: str) -> sp.csr_matrix:
 
 def _spin_local(kind: str) -> sp.csr_matrix:
     if kind == "pauli_x":
-        m = np.array([[0, 1], [1, 0]], dtype=complex)
+        m = np.array([[0, 1], [1, 0]], dtype=float)
     elif kind == "pauli_z":
-        m = np.diag([1.0, -1.0]).astype(complex)
+        m = np.diag([1.0, -1.0])
     else:
         raise TypeError(f"kind {kind!r} undefined for spin_half modes")
     return sp.csr_matrix(m)
@@ -305,12 +304,10 @@ def _spin_local(kind: str) -> sp.csr_matrix:
 def _rotor_local(kind: str, field_cap: int) -> sp.csr_matrix:
     d = 2 * field_cap + 1
     if kind == "efield":
-        return sp.csr_matrix(
-            sp.diags(np.arange(-field_cap, field_cap + 1, dtype=float)), dtype=complex
-        )
+        return sp.csr_matrix(sp.diags(np.arange(-field_cap, field_cap + 1, dtype=float)))
     if kind == "lower_link":
         # <k-1| U |k> = 1; the k = -K edge column is annihilated.
-        return sp.csr_matrix(sp.eye(d, k=1), dtype=complex)
+        return sp.csr_matrix(sp.eye(d, k=1), dtype=float)
     raise TypeError(f"kind {kind!r} undefined for rotor modes")
 
 
@@ -325,7 +322,7 @@ def _clean(op: sp.spmatrix) -> sp.csr_matrix:
 
 def _kron_chain(factors: Sequence[sp.spmatrix]) -> sp.csr_matrix:
     if not factors:
-        return sp.identity(1, format="csr", dtype=complex)
+        return sp.identity(1, format="csr")
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
 
 
@@ -344,7 +341,7 @@ def kron_mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.
         local = _rotor_local(kind, int(mode.cutoff))
 
     jw = mode.kind == "fermion" and kind in ("annihilate", "create")
-    z_string = sp.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
+    z_string = sp.csr_matrix(np.diag([1.0, -1.0]))
     factors: list[sp.spmatrix] = []
     for j, m in enumerate(basis.modes):
         if j == mode_index:
@@ -352,8 +349,9 @@ def kron_mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.
         elif jw and j < mode_index and m.kind == "fermion":
             factors.append(z_string)
         else:
-            factors.append(sp.identity(m.dim, format="csr", dtype=complex))
-    return _clean(_kron_chain(factors))
+            factors.append(sp.identity(m.dim, format="csr"))
+    # in the local matrix's dtype: scipy's kron of an empty factor is float64
+    return _clean(_kron_chain(factors).astype(local.dtype))
 
 
 #: The kinds `mode_entries` defines, per mode kind.
@@ -393,14 +391,14 @@ def test_mode_operator_matches_kronecker_chain(name, mode_index, kind):
     ref = kron_mode_operator(basis, mode_index, kind)
     assert isinstance(got, sp.csr_matrix)
     assert got.shape == ref.shape == (basis.dimension, basis.dimension)
-    assert got.dtype == np.complex128
+    assert got.dtype == ref.dtype == (np.complex128 if kind == "momentum" else np.float64)
     assert got.has_sorted_indices
     assert np.all(got.data != 0)
     for attr in ("indptr", "indices"):
         assert getattr(got, attr).dtype == getattr(ref, attr).dtype
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
     # bit for bit, signed zeros included
-    assert got.data.tobytes() == ref.data.astype(complex).tobytes()
+    assert got.data.tobytes() == ref.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +495,13 @@ def test_hermiticity_defect_never_reorders_its_argument(symmetric):
 
 def test_one_to_one_kinds_send_each_state_to_at_most_one_state():
     """Every kind of mode_entries has at most one entry per column, and
-    real values stored as complex128 (what models._moves assumes)."""
+    float64 values (what models._moves assumes)."""
     for specs in _ORACLE_BASES.values():
         basis = build_basis(specs)
         for j, mode in enumerate(basis.modes):
             for kind in _KINDS_OF[mode.kind]:
                 rows, cols, vals = mode_entries(basis, j, kind)
                 assert len(np.unique(cols)) == len(cols)
-                assert vals.dtype == np.complex128 and np.all(vals.imag == 0)
+                assert vals.dtype == np.float64
                 op = mode_operator(basis, j, kind)
                 assert op.nnz == len(vals)

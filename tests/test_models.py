@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from test_fock import kron_mode_operator, mode_operator
 
 from truncert import fock_algebra, models
-from truncert.fock_algebra import ALL, ProjectorSpec, projector, window_mask
+from truncert.fock_algebra import ALL, ProjectorSpec, projector
 from truncert.models import (
     comm_norm_exact,
     dicke,
@@ -19,7 +19,7 @@ from truncert.models import (
     single_mode,
     u1_lgt_1d,
 )
-from truncert.propagate import op_norm, window_sectors
+from truncert.propagate import WindowSweep, op_norm
 from truncert.walk_profiles import (
     profile_dicke,
     profile_hubbard_holstein,
@@ -222,7 +222,7 @@ def test_u1_gauss_law_commutes():
     model = u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2)
     basis = model.basis
     dim = basis.dimension
-    zero = sp.csr_matrix((dim, dim), dtype=complex)
+    zero = sp.csr_matrix((dim, dim))
     for y in range(3):
         g_op = mode_operator(basis, 2 * y, "number")
         if y < 2:
@@ -282,7 +282,7 @@ def _algebraic_hubbard_holstein_1d(
     dn = lambda x: 3 * x + 1
     bmode = lambda x: 3 * x + 2
 
-    ident = sp.identity(dim, format="csr", dtype=complex)
+    ident = sp.identity(dim, format="csr")
     h_f = models._zero(dim)
     bonds = [(x, x + 1) for x in range(n_sites - 1)]
     if not open_boundary and n_sites > 2:
@@ -559,10 +559,10 @@ def test_wrong_sector_keys_are_rejected():
 def test_single_mode_is_one_sector():
     model = single_mode(1.0, 1.0, 8)
     assert model.sector_keys is None
-    mask = window_mask(model.basis, ProjectorSpec(0, 0, 3))
-    (sector,) = window_sectors(mask, model.sector_keys)
-    assert np.array_equal(sector.rows, np.arange(model.dimension))
-    assert np.array_equal(sector.window, np.arange(4))
+    (stack,) = WindowSweep(model.basis, ProjectorSpec(0, 0, 3), [], model.sector_keys).stacks
+    assert np.array_equal(stack.rows, np.arange(model.dimension))
+    assert np.array_equal(stack.window, [np.arange(4)])
+    assert np.array_equal(stack.starts, [0, model.dimension])
 
 
 # ---------------------------------------------------------------------------

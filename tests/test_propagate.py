@@ -34,8 +34,6 @@ from truncert.propagate import (
     lowest_eigenpairs,
     masked_top_singular,
     op_norm,
-    sweep_window,
-    window_sectors,
 )
 from truncert.trotter import empirical_trotter_error
 from truncert.verify import (
@@ -244,7 +242,6 @@ def test_prepared_propagator_matches_one_shot():
             block = _random_block(80, 5, seed)
             for tol in (1e-6, 1e-12):
                 assert np.array_equal(prop.apply(block, t, tol), evolve(h, block, t, tol))
-                assert np.array_equal(evolve(prop, block, t, tol), prop.apply(block, t, tol))
             psi = block[:, 0]
             assert np.array_equal(prop.apply(psi, t, 1e-10), evolve(h, psi, t))
 
@@ -255,7 +252,8 @@ def test_propagator_checks_its_input():
         ChebyshevPropagator(raising)
     with pytest.raises(ValueError, match="dimension mismatch"):
         ChebyshevPropagator(sp.csr_matrix(np.ones((3, 4))))
-    prop = ChebyshevPropagator(_random_hermitian(4, 8))
+    h = _random_hermitian(4, 8)
+    prop = ChebyshevPropagator(h)
     with pytest.raises(ValueError, match="dimension mismatch"):
         prop.apply(np.ones(5, dtype=complex), 1.0, 1e-10)
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -265,7 +263,7 @@ def test_propagator_checks_its_input():
     basis = build_basis([boson(4)])  # dimension 5
     window = ProjectorSpec(0, 0, 1)
     with pytest.raises(ValueError, match="basis dimension"):
-        leakage_norm(basis, prop, window, window, 0.5)
+        leakage_norm(basis, h, window, window, 0.5)
 
 
 def test_propagator_zero_width_interval():
@@ -300,23 +298,72 @@ def test_chebyshev_terms_zero_argument():
     assert len(propagate._chebyshev_bessel(0.0, 1e-10)) - 1 == 0
 
 
-def _window_columns(basis, h, window0, t):
-    """The window columns of exp(-i t h) on the whole space: one sector."""
-    (sector,) = window_sectors(window_mask(basis, window0))
-    prop = ChebyshevPropagator(h)
-    return sweep_window(sector, lambda e: prop.apply(e, t, 1e-10)), sector
+def _stacks(model, window0):
+    """The stacks a `WindowSweep` of the model's window0 sweeps."""
+    return WindowSweep(model.basis, window0, [], model.sector_keys).stacks
+
+
+def _members(stack):
+    """(rows, window positions within rows) of each member sector of a stack."""
+    return [
+        (stack.rows[start:stop], stack.window[i] - start)
+        for i, (start, stop) in enumerate(zip(stack.starts[:-1], stack.starts[1:]))
+    ]
+
+
+def _sector_entries(stacks):
+    """dim_s * n0_s of every member sector of the stacks."""
+    return [len(rows) * len(window) for stack in stacks for rows, window in _members(stack)]
+
+
+def _window_columns(basis, h, window0, t, sector_keys=None):
+    """The window columns of exp(-i t h) as a `WindowSweep` evolves them.
+
+    Returns (cols, states): cols[:, i] is the full-space column of window
+    state states[i] (ascending), its stack member's part of the block
+    column the sweep evolved it in, scattered onto the member's rows.
+    """
+    sweep = WindowSweep(basis, window0, [h], sector_keys)
+    stack_of = {id(ops[0]): stack for stack, ops in zip(sweep.stacks, sweep._ops)}
+    columns = {}
+
+    def scatter(ops, e, ts):
+        out = ops[0].apply_times(e, ts, 1e-10)
+        stack = stack_of[id(ops[0])]
+        for i, j in zip(*np.nonzero(e)):
+            m = np.searchsorted(stack.starts, i, side="right") - 1
+            start, stop = stack.starts[m], stack.starts[m + 1]
+            col = np.zeros(basis.dimension, dtype=complex)
+            col[stack.rows[start:stop]] = out[0, start:stop, j]
+            assert stack.rows[i] not in columns  # each window state swept once
+            columns[stack.rows[i]] = col
+        return out
+
+    sweep.top_singular(scatter, [t], [[np.zeros(basis.dimension, dtype=bool)]])
+    states = np.array(sorted(columns))
+    return np.stack([columns[state] for state in states], axis=1), states
 
 
 @pytest.mark.parametrize("entries", [1, 3 * 784, 1 << 15, 1 << 30])
 def test_leakage_columns_independent_of_block_split(entries, monkeypatch):
-    """The evolved window columns `sweep_window` returns do not depend on
-    how many columns each block call takes."""
+    """The evolved window columns a `WindowSweep` hands to its reduction do
+    not depend on how many columns each block call takes."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=6)  # dim 784, 144 window columns
     window0 = ProjectorSpec(ALL, 0, 2)
-    ref, sector = _window_columns(model.basis, model.hamiltonian, window0, 0.7)
+    ref, states = _window_columns(model.basis, model.hamiltonian, window0, 0.7)
     monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", entries)
-    got, sector2 = _window_columns(model.basis, model.hamiltonian, window0, 0.7)
-    assert np.array_equal(sector.window, sector2.window)
+    calls = []
+    real_apply = ChebyshevPropagator.apply_times
+
+    def counting_apply(prop, block, times, tol):
+        calls.append(block.shape[1])
+        return real_apply(prop, block, times, tol)
+
+    monkeypatch.setattr(ChebyshevPropagator, "apply_times", counting_apply)
+    got, states2 = _window_columns(model.basis, model.hamiltonian, window0, 0.7)
+    assert np.array_equal(states, states2) and len(states) == 144
+    step = max(1, entries // 784)
+    assert calls == [min(step, 144 - lo) for lo in range(0, 144, step)]
     # same polynomial on every column; only SIMD remainder loops may differ
     assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
 
@@ -457,8 +504,8 @@ def test_op_norm_nonsquare_rectangularish():
 def test_leakage_columns_window_indices():
     basis = build_basis([boson(6)])
     h = single_mode(1.0, 1.0, 6).hamiltonian
-    cols, sector = _window_columns(basis, h, ProjectorSpec(0, 0, 2), 0.5)
-    assert list(sector.rows[sector.window]) == [0, 1, 2]
+    cols, states = _window_columns(basis, h, ProjectorSpec(0, 0, 2), 0.5)
+    assert list(states) == [0, 1, 2]
     assert cols.shape == (7, 3)
     assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-10)
 
@@ -523,18 +570,24 @@ def hermiticity_checks(monkeypatch):
 
 
 def test_trotter_check_prepares_each_part_once(hermiticity_checks, monkeypatch):
+    """H and every part are prepared once per stack, on the stack's rows,
+    however many blocks and step sizes."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)  # dim 256, 64 window columns
     monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 8 * model.dimension)  # 8 blocks
+    stacks = _stacks(model, ProjectorSpec(ALL, 0, 1))
     empirical_trotter_error(model, 2, [0.2, 0.1, 0.05, 0.025], 1)
-    assert len(hermiticity_checks) == len(model.parts) + 1
+    n_ops = len(model.parts) + 1
+    assert hermiticity_checks == [(len(st.rows),) * 2 for st in stacks for _ in range(n_ops)]
 
 
 def test_hamiltonian_truncation_prepares_each_operator_once(hermiticity_checks, monkeypatch):
-    """H and Pi H Pi are checked once per cutoff, however many sectors and blocks."""
+    """H and Pi H Pi are checked once per stack of each cutoff, however many
+    blocks."""
     monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 4 * 576)  # 4 columns of dim 576
     factory = lambda nm: hubbard_holstein_1d(2, g=0.5, n_max=nm)
+    stacks = [st for nm in (5, 10) for st in _stacks(factory(nm), ProjectorSpec(ALL, 0, 1))]
     verify_hamiltonian_truncation(factory, 5, 1, 3, 0.4, check_padding=True)
-    assert len(hermiticity_checks) == 2 * 2
+    assert hermiticity_checks == [(len(st.rows),) * 2 for st in stacks for _ in range(2)]
 
 
 def test_state_truncation_prepares_once(hermiticity_checks):
@@ -557,21 +610,15 @@ SECTOR_CASES = [
 @pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
 def test_sectored_columns_match_unsectored(model, window0, t):
     basis, h, keys = model.basis, model.hamiltonian, model.sector_keys
-    sectors = window_sectors(window_mask(basis, window0), keys)
-    assert len(sectors) > 1
-    full, one_sector = _window_columns(basis, h, window0, t)
-    idx = one_sector.rows[one_sector.window]
-    # scatter each sector's columns, swept in its coordinates, into the full block
-    prop = ChebyshevPropagator(h)
-    split = np.zeros_like(full)
-    for s in sectors:
-        prop_s = prop.restrict(s.rows)
-        at = np.searchsorted(idx, s.rows[s.window])
-        split[np.ix_(s.rows, at)] = sweep_window(s, lambda e: prop_s.apply(e, t, 1e-10))
+    assert len(_sector_entries(_stacks(model, window0))) > 1
+    full, idx = _window_columns(basis, h, window0, t)
+    # each sector's columns, swept in their stacks, scattered into the full block
+    split, idx2 = _window_columns(basis, h, window0, t, keys)
+    assert np.array_equal(idx, idx2)
     slack = engine_slack(TOL)
     assert np.linalg.norm(split - full, 2) <= slack
-    # each column stays inside the sector of its window state
-    assert np.all(split[keys[:, None] != keys[idx][None, :]] == 0.0)
+    # the whole-space evolution keeps each column inside its window state's sector
+    assert np.abs(full[keys[:, None] != keys[idx][None, :]]).max() <= slack
     for lam in (window0.hi + 1, window0.hi + 2):
         window1 = ProjectorSpec(ALL, 0, lam)
         one = leakage_norm(basis, h, window0, window1, t)
@@ -599,7 +646,7 @@ def test_window_sweep_without_masks_propagates_nothing():
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     window0 = ProjectorSpec(ALL, 0, 1)
     sweep = WindowSweep(model.basis, window0, [model.hamiltonian], model.sector_keys)
-    assert len(sweep.sectors) == 9
+    assert len(_sector_entries(sweep.stacks)) == 9
 
     def unreachable(ops, e, xs):
         raise AssertionError("a sector was swept")
@@ -673,14 +720,14 @@ def test_multi_time_recurrence_equals_single_time_calls(model):
 
 def test_real_hamiltonian_runs_in_float64():
     """A real H is kept, scaled and solved in float64; the scaled operator
-    is built on the first apply, and not at all by a propagator that is
-    only restricted."""
+    is built on the first apply, and not at all by a sweep's propagators
+    until they evolve more than a phase."""
     model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=4)
     prop = ChebyshevPropagator(model.hamiltonian)
     assert prop._h.dtype == np.float64 and prop._two_hs is None
-    rows = np.flatnonzero(model.sector_keys == model.sector_keys[0])
-    prop.restrict(rows)
-    assert prop._two_hs is None
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [model.hamiltonian],
+                        model.sector_keys)
+    assert all(ops[0]._h.dtype == np.float64 and ops[0]._two_hs is None for ops in sweep._ops)
     prop.apply(np.eye(model.dimension, 2), 0.4, 1e-10)
     assert prop._scaled().dtype == np.float64
     assert prop._scaled().data.flags.c_contiguous
@@ -691,19 +738,21 @@ def test_real_hamiltonian_runs_in_float64():
 
 
 def test_restricted_stack_takes_its_rows_gershgorin_ends():
-    """A stack restricted from 2-site HH has the (centre, half) of a
-    from-scratch preparation of the same rows, bit for bit, and its
+    """A multi-member stack of 2-site HH gets, bit for bit, the (centre,
+    half) of the full operator's Gershgorin ends of its rows, and its
     float64 recurrence equals the complex one byte for byte."""
     model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
     sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 2), [model.hamiltonian],
                         model.sector_keys)
-    stack = max(sweep.stacks, key=lambda s: len(s.members))
-    assert len(stack.members) > 1
+    stack = max(sweep.stacks, key=lambda s: len(s.starts))
+    assert len(stack.starts) > 2
     (sub,) = sweep._ops[sweep.stacks.index(stack)]
-    h = sp.csr_matrix(model.hamiltonian)
-    fresh = ChebyshevPropagator.__new__(ChebyshevPropagator)
-    fresh._prepare(propagate._owned_csr(h[stack.rows][:, stack.rows]))
-    assert (sub._centre, sub._half) == (fresh._centre, fresh._half)
+    h = propagate._owned_csr(model.hamiltonian)
+    d = h.diagonal()
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
+    lo = float(np.min((d - radius)[stack.rows]))
+    hi = float(np.max((d + radius)[stack.rows]))
+    assert (sub._centre, sub._half) == ((hi + lo) / 2.0, (hi - lo) / 2.0)
     assert sub._half > 0.0
     e = np.zeros((len(stack.rows), stack.window.shape[1]))
     e[stack.window, np.arange(stack.window.shape[1])] = 1.0
@@ -753,23 +802,26 @@ def test_engine_calls_leave_the_callers_matrices_alone(build):
 @pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
 def test_stacked_sweep_matches_per_sector_sweep(model, window0, t):
     """The stacked sweep's values, for several times and escape windows per
-    time, equal a sweep of each sector on its own within the engine slack."""
-    basis, keys = model.basis, model.sector_keys
-    sweep = WindowSweep(basis, window0, [model.hamiltonian], keys)
-    assert any(len(stack.members) > 1 for stack in sweep.stacks)
+    time, equal an evolution of each sector on its own within the engine
+    slack."""
+    basis, h, keys = model.basis, model.hamiltonian, model.sector_keys
+    sweep = WindowSweep(basis, window0, [h], keys)
+    assert any(len(stack.starts) > 2 for stack in sweep.stacks)
     times = [t, 0.0, 2.0 * t]
     lams = [window0.hi + 1, window0.hi + 2]
     keeps = [[window_mask(basis, ProjectorSpec(ALL, 0, lam)) for lam in lams]] * len(times)
     got = sweep.top_singular(lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
-    prop = ChebyshevPropagator(model.hamiltonian)
+    sectors = [member for stack in sweep.stacks for member in _members(stack)]
+    props = [ChebyshevPropagator(propagate._principal_submatrix(h, rows)) for rows, _ in sectors]
     slack = engine_slack(TOL)
     for ti, masks, row in zip(times, keeps, got):
         for keep, value in zip(masks, row):
             want = 0.0
-            for s in sweep.sectors:
-                prop_s = prop.restrict(s.rows)
-                cols = sweep_window(s, lambda e: prop_s.apply(e, ti, TOL))
-                want = max(want, masked_top_singular(cols, keep[s.rows]))
+            for (rows, window), prop_s in zip(sectors, props):
+                e = np.zeros((len(rows), len(window)))
+                e[window, np.arange(len(window))] = 1.0
+                cols = prop_s.apply(e, ti, TOL)
+                want = max(want, masked_top_singular(cols, keep[rows]))
             assert abs(value - want) <= slack
     assert any(v > 1e-4 for v in got[0])
     assert got[1] == [0.0, 0.0]
@@ -777,31 +829,50 @@ def test_stacked_sweep_matches_per_sector_sweep(model, window0, t):
 
 @pytest.mark.parametrize("model, window0, t", SECTOR_CASES, ids=["hh", "dicke", "u1"])
 def test_stacks_hold_equal_window_counts_within_one_block(model, window0, t):
-    sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
-    stacks = propagate.stack_sectors(sectors)
-    members = [s for stack in stacks for s in stack.members]
-    assert sorted(map(id, members)) == sorted(map(id, sectors))
+    """The stacks' members are exactly the sectors that meet the window
+    (the states of one key, ascending, and their window positions), each
+    in exactly one stack; a stack of several members fits one block."""
+    keys = model.sector_keys
+    mask = window_mask(model.basis, window0)
+    sectors = []
+    for key in np.unique(keys):
+        rows = np.flatnonzero(keys == key)
+        if mask[rows].any():
+            sectors.append((rows, np.flatnonzero(mask[rows])))
+    stacks = _stacks(model, window0)
+    members = [m for stack in stacks for m in _members(stack)]
+    assert len(members) == len(sectors)
+    members.sort(key=lambda m: keys[m[0][0]])
+    for (rows, window), (want_rows, want_window) in zip(members, sectors):
+        assert np.array_equal(rows, want_rows) and np.array_equal(window, want_window)
     for stack in stacks:
-        n0 = len(stack.members[0].window)
-        assert all(len(s.window) == n0 for s in stack.members)
-        assert stack.window.shape == (len(stack.members), n0)
-        assert len(stack.members) == 1 or stack.entries <= propagate._BLOCK_ENTRIES
-        for i, s in enumerate(stack.members):
-            start, stop = stack.starts[i], stack.starts[i + 1]
-            assert np.array_equal(stack.rows[start:stop], s.rows)
-            assert np.array_equal(stack.window[i], start + s.window)
+        assert stack.window.shape == (len(stack.starts) - 1, stack.window.shape[1])
+        assert len(stack.starts) == 2 or stack.entries <= propagate._BLOCK_ENTRIES
+        assert np.array_equal(stack.rows, np.concatenate([r for r, _ in _members(stack)]))
 
 
 def test_large_sectors_are_stacks_of_their_own(monkeypatch):
     """A block too small for two sectors leaves every sector alone; an
-    unbounded block stacks every sector of one window count together."""
+    unbounded block stacks every sector of one window count together; and
+    in between a sector joins the open stack of its count while the stack
+    fits, in key order, and opens a new one otherwise."""
     model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
-    sectors = window_sectors(window_mask(model.basis, ProjectorSpec(ALL, 0, 2)), model.sector_keys)
+    window0 = ProjectorSpec(ALL, 0, 2)
+    n_sectors = len(_sector_entries(_stacks(model, window0)))
+    # (N_up, N_dn) keys 0..8; sectors of 36 rows hold 9 window states, of
+    # 72 rows 18 and of 144 rows 36: a block of 648 entries fits two of the
+    # smallest and no other sector
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 2 * 36 * 9)
+    keys = model.sector_keys
+    members = [[keys[rows[0]] for rows, _ in _members(st)] for st in _stacks(model, window0)]
+    assert members == [[0, 2], [1], [3], [4], [5], [6, 8], [7]]
     monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 1)
-    assert [len(s.members) for s in propagate.stack_sectors(sectors)] == [1] * len(sectors)
+    alone = _stacks(model, window0)
+    assert [len(st.starts) - 1 for st in alone] == [1] * n_sectors
     monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 1 << 40)
-    widths = {len(s.window) for s in sectors}
-    assert len(propagate.stack_sectors(sectors)) == len(widths)
+    widths = {st.window.shape[1] for st in alone}
+    assert len(widths) > 1
+    assert sorted(st.window.shape[1] for st in _stacks(model, window0)) == sorted(widths)
 
 
 def test_window_sweep_batches_outputs_under_the_cap(monkeypatch):
@@ -831,49 +902,112 @@ def test_window_sweep_batches_outputs_under_the_cap(monkeypatch):
 
 
 def test_restrict_rejects_rows_coupled_to_the_rest():
+    """A sector's principal submatrix is its own; rows an operator couples
+    to the rest are refused, by the submatrix and by a WindowSweep whose
+    keys the operator does not conserve; keys of the wrong shape too."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
-    prop = ChebyshevPropagator(model.hamiltonian)
-    keys = model.sector_keys
+    h, keys = model.hamiltonian, model.sector_keys
     rows = np.flatnonzero(keys == keys[0])
-    sub = prop.restrict(rows)
-    assert sub.shape == (len(rows), len(rows))
-    assert prop.restrict(np.arange(model.dimension)) is prop
-    phonon_vacuum = np.flatnonzero(model.basis.local_indices(2) == 0)
+    assert propagate._principal_submatrix(h, rows).shape == (len(rows), len(rows))
+    phonons = model.basis.local_indices(2)
+    phonon_vacuum = np.flatnonzero(phonons == 0)
     with pytest.raises(ValueError, match="coupled to states outside"):
-        prop.restrict(phonon_vacuum)
+        propagate._principal_submatrix(h, phonon_vacuum)
+    window0 = ProjectorSpec(ALL, 0, 1)
+    with pytest.raises(ValueError, match="coupled to states outside"):
+        WindowSweep(model.basis, window0, [h], phonons)
     with pytest.raises(ValueError, match="one entry per basis state"):
-        window_sectors(np.ones(4, dtype=bool), np.zeros(3, dtype=int))
+        WindowSweep(model.basis, window0, [h], keys[:-1])
+
+
+def test_window_sweep_refuses_a_non_hermitian_stack():
+    """Hermiticity is checked on each stack's own operator: an entry without
+    its mirror inside a stack is refused."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    h, keys = model.hamiltonian, model.sector_keys
+    window0 = ProjectorSpec(ALL, 0, 1)
+    rows = _stacks(model, window0)[0].rows
+    inside = sp.csr_matrix(([0.5], ([rows[0]], [rows[1]])), shape=h.shape)
+    assert keys[rows[0]] == keys[rows[1]]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        WindowSweep(model.basis, window0, [h + inside], keys)
+
+
+@pytest.mark.parametrize("build, whole", [
+    (lambda: hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=4), False),
+    (lambda: dicke(2, 1.0, 0.7, 0.6, 6), True),  # both parity sectors in one stack
+    (lambda: single_mode(0.5, 1.0, 12), True),  # no keys: one sector
+], ids=["hh", "dicke", "single"])
+def test_window_sweep_builds_one_propagator_per_operator_and_stack(
+    build, whole, hermiticity_checks
+):
+    """len(ops) x len(stacks) propagators, each of its stack's dimension,
+    so none of the full dimension unless one stack is the whole space."""
+    model = build()
+    ops = [model.hamiltonian, *model.parts.values()]
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
+    assert [[p.shape for p in props] for props in sweep._ops] == [
+        [(len(st.rows),) * 2] * len(ops) for st in sweep.stacks
+    ]
+    assert hermiticity_checks == [(len(st.rows),) * 2 for st in sweep.stacks for _ in ops]
+    assert [len(st.rows) == model.dimension for st in sweep.stacks] == (
+        [True] if whole else [False] * len(sweep.stacks)
+    )
+
+
+STACK_MODELS = [
+    hubbard_holstein_1d(2, hop=1.0, u=0.5, g=0.5, n_max=13),
+    hubbard_holstein_1d(3, u=0.7, g=-0.4, n_max=2, open_boundary=False),
+    dicke(3, 1.0, -0.7, 0.4, 6),
+    u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2),
+]
+STACK_IDS = ["hh2", "hh3_periodic", "dicke3", "u1"]
+
+
+@pytest.mark.parametrize("model", STACK_MODELS, ids=STACK_IDS)
+def test_stack_propagation_equals_full_space_evolve(model):
+    """Each stack's propagator evolves a block on the stack's rows as the
+    full-space evolve does, within both error bounds: the full columns stay
+    on the stack's rows, and agree there to within 4 tol ||block||."""
+    h = model.hamiltonian
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [h], model.sector_keys)
+    assert any(len(st.starts) > 2 for st in sweep.stacks)
+    for i, (stack, (prop,)) in enumerate(zip(sweep.stacks, sweep._ops)):
+        block = _random_block(len(stack.rows), 3, 40 + i)
+        block /= np.linalg.norm(block, 2)
+        full = np.zeros((model.dimension, 3), dtype=complex)
+        full[stack.rows] = block
+        want = evolve(h, full, 0.7)
+        got = prop.apply(block, 0.7, TOL)
+        assert np.linalg.norm(want[stack.rows] - got, 2) <= 4 * TOL
+        rest = np.ones(model.dimension, dtype=bool)
+        rest[stack.rows] = False
+        assert np.linalg.norm(want[rest], 2) <= 2 * TOL
 
 
 def _stack_rows(model, lam=1):
     """The rows of every stack of the model's [0, lam] window, largest first."""
-    mask = window_mask(model.basis, ProjectorSpec(ALL, 0, lam))
-    stacks = propagate.stack_sectors(window_sectors(mask, model.sector_keys))
+    stacks = _stacks(model, ProjectorSpec(ALL, 0, lam))
     return sorted((st.rows for st in stacks), key=len, reverse=True)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        hubbard_holstein_1d(2, hop=1.0, u=0.5, g=0.5, n_max=13),
-        hubbard_holstein_1d(3, u=0.7, g=-0.4, n_max=2, open_boundary=False),
-        dicke(3, 1.0, -0.7, 0.4, 6),
-        u1_lgt_1d(3, g_m=1.0, g_gm=0.8, g_e=0.9, field_cap=2),
-    ],
-    ids=["hh2", "hh3_periodic", "dicke3", "u1"],
-)
+@pytest.mark.parametrize("model", STACK_MODELS, ids=STACK_IDS)
 def test_restrict_is_scipy_fancy_indexing_byte_for_byte(model):
-    """The restricted submatrix has exactly the arrays of h[rows][:, rows]:
-    on the propagator's canonical copy, on the caller's mixed-order H (HH
-    and Dicke store some rows with descending columns), on multi-member
-    stacks and on rows in any order."""
+    """The submatrix has exactly the arrays of h[rows][:, rows], on the
+    caller's mixed-order H (HH and Dicke store some rows with descending
+    columns), on multi-member stacks and on rows in any order; and each
+    stack's propagator evolves exactly the arrays of the canonical full
+    copy's h[rows][:, rows]."""
     stacks = _stack_rows(model)
     assert any(len(np.unique(model.sector_keys[rows])) > 1 for rows in stacks)
     rng = np.random.default_rng(7)
-    for op in [model.hamiltonian, *model.parts.values()]:
-        prop = ChebyshevPropagator(op)
+    ops = [model.hamiltonian, *model.parts.values()]
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
+    for j, op in enumerate(ops):
+        canonical = propagate._owned_csr(op)
+        for stack, props in zip(sweep.stacks, sweep._ops):
+            assert _same_csr(props[j]._h, canonical[stack.rows][:, stack.rows])
         for rows in [*stacks, rng.permutation(stacks[0])]:
-            assert _same_csr(prop.restrict(rows)._h, prop._h[rows][:, rows])
             assert _same_csr(propagate._principal_submatrix(op, rows), op[rows][:, rows])
     mixed = model.hamiltonian
     if model.label in ("hubbard_holstein_1d", "dicke"):
@@ -1061,7 +1195,7 @@ def test_scaled_operator_is_scipys_expression_byte_for_byte(name):
     checked = 0
     for h in [model.hamiltonian, *model.parts.values()]:
         prop = ChebyshevPropagator(h)
-        sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [prop], model.sector_keys)
+        sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [h], model.sector_keys)
         for p in [prop] + [ops[0] for ops in sweep._ops]:
             if p._diag is not None or p._half == 0.0:
                 continue
@@ -1080,10 +1214,9 @@ def test_sector_guard_bounds_the_largest_sector(monkeypatch):
     Hamiltonian truncation."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     window0 = ProjectorSpec(ALL, 0, 1)
-    sectors = window_sectors(window_mask(model.basis, window0), model.sector_keys)
-    largest = max(s.entries for s in sectors)
+    largest = max(_sector_entries(_stacks(model, window0)))
     monkeypatch.setattr(propagate, "COLUMN_CAP", largest)
-    assert len(window_sectors(window_mask(model.basis, window0), model.sector_keys)) == 9
+    assert len(_sector_entries(_stacks(model, window0))) == 9
     monkeypatch.setattr(propagate, "COLUMN_CAP", largest - 1)
     args = (model.basis, model.hamiltonian, window0, ProjectorSpec(ALL, 0, 2), 0.4)
     with pytest.raises(ResourceLimitError, match="over the cap"):
@@ -1107,22 +1240,21 @@ def test_chebyshev_matches_expm_multiply_past_dense_size():
     times.  The stack's members have different Gershgorin intervals, so the
     stack's hull is wider than some member's own."""
     model = hubbard_holstein_1d(3, u=0.5, g=0.5, n_max=7)
-    prop = ChebyshevPropagator(model.hamiltonian)
-    keys = model.sector_keys
+    h, keys = model.hamiltonian, model.sector_keys
     largest = np.flatnonzero(keys == np.bincount(keys).argmax())
-    mask = window_mask(model.basis, ProjectorSpec(ALL, 0, 1))
-    (stack,) = [s for s in propagate.stack_sectors(window_sectors(mask, keys))
-                if len(s.members) > 1]
-    assert (len(largest), len(stack.members), len(stack.rows)) == (4608, 4, 2048)
-    hulls = {(m._centre, m._half) for m in (prop.restrict(s.rows) for s in stack.members)}
-    assert len(hulls) > 1
-    for rows in (largest, stack.rows):
-        sub = prop.restrict(rows)
-        h = sub._h.tocsc()
-        complex_block = _random_block(len(rows), 8, 31)
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [h], keys)
+    ((stack, (stacked,)),) = [(s, ops) for s, ops in zip(sweep.stacks, sweep._ops)
+                              if len(s.starts) > 2]
+    assert (len(largest), len(stack.starts) - 1, len(stack.rows)) == (4608, 4, 2048)
+    members = [ChebyshevPropagator(propagate._principal_submatrix(h, rows))
+               for rows, _ in _members(stack)]
+    assert len({(m._centre, m._half) for m in members}) > 1
+    for sub in (ChebyshevPropagator(propagate._principal_submatrix(h, largest)), stacked):
+        h_sub = sub._h.tocsc()
+        complex_block = _random_block(sub.shape[0], 8, 31)
         for block in (complex_block.real.copy(), complex_block):
             scale = np.linalg.norm(block, 2)
             for t in (0.25, 1.0, 4.0):
-                ref = expm_multiply(-1j * t * h, block.astype(complex))
+                ref = expm_multiply(-1j * t * h_sub, block.astype(complex))
                 err = np.linalg.norm(sub.apply(block, t, TOL) - ref, 2)
                 assert err <= (TOL + 1e-12) * scale

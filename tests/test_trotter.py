@@ -184,7 +184,7 @@ def test_product_formula_exact_for_commuting_parts(p):
     d1 = sp.diags([0.0, 1.0, 2.0]).tocsr()
     d2 = sp.diags([0.5, -0.5, 1.5]).tocsr()
     psi = np.array([0.6, 0.8, 0.0], dtype=complex)
-    got = apply_product_formula([d1, d2], psi, 1.7, p)
+    got = apply_product_formula([ChebyshevPropagator(d) for d in (d1, d2)], psi, 1.7, p)
     expect = np.exp(-1j * 1.7 * (d1 + d2).diagonal()) * psi
     assert np.linalg.norm(got - expect) < 1e-10
 
@@ -195,13 +195,14 @@ def test_product_formula_error_order(p, order):
     parts = _split_parts(12, seed=42)
     h = parts[0] + parts[1]
     prop = DensePropagator(h)
+    props = [ChebyshevPropagator(part) for part in parts]
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     psi /= np.linalg.norm(psi)
 
     def err(tau):
         exact = prop.apply(psi, tau)
-        return np.linalg.norm(apply_product_formula(parts, psi, tau, p) - exact)
+        return np.linalg.norm(apply_product_formula(props, psi, tau, p) - exact)
 
     ratio = err(0.1) / err(0.05)
     assert ratio == pytest.approx(2.0 ** order, rel=0.25)
@@ -209,7 +210,7 @@ def test_product_formula_error_order(p, order):
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_product_formula_block_matches_columns(p):
-    parts = _split_parts(20, seed=3, n_parts=3)
+    parts = [ChebyshevPropagator(part) for part in _split_parts(20, seed=3, n_parts=3)]
     rng = np.random.default_rng(4)
     block = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
     got = apply_product_formula(parts, block, 0.3, p)
@@ -219,7 +220,7 @@ def test_product_formula_block_matches_columns(p):
 
 
 def test_product_formula_rejects_odd_orders():
-    parts = _split_parts(4, seed=1)
+    parts = [ChebyshevPropagator(part) for part in _split_parts(4, seed=1)]
     with pytest.raises(ValueError):
         apply_product_formula(parts, np.ones(4, dtype=complex), 0.1, 3)
 

@@ -5,12 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from test_propagate import _sector_entries, _stacks
 
 from truncert import propagate
 from truncert.bounds import compare_thresholds
 from truncert.fock_algebra import ALL, ProjectorSpec, window_mask
 from truncert.models import dicke, hubbard_holstein_1d, single_mode
-from truncert.propagate import TOL, ChebyshevPropagator, window_sectors
+from truncert.propagate import TOL, ChebyshevPropagator
 from truncert.verify import (
     coherent_oracle_check,
     engine_slack,
@@ -80,44 +81,51 @@ def test_state_truncation_measures_each_window_once(monkeypatch):
     coincide) is measured once on each member sector, and a pair no report
     reads (a window past the cutoff) is never measured, so a time with no
     window below the cutoff is not evolved at all."""
-    swept, measured, applied = [], [], []
-    real_sweep, real_measure = propagate.sweep_window, propagate.masked_top_singular
+    applied, measured = [], []  # (propagator, times) per block call; measured shapes
+    real_measure = propagate.masked_top_singular
     real_apply = ChebyshevPropagator.apply_times
 
     def spying_apply(prop, block, times, tol):
-        applied.extend(times)
+        applied.append((prop, sorted(times)))
         return real_apply(prop, block, times, tol)
-
-    def counting_sweep(stack, fn):
-        applied.clear()
-        cols = real_sweep(stack, fn)
-        swept.append((stack, sorted(set(applied))))
-        return cols
 
     def counting_measure(cols, keep):
         measured.append(cols.shape)
         return real_measure(cols, keep)
 
     monkeypatch.setattr(ChebyshevPropagator, "apply_times", spying_apply)
-    monkeypatch.setattr(propagate, "sweep_window", counting_sweep)
     monkeypatch.setattr(propagate, "masked_top_singular", counting_measure)
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
     times = [0.2, 0.25, 2.0, 3.0]
     reports = verify_state_truncation(model, 0, times, deltas=(2, 3))
-    mask0 = window_mask(model.basis, ProjectorSpec(ALL, 0, 0))
-    sectors = window_sectors(mask0, model.sector_keys)
-    stacks = propagate.stack_sectors(sectors)
-    assert len(stacks) < len(sectors)
+    stacks = _stacks(model, ProjectorSpec(ALL, 0, 0))
+    n_sectors = len(_sector_entries(stacks))
+    assert len(stacks) < n_sectors
     windows = {(r.inputs["t"], r.inputs["window"], r.inputs["mode"]) for r in reports}
     below = {w for w in windows if w[1] < model.cutoff}
     assert below < windows
     assert len(reports) > len(windows)
     measured_times = sorted({t for t, _, _ in below})
     assert measured_times == [0.2, 0.25, 2.0]
-    assert [(len(stack.members), ts) for stack, ts in swept] == [
-        (len(stack.members), measured_times) for stack in stacks
-    ]
-    assert len(measured) == len(below) * len(sectors)
+    # one propagator per stack, in stack order, each block call taking every
+    # measured time at once
+    props = list(dict.fromkeys(prop for prop, _ in applied))
+    assert [prop.shape[0] for prop in props] == [len(stack.rows) for stack in stacks]
+    assert all(ts == measured_times for _, ts in applied)
+    assert len(measured) == len(below) * n_sectors
+
+
+def test_state_truncation_refuses_deltas_below_one(monkeypatch):
+    """Deltas below 1 raise ValueError naming them, before any sweep."""
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep was built")
+
+    monkeypatch.setattr("truncert.verify.WindowSweep", no_sweep)
+    model = single_mode(1.0, 1.0, 8)
+    for deltas, named in (((0, 2), "0"), ((-3,), "-3"), ((2, -1, 0), "-1, 0")):
+        with pytest.raises(ValueError, match=f"^deltas must be >= 1, got {named}$"):
+            verify_state_truncation(model, 0, [0.2], deltas=deltas)
 
 
 def test_state_truncation_reports_share_the_call_runtime():
@@ -136,10 +144,10 @@ def test_sectors_keep_the_exact_path_past_the_unsectored_cap(monkeypatch):
     sector and that total still takes the exact column path."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     mask0 = window_mask(model.basis, ProjectorSpec(ALL, 0, 1))
-    sectors = window_sectors(mask0, model.sector_keys)
+    entries = _sector_entries(_stacks(model, ProjectorSpec(ALL, 0, 1)))
     assert model.dimension * mask0.sum() == 16384
-    assert sum(s.entries for s in sectors) == 2304
-    largest = max(s.entries for s in sectors)
+    assert len(entries) == 9 and sum(entries) == 2304
+    largest = max(entries)
     assert largest < 2304
     default = verify_state_truncation(model, 1, [0.4], deltas=(2, 3))
     monkeypatch.setattr(propagate, "COLUMN_CAP", (largest + 2304) // 2)
@@ -240,7 +248,8 @@ def test_hamiltonian_truncations_prepare_each_operator_once_per_cutoff(
     check_padding, cutoffs, monkeypatch
 ):
     """The factory runs once per cutoff, and H and every Pi H Pi are checked
-    for Hermiticity once per cutoff: (1 + L) x cutoffs checks."""
+    for Hermiticity once per stack of each cutoff, each on the stack's
+    rows: (1 + L) x stacks checks, none of the full dimension."""
     built, checks = [], []
     real = propagate.hermiticity_defect
 
@@ -252,6 +261,9 @@ def test_hamiltonian_truncations_prepare_each_operator_once_per_cutoff(
         built.append(nm)
         return hubbard_holstein_1d(2, g=0.5, n_max=nm)
 
+    window0 = ProjectorSpec(ALL, 0, 1)
+    stacks = [st for nm in cutoffs for st in _stacks(factory(nm), window0)]
+    built.clear()
     monkeypatch.setattr(propagate, "hermiticity_defect", counting)
     lambda_tildes = [3, 4, 3]
     reports = verify_hamiltonian_truncations(
@@ -259,7 +271,9 @@ def test_hamiltonian_truncations_prepare_each_operator_once_per_cutoff(
     )
     assert len(reports) == len(lambda_tildes)
     assert built == cutoffs
-    assert len(checks) == (1 + len(lambda_tildes)) * len(cutoffs)
+    assert len(stacks) > len(cutoffs)
+    want = [(len(st.rows),) * 2 for st in stacks for _ in range(1 + len(lambda_tildes))]
+    assert checks == want
 
 
 def test_hamiltonian_truncations_without_lambda_tildes_build_nothing():
