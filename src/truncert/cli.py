@@ -81,11 +81,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    return _comma_list(text, float)
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    return _comma_list(text, int)
+
+
+def _comma_list(text: str, kind) -> list:
+    """The values of a comma list; blank text selects none, bare commas are refused."""
+    values = [kind(x) for x in text.split(",") if x.strip() != ""]
+    if not values and text.strip():
+        raise argparse.ArgumentTypeError(f"empty comma list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +712,8 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"bad config line {raw.strip()!r}; want key=value")
             key, value = line.split("=", 1)
+            if not value.strip():
+                raise ValueError(f"config line {raw.strip()!r} has no value")
             values[key.strip()] = value.strip()
     return values
 

@@ -33,18 +33,25 @@ key; `COLUMN_CAP` bounds the largest sector's window columns), groups
 sectors with equal window counts into `Stack`s that fit one sweep block,
 and prepares one propagator per operator and stack, of the stack's
 principal submatrix (scipy's h[rows][:, rows]; a union of conserved
-sectors is closed under every operator).  Column j of a stack's identity
-block holds window state j of every member, and the stack's operator is
-block-diagonal over its members, so one block call evolves every
-member's columns.  Its `top_singular` then sweeps one stack's columns at
-a time, for every output of the check at once (a time, a step size or a
-truncated operator; in batches that keep the outputs held within
-`COLUMN_CAP`), a bounded block at a time, cuts each member sector back
-out, reduces it to one top singular value per escape mask
-(`masked_top_singular`) and frees the stack before the next one; each
-value is the largest over the sectors.  No key is one sector, the whole
-space.  `DensePropagator` (one dense eigendecomposition) is the
-exact oracle the tests compare it against.
+sectors is closed under every operator), or of the operator itself when
+the stack is the whole space in order.  No key is one sector, the whole
+space.  Column j of a stack's identity block holds window state j of
+every member, and the stack's operator is block-diagonal over its
+members, so one block call evolves every member's columns.  Its
+`top_singular` then sweeps one stack's columns at a time, for every
+output of the check at once (a time, a step size or a truncated
+operator; in batches that keep the outputs held within `COLUMN_CAP`), a
+bounded block at a time (a stack that fits one block holds its columns
+once: the block call's output is the column array), and
+`masked_top_singular` reduces each member sector's columns outside each
+escape mask, M, to its Gram matrix M^H M and reads the largest
+eigenvalue of batches of them with `numpy.linalg.eigvalsh`, adding a
+derived bound on the rounding of both so that each value bounds the
+computed block's top singular value from above; the stack is freed
+before the next one, and each value is the largest over the sectors.
+`DensePropagator` (one dense eigendecomposition) is the exact oracle the
+tests compare it against, and LAPACK's SVD the tests' reference for the
+reducer.
 The randomized engines (`lowest_eigenpairs`, `op_norm`) draw from fixed
 seeds: same inputs, same outputs.  `lowest_eigenpairs` solves a real H
 as a real symmetric problem: one dense `numpy.linalg.eigh` up to
@@ -99,7 +106,9 @@ COLUMN_CAP = 1 << 24
 _TERM_CAP = 1 << 20
 
 #: Largest dim * columns that `WindowSweep.top_singular` hands to one block
-#: call; it bounds the block propagator's working set (a few such blocks).
+#: call; it bounds the block propagator's working set (a few such blocks),
+#: and the entries of one batch of Gram matrices (at least one matrix) and
+#: of one gathered row chunk (at least n0^2 / 8) in `masked_top_singular`.
 _BLOCK_ENTRIES = 1 << 15
 
 _HERM_TOL = 1e-10
@@ -455,19 +464,21 @@ def _real_series(block, series, blocks) -> None:
 
     c_0 and every even c_k are real and every odd c_k is imaginary, so
     the real part of each output sums the even terms and the imaginary
-    part the odd ones, each in one contiguous float64 accumulator.
+    part the odd ones: each adds straight into the output's real or
+    imaginary part, a float64 view, so no scratch copy of the outputs is
+    held.
     """
-    parts = np.zeros((len(series), 2) + block.shape)  # (real, imaginary) per output
-    for (_, _, coeffs), acc in zip(series, parts):
-        np.multiply(coeffs[0].real, block, out=acc[0])
+    parts = [(o.real, o.imag) for o, _, _ in series]  # views into each output
+    for (_, _, coeffs), (re, im) in zip(series, parts):
+        np.multiply(coeffs[0].real, block, out=re)
+        im[...] = 0.0
     term = np.empty_like(block)
     for k, cur in enumerate(blocks, 1):
         for (_, _, coeffs), acc in zip(series, parts):
             if k < len(coeffs):
                 c = coeffs[k].imag if k % 2 else coeffs[k].real
-                acc[k % 2] += np.multiply(c, cur, out=term)
-    for (o, _, _), (re, im) in zip(series, parts):
-        o.real, o.imag = re, im
+                target = acc[k % 2]
+                target += np.multiply(c, cur, out=term)
 
 
 def evolve(h: sp.spmatrix, psi0: np.ndarray, t: float, tol: float = TOL) -> np.ndarray:
@@ -734,12 +745,82 @@ def op_norm(a: sp.spmatrix, tol: float = 1e-10, max_iter: int = 500) -> float:
 # window sweeps
 # ---------------------------------------------------------------------------
 
-def masked_top_singular(cols: np.ndarray, keep_mask: np.ndarray) -> float:
-    """Top singular value of the rows of cols outside keep_mask."""
-    sub = cols[~keep_mask, :] if keep_mask.any() else cols
-    if sub.size == 0:
-        return 0.0
-    return float(np.linalg.svd(sub, compute_uv=False)[0])
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+
+def _gram(block: np.ndarray, kept: np.ndarray, out: np.ndarray) -> float:
+    """Set out to G^ = M^H M, M the rows of block outside kept; return its slack E.
+
+    M is m x n (n = block.shape[1]); G^ is summed over row chunks whose
+    gathered copy holds at most max(_BLOCK_ENTRIES, n^2 / 8) entries, the
+    first product written into out and each later one added to it.
+    E = 3 (m + n + 2) u tr(G^) bounds |lambda^ - ||M||_2^2|, lambda^ the
+    largest eigenvalue `numpy.linalg.eigvalsh` returns for out:
+    - every entry of G^ is an inner product of length m, summed in some
+      order (the chunks' partial sums are one more), so
+      |G^ - G| <= gamma_{m+2} |M|^T |M| entrywise (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1, with
+      gamma_{m+2} for complex products, section 3.6), and in the 2-norm
+      ||G^ - G|| <= gamma_{m+2} ||M||_F^2 = gamma_{m+2} tr(G), while
+      tr(G) <= tr(G^) / (1 - gamma_{m+2});
+    - the Hermitian eigensolver, which reads one triangle and the real
+      diagonal, is assumed backward stable with p(n) = n: lambda^ is the
+      largest eigenvalue of G^ + D with ||D||_2 <= n u ||G^||_2;
+    - by Weyl's inequality the two together are at most
+      1.04 (m + n + 2) u tr(G^) while (m + n + 2) u <= 0.01 (COLUMN_CAP
+      keeps it below 4e-9), and the factor 3 covers the rounding of
+      tr(G^), of E, of lambda^ + E and of the square root taken of it.
+    An exactly zero M (m = 0 included) gives G^ = 0 and E = 0, barring
+    underflow of its squares.
+    """
+    n = block.shape[1]
+    rows = np.flatnonzero(~kept)
+    chunk = max(1, max(_BLOCK_ENTRIES, n * n // 8) // n)
+    if not len(rows):
+        out[...] = 0.0
+    for lo in range(0, len(rows), chunk):
+        sub = block[rows[lo : lo + chunk]]
+        if lo:
+            out += sub.conj().T @ sub
+        else:
+            np.matmul(sub.conj().T, sub, out=out)
+    return 3.0 * (len(rows) + n + 2) * _U * float(np.trace(out).real)
+
+
+def masked_top_singular(
+    cols: np.ndarray, starts: np.ndarray, kept: list[list[np.ndarray]]
+) -> list[list[float]]:
+    """Per output and keep mask, the largest over member sectors of the top singular value outside it.
+
+    cols holds a stack's window columns, (outputs, dim, n0), member i on
+    rows starts[i]:starts[i + 1]; kept[o] lists output o's keep masks on
+    the stack's rows.  Each member's columns outside each mask, M, are
+    reduced to their n0 x n0 Gram matrix (`_gram`), and batches of them,
+    each of at most _BLOCK_ENTRIES entries and at least one matrix, go
+    through one `numpy.linalg.eigvalsh` call.  Each value reported is
+    sqrt(max(lambda^ + E, 0)) with `_gram`'s slack E, so it bounds the
+    computed block's ||M||_2 from above, by at most
+    sqrt(||M||_2^2 + 2 E) - ||M||_2; an exactly zero M reads exactly 0.
+    """
+    n0 = cols.shape[-1]
+    per = max(1, _BLOCK_ENTRIES // (n0 * n0))  # Gram matrices per eigvalsh call
+    grams = [  # (output, mask, member rows) of every Gram matrix
+        (o, k, slice(start, stop))
+        for o, masks in enumerate(kept)
+        for k in range(len(masks))
+        for start, stop in zip(starts[:-1], starts[1:])
+    ]
+    tops = [[0.0] * len(masks) for masks in kept]
+    buf = np.empty((min(per, len(grams)), n0, n0), dtype=cols.dtype)  # one batch's matrices
+    for lo in range(0, len(grams), per):
+        batch = grams[lo : lo + per]
+        g = buf[: len(batch)]
+        slack = [_gram(cols[o, rows], kept[o][k][rows], out) for (o, k, rows), out in zip(batch, g)]
+        top = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[:, -1] + slack, 0.0))
+        for (o, k, _), value in zip(batch, top):
+            tops[o][k] = max(tops[o][k], float(value))
+    return tops
 
 
 class WindowSweep:
@@ -752,13 +833,15 @@ class WindowSweep:
     block (COLUMN_CAP bounds the largest sector's window columns), and
     prepares one `ChebyshevPropagator` per operator and stack, of the
     stack's principal submatrix, scipy's h[rows][:, rows]
-    (`_principal_submatrix`, which refuses rows coupled to the rest).  A
-    union of conserved sectors is closed under every operator, so the
-    stack's operator is block-diagonal over its members, and its
-    Gershgorin interval is the hull of its members' intervals, so the one
-    polynomial the stack applies approximates exp(-i t h_s) on every
-    member's spectrum with the member's own error bound: each member's
-    error is at most 2 tol * ||block_s||, as if it were swept alone.
+    (`_principal_submatrix`, which refuses rows coupled to the rest), or
+    of the operator itself when the stack is every state in order (no
+    sector keys), which the copy would equal.  A union of conserved
+    sectors is closed under every operator, so the stack's operator is
+    block-diagonal over its members, and its Gershgorin interval is the
+    hull of its members' intervals, so the one polynomial the stack
+    applies approximates exp(-i t h_s) on every member's spectrum with
+    the member's own error bound: each member's error is at most
+    2 tol * ||block_s||, as if it were swept alone.
     `top_singular` then serves every time, step size and escape window of
     the check.
     """
@@ -775,10 +858,12 @@ class WindowSweep:
             raise ValueError("operator does not match basis dimension")
         ops = [sp.csr_matrix(h) for h in ops]  # shares each CSR matrix's arrays
         self.stacks = _window_stacks(window_mask(basis, window0), sector_keys)
-        self._ops = [
-            [ChebyshevPropagator(_principal_submatrix(h, s.rows)) for h in ops]
-            for s in self.stacks
-        ]
+        self._ops = []
+        for s in self.stacks:
+            whole = len(s.rows) == dim and np.array_equal(s.rows, np.arange(dim))
+            self._ops.append(
+                [ChebyshevPropagator(h if whole else _principal_submatrix(h, s.rows)) for h in ops]
+            )
 
     def top_singular(self, fn, xs, keep_masks) -> list[list[float]]:
         """Per output and keep mask, the top singular value of the window columns outside it.
@@ -791,14 +876,18 @@ class WindowSweep:
         stack.rows[i]) to a (len(xs_b), dim_s, k) array, one block per
         parameter of the batch xs_b, with ops_s the stack's propagators.
         Each call takes at most _BLOCK_ENTRIES // dim_s columns (at least
-        one).  The window columns of fn are block-diagonal over the
-        sectors (the keep masks are full-space and diagonal), so each value
-        is the largest over the sectors: each stack is swept, each member
-        sector cut back out of it and reduced for every mask of every
-        output, and the stack is freed before the next one is swept.  The
-        outputs held at once never exceed COLUMN_CAP entries: a stack takes
-        the outputs in batches that fit, down to one at a time.  An output
-        with no keep mask is not propagated.
+        one); when one call covers the stack its output is the stack's
+        column array, and no second one is filled.  The window columns of
+        fn are block-diagonal over the sectors (the keep masks are
+        full-space and diagonal), so each value is the largest over the
+        sectors: each stack is swept, each member sector's columns outside
+        every mask of every output reduced by `masked_top_singular` (an
+        upper bound on the computed block's top singular value, above it
+        by a derived rounding term), and the stack is freed before the
+        next one is swept.  The outputs held at once never exceed
+        COLUMN_CAP entries: a stack takes the outputs in batches that fit,
+        down to one at a time.  An output with no keep mask is not
+        propagated.
         """
         tops = [[0.0] * len(masks) for masks in keep_masks]
         wanted = [i for i, masks in enumerate(keep_masks) if len(masks)]
@@ -806,23 +895,27 @@ class WindowSweep:
             dim, n0 = len(stack.rows), stack.window.shape[1]
             step = max(1, _BLOCK_ENTRIES // dim)
             batch = max(1, COLUMN_CAP // stack.entries)
+
+            def evolve_part(part, xs_b):
+                e = np.zeros((dim, part.shape[1]))
+                e[part, np.arange(part.shape[1])] = 1.0
+                return fn(ops_s, e, xs_b)
+
             for lo in range(0, len(wanted), batch):
                 outs = wanted[lo : lo + batch]
-                cols = np.empty((len(outs), dim, n0), dtype=complex)
-                for start in range(0, n0, step):
-                    part = stack.window[:, start : start + step]
-                    k = part.shape[1]
-                    e = np.zeros((dim, k))
-                    e[part, np.arange(k)] = 1.0
-                    cols[..., start : start + k] = fn(ops_s, e, [xs[i] for i in outs])
-                for i, block in zip(outs, cols):
-                    for k, keep in enumerate(keep_masks[i]):
-                        kept = keep[stack.rows]
-                        for start, stop in zip(stack.starts[:-1], stack.starts[1:]):
-                            top = masked_top_singular(block[start:stop], kept[start:stop])
-                            tops[i][k] = max(tops[i][k], top)
-                # free this stack's columns (block is a view) before the next fill
-                del cols, block
+                xs_b = [xs[i] for i in outs]
+                if step >= n0:  # one block covers the stack: fn's output is the column array
+                    cols = evolve_part(stack.window, xs_b)
+                else:
+                    cols = np.empty((len(outs), dim, n0), dtype=complex)
+                    for start in range(0, n0, step):
+                        part = stack.window[:, start : start + step]
+                        cols[..., start : start + part.shape[1]] = evolve_part(part, xs_b)
+                kept = [[keep[stack.rows] for keep in keep_masks[i]] for i in outs]
+                found = masked_top_singular(cols, stack.starts, kept)
+                del cols  # free this stack's columns before the next fill
+                for i, row in zip(outs, found):
+                    tops[i] = [max(a, b) for a, b in zip(tops[i], row)]
         return tops
 
 

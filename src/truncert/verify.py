@@ -20,7 +20,10 @@ projectors are diagonal, so the measured operator is block-diagonal and
 its top singular value is exactly the largest over sectors; each stack's
 columns are propagated together, for every time of the call at once (one
 Chebyshev recurrence serves them all), block by block, one stack at a
-time, and each member sector is cut back out and reduced on its own.
+time, and each member sector is cut back out and reduced on its own, to
+the largest eigenvalue of its masked columns' Gram matrix plus a derived
+rounding term (`propagate.masked_top_singular`), so each empirical value
+bounds the computed columns' top singular value from above.
 The largest sector's dim_s * |window in s| is what must fit
 `propagate.COLUMN_CAP` (ResourceLimitError otherwise), and the outputs
 of one stack held at once stay within it too.  A stack's Gershgorin
@@ -111,8 +114,12 @@ def engine_slack(tol: float) -> float:
     block-diagonal whole, whose top singular value is the largest over
     sectors, errs by at most the largest of those.  Evolving every time
     of a check in one recurrence changes no coefficient, so no bound.
-    Other floating-point roundoff of the Chebyshev recurrence is not part
-    of that bound.  Raises ValueError unless tol > 0.
+    The reduction's own roundoff is not in the slack: each reported
+    value is already an upper bound on the computed block's top singular
+    value (the Gram matrix's rounding and the eigensolver's backward
+    error are added to it, `propagate.masked_top_singular`).  The
+    roundoff of the Chebyshev recurrence and of the Gershgorin interval
+    is still outside the bound.  Raises ValueError unless tol > 0.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")

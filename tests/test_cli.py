@@ -677,6 +677,42 @@ def test_verify_empty_selection_is_sound(capsys):
     assert rows == ["experiment,empirical,analytic,sound,margin,runtime_s,inputs,notes"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "state", "--model", "single", "--n-max", "8", "--t", ","], "--t"),
+    (["verify", "state", "--model", "single", "--n-max", "8", "--t", "0.2", "--deltas", ","],
+     "--deltas"),
+    (["verify", "trotter", "--model", "single", "--n-max", "8", "--taus", ","], "--taus"),
+    (["verify", "tail", "--model", "single", "--n-max", "8", "--eps-list", ","], "--eps-list"),
+    (["verify", "ham", "--model", "single", "--n-max", "40", "--lambda-tildes", ","],
+     "--lambda-tildes"),
+    (["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5",
+      "--eps-list", ","], "--eps-list"),
+], ids=["state-t", "state-deltas", "trotter-taus", "tail-eps", "ham-lambda-tildes",
+        "threshold-tail-eps"])
+def test_empty_comma_list_is_refused(argv, flag, capsys):
+    """A comma list with no values would run a check that tests nothing and
+    exit 0; it is a usage error, one line, with no output."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"truncert: error: argument {flag}: empty comma list ','"]
+
+
+def test_empty_config_value_is_refused(tmp_path, capsys):
+    """A config line with no value (eps_list=) is refused before anything
+    runs: one error line, no output."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps_list=\n")
+    for argv in (["verify", "tail", "--model", "single", "--n-max", "8"],
+                 ["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5"]):
+        code = cli.main(argv + ["--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["truncert: config error: config line 'eps_list=' has no value"]
+
+
 @pytest.mark.parametrize(
     "deltas, named", [("0,2", "0"), ("0", "0"), ("-3", "-3"), ("2,-1,0,3", "-1, 0")]
 )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +52,15 @@ def _random_hermitian(dim, seed, density=0.2):
     a = np.where(mask, a, 0.0)
     h = (a + a.conj().T) / 2.0
     return sp.csr_matrix(h)
+
+
+def _svd_top(cols, keep_mask):
+    """Top singular value of the rows of cols outside keep_mask, by LAPACK's
+    SVD: the reference for the Gram reducer `masked_top_singular`."""
+    sub = cols[~keep_mask, :]
+    if sub.size == 0:
+        return 0.0
+    return float(np.linalg.svd(sub, compute_uv=False)[0])
 
 
 def _random_state(dim, seed):
@@ -385,7 +395,7 @@ def test_wide_window_top_singular_within_engine_slack():
         got = leakage_norm(basis, h, window0, window1, 0.9)
         assert got > 1e-3
         keep = window_mask(basis, window1)
-        assert abs(got - masked_top_singular(exact, keep)) <= slack
+        assert abs(got - _svd_top(exact, keep)) <= slack
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +521,144 @@ def test_leakage_columns_window_indices():
 
 
 def test_masked_top_singular_full_keep_is_zero():
-    cols = np.ones((4, 2), dtype=complex)
-    assert masked_top_singular(cols, np.ones(4, dtype=bool)) == 0.0
+    cols = np.ones((1, 4, 2), dtype=complex)
+    assert masked_top_singular(cols, np.array([0, 2, 4]), [[np.ones(4, dtype=bool)]]) == [[0.0]]
+
+
+def _gram_blocks():
+    """(name, block, keep mask) cases for the Gram reducer."""
+    rng = np.random.default_rng(29)
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    some = rng.random(40) < 0.3
+    u, _ = np.linalg.qr(normal(40, 6))
+    v, _ = np.linalg.qr(normal(6, 6))
+    ill = (u * np.logspace(0, -12, 6)) @ v  # singular values 1 .. 1e-12
+    return [
+        ("random", normal(40, 6), some),
+        ("rank_one", np.outer(normal(40), normal(6)), some),
+        ("zero", np.zeros((40, 6), dtype=complex), some),
+        ("single_row", normal(40, 6), np.arange(40) != 17),
+        ("single_column", normal(40, 1), some),
+        ("all_rows_kept", normal(40, 6), np.ones(40, dtype=bool)),
+        ("ill_conditioned", ill, some),
+        ("real", rng.standard_normal((40, 6)), some),
+    ]
+
+
+@pytest.mark.parametrize("name, block, keep", _gram_blocks(), ids=[c[0] for c in _gram_blocks()])
+def test_gram_reducer_bounds_the_svd_from_above(name, block, keep):
+    """The reported value is at least LAPACK's top singular value of the
+    unkept rows and above it by at most the derived term: sqrt(ref^2 + 2 E),
+    E = 3 (m + n + 2) u ||M||_F^2 (the reported square is lambda^ + E, and
+    |lambda^ - ref^2| <= E); a zero block reads exactly 0."""
+    ref = _svd_top(block, keep)
+    ((got,),) = masked_top_singular(block[None], np.array([0, len(block)]), [[keep]])
+    sub = block[~keep]
+    e = 3.0 * (len(sub) + block.shape[1] + 2) * 2.0**-53 * np.linalg.norm(sub) ** 2
+    assert ref <= got <= math.sqrt(ref**2 + 2.0 * e) * (1.0 + 2.0**-50)
+    if name in ("zero", "all_rows_kept"):
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    else:
+        assert got > 0.0
+
+
+def test_gram_reducer_batches_and_chunks(monkeypatch):
+    """Every (output, mask, member) is one Gram matrix; batches of them go
+    through one eigvalsh call each, at most _BLOCK_ENTRIES entries and at
+    least one matrix per call; rows are summed in chunks of at most
+    max(_BLOCK_ENTRIES, n0^2 / 8) entries; values match the SVD per member."""
+    rng = np.random.default_rng(3)
+    starts = np.array([0, 30, 45, 80])
+    cols = rng.standard_normal((2, 80, 4)) + 1j * rng.standard_normal((2, 80, 4))
+    kept = [[rng.random(80) < 0.4 for _ in range(3)], [rng.random(80) < 0.4]]
+    calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def spy_eigvalsh(a):
+        calls.append(a.shape)
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+    for entries, per in ((1 << 15, 12), (40, 2), (1, 1)):
+        monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", entries)
+        calls.clear()
+        got = masked_top_singular(cols, starts, kept)
+        assert [c[0] for c in calls] == [per] * (12 // per)
+        assert all(c[1:] == (4, 4) for c in calls)
+        for o, masks in enumerate(kept):
+            for k, keep in enumerate(masks):
+                want = max(_svd_top(cols[o, a:b], keep[a:b]) for a, b in zip(starts, starts[1:]))
+                assert want <= got[o][k] <= want * (1.0 + 1e-13)
+    gathered = []
+
+    class Recording(np.ndarray):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            gathered.append(out.size)
+            return out
+
+    monkeypatch.setattr(propagate, "_BLOCK_ENTRIES", 8)  # 2 rows of 4 columns per chunk
+    block, keep = cols[0, :30], kept[0][0][:30]
+    out = np.empty((4, 4), dtype=complex)
+    e = propagate._gram(block.view(Recording), keep, out)
+    assert gathered == [8] * (np.count_nonzero(~keep) // 2) + [4] * (np.count_nonzero(~keep) % 2)
+    exact = block[~keep].conj().T @ block[~keep]
+    assert np.abs(out - exact).max() <= e
+
+
+def test_one_block_stack_holds_one_copy_of_its_columns():
+    """A stack that fits one sweep block takes fn's output as its column
+    array, and the float64 recurrence accumulates into the outputs
+    themselves: the sweep's traced peak stays well below two copies of the
+    (times, dim, n0) columns."""
+    model = single_mode(0.5, 1.0, 255)  # dim 256
+    window0 = ProjectorSpec(ALL, 0, 127)  # 128 columns: 2^15 entries, one block
+    sweep = WindowSweep(model.basis, window0, [model.hamiltonian])
+    (stack,) = sweep.stacks
+    assert stack.entries == propagate._BLOCK_ENTRIES
+    times = [0.05 * k for k in range(1, 17)]
+    keeps = [[window_mask(model.basis, ProjectorSpec(ALL, 0, 130))]] * len(times)
+    column_bytes = len(times) * stack.entries * 16
+    tracemalloc.start()
+    try:
+        tops = sweep.top_singular(lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(top > 0.0 for (top,) in tops)
+    assert peak < 1.5 * column_bytes
+
+
+def test_keyless_sweep_prepares_the_operator_itself(monkeypatch):
+    """A stack that is the whole space in order (no sector keys) is
+    prepared on the operator itself, not on a copy sliced as
+    h[rows][:, rows]; its outputs are byte for byte the sliced copy's.
+    Stacks of sectors still go through `_principal_submatrix`."""
+    sliced = []
+    real_sub = propagate._principal_submatrix
+
+    def spy(h, rows):
+        sliced.append(len(rows))
+        return real_sub(h, rows)
+
+    monkeypatch.setattr(propagate, "_principal_submatrix", spy)
+    model = single_mode(0.5, 1.0, 40)
+    h = model.hamiltonian
+    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 5), [h, 2.0 * h])
+    assert sliced == []
+    block = np.eye(model.dimension, 6)
+    rows = np.arange(model.dimension)
+    for prop, op in zip(sweep._ops[0], (h, 2.0 * h)):
+        copy = ChebyshevPropagator(real_sub(op, rows))
+        assert prop.apply_times(block, [0.3, 1.1], TOL).tobytes() == (
+            copy.apply_times(block, [0.3, 1.1], TOL).tobytes()
+        )
+    hh = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    WindowSweep(hh.basis, ProjectorSpec(ALL, 0, 1), [hh.hamiltonian], hh.sector_keys)
+    assert sliced and all(n < hh.dimension for n in sliced)
 
 
 def test_leakage_norm_diagonal_model_is_zero():
@@ -626,7 +772,7 @@ def test_sectored_columns_match_unsectored(model, window0, t):
         assert one > 1e-4 or lam > window0.hi + 1
         assert abs(many - one) <= slack
         keep = window_mask(basis, window1)
-        assert many == pytest.approx(masked_top_singular(full, keep), abs=slack)
+        assert many == pytest.approx(_svd_top(full, keep), abs=slack)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
@@ -821,7 +967,7 @@ def test_stacked_sweep_matches_per_sector_sweep(model, window0, t):
                 e = np.zeros((len(rows), len(window)))
                 e[window, np.arange(len(window))] = 1.0
                 cols = prop_s.apply(e, ti, TOL)
-                want = max(want, masked_top_singular(cols, keep[rows]))
+                want = max(want, _svd_top(cols, keep[rows]))
             assert abs(value - want) <= slack
     assert any(v > 1e-4 for v in got[0])
     assert got[1] == [0.0, 0.0]

@@ -78,23 +78,23 @@ def test_state_truncation_all_mode_uses_union_bound():
 def test_state_truncation_measures_each_window_once(monkeypatch):
     """One call evolves each stack once, for every time at once; each
     distinct (time, escape window) pair (short- and long-time windows often
-    coincide) is measured once on each member sector, and a pair no report
-    reads (a window past the cutoff) is never measured, so a time with no
-    window below the cutoff is not evolved at all."""
-    applied, measured = [], []  # (propagator, times) per block call; measured shapes
-    real_measure = propagate.masked_top_singular
+    coincide) is reduced to one Gram matrix on each member sector, and a
+    pair no report reads (a window past the cutoff) is never measured, so a
+    time with no window below the cutoff is not evolved at all."""
+    applied, measured = [], []  # (propagator, times) per block call; Gram reductions
+    real_gram = propagate._gram
     real_apply = ChebyshevPropagator.apply_times
 
     def spying_apply(prop, block, times, tol):
         applied.append((prop, sorted(times)))
         return real_apply(prop, block, times, tol)
 
-    def counting_measure(cols, keep):
-        measured.append(cols.shape)
-        return real_measure(cols, keep)
+    def counting_gram(block, kept, out):
+        measured.append(block.shape)
+        return real_gram(block, kept, out)
 
     monkeypatch.setattr(ChebyshevPropagator, "apply_times", spying_apply)
-    monkeypatch.setattr(propagate, "masked_top_singular", counting_measure)
+    monkeypatch.setattr(propagate, "_gram", counting_gram)
     model = hubbard_holstein_1d(2, g=0.5, n_max=8)
     times = [0.2, 0.25, 2.0, 3.0]
     reports = verify_state_truncation(model, 0, times, deltas=(2, 3))
