@@ -141,10 +141,6 @@ class Schedule(NamedTuple):
     delta: int
     steps: tuple[tuple[float, int], ...]
 
-    @property
-    def j_count(self) -> int:
-        return len(self.steps)
-
 
 class BoundReport(NamedTuple):
     """A certified (window, bound) pair with the step growth that produced it."""
@@ -276,10 +272,13 @@ def long_time_bound(
 ) -> BoundReport:
     """Certified leakage bound for arbitrary times.
 
-    The window grows to lambda = lambda0 + J*(delta-1) where J counts the
-    adaptive steps needed to cover time t; the leakage bound is J times
-    the one-step factor, clipped to at most 1.  A grown window that
-    overflows a float raises CapExceededError.
+    The window grows to lambda = lambda0 + J*(delta-1), J the least step
+    count >= 1 with lambda**(1-r) >= lambda0**(1-r) + 2 chi (1-r) (delta-1) t
+    (continuous growth).  J can fall below the number of `adaptive_schedule`
+    steps that cover t (profile (1, 1/2), lambda0 0, delta 3, t 0.8: J = 2,
+    but two steps end at t = 0.789).  The bound is J times the one-step
+    factor, clipped to at most 1.  A grown window that overflows a float
+    raises CapExceededError.
     """
     if lambda0 < 0 or int(lambda0) != lambda0:
         raise ValueError("lambda0 must be a nonnegative integer")

@@ -3,10 +3,12 @@
 Modes are truncated bosons, spinless fermions, spin-1/2 sites, or integer
 rotors (gauge links in the electric basis |k>, k in [-K, K]).  A
 CompositeBasis fixes an ordered mode list, mode 0 the most significant
-mixed-radix digit.  A single-mode operator is embedded in the full space
-by index arithmetic on that basis, with Jordan-Wigner sign strings over
-the fermionic subsequence for fermionic ladder operators: `mode_entries`
-gives its (rows, cols, values), the one embedding the package has.
+mixed-radix digit.  Every single-mode operator the package defines sends a
+basis state to at most one state, so it is described once, as a target
+map: `mode_action` gives, for every full-space basis state, the state it
+goes to (or -1) and the amplitude, by index arithmetic on the basis,
+with Jordan-Wigner sign strings over the fermionic subsequence for
+fermionic ladder operators.
 
 Projector windows act on the per-mode quantum number: occupation for
 bosons and fermions, excitation index for spins, |k| for rotors (so the
@@ -36,7 +38,7 @@ __all__ = [
     "spin_half",
     "rotor",
     "build_basis",
-    "mode_entries",
+    "mode_action",
     "window_mask",
     "projector",
     "hermiticity_defect",
@@ -56,11 +58,10 @@ _KINDS = ("boson", "fermion", "spin_half", "rotor")
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One local mode: kind, cutoff (boson n_max or rotor K), label."""
+    """One local mode: kind and cutoff (boson n_max or rotor K)."""
 
     kind: str
     cutoff: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -91,20 +92,20 @@ class ModeSpec:
         return np.arange(self.dim)
 
 
-def boson(n_max: int, label: str = "") -> ModeSpec:
-    return ModeSpec("boson", n_max, label)
+def boson(n_max: int) -> ModeSpec:
+    return ModeSpec("boson", n_max)
 
 
-def fermion(label: str = "") -> ModeSpec:
-    return ModeSpec("fermion", None, label)
+def fermion() -> ModeSpec:
+    return ModeSpec("fermion")
 
 
-def spin_half(label: str = "") -> ModeSpec:
-    return ModeSpec("spin_half", None, label)
+def spin_half() -> ModeSpec:
+    return ModeSpec("spin_half")
 
 
-def rotor(field_cap: int, label: str = "") -> ModeSpec:
-    return ModeSpec("rotor", field_cap, label)
+def rotor(field_cap: int) -> ModeSpec:
+    return ModeSpec("rotor", field_cap)
 
 
 class CompositeBasis:
@@ -160,79 +161,74 @@ def build_basis(specs: Sequence[ModeSpec]) -> CompositeBasis:
 
 
 # ---------------------------------------------------------------------------
-# local matrices and mixed-radix embedding
+# local maps and mixed-radix embedding
 # ---------------------------------------------------------------------------
 
-def _local_entries(mode: ModeSpec, kind: str):
-    """(rows, cols, values) of the single-mode matrix; may include zeros."""
-    d = mode.dim
+def _local_action(mode: ModeSpec, kind: str):
+    """(target, amp) per local state: the local state the single-mode
+    operator sends it to (-1 where it annihilates it) and the amplitude."""
+    idx = np.arange(mode.dim)
     if mode.kind == "boson":
-        n = np.arange(1, d)
         if kind == "annihilate":
-            return n - 1, n, np.sqrt(n)  # <n-1| b |n> = sqrt(n)
+            return idx - 1, np.sqrt(idx)  # <n-1| b |n> = sqrt(n)
         if kind == "number":
-            return n, n, n.astype(float)
+            return idx, idx.astype(float)
     elif mode.kind == "fermion":
         if kind == "annihilate":
-            return [0], [1], [1.0]
+            return idx - 1, idx.astype(float)
         if kind == "create":
-            return [1], [0], [1.0]
+            return np.array([1, -1]), np.array([1.0, 0.0])
         if kind == "number":
-            return [1], [1], [1.0]
+            return idx, idx.astype(float)
     elif mode.kind == "spin_half":
         if kind == "pauli_x":
-            return [0, 1], [1, 0], [1.0, 1.0]
+            return 1 - idx, np.ones(2)
         if kind == "pauli_z":
-            return [0, 1], [0, 1], [1.0, -1.0]
+            return idx, 1.0 - 2.0 * idx
     elif kind == "efield":  # the one kind left is rotor
-        k = np.arange(d)
-        return k, k, (k - int(mode.cutoff)).astype(float)
+        return idx, (idx - int(mode.cutoff)).astype(float)
     elif kind == "lower_link":
-        # <k-1| U |k> = 1; the k = -K edge column is annihilated.
-        k = np.arange(1, d)
-        return k - 1, k, np.ones(d - 1)
+        # <k-1| U |k> = 1; the k = -K edge state is annihilated.
+        return idx - 1, (idx > 0).astype(float)
     raise TypeError(f"kind {kind!r} undefined for {mode.kind} modes")
 
 
-def mode_entries(
+def mode_action(
     basis: CompositeBasis, mode_index: int, kind: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of a single-mode operator embedded in the full space.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(target, amp) of a single-mode operator on every full-space basis state.
 
-    The full operator is I_left (x) L (x) I_right on the mixed-radix basis:
-    each local entry (a, b, v) of L lands at row l*d*R + a*R + r and column
-    l*d*R + b*R + r for every left block l and right offset r, where d is
-    the mode's dimension and R its stride.  Fermionic ladder operators pick
-    up the Jordan-Wigner sign (-1)^(occupation of the preceding fermion
-    modes), read from each left block's digits (other mode kinds are
-    transparent to the string).  Matrix conventions: <m-1| b |m> = sqrt(m);
-    efield is diagonal with eigenvalue k; lower_link maps |k> to |k-1>.
-    Entries below SPARSE_TOL are not stored.  Values are float64, at most
-    one per column: each kind sends a state to at most one.
+    Each kind sends basis state j to at most one state, target[j] (-1 where
+    it annihilates j), with amplitude amp[j]; a diagonal kind has
+    target[j] = j.  As I_left (x) L (x) I_right on the mixed-radix basis,
+    state l*d*R + a*R + r goes to l*d*R + a'*R + r for every left block l
+    and right offset r, a' the local target of a (d the mode's dimension,
+    R its stride).  Fermionic ladder operators pick up the Jordan-Wigner
+    sign (-1)^(occupation of the preceding fermion modes), read from each
+    left block's digits.  Conventions: <m-1| b |m> = sqrt(m); efield has
+    eigenvalue k; lower_link maps |k> to |k-1>.  An amplitude below
+    SPARSE_TOL reads as target -1 and amp 0.  Targets are int64, amps float64.
     """
     if not 0 <= mode_index < basis.n_modes:
         raise ValueError(f"mode_index {mode_index} out of range")
     mode = basis.modes[mode_index]
-    rows, cols, vals = (np.asarray(x) for x in _local_entries(mode, kind))
-    keep = np.abs(vals) >= SPARSE_TOL
-    rows, cols, vals = rows[keep], cols[keep], vals[keep].astype(float)
+    local_target, local_amp = _local_action(mode, kind)
 
     stride = basis.strides[mode_index]
     block = mode.dim * stride
     left = np.arange(basis.dimension // block)
+    amp = local_amp[None, :]
     if mode.kind == "fermion" and kind in ("annihilate", "create"):
         occupied = np.zeros_like(left)
         for j in range(mode_index):
             if basis.modes[j].kind == "fermion":
                 occupied += left * block // basis.strides[j] % 2
-        vals = vals * ((-1) ** occupied)[:, None]
+        amp = amp * ((-1) ** occupied)[:, None]
+    live = (np.abs(local_amp) >= SPARSE_TOL)[None, :, None]
     base = (left * block)[:, None, None] + np.arange(stride)[None, None, :]
-    full = (len(left), len(rows), stride)
-    return (
-        (base + rows[:, None] * stride).ravel(),
-        (base + cols[:, None] * stride).ravel(),
-        np.broadcast_to(vals[..., None], full).ravel(),
-    )
+    target = np.where(live, base + (local_target * stride)[None, :, None], -1)
+    amp = np.where(live, amp[..., None], 0.0)
+    return target.ravel(), np.broadcast_to(amp, target.shape).ravel()
 
 
 # ---------------------------------------------------------------------------

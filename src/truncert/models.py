@@ -5,11 +5,11 @@ sparse Hamiltonian the instance assembles as their sum, the walk profile
 governing quantum-number growth, and the per-mode walk parts H_W used by
 the empirical soundness experiments.
 
-The builders assemble every term by index arithmetic on the embedded
-mode entries (`fock_algebra.mode_entries`): a product of operators that
-each send a basis state to at most one state is one index gather per
-factor, diagonal terms add into one vector in term order, and each part
-is built as CSR once.  A sparse product remains only where two factors
+The builders assemble every term from the mode operators' target maps
+(`fock_algebra.mode_action`, each sending a basis state to at most one
+state): a product of such operators is one index gather per factor,
+diagonal terms add into one vector in term order, and each part is
+built as CSR once.  A sparse product remains only where two factors
 both move states (the Hubbard-Holstein and Dicke couplings), for the
 stored order of its rows.  Every stored array (values to the bit, stored
 zeros, column order) is the one the sparse algebra of the same terms
@@ -37,7 +37,7 @@ from .fock_algebra import (
     build_basis,
     fermion,
     hermiticity_defect,
-    mode_entries,
+    mode_action,
     projector,
     rotor,
     spin_half,
@@ -149,28 +149,12 @@ def _zero(dim: int) -> sp.csr_matrix:
     return sp.csr_matrix((dim, dim))
 
 
-def _moves(basis: CompositeBasis, mode_index: int, kind: str):
-    """(target, amp) of a mode operator that sends each state to at most one state.
-
-    target[j] is the state the operator sends basis state j to and amp[j]
-    its amplitude; target is -1 and amp 0 where it annihilates j.  A
-    diagonal kind has target[j] = j wherever amp[j] is nonzero, and amp is
-    its diagonal.
-    """
-    rows, cols, vals = mode_entries(basis, mode_index, kind)
-    target = np.full(basis.dimension, -1)
-    target[cols] = rows
-    amp = np.zeros(basis.dimension)
-    amp[cols] = vals
-    return target, amp
-
-
 def _diagonal(basis: CompositeBasis, mode_index: int, kind: str) -> np.ndarray:
-    return _moves(basis, mode_index, kind)[1]
+    return mode_action(basis, mode_index, kind)[1]
 
 
 def _product(*factors: tuple[np.ndarray, np.ndarray]):
-    """(rows, cols, values) of the matrix product of `_moves` factors.
+    """(rows, cols, values) of the matrix product of `mode_action` factors.
 
     The rightmost factor acts first; each column is one index gather per
     factor, and the amplitudes multiply left factor times right.
@@ -204,7 +188,7 @@ def _summed(terms: list, diag: np.ndarray) -> sp.csr_matrix:
 
 def _displacement(basis: CompositeBasis, mode_index: int) -> sp.csr_matrix:
     """b + b^dag of one boson mode."""
-    rows, cols, vals = mode_entries(basis, mode_index, "annihilate")
+    rows, cols, vals = _product(mode_action(basis, mode_index, "annihilate"))
     return _summed([(rows, cols, vals), (cols, rows, vals)], np.zeros(basis.dimension))
 
 
@@ -239,7 +223,7 @@ def single_mode(g_lin: float, omega0: float, n_max: int) -> ModelInstance:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    basis = build_basis([boson(n_max, "b")])
+    basis = build_basis([boson(n_max)])
     drive = g_lin * _displacement(basis, 0)
     osc = omega0 * _summed([], _diagonal(basis, 0, "number"))
     return ModelInstance(
@@ -276,7 +260,7 @@ def hubbard_holstein_1d(
         raise ValueError("n_sites must be >= 1")
     specs = []
     for x in range(n_sites):
-        specs += [fermion(f"up{x}"), fermion(f"dn{x}"), boson(n_max, f"b{x}")]
+        specs += [fermion(), fermion(), boson(n_max)]
     basis = build_basis(specs)
     dim = basis.dimension
     up = lambda x: 3 * x
@@ -295,7 +279,8 @@ def hubbard_holstein_1d(
         for site_of in (up, dn):
             for a, b in ((x, y), (y, x)):
                 rows, cols, vals = _product(
-                    _moves(basis, site_of(a), "create"), _moves(basis, site_of(b), "annihilate")
+                    mode_action(basis, site_of(a), "create"),
+                    mode_action(basis, site_of(b), "annihilate"),
                 )
                 hops.append((rows, cols, -hop * vals))
     onsite = np.zeros(dim)
@@ -348,14 +333,14 @@ def dicke(
     """
     if n_spins < 1:
         raise ValueError("n_spins must be >= 1")
-    specs = [boson(n_max, "cavity")] + [spin_half(f"s{i}") for i in range(n_spins)]
+    specs = [boson(n_max)] + [spin_half() for _ in range(n_spins)]
     basis = build_basis(specs)
     dim = basis.dimension
 
     sum_z = np.zeros(dim)
     for i in range(n_spins):
         sum_z += _diagonal(basis, 1 + i, "pauli_z")
-    flips = [_product(_moves(basis, 1 + i, "pauli_x")) for i in range(n_spins)]
+    flips = [_product(mode_action(basis, 1 + i, "pauli_x")) for i in range(n_spins)]
 
     cavity = omega_c * _summed([], _diagonal(basis, 0, "number"))
     spins = omega_z * _summed([], sum_z)
@@ -395,9 +380,9 @@ def u1_lgt_1d(
         raise ValueError("n_sites must be >= 2")
     specs: list = []
     for x in range(n_sites):
-        specs.append(fermion(f"phi{x}"))
+        specs.append(fermion())
         if x < n_sites - 1:
-            specs.append(rotor(field_cap, f"link{x}"))
+            specs.append(rotor(field_cap))
     basis = build_basis(specs)
     dim = basis.dimension
     site = lambda x: 2 * x
@@ -410,9 +395,9 @@ def u1_lgt_1d(
     walk_parts: dict[int, sp.csr_matrix] = {}
     for x in range(n_sites - 1):
         rows, cols, vals = _product(
-            _moves(basis, site(x), "create"),
-            _moves(basis, link(x), "lower_link"),
-            _moves(basis, site(x + 1), "annihilate"),
+            mode_action(basis, site(x), "create"),
+            mode_action(basis, link(x), "lower_link"),
+            mode_action(basis, site(x + 1), "annihilate"),
         )
         walk_parts[link(x)] = g_gm * _summed(
             [(rows, cols, vals), (cols, rows, vals)], np.zeros(dim)

@@ -239,9 +239,13 @@ def trotter_steps(total_time: float, epsilon: float, p: int, beta: float) -> Tro
     return TrotterPlan(r_steps=r, total_time=total_time, beta=beta, p=p)
 
 
-def per_step_error_bound(p: int, beta: float, tau: float) -> float:
+def _check_covered(p: int):
     if p not in STEP_CONSTANTS:
         raise ValueError("certified per-step constants cover p in {1, 2}")
+
+
+def per_step_error_bound(p: int, beta: float, tau: float) -> float:
+    _check_covered(p)
     return STEP_CONSTANTS[p] * beta * abs(tau) ** (p + 1)
 
 
@@ -255,10 +259,8 @@ def apply_product_formula(parts, psi, tau, p, tol=TOL):
     psi is one vector or a (dim, k) block of columns; the parts are
     prepared `ChebyshevPropagator`s, so repeated steps share their setup,
     and every exponential is one `apply` at tolerance tol.  p = 1 is the Lie
-    splitting, p = 2 the symmetric Strang splitting, and even p >= 4 the
-    recursive symmetric construction built from p - 2, whose five steps
-    each get a fifth of the tolerance: every order then composes at most
-    as much propagation error as one p = 2 step.
+    splitting and p = 2 the symmetric Strang splitting, the orders the
+    certified per-step constants cover.
     """
     if p == 1:
         for part in parts:
@@ -271,16 +273,7 @@ def apply_product_formula(parts, psi, tau, p, tol=TOL):
         for part in reversed(parts[:-1]):
             psi = part.apply(psi, tau / 2.0, tol)
         return psi
-    if p >= 4 and p % 2 == 0:
-        u = 1.0 / (4.0 - 4.0 ** (1.0 / (p - 1)))
-        sub = tol / 5.0
-        for _ in range(2):
-            psi = apply_product_formula(parts, psi, u * tau, p - 2, sub)
-        psi = apply_product_formula(parts, psi, (1.0 - 4.0 * u) * tau, p - 2, sub)
-        for _ in range(2):
-            psi = apply_product_formula(parts, psi, u * tau, p - 2, sub)
-        return psi
-    raise ValueError("order p must be 1, 2, or an even integer >= 4")
+    raise ValueError("order p must be 1 or 2")
 
 
 def empirical_trotter_error(
@@ -305,14 +298,32 @@ def empirical_trotter_error(
     step size, and each member sector's difference is reduced to its top
     singular value before the next stack is swept.  Each part and H is
     prepared once per stack, on the stack's principal submatrix, for
-    every step size and block.  With a budget, every step size's bound
-    is computed first, so an order p that the certified constants do not
-    cover raises ValueError before any propagation.
+    every step size and block.
+
+    Before anything is prepared, ValueError refuses an order p that the
+    certified constants do not cover, and a budget built for another
+    check: one of another order, whose safe window is not
+    `safe_window(lambda0', p)`, or whose cutoff lambda_tilde exceeds the
+    model's.
     """
+    _check_covered(p)
     taus = list(tau_grid)
     if budget is None:
         bounds = [float("nan")] * len(taus)
     else:
+        if budget.p != p:
+            raise ValueError(f"the budget is for p = {budget.p}, not p = {p}")
+        lambda1 = safe_window(lambda0_prime, p)
+        if budget.lambda1_prime != lambda1:
+            raise ValueError(
+                f"the budget's safe window {budget.lambda1_prime} is not "
+                f"safe_window({lambda0_prime}, {p}) = {lambda1}"
+            )
+        if budget.lambda_tilde > model.cutoff:
+            raise ValueError(
+                f"the budget's cutoff {budget.lambda_tilde} exceeds "
+                f"the model cutoff {model.cutoff}"
+            )
         beta = beta_comm(budget)
         bounds = [per_step_error_bound(p, beta, tau) for tau in taus]
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))

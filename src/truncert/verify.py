@@ -104,8 +104,7 @@ def engine_slack(tol: float) -> float:
     window columns.  The Trotter check composes at most five such errors
     on the single-mode and Hubbard-Holstein suites (the non-diagonal
     substeps of one Strang step plus the exact step; diagonal parts are
-    exact, and higher orders split the tolerance over their recursive
-    steps), so ten times the tolerance covers every check.  Split into
+    exact), so ten times the tolerance covers every check.  Split into
     symmetry sectors, the same holds sector by sector: sectors are
     propagated in stacks, each by a propagator of the stack's principal
     submatrix, which is block-diagonal over the member sectors and whose

@@ -19,7 +19,7 @@ from truncert.fock_algebra import (
     build_basis,
     fermion,
     hermiticity_defect,
-    mode_entries,
+    mode_action,
     projector,
     rotor,
     spin_half,
@@ -175,7 +175,7 @@ def test_unknown_kind_raises():
     # no model reads them, so the package defines no boson create, position, momentum
     for kind in _COMPOSED:
         with pytest.raises(TypeError):
-            mode_entries(basis, 0, kind)
+            mode_action(basis, 0, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,19 @@ def test_jw_skips_nonfermion_modes():
     assert abs(comm).max() < 1e-12
 
 
+def test_create_map_inverts_annihilate_map():
+    """On a mixed basis a fermion's create map sends back every state its
+    annihilate map reaches, with the same Jordan-Wigner-signed amplitude."""
+    basis = build_basis([fermion(), boson(1), fermion(), rotor(1), fermion()])
+    for j in (0, 2, 4):
+        down, amp_down = mode_action(basis, j, "annihilate")
+        up, amp_up = mode_action(basis, j, "create")
+        src = np.flatnonzero(down >= 0)
+        assert len(src) == basis.dimension // 2
+        assert np.array_equal(up[down[src]], src)
+        assert np.array_equal(amp_up[down[src]], amp_down[src])
+
+
 def test_jw_number_operator_has_no_string():
     basis = build_basis([fermion(), fermion()])
     n1 = mode_operator(basis, 1, "number")
@@ -234,19 +247,26 @@ def test_mixed_basis_six_fermions_anticommute():
 # ---------------------------------------------------------------------------
 
 #: Boson operators no model reads: `mode_operator` composes them from the
-#: annihilator's entries for the algebra checks.
+#: annihilator's target map for the algebra checks.
 _COMPOSED = ("create", "position", "momentum")
 
 
+def _entries(basis: CompositeBasis, mode_index: int, kind: str):
+    """(rows, cols, values) of `mode_action`'s map: one entry per state it keeps."""
+    target, amp = mode_action(basis, mode_index, kind)
+    cols = np.flatnonzero(target >= 0)
+    return target[cols], cols, amp[cols]
+
+
 def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_matrix:
-    """The CSR matrix of `mode_entries` (column indices sorted in each row).
+    """The CSR matrix of `mode_action`'s map (column indices sorted in each row).
 
     A boson's create, position (b + b^dag)/sqrt(2) and momentum
-    i (b^dag - b)/sqrt(2) are built from the entries of b; momentum is
+    i (b^dag - b)/sqrt(2) are built from the map of b; momentum is
     complex, every other kind float64.
     """
     if kind in _COMPOSED and basis.modes[mode_index].kind == "boson":
-        rows, cols, amp = mode_entries(basis, mode_index, "annihilate")
+        rows, cols, amp = _entries(basis, mode_index, "annihilate")
         if kind == "create":
             rows, cols, vals = cols, rows, amp
         else:
@@ -256,7 +276,7 @@ def mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.csr_m
             else:
                 vals = np.concatenate([-amp, amp]) * 1j * (1 / math.sqrt(2.0))
     else:
-        rows, cols, vals = mode_entries(basis, mode_index, kind)
+        rows, cols, vals = _entries(basis, mode_index, kind)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
 
 
@@ -354,7 +374,7 @@ def kron_mode_operator(basis: CompositeBasis, mode_index: int, kind: str) -> sp.
     return _clean(_kron_chain(factors).astype(local.dtype))
 
 
-#: The kinds `mode_entries` defines, per mode kind.
+#: The kinds `mode_action` defines, per mode kind.
 _KINDS_OF = {
     "boson": ("annihilate", "number"),
     "fermion": ("annihilate", "create", "number"),
@@ -494,14 +514,16 @@ def test_hermiticity_defect_never_reorders_its_argument(symmetric):
 
 
 def test_one_to_one_kinds_send_each_state_to_at_most_one_state():
-    """Every kind of mode_entries has at most one entry per column, and
-    float64 values (what models._moves assumes)."""
+    """Every kind of mode_action is a map over all basis states: an int64
+    target in range, -1 exactly where the float64 amplitude is 0, and one
+    CSR entry per kept state."""
     for specs in _ORACLE_BASES.values():
         basis = build_basis(specs)
         for j, mode in enumerate(basis.modes):
             for kind in _KINDS_OF[mode.kind]:
-                rows, cols, vals = mode_entries(basis, j, kind)
-                assert len(np.unique(cols)) == len(cols)
-                assert vals.dtype == np.float64
-                op = mode_operator(basis, j, kind)
-                assert op.nnz == len(vals)
+                target, amp = mode_action(basis, j, kind)
+                assert target.shape == amp.shape == (basis.dimension,)
+                assert target.dtype == np.int64 and amp.dtype == np.float64
+                assert np.array_equal(target == -1, amp == 0)
+                assert np.all((target >= -1) & (target < basis.dimension))
+                assert mode_operator(basis, j, kind).nnz == np.count_nonzero(target >= 0)

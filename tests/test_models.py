@@ -252,7 +252,7 @@ def test_u1_profile_is_gauge_type():
 
 
 def _algebraic_single_mode(op, g_lin, omega0, n_max):
-    basis = fock_algebra.build_basis([fock_algebra.boson(n_max, "b")])
+    basis = fock_algebra.build_basis([fock_algebra.boson(n_max)])
     b = op(basis, 0, "annihilate")
     num = op(basis, 0, "number")
     drive = g_lin * (b + b.getH())
@@ -272,9 +272,9 @@ def _algebraic_hubbard_holstein_1d(
     specs = []
     for x in range(n_sites):
         specs += [
-            fock_algebra.fermion(f"up{x}"),
-            fock_algebra.fermion(f"dn{x}"),
-            fock_algebra.boson(n_max, f"b{x}"),
+            fock_algebra.fermion(),
+            fock_algebra.fermion(),
+            fock_algebra.boson(n_max),
         ]
     basis = fock_algebra.build_basis(specs)
     dim = basis.dimension
@@ -326,8 +326,8 @@ def _algebraic_hubbard_holstein_1d(
 
 
 def _algebraic_dicke(op, n_spins, omega_c, omega_z, g, n_max):
-    specs = [fock_algebra.boson(n_max, "cavity")]
-    specs += [fock_algebra.spin_half(f"s{i}") for i in range(n_spins)]
+    specs = [fock_algebra.boson(n_max)]
+    specs += [fock_algebra.spin_half() for _ in range(n_spins)]
     basis = fock_algebra.build_basis(specs)
     dim = basis.dimension
 
@@ -356,9 +356,9 @@ def _algebraic_dicke(op, n_spins, omega_c, omega_z, g, n_max):
 def _algebraic_u1_lgt_1d(op, n_sites, g_m, g_gm, g_e, field_cap):
     specs = []
     for x in range(n_sites):
-        specs.append(fock_algebra.fermion(f"phi{x}"))
+        specs.append(fock_algebra.fermion())
         if x < n_sites - 1:
-            specs.append(fock_algebra.rotor(field_cap, f"link{x}"))
+            specs.append(fock_algebra.rotor(field_cap))
     basis = fock_algebra.build_basis(specs)
     dim = basis.dimension
     site = lambda x: 2 * x
