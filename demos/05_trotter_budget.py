@@ -33,9 +33,9 @@ for p in (1, 2):
     lambda1 = safe_window(lambda0_prime, p)
     budget = ab_quantities(summaries, lambda1, p, lambda_tilde=64)
     beta = beta_comm(budget)
-    plan = trotter_steps(total_time=10.0, epsilon=1e-3, p=p, beta=beta)
+    r_steps = trotter_steps(total_time=10.0, epsilon=1e-3, p=p, beta=beta)
     print(f"order p = {p}: commutator budget beta = {beta:.4g}, "
-          f"steps for (T=10, eps=1e-3): {plan.r_steps}")
+          f"steps for (T=10, eps=1e-3): {r_steps}")
 
 # now the empirical side, small enough to simulate exactly: one driven
 # mode, first-order splitting

@@ -179,7 +179,6 @@ class TailReport(NamedTuple):
     delta_used: int
     sigma: float
     t_window: float
-    overlap_floor: float
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +631,6 @@ def tail_threshold(profile: WalkProfile, tquery: TailQuery) -> TailReport:
         delta_used=delta,
         sigma=sigma,
         t_window=t_window,
-        overlap_floor=OVERLAP_FLOOR,
     )
 
 

@@ -89,9 +89,9 @@ def _ints(text: str) -> list[int]:
 
 
 def _comma_list(text: str, kind) -> list:
-    """The values of a comma list; blank text selects none, bare commas are refused."""
+    """The values of a comma list; a list with none (blank text, bare commas) is refused."""
     values = [kind(x) for x in text.split(",") if x.strip() != ""]
-    if not values and text.strip():
+    if not values:
         raise argparse.ArgumentTypeError(f"empty comma list {text!r}")
     return values
 

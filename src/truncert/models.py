@@ -80,8 +80,9 @@ class ModelInstance:
     block-diagonal in the sectors (the states sharing a key).  The window
     projectors are diagonal too, so every window-column quantity the
     empirical checks measure is block-diagonal, and its top singular value
-    is exactly the largest over sectors.  The checks evolve the window
-    columns of sectors with equal window counts together, as one stack,
+    is exactly the largest over sectors.  Each check's one window sweep
+    (`propagate.window_sweep`) evolves the window columns of sectors
+    with equal window counts together, as one stack,
     by a propagator prepared on the principal submatrix of the union of
     those sectors: it is block-diagonal over them, and its Gershgorin
     interval is the hull of theirs, so the engine's error bound holds

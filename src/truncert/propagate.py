@@ -10,8 +10,8 @@ most 2^-50 (1 + r |t|); that error joins the bound, and no command
 imports `scipy.special`.  Building one does the per-operator setup
 (Hermiticity check, diagonal test, Gershgorin interval) once, on a
 private copy of the matrix it evolves, so the caller's matrix is never
-reordered; the scaled operator, scipy's (h - I c) * (2 / r), is built on
-the first `apply` that takes two or more terms.  Its `apply` then
+reordered, and builds from that copy the scaled operator, scipy's
+(h - I c) * (2 / r), the one matrix it keeps.  Its `apply` then
 serves every block and time, so callers that evolve one operator
 repeatedly prepare it once.  Every model's operators are float64 from
 assembly on, and a real operator runs in float64: the copy, the scaled
@@ -24,27 +24,27 @@ T_k(h_s) block of the recurrence do not depend on t, so `apply_times`
 runs one recurrence, to the largest term count, for every time of a
 check; `apply` is its one-time case.  Every propagation takes its
 tolerance as a plain float, `TOL` by default.
-Every exact check (state leakage, the Hamiltonian-truncation
-difference, the product-formula error) measures a top singular value of
-window columns (every basis state of an initial window), and every one
-goes through one reducer, `WindowSweep`.  Given one conserved integer key
+Every exact check (state leakage, the Hamiltonian-truncation difference,
+the product-formula error) measures a top singular value of window
+columns (every basis state of an initial window), and every one is one
+call of one reducer, `window_sweep`.  Given one conserved integer key
 per basis state, it splits the window into sectors (the states sharing a
 key; `COLUMN_CAP` bounds the largest sector's window columns), groups
 sectors with equal window counts into `Stack`s that fit one sweep block,
 and prepares one propagator per operator and stack, of the stack's
 principal submatrix (scipy's h[rows][:, rows]; a union of conserved
 sectors is closed under every operator), or of the operator itself when
-the stack is the whole space in order.  No key is one sector, the whole
-space.  Column j of a stack's identity block holds window state j of
-every member, and the stack's operator is block-diagonal over its
-members, so one block call evolves every member's columns.  Its
-`top_singular` then sweeps one stack's columns at a time, for every
-output of the check at once (a time, a step size or a truncated
-operator; in batches that keep the outputs held within `COLUMN_CAP`), a
-bounded block at a time (a stack that fits one block holds its columns
-once: the block call's output is the column array), and
-`masked_top_singular` reduces each member sector's columns outside each
-escape mask, M, to its Gram matrix M^H M and reads the largest
+the stack is the whole space in order, every stack before the first is
+swept.  No key is one sector, the whole space.  Column j of a stack's
+identity block holds window state j of every member, and the stack's
+operator is block-diagonal over its members, so one block call evolves
+every member's columns.  It then sweeps one stack's columns at a time,
+for every output of the check at once (a time, a step size or a
+truncated operator; in batches that keep the outputs held within
+`COLUMN_CAP`), a bounded block at a time (a stack that fits one block
+holds its columns once: the block call's output is the column array),
+and `masked_top_singular` reduces each member sector's columns outside
+each escape mask, M, to its Gram matrix M^H M and reads the largest
 eigenvalue of batches of them with `numpy.linalg.eigvalsh`, adding a
 derived bound on the rounding of both so that each value bounds the
 computed block's top singular value from above; the stack is freed
@@ -92,12 +92,12 @@ __all__ = [
     "ground_state",
     "op_norm",
     "masked_top_singular",
-    "WindowSweep",
+    "window_sweep",
     "leakage_norm",
 ]
 
 #: Largest window-column block of one sector, dim_s * n0_s entries (256 MiB
-#: of complex128); a WindowSweep raises ResourceLimitError past it.
+#: of complex128); `window_sweep` raises ResourceLimitError past it.
 COLUMN_CAP = 1 << 24
 
 #: Most Chebyshev terms one evolution may take; a longer expansion (the
@@ -105,7 +105,7 @@ COLUMN_CAP = 1 << 24
 #: ResourceLimitError.
 _TERM_CAP = 1 << 20
 
-#: Largest dim * columns that `WindowSweep.top_singular` hands to one block
+#: Largest dim * columns that `window_sweep` hands to one block
 #: call; it bounds the block propagator's working set (a few such blocks),
 #: and the entries of one batch of Gram matrices (at least one matrix) and
 #: of one gathered row chunk (at least n0^2 / 8) in `masked_top_singular`.
@@ -304,10 +304,14 @@ class ChebyshevPropagator:
     Building it does the per-operator checks on a private copy of h, in
     h's dtype: the Hermiticity check, the diagonal test (diagonal
     operators take the elementwise exponential) and each row's Gershgorin
-    interval, whose hull [c - r, c + r] fixes the expansion.  `apply` then
-    evolves any block for any time and tolerance.  Build one per operator
-    (a `WindowSweep` builds one per operator and stack) for as long as a
-    loop evolves it; nothing is cached beyond the object's life.
+    interval, whose hull [c - r, c + r] fixes the expansion.  A
+    non-diagonal h with r > 0 then keeps only two_hs = 2 (h - c) / r, the
+    operator of the recurrence T_{k+1} = two_hs T_k - T_{k-1}, built from
+    the copy as scipy's (h - I c) * (2 / r), which drops the entries that
+    come out 0; at r = 0 every evolution takes one term and needs none.
+    `apply` then evolves any block for any time and tolerance.  Build one
+    per operator (`window_sweep` builds one per operator and stack) for as
+    long as a loop evolves it; nothing is cached beyond the object's life.
     """
 
     def __init__(self, h: sp.spmatrix):
@@ -316,8 +320,7 @@ class ChebyshevPropagator:
             raise ValueError("dimension mismatch")
         if hermiticity_defect(h) > _HERM_TOL:
             raise ValueError("hamiltonian is not Hermitian")
-        self._h = h
-        self.shape = h.shape
+        self.shape, self.dtype = h.shape, h.dtype
         rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
         self._diag = h.diagonal().astype(complex) if np.array_equal(rows, h.indices) else None
         self._centre = self._half = 0.0
@@ -327,19 +330,9 @@ class ChebyshevPropagator:
             radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
             lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
             self._centre, self._half = (hi + lo) / 2.0, (hi - lo) / 2.0
-
-    def _scaled(self) -> sp.csr_matrix:
-        """two_hs = 2 (h - c) / r of the recurrence T_{k+1} = two_hs T_k - T_{k-1}.
-
-        Built on the first `apply` whose recurrence takes two or more
-        terms (so r > 0), in h's dtype, as scipy's (h - I c) * (2 / r),
-        which drops the entries that come out 0.
-        """
-        if self._two_hs is None:
-            h = self._h
+        if self._half > 0.0:
             shift = sp.identity(h.shape[0], dtype=h.dtype, format="csr") * self._centre
             self._two_hs = (h - shift) * (2.0 / self._half)
-        return self._two_hs
 
     def apply(self, block: np.ndarray, t: float, tol: float) -> np.ndarray:
         """Apply exp(-i t h) to a (dim, k) block of columns or to a 1-D vector.
@@ -386,7 +379,7 @@ class ChebyshevPropagator:
             raise ValueError("tol must be > 0")
         if not all(math.isfinite(t) for t in times):
             raise ValueError(f"evolution times must be finite: {list(times)}")
-        real = not (np.iscomplexobj(self._h.data) or np.iscomplexobj(block))
+        real = self.dtype.kind != "c" and not np.iscomplexobj(block)
         block = np.asarray(block, dtype=float if real else complex)
         out = np.empty((len(times),) + block.shape, dtype=complex)
         series = []  # (output, t, coefficients) of the times the recurrence serves
@@ -426,7 +419,7 @@ class ChebyshevPropagator:
         """
         if n_terms < 2:
             return
-        two_hs = self._scaled()
+        two_hs = self._two_hs
         if block.dtype == two_hs.dtype:
             mul = two_hs.__matmul__
         else:
@@ -823,100 +816,96 @@ def masked_top_singular(
     return tops
 
 
-class WindowSweep:
-    """Top singular values of window-column blocks, one stack at a time.
+def window_sweep(
+    basis: CompositeBasis,
+    window0: ProjectorSpec,
+    ops: list[sp.spmatrix],
+    sector_keys: np.ndarray | None,
+    fn,
+    xs,
+    keep_masks,
+) -> list[list[float]]:
+    """Per output and keep mask, the top singular value of the window columns outside it.
 
-    Built once from a basis, an initial window and the Hermitian
-    matrices a check propagates (all conserving sector_keys; None is one
-    sector, the whole space): it splits the window into sectors and
-    groups sectors of equal window count into stacks that fit one sweep
-    block (COLUMN_CAP bounds the largest sector's window columns), and
-    prepares one `ChebyshevPropagator` per operator and stack, of the
-    stack's principal submatrix, scipy's h[rows][:, rows]
+    ops are the Hermitian matrices a check propagates, all conserving
+    sector_keys (one integer per basis state; None is one sector, the
+    whole space).  The window0 states are split into sectors, and sectors
+    of equal window count grouped into stacks that fit one sweep block
+    (`_window_stacks`; COLUMN_CAP bounds the largest sector's window
+    columns).  One `ChebyshevPropagator` per operator and stack is
+    prepared, of the stack's principal submatrix, scipy's h[rows][:, rows]
     (`_principal_submatrix`, which refuses rows coupled to the rest), or
     of the operator itself when the stack is every state in order (no
-    sector keys), which the copy would equal.  A union of conserved
-    sectors is closed under every operator, so the stack's operator is
-    block-diagonal over its members, and its Gershgorin interval is the
-    hull of its members' intervals, so the one polynomial the stack
-    applies approximates exp(-i t h_s) on every member's spectrum with
-    the member's own error bound: each member's error is at most
-    2 tol * ||block_s||, as if it were swept alone.
-    `top_singular` then serves every time, step size and escape window of
-    the check.
+    sector keys), which the copy would equal.  Every stack is prepared
+    before the first is swept, so an operator refused by any stack is
+    refused before fn is called.  A union of conserved sectors is closed
+    under every operator, so the stack's operator is block-diagonal over
+    its members, and its Gershgorin interval is the hull of its members'
+    intervals, so the one polynomial the stack applies approximates
+    exp(-i t h_s) on every member's spectrum with the member's own error
+    bound: each member's error is at most 2 tol * ||block_s||, as if it
+    were swept alone.
+
+    Output i belongs to the parameter xs[i] (a time, a step size or the
+    index of a truncated operator) and keep_masks[i] lists its
+    full-space keep masks.
+    fn(ops_s, e, xs_b) maps a (dim_s, k) float64 block of identity
+    columns in a stack's coordinates (row i stands for basis state
+    stack.rows[i]) to a (len(xs_b), dim_s, k) array, one block per
+    parameter of the batch xs_b, with ops_s the stack's propagators.
+    Each call takes at most _BLOCK_ENTRIES // dim_s columns (at least
+    one); when one call covers the stack its output is the stack's
+    column array, and no second one is filled.  The window columns of
+    fn are block-diagonal over the sectors (the keep masks are
+    full-space and diagonal), so each value is the largest over the
+    sectors: each stack is swept, each member sector's columns outside
+    every mask of every output reduced by `masked_top_singular` (an
+    upper bound on the computed block's top singular value, above it
+    by a derived rounding term), and the stack's columns are freed
+    before the next one is swept.  The outputs held at once never
+    exceed COLUMN_CAP entries: a stack takes the outputs in batches that
+    fit, down to one at a time.  An output with no keep mask is not
+    propagated.
     """
+    dim = basis.dimension
+    if any(h.shape != (dim, dim) for h in ops):
+        raise ValueError("operator does not match basis dimension")
+    ops = [sp.csr_matrix(h) for h in ops]  # shares each CSR matrix's arrays
+    stacks = _window_stacks(window_mask(basis, window0), sector_keys)
+    prepared = []
+    for s in stacks:
+        whole = len(s.rows) == dim and np.array_equal(s.rows, np.arange(dim))
+        prepared.append(
+            [ChebyshevPropagator(h if whole else _principal_submatrix(h, s.rows)) for h in ops]
+        )
+    tops = [[0.0] * len(masks) for masks in keep_masks]
+    wanted = [i for i, masks in enumerate(keep_masks) if len(masks)]
+    for stack, ops_s in zip(stacks, prepared) if wanted else ():
+        dim_s, n0 = len(stack.rows), stack.window.shape[1]
+        step = max(1, _BLOCK_ENTRIES // dim_s)
+        batch = max(1, COLUMN_CAP // stack.entries)
 
-    def __init__(
-        self,
-        basis: CompositeBasis,
-        window0: ProjectorSpec,
-        ops: list[sp.spmatrix],
-        sector_keys: np.ndarray | None = None,
-    ):
-        dim = basis.dimension
-        if any(h.shape != (dim, dim) for h in ops):
-            raise ValueError("operator does not match basis dimension")
-        ops = [sp.csr_matrix(h) for h in ops]  # shares each CSR matrix's arrays
-        self.stacks = _window_stacks(window_mask(basis, window0), sector_keys)
-        self._ops = []
-        for s in self.stacks:
-            whole = len(s.rows) == dim and np.array_equal(s.rows, np.arange(dim))
-            self._ops.append(
-                [ChebyshevPropagator(h if whole else _principal_submatrix(h, s.rows)) for h in ops]
-            )
+        def evolve_part(part, xs_b):
+            e = np.zeros((dim_s, part.shape[1]))
+            e[part, np.arange(part.shape[1])] = 1.0
+            return fn(ops_s, e, xs_b)
 
-    def top_singular(self, fn, xs, keep_masks) -> list[list[float]]:
-        """Per output and keep mask, the top singular value of the window columns outside it.
-
-        Output i belongs to the parameter xs[i] (a time, a step size or the
-        index of a truncated operator) and keep_masks[i] lists its
-        full-space keep masks.
-        fn(ops_s, e, xs_b) maps a (dim_s, k) float64 block of identity
-        columns in a stack's coordinates (row i stands for basis state
-        stack.rows[i]) to a (len(xs_b), dim_s, k) array, one block per
-        parameter of the batch xs_b, with ops_s the stack's propagators.
-        Each call takes at most _BLOCK_ENTRIES // dim_s columns (at least
-        one); when one call covers the stack its output is the stack's
-        column array, and no second one is filled.  The window columns of
-        fn are block-diagonal over the sectors (the keep masks are
-        full-space and diagonal), so each value is the largest over the
-        sectors: each stack is swept, each member sector's columns outside
-        every mask of every output reduced by `masked_top_singular` (an
-        upper bound on the computed block's top singular value, above it
-        by a derived rounding term), and the stack is freed before the
-        next one is swept.  The outputs held at once never exceed
-        COLUMN_CAP entries: a stack takes the outputs in batches that fit,
-        down to one at a time.  An output with no keep mask is not
-        propagated.
-        """
-        tops = [[0.0] * len(masks) for masks in keep_masks]
-        wanted = [i for i, masks in enumerate(keep_masks) if len(masks)]
-        for stack, ops_s in zip(self.stacks, self._ops) if wanted else ():
-            dim, n0 = len(stack.rows), stack.window.shape[1]
-            step = max(1, _BLOCK_ENTRIES // dim)
-            batch = max(1, COLUMN_CAP // stack.entries)
-
-            def evolve_part(part, xs_b):
-                e = np.zeros((dim, part.shape[1]))
-                e[part, np.arange(part.shape[1])] = 1.0
-                return fn(ops_s, e, xs_b)
-
-            for lo in range(0, len(wanted), batch):
-                outs = wanted[lo : lo + batch]
-                xs_b = [xs[i] for i in outs]
-                if step >= n0:  # one block covers the stack: fn's output is the column array
-                    cols = evolve_part(stack.window, xs_b)
-                else:
-                    cols = np.empty((len(outs), dim, n0), dtype=complex)
-                    for start in range(0, n0, step):
-                        part = stack.window[:, start : start + step]
-                        cols[..., start : start + part.shape[1]] = evolve_part(part, xs_b)
-                kept = [[keep[stack.rows] for keep in keep_masks[i]] for i in outs]
-                found = masked_top_singular(cols, stack.starts, kept)
-                del cols  # free this stack's columns before the next fill
-                for i, row in zip(outs, found):
-                    tops[i] = [max(a, b) for a, b in zip(tops[i], row)]
-        return tops
+        for lo in range(0, len(wanted), batch):
+            outs = wanted[lo : lo + batch]
+            xs_b = [xs[i] for i in outs]
+            if step >= n0:  # one block covers the stack: fn's output is the column array
+                cols = evolve_part(stack.window, xs_b)
+            else:
+                cols = np.empty((len(outs), dim_s, n0), dtype=complex)
+                for start in range(0, n0, step):
+                    part = stack.window[:, start : start + step]
+                    cols[..., start : start + part.shape[1]] = evolve_part(part, xs_b)
+            kept = [[keep[stack.rows] for keep in keep_masks[i]] for i in outs]
+            found = masked_top_singular(cols, stack.starts, kept)
+            del cols  # free this stack's columns before the next fill
+            for i, row in zip(outs, found):
+                tops[i] = [max(a, b) for a, b in zip(tops[i], row)]
+    return tops
 
 
 def leakage_norm(
@@ -931,15 +920,13 @@ def leakage_norm(
     """Leakage norm: top singular value of (1 - P_window1) exp(-i t h) P_window0.
 
     Exact: every window0 basis state is a column, evolved inside its
-    sector by a `WindowSweep`.  sector_keys (one integer per basis state,
+    sector by one `window_sweep`.  sector_keys (one integer per basis state,
     conserved by h; None is one sector) splits the window into sectors.
     A sector whose columns exceed COLUMN_CAP entries raises
     ResourceLimitError.
     """
-    sweep = WindowSweep(basis, window0, [h], sector_keys)
-    ((top,),) = sweep.top_singular(
-        lambda ops, e, ts: ops[0].apply_times(e, ts, tol),
-        [t],
-        [[window_mask(basis, window1)]],
+    ((top,),) = window_sweep(
+        basis, window0, [h], sector_keys,
+        lambda ops, e, ts: ops[0].apply_times(e, ts, tol), [t], [[window_mask(basis, window1)]],
     )
     return top

@@ -23,12 +23,11 @@ import numpy as np
 
 from .fock_algebra import ALL, ProjectorSpec
 from .models import ModelInstance
-from .propagate import TOL, WindowSweep
+from .propagate import TOL, window_sweep
 
 __all__ = [
     "CoefficientSummaries",
     "CommutatorBudget",
-    "TrotterPlan",
     "TrotterPoint",
     "safe_window",
     "summaries_single_mode",
@@ -98,18 +97,6 @@ class CommutatorBudget:
                 f"{self.lambda1_prime} + 2(p+1) = "
                 f"{self.lambda1_prime + 2 * (self.p + 1)}"
             )
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    r_steps: int
-    total_time: float
-    beta: float
-    p: int
-
-    @property
-    def tau(self) -> float:
-        return self.total_time / self.r_steps
 
 
 @dataclass(frozen=True)
@@ -220,7 +207,7 @@ def beta_comm(budget: CommutatorBudget) -> float:
     return out
 
 
-def trotter_steps(total_time: float, epsilon: float, p: int, beta: float) -> TrotterPlan:
+def trotter_steps(total_time: float, epsilon: float, p: int, beta: float) -> int:
     """Step count R = ceil(T^(1+1/p) * beta^(1/p) / epsilon^(1/p)).
 
     A planning estimate, never a certificate: it leaves out the
@@ -235,8 +222,7 @@ def trotter_steps(total_time: float, epsilon: float, p: int, beta: float) -> Tro
     if beta < 0:
         raise ValueError("beta must be >= 0")
     raw = total_time ** (1.0 + 1.0 / p) * (beta / epsilon) ** (1.0 / p)
-    r = max(1, math.ceil(raw))
-    return TrotterPlan(r_steps=r, total_time=total_time, beta=beta, p=p)
+    return max(1, math.ceil(raw))
 
 
 def _check_covered(p: int):
@@ -291,14 +277,15 @@ def empirical_trotter_error(
     column; the window must be small enough for that to be exact).  H and
     every part conserve the model's sector keys, so that block is
     block-diagonal and its top singular value is the largest over the
-    sectors that meet the window.  One `WindowSweep` takes each stack of
+    sectors that meet the window.  One `window_sweep` takes each stack of
     sectors (equal window counts, one sweep block) through both sides for
     every step size in one sweep: the exact side exp(-i tau H) runs one
     Chebyshev recurrence for all step sizes, the product formula runs per
     step size, and each member sector's difference is reduced to its top
     singular value before the next stack is swept.  Each part and H is
     prepared once per stack, on the stack's principal submatrix, for
-    every step size and block.
+    every step size and block, and every stack before the first is
+    swept.
 
     Before anything is prepared, ValueError refuses an order p that the
     certified constants do not cover, and a budget built for another
@@ -328,7 +315,6 @@ def empirical_trotter_error(
         bounds = [per_step_error_bound(p, beta, tau) for tau in taus]
     window0 = ProjectorSpec(ALL, 0, int(lambda0_prime))
     ops = [*model.parts.values(), model.hamiltonian]
-    sweep = WindowSweep(model.basis, window0, ops, model.sector_keys)
 
     def split_errors(ops_s, e, taus_b):
         errors = ops_s[-1].apply_times(e, taus_b, tol)  # one recurrence for every tau
@@ -338,7 +324,9 @@ def empirical_trotter_error(
         return errors
 
     keep_none = np.zeros(model.dimension, dtype=bool)
-    tops = sweep.top_singular(split_errors, taus, [[keep_none]] * len(taus))
+    tops = window_sweep(
+        model.basis, window0, ops, model.sector_keys, split_errors, taus, [[keep_none]] * len(taus)
+    )
     return [
         TrotterPoint(tau=float(tau), error=error, bound=bound)
         for tau, (error,), bound in zip(taus, tops, bounds)

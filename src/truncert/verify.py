@@ -8,10 +8,10 @@ column.  Both exact checks here, the state-truncation leakage
 ||(1 - P_lambda) e^{-iHt} P_lambda0|| and the Hamiltonian-truncation
 difference ||(e^{-iHt} - e^{-i Pi H Pi t}) P_lambda0||, are top singular
 values of such columns, and both are measured by one
-`propagate.WindowSweep` built once per call (once per cutoff for the
-latter, on H and the Pi H Pi of every lambda-tilde of the call, so each
-block is evolved under H once for all of them): it groups the sectors
-of the model's sector keys (a conserved charge diagonal in the Fock
+`propagate.window_sweep` call per check (one per cutoff for the latter,
+on H and the Pi H Pi of every lambda-tilde of the call, so each block
+is evolved under H once for all of them): it groups the sectors of the
+model's sector keys (a conserved charge diagonal in the Fock
 basis; Pi is diagonal too, so Pi H Pi keeps them) into stacks, unions
 of sectors with equal window counts that fit one sweep block, whose
 column j holds window state j of every member, and prepares each
@@ -65,7 +65,7 @@ from .bounds import (
 )
 from .fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from .models import ModelInstance, single_mode
-from .propagate import TOL, WindowSweep, evolve, lowest_eigenpairs
+from .propagate import TOL, evolve, lowest_eigenpairs, window_sweep
 
 __all__ = [
     "ExperimentReport",
@@ -105,10 +105,11 @@ def engine_slack(tol: float) -> float:
     on the single-mode and Hubbard-Holstein suites (the non-diagonal
     substeps of one Strang step plus the exact step; diagonal parts are
     exact), so ten times the tolerance covers every check.  Split into
-    symmetry sectors, the same holds sector by sector: sectors are
-    propagated in stacks, each by a propagator of the stack's principal
-    submatrix, which is block-diagonal over the member sectors and whose
-    Gershgorin interval is the hull of theirs, so each sector's block
+    symmetry sectors, the same holds sector by sector: a check's one
+    `propagate.window_sweep` call propagates sectors in stacks, each by a
+    propagator of the stack's principal submatrix (which keeps only its
+    scaled operator 2 (h - c) / r), block-diagonal over the member sectors
+    and with the hull of their Gershgorin intervals, so each sector's block
     errs by at most the same multiple of tol * ||block_s||, and the
     block-diagonal whole, whose top singular value is the largest over
     sectors, errs by at most the largest of those.  Evolving every time
@@ -162,9 +163,10 @@ def verify_state_truncation(
     per truncatable mode for mode='per_mode' (the bare bounds), or the
     all-mode window for mode='all' (bounds carry the union factor
     sqrt(number of truncatable modes)).  The long-time rows of each time
-    are those of one `Leakage` table up to the largest delta.  One
-    `WindowSweep.top_singular` call evolves each stack of sectors once,
-    for every time at once, and folds each member sector's top singular
+    are those of one `Leakage` table up to the largest delta, computed
+    before anything is prepared, so a time the bounds refuse is refused
+    first.  One `window_sweep` call then evolves each stack of sectors
+    once, for every time at once, and folds each member sector's top singular
     value outside every distinct (time, escape window) pair below the
     cutoff into its running maximum before the next stack is evolved; a
     time whose windows all reach the cutoff is not evolved.  The call
@@ -183,8 +185,6 @@ def verify_state_truncation(
     trunc = basis.truncatable_modes
     union = math.sqrt(len(trunc)) if trunc else 1.0
     nus = trunc if mode == "per_mode" else [None]
-    window0 = ProjectorSpec(ALL, 0, int(lambda0))
-    sweep = WindowSweep(basis, window0, [model.hamiltonian], model.sector_keys)
     cutoff = model.cutoff
     times = list(times)
     points = []  # per time: (kind, delta, window, bound); short and long may coincide
@@ -209,10 +209,9 @@ def verify_state_truncation(
         }
         for pts in points
     ]
-    tops = sweep.top_singular(
-        lambda ops, e, ts: ops[0].apply_times(e, ts, tol),
-        times,
-        [list(k.values()) for k in keeps],
+    tops = window_sweep(
+        basis, ProjectorSpec(ALL, 0, int(lambda0)), [model.hamiltonian], model.sector_keys,
+        lambda ops, e, ts: ops[0].apply_times(e, ts, tol), times, [list(k.values()) for k in keeps],
     )
 
     rows = []
@@ -259,7 +258,7 @@ def verify_hamiltonian_truncations(
     One report per lambda_tilde, in order.  The factory builds the model
     at a requested cutoff, once per cutoff; each truncated Hamiltonian
     Pi H Pi lives on the same padded space, so the evolutions subtract
-    directly.  Per cutoff, one `WindowSweep` on [H, *every Pi H Pi]
+    directly.  Per cutoff, one `window_sweep` on [H, *every Pi H Pi]
     prepares each operator once per stack, and each block of window
     columns is evolved under H once per output batch and every truncated
     evolution subtracted from it.  With check_padding the empirical
@@ -290,8 +289,6 @@ def verify_hamiltonian_truncations(
         for lam in lambda_tildes:
             pi = projector(basis, ProjectorSpec(ALL, 0, lam))
             truncated.append((pi @ h @ pi).tocsr())
-        # Pi is diagonal, so every Pi H Pi keeps the sector keys
-        sweep = WindowSweep(basis, window0, [h, *truncated], model.sector_keys)
 
         def differences(ops, e, picks):
             full = ops[0].apply(e, t, tol)
@@ -301,8 +298,10 @@ def verify_hamiltonian_truncations(
             return out
 
         keep_none = np.zeros(basis.dimension, dtype=bool)
-        tops = sweep.top_singular(
-            differences, range(len(lambda_tildes)), [[keep_none]] * len(lambda_tildes)
+        # Pi is diagonal, so every Pi H Pi keeps the sector keys
+        tops = window_sweep(
+            basis, window0, [h, *truncated], model.sector_keys,
+            differences, range(len(lambda_tildes)), [[keep_none]] * len(lambda_tildes),
         )
         return [top for (top,) in tops]
 

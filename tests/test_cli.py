@@ -322,6 +322,7 @@ def test_sweep_switch_values_match_scalar_calls(tmp_path, capsys):
         ["--vary", "t=0.5,1", "--set", "bogus=1"],
         ["--vary", "t=0.5,oops"],
         ["--vary", "t="],
+        ["--vary", "lambda0=1,2", "--set", "t="],
     ],
 )
 def test_sweep_bad_point_is_one_usage_error(extra, capsys):
@@ -667,16 +668,6 @@ def test_verify_coherent_exits_zero(capsys):
     assert ",true," in rows[1]
 
 
-def test_verify_empty_selection_is_sound(capsys):
-    code, out = _run(
-        ["verify", "state", "--model", "single", "--n-max", "8", "--t", ""],
-        capsys,
-    )
-    assert code == 0
-    rows = _data_lines(out)
-    assert rows == ["experiment,empirical,analytic,sound,margin,runtime_s,inputs,notes"]
-
-
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "state", "--model", "single", "--n-max", "8", "--t", ","], "--t"),
     (["verify", "state", "--model", "single", "--n-max", "8", "--t", "0.2", "--deltas", ","],
@@ -687,16 +678,32 @@ def test_verify_empty_selection_is_sound(capsys):
      "--lambda-tildes"),
     (["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5",
       "--eps-list", ","], "--eps-list"),
+    (["verify", "state", "--model", "single", "--n-max", "8", "--t", ""], "--t"),
+    (["verify", "state", "--model", "single", "--n-max", "8", "--t", "0.2", "--deltas", ""],
+     "--deltas"),
+    (["verify", "trotter", "--model", "single", "--n-max", "8", "--taus", ""], "--taus"),
+    (["verify", "tail", "--model", "single", "--n-max", "8", "--eps-list", ""], "--eps-list"),
+    (["verify", "ham", "--model", "single", "--n-max", "40", "--lambda-tildes", ""],
+     "--lambda-tildes"),
+    (["threshold", "tail", "--model", "hh", "--lambda-bar", "0.3", "--gap", "0.5",
+      "--eps-list", ""], "--eps-list"),
+    (["threshold", "state", "--model", "hh", "--lambda0", "4", "--t", " "], "--t"),
+    (["compare", "--t", ""], "--t"),
 ], ids=["state-t", "state-deltas", "trotter-taus", "tail-eps", "ham-lambda-tildes",
-        "threshold-tail-eps"])
+        "threshold-tail-eps", "state-t-blank", "state-deltas-blank", "trotter-taus-blank",
+        "tail-eps-blank", "ham-lambda-tildes-blank", "threshold-tail-eps-blank",
+        "threshold-state-t-blank", "compare-t-blank"])
 def test_empty_comma_list_is_refused(argv, flag, capsys):
-    """A comma list with no values would run a check that tests nothing and
-    exit 0; it is a usage error, one line, with no output."""
+    """A comma list with no values, blank text included, would run a check
+    that tests nothing and exit 0; it is a usage error, one line, with no
+    output, before any model is built."""
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err.splitlines() == [f"truncert: error: argument {flag}: empty comma list ','"]
+    assert err.splitlines() == [
+        f"truncert: error: argument {flag}: empty comma list {argv[-1]!r}"
+    ]
 
 
 def test_empty_config_value_is_refused(tmp_path, capsys):

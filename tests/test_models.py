@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from test_fock import kron_mode_operator, mode_operator
 
 from truncert import fock_algebra, models
-from truncert.fock_algebra import ALL, ProjectorSpec, projector
+from truncert.fock_algebra import ALL, ProjectorSpec, projector, window_mask
 from truncert.models import (
     comm_norm_exact,
     dicke,
@@ -19,7 +19,7 @@ from truncert.models import (
     single_mode,
     u1_lgt_1d,
 )
-from truncert.propagate import WindowSweep, op_norm
+from truncert.propagate import _window_stacks, op_norm
 from truncert.walk_profiles import (
     profile_dicke,
     profile_hubbard_holstein,
@@ -559,7 +559,7 @@ def test_wrong_sector_keys_are_rejected():
 def test_single_mode_is_one_sector():
     model = single_mode(1.0, 1.0, 8)
     assert model.sector_keys is None
-    (stack,) = WindowSweep(model.basis, ProjectorSpec(0, 0, 3), [], model.sector_keys).stacks
+    (stack,) = _window_stacks(window_mask(model.basis, ProjectorSpec(0, 0, 3)), model.sector_keys)
     assert np.array_equal(stack.rows, np.arange(model.dimension))
     assert np.array_equal(stack.window, [np.arange(4)])
     assert np.array_equal(stack.starts, [0, model.dimension])

@@ -28,13 +28,13 @@ from truncert.propagate import (
     TOL,
     ChebyshevPropagator,
     DensePropagator,
-    WindowSweep,
     evolve,
     ground_state,
     leakage_norm,
     lowest_eigenpairs,
     masked_top_singular,
     op_norm,
+    window_sweep,
 )
 from truncert.trotter import empirical_trotter_error
 from truncert.verify import (
@@ -309,8 +309,27 @@ def test_chebyshev_terms_zero_argument():
 
 
 def _stacks(model, window0):
-    """The stacks a `WindowSweep` of the model's window0 sweeps."""
-    return WindowSweep(model.basis, window0, [], model.sector_keys).stacks
+    """The stacks a `window_sweep` of the model's window0 sweeps."""
+    return propagate._window_stacks(window_mask(model.basis, window0), model.sector_keys)
+
+
+def _prepared(basis, window0, ops, sector_keys=None):
+    """(stack, propagators) of every stack a `window_sweep` prepares, as fn sees them."""
+    seen = {}  # id of each stack's propagator list -> that list, in sweep order
+
+    def capture(ops_s, e, xs):
+        seen.setdefault(id(ops_s), ops_s)
+        return np.zeros((len(xs),) + e.shape)
+
+    keep_none = np.zeros(basis.dimension, dtype=bool)
+    window_sweep(basis, window0, ops, sector_keys, capture, [0.0], [[keep_none]])
+    stacks = propagate._window_stacks(window_mask(basis, window0), sector_keys)
+    assert len(stacks) == len(seen)
+    return list(zip(stacks, seen.values()))
+
+
+def _unreachable(ops, e, xs):
+    raise AssertionError("a stack was swept")
 
 
 def _members(stack):
@@ -327,19 +346,19 @@ def _sector_entries(stacks):
 
 
 def _window_columns(basis, h, window0, t, sector_keys=None):
-    """The window columns of exp(-i t h) as a `WindowSweep` evolves them.
+    """The window columns of exp(-i t h) as a `window_sweep` evolves them.
 
     Returns (cols, states): cols[:, i] is the full-space column of window
     state states[i] (ascending), its stack member's part of the block
     column the sweep evolved it in, scattered onto the member's rows.
     """
-    sweep = WindowSweep(basis, window0, [h], sector_keys)
-    stack_of = {id(ops[0]): stack for stack, ops in zip(sweep.stacks, sweep._ops)}
+    stacks = propagate._window_stacks(window_mask(basis, window0), sector_keys)
+    order = {}  # id of each stack's propagator list -> stack index, in sweep order
     columns = {}
 
     def scatter(ops, e, ts):
         out = ops[0].apply_times(e, ts, 1e-10)
-        stack = stack_of[id(ops[0])]
+        stack = stacks[order.setdefault(id(ops), len(order))]
         for i, j in zip(*np.nonzero(e)):
             m = np.searchsorted(stack.starts, i, side="right") - 1
             start, stop = stack.starts[m], stack.starts[m + 1]
@@ -349,14 +368,15 @@ def _window_columns(basis, h, window0, t, sector_keys=None):
             columns[stack.rows[i]] = col
         return out
 
-    sweep.top_singular(scatter, [t], [[np.zeros(basis.dimension, dtype=bool)]])
+    window_sweep(basis, window0, [h], sector_keys, scatter, [t],
+                 [[np.zeros(basis.dimension, dtype=bool)]])
     states = np.array(sorted(columns))
     return np.stack([columns[state] for state in states], axis=1), states
 
 
 @pytest.mark.parametrize("entries", [1, 3 * 784, 1 << 15, 1 << 30])
 def test_leakage_columns_independent_of_block_split(entries, monkeypatch):
-    """The evolved window columns a `WindowSweep` hands to its reduction do
+    """The evolved window columns a `window_sweep` hands to its reduction do
     not depend on how many columns each block call takes."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=6)  # dim 784, 144 window columns
     window0 = ProjectorSpec(ALL, 0, 2)
@@ -616,15 +636,15 @@ def test_one_block_stack_holds_one_copy_of_its_columns():
     (times, dim, n0) columns."""
     model = single_mode(0.5, 1.0, 255)  # dim 256
     window0 = ProjectorSpec(ALL, 0, 127)  # 128 columns: 2^15 entries, one block
-    sweep = WindowSweep(model.basis, window0, [model.hamiltonian])
-    (stack,) = sweep.stacks
+    (stack,) = _stacks(model, window0)
     assert stack.entries == propagate._BLOCK_ENTRIES
     times = [0.05 * k for k in range(1, 17)]
     keeps = [[window_mask(model.basis, ProjectorSpec(ALL, 0, 130))]] * len(times)
     column_bytes = len(times) * stack.entries * 16
     tracemalloc.start()
     try:
-        tops = sweep.top_singular(lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
+        tops = window_sweep(model.basis, window0, [model.hamiltonian], None,
+                            lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -647,17 +667,17 @@ def test_keyless_sweep_prepares_the_operator_itself(monkeypatch):
     monkeypatch.setattr(propagate, "_principal_submatrix", spy)
     model = single_mode(0.5, 1.0, 40)
     h = model.hamiltonian
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 5), [h, 2.0 * h])
+    ((_, props),) = _prepared(model.basis, ProjectorSpec(ALL, 0, 5), [h, 2.0 * h])
     assert sliced == []
     block = np.eye(model.dimension, 6)
     rows = np.arange(model.dimension)
-    for prop, op in zip(sweep._ops[0], (h, 2.0 * h)):
+    for prop, op in zip(props, (h, 2.0 * h)):
         copy = ChebyshevPropagator(real_sub(op, rows))
         assert prop.apply_times(block, [0.3, 1.1], TOL).tobytes() == (
             copy.apply_times(block, [0.3, 1.1], TOL).tobytes()
         )
     hh = hubbard_holstein_1d(2, g=0.5, n_max=3)
-    WindowSweep(hh.basis, ProjectorSpec(ALL, 0, 1), [hh.hamiltonian], hh.sector_keys)
+    _prepared(hh.basis, ProjectorSpec(ALL, 0, 1), [hh.hamiltonian], hh.sector_keys)
     assert sliced and all(n < hh.dimension for n in sliced)
 
 
@@ -791,14 +811,10 @@ def test_window_sweep_without_masks_propagates_nothing():
     """No escape window below the cutoff: the state check sweeps no sector."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     window0 = ProjectorSpec(ALL, 0, 1)
-    sweep = WindowSweep(model.basis, window0, [model.hamiltonian], model.sector_keys)
-    assert len(_sector_entries(sweep.stacks)) == 9
-
-    def unreachable(ops, e, xs):
-        raise AssertionError("a sector was swept")
-
-    assert sweep.top_singular(unreachable, [], []) == []
-    assert sweep.top_singular(unreachable, [0.5, 1.0], [[], []]) == [[], []]
+    assert len(_sector_entries(_stacks(model, window0))) == 9
+    args = (model.basis, window0, [model.hamiltonian], model.sector_keys, _unreachable)
+    assert window_sweep(*args, [], []) == []
+    assert window_sweep(*args, [0.5, 1.0], [[], []]) == [[], []]
 
 
 def _one_time_recurrence(prop, block, t, tol):
@@ -810,13 +826,13 @@ def _one_time_recurrence(prop, block, t, tol):
     if prop._diag is not None:
         phase = np.exp(-1j * t * prop._diag)
         return (phase if block.ndim == 1 else phase[:, None]) * block
-    two_hs = sp.csr_matrix(prop._scaled(), dtype=complex)
     bessel = propagate._chebyshev_bessel(prop._half * t, tol)
     k = np.arange(len(bessel))
     coeffs = 2.0 * np.array([1, -1j, -1, 1j])[k % 4] * bessel
     coeffs[0] /= 2.0
     out = coeffs[0] * block
     if len(coeffs) > 1:
+        two_hs = sp.csr_matrix(prop._two_hs, dtype=complex)
         prev, cur = block, 0.5 * (two_hs @ block)
         out += coeffs[1] * cur
         for c in coeffs[2:]:
@@ -850,7 +866,7 @@ def test_multi_time_recurrence_equals_single_time_calls(model):
     assert any(p._diag is not None for p in props)
     assert any(p._diag is None for p in props)
     for prop in props:
-        assert prop._h.dtype == np.float64
+        assert prop.dtype == np.float64
         for b in (block, block[:, 1], block.real.copy(), block[:, :1]):
             many = prop.apply_times(b, times, 1e-10)
             assert many.shape == (len(times),) + b.shape
@@ -865,22 +881,43 @@ def test_multi_time_recurrence_equals_single_time_calls(model):
 # ---------------------------------------------------------------------------
 
 def test_real_hamiltonian_runs_in_float64():
-    """A real H is kept, scaled and solved in float64; the scaled operator
-    is built on the first apply, and not at all by a sweep's propagators
-    until they evolve more than a phase."""
+    """A real H is scaled and solved in float64; the scaled operator is
+    built when the propagator is prepared, by a sweep's propagators too
+    (none at r = 0, where every evolution is one term)."""
     model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=4)
     prop = ChebyshevPropagator(model.hamiltonian)
-    assert prop._h.dtype == np.float64 and prop._two_hs is None
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [model.hamiltonian],
-                        model.sector_keys)
-    assert all(ops[0]._h.dtype == np.float64 and ops[0]._two_hs is None for ops in sweep._ops)
-    prop.apply(np.eye(model.dimension, 2), 0.4, 1e-10)
-    assert prop._scaled().dtype == np.float64
-    assert prop._scaled().data.flags.c_contiguous
+    assert prop.dtype == np.float64 and prop._two_hs.dtype == np.float64
+    assert prop._two_hs.data.flags.c_contiguous
+    props = [ops[0] for _, ops in _prepared(model.basis, ProjectorSpec(ALL, 0, 1),
+                                             [model.hamiltonian], model.sector_keys)]
+    assert any(p._two_hs is not None for p in props)
+    for p in props:
+        assert p.dtype == np.float64
+        assert (p._two_hs is None) == (p._half == 0.0)
+        assert p._two_hs is None or p._two_hs.dtype == np.float64
     _, vecs = lowest_eigenpairs(model.hamiltonian, k=2)
     assert vecs.dtype == np.float64
     complex_h = ChebyshevPropagator(_random_hermitian(30, 5))
-    assert complex_h._h.dtype == complex
+    assert complex_h.dtype == complex and complex_h._two_hs.dtype == complex
+
+
+def test_prepared_propagator_keeps_one_operator():
+    """A prepared non-diagonal propagator holds 2 (h - c) / r and nothing
+    else of h: after an apply it retains about one CSR operator, not two."""
+    h = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=12).hamiltonian
+    block = np.eye(h.shape[0], 4)
+    ChebyshevPropagator(h).apply(block, 0.3, TOL)  # warm every lazy import
+    tracemalloc.start()
+    try:
+        prop = ChebyshevPropagator(h)
+        prop.apply(block, 0.3, TOL)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    two_hs = prop._two_hs
+    op_bytes = two_hs.data.nbytes + two_hs.indices.nbytes + two_hs.indptr.nbytes
+    assert op_bytes > 100_000
+    assert op_bytes <= held < 1.25 * op_bytes
 
 
 def test_restricted_stack_takes_its_rows_gershgorin_ends():
@@ -888,11 +925,10 @@ def test_restricted_stack_takes_its_rows_gershgorin_ends():
     half) of the full operator's Gershgorin ends of its rows, and its
     float64 recurrence equals the complex one byte for byte."""
     model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 2), [model.hamiltonian],
-                        model.sector_keys)
-    stack = max(sweep.stacks, key=lambda s: len(s.starts))
+    prepared = _prepared(model.basis, ProjectorSpec(ALL, 0, 2), [model.hamiltonian],
+                         model.sector_keys)
+    stack, (sub,) = max(prepared, key=lambda pair: len(pair[0].starts))
     assert len(stack.starts) > 2
-    (sub,) = sweep._ops[sweep.stacks.index(stack)]
     h = propagate._owned_csr(model.hamiltonian)
     d = h.diagonal()
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(d)
@@ -929,7 +965,7 @@ def _csr_bytes(op):
     ids=["hh", "dicke"],
 )
 def test_engine_calls_leave_the_callers_matrices_alone(build):
-    """Preparing a propagator, a WindowSweep, an evolve and an eigensolve
+    """Preparing a propagator, a window sweep, an evolve and an eigensolve
     never reorder the entries of H or of any part (the HH and Dicke
     Hamiltonians and the HH coupling hold unsorted indices)."""
     model = build()
@@ -937,9 +973,9 @@ def test_engine_calls_leave_the_callers_matrices_alone(build):
     before = [_csr_bytes(op) for op in ops]
     for op in ops:
         ChebyshevPropagator(op).apply(np.ones(model.dimension), 0.3, 1e-10)
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
-    sweep.top_singular(lambda o, e, ts: o[0].apply_times(e, ts, TOL), [0.3],
-                       [[window_mask(model.basis, ProjectorSpec(ALL, 0, 2))]])
+    window_sweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys,
+                 lambda o, e, ts: o[0].apply_times(e, ts, TOL), [0.3],
+                 [[window_mask(model.basis, ProjectorSpec(ALL, 0, 2))]])
     evolve(model.hamiltonian, _random_state(model.dimension, 3), 0.3)
     lowest_eigenpairs(model.hamiltonian, k=2)
     assert [_csr_bytes(op) for op in ops] == before
@@ -951,13 +987,14 @@ def test_stacked_sweep_matches_per_sector_sweep(model, window0, t):
     time, equal an evolution of each sector on its own within the engine
     slack."""
     basis, h, keys = model.basis, model.hamiltonian, model.sector_keys
-    sweep = WindowSweep(basis, window0, [h], keys)
-    assert any(len(stack.starts) > 2 for stack in sweep.stacks)
+    stacks = _stacks(model, window0)
+    assert any(len(stack.starts) > 2 for stack in stacks)
     times = [t, 0.0, 2.0 * t]
     lams = [window0.hi + 1, window0.hi + 2]
     keeps = [[window_mask(basis, ProjectorSpec(ALL, 0, lam)) for lam in lams]] * len(times)
-    got = sweep.top_singular(lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
-    sectors = [member for stack in sweep.stacks for member in _members(stack)]
+    got = window_sweep(basis, window0, [h], keys,
+                       lambda ops, e, ts: ops[0].apply_times(e, ts, TOL), times, keeps)
+    sectors = [member for stack in stacks for member in _members(stack)]
     props = [ChebyshevPropagator(propagate._principal_submatrix(h, rows)) for rows, _ in sectors]
     slack = engine_slack(TOL)
     for ti, masks, row in zip(times, keeps, got):
@@ -1027,7 +1064,7 @@ def test_window_sweep_batches_outputs_under_the_cap(monkeypatch):
     there, with the same values."""
     model = hubbard_holstein_1d(2, u=0.5, g=0.5, n_max=5)
     window0 = ProjectorSpec(ALL, 0, 2)
-    sweep = WindowSweep(model.basis, window0, [model.hamiltonian], model.sector_keys)
+    args = (model.basis, window0, [model.hamiltonian], model.sector_keys)
     times = [0.2, 0.5, 0.9]
     keeps = [[window_mask(model.basis, ProjectorSpec(ALL, 0, 3))]] * len(times)
     batches = []
@@ -1036,12 +1073,12 @@ def test_window_sweep_batches_outputs_under_the_cap(monkeypatch):
         batches.append((e.shape[0] * e.shape[1], len(ts)))
         return ops[0].apply_times(e, ts, TOL)
 
-    whole = sweep.top_singular(evolve_times, times, keeps)
+    whole = window_sweep(*args, evolve_times, times, keeps)
     assert max(n for _, n in batches) == len(times)
-    largest = max(stack.entries for stack in sweep.stacks)
+    largest = max(stack.entries for stack in _stacks(model, window0))
     monkeypatch.setattr(propagate, "COLUMN_CAP", 2 * largest - 1)
     batches.clear()
-    split = sweep.top_singular(evolve_times, times, keeps)
+    split = window_sweep(*args, evolve_times, times, keeps)
     assert split == whole
     assert min(n for _, n in batches) == 1
     assert all(entries * n <= 2 * largest - 1 for entries, n in batches)
@@ -1049,8 +1086,9 @@ def test_window_sweep_batches_outputs_under_the_cap(monkeypatch):
 
 def test_restrict_rejects_rows_coupled_to_the_rest():
     """A sector's principal submatrix is its own; rows an operator couples
-    to the rest are refused, by the submatrix and by a WindowSweep whose
-    keys the operator does not conserve; keys of the wrong shape too."""
+    to the rest are refused, by the submatrix and by a window sweep whose
+    keys the operator does not conserve, before any stack is swept; keys
+    of the wrong shape too."""
     model = hubbard_holstein_1d(2, g=0.5, n_max=3)
     h, keys = model.hamiltonian, model.sector_keys
     rows = np.flatnonzero(keys == keys[0])
@@ -1060,10 +1098,11 @@ def test_restrict_rejects_rows_coupled_to_the_rest():
     with pytest.raises(ValueError, match="coupled to states outside"):
         propagate._principal_submatrix(h, phonon_vacuum)
     window0 = ProjectorSpec(ALL, 0, 1)
+    sweep = ([0.5], [[np.zeros(model.dimension, dtype=bool)]])
     with pytest.raises(ValueError, match="coupled to states outside"):
-        WindowSweep(model.basis, window0, [h], phonons)
+        window_sweep(model.basis, window0, [h], phonons, _unreachable, *sweep)
     with pytest.raises(ValueError, match="one entry per basis state"):
-        WindowSweep(model.basis, window0, [h], keys[:-1])
+        window_sweep(model.basis, window0, [h], keys[:-1], _unreachable, *sweep)
 
 
 def test_window_sweep_refuses_a_non_hermitian_stack():
@@ -1076,7 +1115,33 @@ def test_window_sweep_refuses_a_non_hermitian_stack():
     inside = sp.csr_matrix(([0.5], ([rows[0]], [rows[1]])), shape=h.shape)
     assert keys[rows[0]] == keys[rows[1]]
     with pytest.raises(ValueError, match="not Hermitian"):
-        WindowSweep(model.basis, window0, [h + inside], keys)
+        window_sweep(model.basis, window0, [h + inside], keys, _unreachable, [0.5],
+                     [[np.zeros(model.dimension, dtype=bool)]])
+
+
+def test_window_sweep_refuses_before_sweeping_any_stack():
+    """Every stack is prepared before the first is swept: an operator that
+    is not Hermitian on the last stack only is refused before fn is ever
+    called, though every earlier stack's operators pass."""
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    h, keys = model.hamiltonian, model.sector_keys
+    window0 = ProjectorSpec(ALL, 0, 1)
+    stacks = _stacks(model, window0)
+    assert len(stacks) > 1
+    rows = stacks[-1].rows
+    inside = sp.csr_matrix(([0.5], ([rows[0]], [rows[1]])), shape=h.shape)
+    calls = []
+
+    def recording(ops, e, xs):
+        calls.append(len(xs))
+        return ops[0].apply_times(e, xs, TOL)
+
+    keep = window_mask(model.basis, ProjectorSpec(ALL, 0, 2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        window_sweep(model.basis, window0, [h, h + inside], keys, recording, [0.5], [[keep]])
+    assert calls == []
+    window_sweep(model.basis, window0, [h, h], keys, recording, [0.5], [[keep]])
+    assert len(calls) >= len(stacks)
 
 
 @pytest.mark.parametrize("build, whole", [
@@ -1091,13 +1156,13 @@ def test_window_sweep_builds_one_propagator_per_operator_and_stack(
     so none of the full dimension unless one stack is the whole space."""
     model = build()
     ops = [model.hamiltonian, *model.parts.values()]
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
-    assert [[p.shape for p in props] for props in sweep._ops] == [
-        [(len(st.rows),) * 2] * len(ops) for st in sweep.stacks
+    prepared = _prepared(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
+    assert [[p.shape for p in props] for _, props in prepared] == [
+        [(len(st.rows),) * 2] * len(ops) for st, _ in prepared
     ]
-    assert hermiticity_checks == [(len(st.rows),) * 2 for st in sweep.stacks for _ in ops]
-    assert [len(st.rows) == model.dimension for st in sweep.stacks] == (
-        [True] if whole else [False] * len(sweep.stacks)
+    assert hermiticity_checks == [(len(st.rows),) * 2 for st, _ in prepared for _ in ops]
+    assert [len(st.rows) == model.dimension for st, _ in prepared] == (
+        [True] if whole else [False] * len(prepared)
     )
 
 
@@ -1116,9 +1181,9 @@ def test_stack_propagation_equals_full_space_evolve(model):
     full-space evolve does, within both error bounds: the full columns stay
     on the stack's rows, and agree there to within 4 tol ||block||."""
     h = model.hamiltonian
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [h], model.sector_keys)
-    assert any(len(st.starts) > 2 for st in sweep.stacks)
-    for i, (stack, (prop,)) in enumerate(zip(sweep.stacks, sweep._ops)):
+    prepared = _prepared(model.basis, ProjectorSpec(ALL, 0, 1), [h], model.sector_keys)
+    assert any(len(st.starts) > 2 for st, _ in prepared)
+    for i, (stack, (prop,)) in enumerate(prepared):
         block = _random_block(len(stack.rows), 3, 40 + i)
         block /= np.linalg.norm(block, 2)
         full = np.zeros((model.dimension, 3), dtype=complex)
@@ -1142,17 +1207,21 @@ def test_restrict_is_scipy_fancy_indexing_byte_for_byte(model):
     """The submatrix has exactly the arrays of h[rows][:, rows], on the
     caller's mixed-order H (HH and Dicke store some rows with descending
     columns), on multi-member stacks and on rows in any order; and each
-    stack's propagator evolves exactly the arrays of the canonical full
+    stack's propagator is exactly the one prepared from the canonical full
     copy's h[rows][:, rows]."""
     stacks = _stack_rows(model)
     assert any(len(np.unique(model.sector_keys[rows])) > 1 for rows in stacks)
     rng = np.random.default_rng(7)
     ops = [model.hamiltonian, *model.parts.values()]
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
+    prepared = _prepared(model.basis, ProjectorSpec(ALL, 0, 1), ops, model.sector_keys)
     for j, op in enumerate(ops):
         canonical = propagate._owned_csr(op)
-        for stack, props in zip(sweep.stacks, sweep._ops):
-            assert _same_csr(props[j]._h, canonical[stack.rows][:, stack.rows])
+        for stack, props in prepared:
+            want = ChebyshevPropagator(canonical[stack.rows][:, stack.rows])
+            assert (props[j]._centre, props[j]._half) == (want._centre, want._half)
+            assert np.array_equal(props[j]._diag, want._diag)
+            assert (props[j]._two_hs is None) == (want._two_hs is None)
+            assert want._two_hs is None or _same_csr(props[j]._two_hs, want._two_hs)
         for rows in [*stacks, rng.permutation(stacks[0])]:
             assert _same_csr(propagate._principal_submatrix(op, rows), op[rows][:, rows])
     mixed = model.hamiltonian
@@ -1334,18 +1403,24 @@ SCALED_MODELS = {
 
 @pytest.mark.parametrize("name", SCALED_MODELS)
 def test_scaled_operator_is_scipys_expression_byte_for_byte(name):
-    """2 (h - c) / r equals scipy's expression in data, indices, indptr and
-    their dtypes: for H and every part, the full operator and each stack it
-    is restricted to."""
+    """2 (h - c) / r equals scipy's expression on the same private copy in
+    data, indices, indptr and their dtypes: for H and every part, the full
+    operator and each stack it is restricted to."""
     model = SCALED_MODELS[name]
+    rows = np.arange(model.dimension)
     checked = 0
     for h in [model.hamiltonian, *model.parts.values()]:
-        prop = ChebyshevPropagator(h)
-        sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [h], model.sector_keys)
-        for p in [prop] + [ops[0] for ops in sweep._ops]:
+        cases = [(ChebyshevPropagator(h), h)]
+        for stack, (p,) in _prepared(model.basis, ProjectorSpec(ALL, 0, 1), [h],
+                                      model.sector_keys):
+            whole = np.array_equal(stack.rows, rows)
+            cases.append((p, h if whole else propagate._principal_submatrix(h, stack.rows)))
+        for p, op in cases:
             if p._diag is not None or p._half == 0.0:
+                assert p._two_hs is None
                 continue
-            assert _same_csr(p._scaled(), _scaled_oracle(p._h, p._centre, 2.0 / p._half))
+            copy = propagate._owned_csr(op)
+            assert _same_csr(p._two_hs, _scaled_oracle(copy, p._centre, 2.0 / p._half))
             checked += 1
     assert checked >= 3
 
@@ -1388,15 +1463,15 @@ def test_chebyshev_matches_expm_multiply_past_dense_size():
     model = hubbard_holstein_1d(3, u=0.5, g=0.5, n_max=7)
     h, keys = model.hamiltonian, model.sector_keys
     largest = np.flatnonzero(keys == np.bincount(keys).argmax())
-    sweep = WindowSweep(model.basis, ProjectorSpec(ALL, 0, 1), [h], keys)
-    ((stack, (stacked,)),) = [(s, ops) for s, ops in zip(sweep.stacks, sweep._ops)
-                              if len(s.starts) > 2]
+    ((stack, (stacked,)),) = [(s, ops) for s, ops in _prepared(
+        model.basis, ProjectorSpec(ALL, 0, 1), [h], keys) if len(s.starts) > 2]
     assert (len(largest), len(stack.starts) - 1, len(stack.rows)) == (4608, 4, 2048)
     members = [ChebyshevPropagator(propagate._principal_submatrix(h, rows))
                for rows, _ in _members(stack)]
     assert len({(m._centre, m._half) for m in members}) > 1
-    for sub in (ChebyshevPropagator(propagate._principal_submatrix(h, largest)), stacked):
-        h_sub = sub._h.tocsc()
+    alone = ChebyshevPropagator(propagate._principal_submatrix(h, largest))
+    for sub, rows in ((alone, largest), (stacked, stack.rows)):
+        h_sub = propagate._principal_submatrix(h, rows).tocsc()
         complex_block = _random_block(sub.shape[0], 8, 31)
         for block in (complex_block.real.copy(), complex_block):
             scale = np.linalg.norm(block, 2)

@@ -136,21 +136,17 @@ def test_summaries_hubbard_holstein_interior_coordination():
 # ---------------------------------------------------------------------------
 
 def test_trotter_steps_hand_values():
-    assert trotter_steps(2.0, 1.0, 1, 1.0).r_steps == 4
-    assert trotter_steps(1.0, 1.0, 1, 1.0).r_steps == 1
-    assert trotter_steps(1.0, 0.01, 2, 8.0).r_steps == math.ceil(800.0 ** 0.5)
+    assert trotter_steps(2.0, 1.0, 1, 1.0) == 4
+    assert trotter_steps(1.0, 1.0, 1, 1.0) == 1
+    assert trotter_steps(1.0, 0.01, 2, 8.0) == math.ceil(800.0 ** 0.5)
+    assert type(trotter_steps(3.0, 0.1, 1, 2.0)) is int
 
 
 def test_trotter_steps_time_doubling_exponent():
     p = 2
-    r1 = trotter_steps(40.0, 1e-3, p, 5.0).r_steps
-    r2 = trotter_steps(80.0, 1e-3, p, 5.0).r_steps
+    r1 = trotter_steps(40.0, 1e-3, p, 5.0)
+    r2 = trotter_steps(80.0, 1e-3, p, 5.0)
     assert r2 / r1 == pytest.approx(2.0 ** (1 + 1 / p), rel=0.01)
-
-
-def test_trotter_steps_tau_property():
-    plan = trotter_steps(3.0, 0.1, 1, 2.0)
-    assert plan.tau == pytest.approx(3.0 / plan.r_steps)
 
 
 def test_trotter_steps_validation():
@@ -287,12 +283,12 @@ def test_uncovered_order_with_budget_fails_before_propagating(monkeypatch):
 
 
 def _refuses_before_preparing(monkeypatch, match, *args, **kwargs):
-    """empirical_trotter_error raises ValueError before any WindowSweep exists."""
+    """empirical_trotter_error raises ValueError before any window sweep runs."""
 
     def no_sweep(*_args, **_kwargs):
         raise AssertionError("a window sweep was prepared")
 
-    monkeypatch.setattr(trotter, "WindowSweep", no_sweep)
+    monkeypatch.setattr(trotter, "window_sweep", no_sweep)
     with pytest.raises(ValueError, match=match):
         empirical_trotter_error(*args, **kwargs)
 

@@ -121,11 +121,24 @@ def test_state_truncation_refuses_deltas_below_one(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("a sweep was built")
 
-    monkeypatch.setattr("truncert.verify.WindowSweep", no_sweep)
+    monkeypatch.setattr("truncert.verify.window_sweep", no_sweep)
     model = single_mode(1.0, 1.0, 8)
     for deltas, named in (((0, 2), "0"), ((-3,), "-3"), ((2, -1, 0), "-1, 0")):
         with pytest.raises(ValueError, match=f"^deltas must be >= 1, got {named}$"):
             verify_state_truncation(model, 0, [0.2], deltas=deltas)
+
+
+def test_state_truncation_refuses_a_negative_time_before_any_sweep(monkeypatch):
+    """The analytic rows come first: a time the bounds refuse raises
+    ValueError before the sweep prepares anything."""
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep was built")
+
+    monkeypatch.setattr("truncert.verify.window_sweep", no_sweep)
+    model = hubbard_holstein_1d(2, g=0.5, n_max=3)
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        verify_state_truncation(model, 1, [0.2, -1.0], deltas=(2,))
 
 
 def test_state_truncation_reports_share_the_call_runtime():
