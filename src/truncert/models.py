@@ -138,6 +138,20 @@ class ModelInstance:
             return 0
         return min(int(self.basis.modes[j].cutoff) for j in t)
 
+    def truncated(self, lambda_tilde: int) -> sp.csr_matrix:
+        """Pi H Pi, Pi the all-mode window [0, lambda_tilde], as the product Pi @ H @ Pi.
+
+        The one padding check of Hamiltonian truncation: ValueError unless
+        0 <= lambda_tilde and lambda_tilde + 2 <= cutoff.
+        """
+        lam = int(lambda_tilde)
+        if lam < 0:
+            raise ValueError("lambda_tilde must be >= 0")
+        if self.cutoff < lam + 2:
+            raise ValueError(f"padding insufficient: cutoff {self.cutoff} < lambda_tilde + 2")
+        pi = projector(self.basis, ProjectorSpec(ALL, 0, lam))
+        return (pi @ self.hamiltonian @ pi).tocsr()
+
     def comm_norm(self, lambda_tilde: int) -> float:
         """Cached ||[H, Pi H Pi]|| at a window, estimated from below (`comm_norm_exact`)."""
         key = int(lambda_tilde)
@@ -438,29 +452,19 @@ def u1_lgt_1d(
 # ---------------------------------------------------------------------------
 
 def comm_norm_exact(model: ModelInstance, lambda_tilde: int) -> float:
-    """Spectral norm of [H, Pi H Pi] with Pi the all-mode window [0, lambda_tilde].
+    """Spectral norm of [H, Pi H Pi] with Pi H Pi = `model.truncated(lambda_tilde)`.
 
     The commutator is supported within two quantum numbers of the window
-    edge, so a padding of two levels above lambda_tilde captures it
-    exactly; the model must provide that padding (ValueError otherwise).
+    edge, so the padding `ModelInstance.truncated` checks captures it
+    exactly; the products sum each row of H and Pi H Pi in stored order.
     The norm is a power-iteration estimate (`propagate.op_norm`), which
     converges from below: 4.9e-6 relative under the dense norm on
     `dicke(3, 1.0, 0.7, 2.0, 12)` at lambda_tilde 10, so it is not yet
     the upper bound `bounds.hamiltonian_truncation_bounds` asks for.
     """
-    lam = int(lambda_tilde)
-    if lam < 0:
-        raise ValueError("lambda_tilde must be >= 0")
-    if model.cutoff < lam + 2:
-        raise ValueError(
-            f"padding insufficient: cutoff {model.cutoff} < lambda_tilde + 2 = {lam + 2}"
-        )
-    pi = projector(model.basis, ProjectorSpec(ALL, 0, lam))
-    h = model.hamiltonian
-    ht = (pi @ h @ pi).tocsr()
+    h, ht = model.hamiltonian, model.truncated(lambda_tilde)
     c = h @ ht - ht @ h
 
     from .propagate import op_norm
 
-    return op_norm(c, tol=1e-12, max_iter=2000)
-
+    return op_norm(c)

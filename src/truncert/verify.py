@@ -37,7 +37,8 @@ report of one call carries the call's elapsed time as runtime_s.
 
 A window grown past the proxy cutoff makes the empirical value
 identically zero: the report stays sound and says so, since the finite
-proxy obeys the same walk profile as the unbounded Hamiltonian.
+proxy obeys the same walk profile as the unbounded Hamiltonian.  A start
+window at or past the cutoff would make every row so, and is refused.
 
 The analytic side of every check but the short-time rows reads one
 `bounds.Leakage` table per start window and time: the long-time rows of
@@ -63,7 +64,7 @@ from .bounds import (
     tail_threshold,
     within_speed_limit,
 )
-from .fock_algebra import ALL, ProjectorSpec, projector, window_mask
+from .fock_algebra import ALL, ProjectorSpec, window_mask
 from .models import ModelInstance, single_mode
 from .propagate import TOL, evolve, lowest_eigenpairs, window_sweep
 
@@ -172,20 +173,24 @@ def verify_state_truncation(
     time whose windows all reach the cutoff is not evolved.  The call
     makes one sweep for all its times, so every report it returns
     carries the whole call's elapsed time as runtime_s.  A delta below 1
-    (no window growth) raises ValueError naming every such delta, before
-    anything is propagated.
+    (no window growth) raises ValueError naming every such delta, and so
+    does a start window at or past the proxy cutoff (every escape window
+    would then hold every state, so no row would measure anything), both
+    before anything is propagated.
     """
     if mode not in ("per_mode", "all"):
         raise ValueError("mode must be 'per_mode' or 'all'")
     below_one = [int(d) for d in deltas if d < 1]
     if below_one:
         raise ValueError(f"deltas must be >= 1, got {', '.join(map(str, below_one))}")
+    cutoff = model.cutoff
+    if lambda0 >= cutoff:
+        raise ValueError(f"lambda0 = {lambda0} must be < the proxy cutoff {cutoff}")
     t0 = time.perf_counter()
     basis = model.basis
     trunc = basis.truncatable_modes
     union = math.sqrt(len(trunc)) if trunc else 1.0
     nus = trunc if mode == "per_mode" else [None]
-    cutoff = model.cutoff
     times = list(times)
     points = []  # per time: (kind, delta, window, bound); short and long may coincide
     for t in times:
@@ -266,7 +271,7 @@ def verify_hamiltonian_truncations(
     notes.  The analytic side reads one `Leakage` table for every
     lambda_tilde (`hamiltonian_truncation_bounds`).  Every lambda_tilde
     is checked against lambda0 + 2 before any model is built, and
-    against each cutoff's padding (cutoff >= lambda_tilde + 2) before
+    against each cutoff's padding (`ModelInstance.truncated`) before
     anything is propagated; either raises ValueError.  The call makes
     one sweep per cutoff for all its lambda-tildes, so every report it
     returns carries the whole call's elapsed time as runtime_s.
@@ -280,15 +285,8 @@ def verify_hamiltonian_truncations(
     window0 = ProjectorSpec(ALL, 0, int(lambda0))
 
     def empirical_at(model: ModelInstance) -> list[float]:
-        if model.cutoff < max(lambda_tildes) + 2:
-            raise ValueError(
-                f"padding insufficient: cutoff {model.cutoff} < lambda_tilde + 2"
-            )
         basis, h = model.basis, model.hamiltonian
-        truncated = []
-        for lam in lambda_tildes:
-            pi = projector(basis, ProjectorSpec(ALL, 0, lam))
-            truncated.append((pi @ h @ pi).tocsr())
+        truncated = [model.truncated(lam) for lam in lambda_tildes]
 
         def differences(ops, e, picks):
             full = ops[0].apply(e, t, tol)

@@ -568,6 +568,29 @@ def test_bad_lambda_tilde_exits_one_before_propagating(extra, message, capsys, m
     assert calls == []
 
 
+@pytest.mark.parametrize("lambda0", [8, 9])
+def test_vacuous_state_check_exits_one_before_propagating(lambda0, capsys, monkeypatch):
+    """A start window at or past the proxy cutoff holds every state, so the
+    check would measure nothing: one error line, no output, no evolution."""
+    calls = []
+    real = propagate.ChebyshevPropagator.apply_times
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(propagate.ChebyshevPropagator, "apply_times", counting)
+    code = cli.main(
+        ["verify", "state", "--model", "single", "--n-max", "8", "--t", "0.2",
+         "--lambda0", str(lambda0), "--format", "json"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"truncert: error: lambda0 = {lambda0} must be < the proxy cutoff 8\n"
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_one_step_trotter_reports_nan_slope(capsys):
     """One step size leaves no slope to fit: the table still prints, slope is nan."""
     code, out = _run(

@@ -77,7 +77,7 @@ def test_walk_profile_is_sound(model):
         top = model.basis.modes[mode].cutoff
         for lam in range(0, top):
             pi = projector(model.basis, ProjectorSpec(mode, 0, lam))
-            norm = op_norm(hw @ pi, tol=1e-10)
+            norm = op_norm(hw @ pi)
             assert norm <= chi * (lam + 1.0) ** r + 1e-7
 
 
@@ -586,9 +586,24 @@ def test_comm_norm_diagonal_model_vanishes():
 
 
 def test_comm_norm_padding_guard():
+    """A window without two levels of padding raises the one ValueError of
+    `ModelInstance.truncated` from it, from `comm_norm_exact` and from the
+    Hamiltonian-truncation check."""
+    from truncert.verify import verify_hamiltonian_truncation
+
     model = single_mode(1.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        comm_norm_exact(model, 8)
+    message = "^padding insufficient: cutoff 8 < lambda_tilde \\+ 2$"
+    for call in (
+        lambda: model.truncated(7),
+        lambda: comm_norm_exact(model, 7),
+        lambda: comm_norm_exact(model, 8),
+        lambda: verify_hamiltonian_truncation(lambda nm: model, 8, 1, 7, 0.5),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert model.truncated(6).shape == (9, 9)
+    with pytest.raises(ValueError, match="^lambda_tilde must be >= 0$"):
+        model.truncated(-1)
 
 
 def test_comm_norm_cached_on_model():
@@ -596,6 +611,35 @@ def test_comm_norm_cached_on_model():
     first = model.comm_norm(6)
     second = model.comm_norm(6)
     assert first == second
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.label)
+def test_truncated_is_the_projected_product_byte_for_byte(model):
+    """Pi H Pi is the sparse product Pi @ H @ Pi as it is stored: the same
+    values, column order and row pointers, at every padded window."""
+    for lam in range(model.cutoff - 1):
+        pi = projector(model.basis, ProjectorSpec(ALL, 0, lam))
+        want = (pi @ model.hamiltonian @ pi).tocsr()
+        got = model.truncated(lam)
+        assert got.dtype == want.dtype == np.float64
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model, norm",
+    [
+        (hubbard_holstein_1d(2, 1.0, 0.5, 0.0, 0.5, 1.0, 10), 9.769438921341012),
+        (dicke(3, 1.0, 1.0, 0.5, 20), 6.910693955183928),
+    ],
+    ids=["hubbard_holstein_1d", "dicke"],
+)
+def test_comm_norm_keeps_the_pinned_threshold_values(model, norm):
+    """The one window the two pinned `threshold ham` searches read (3, on
+    the CI instances) keeps its commutator norm to the bit: the stored
+    entry order of H and of Pi H Pi decides it."""
+    assert model.comm_norm(3) == norm
 
 
 # ---------------------------------------------------------------------------

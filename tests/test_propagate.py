@@ -634,8 +634,8 @@ def test_one_block_stack_holds_one_copy_of_its_columns():
     array, and the float64 recurrence accumulates into the outputs
     themselves: the sweep's traced peak stays well below two copies of the
     (times, dim, n0) columns."""
-    model = single_mode(0.5, 1.0, 255)  # dim 256
-    window0 = ProjectorSpec(ALL, 0, 127)  # 128 columns: 2^15 entries, one block
+    model = single_mode(0.5, 1.0, propagate._BLOCK_ENTRIES // 128 - 1)
+    window0 = ProjectorSpec(ALL, 0, 127)  # 128 columns of dim * 128 entries: one block
     (stack,) = _stacks(model, window0)
     assert stack.entries == propagate._BLOCK_ENTRIES
     times = [0.05 * k for k in range(1, 17)]
@@ -1456,15 +1456,17 @@ def test_chebyshev_matches_expm_multiply_past_dense_size():
     scipy's scaling-and-squaring Taylor action (``expm_multiply``, no
     shared code) agrees with the Chebyshev recurrence to within tol (plus
     1e-12 for expm_multiply's own error) in the 2-norm, on the largest
-    sector (dim 4,608) of 3-site HH at n_max 7 and on the 4-member stack of
-    its [0, 1] window, for a real and a complex 8-column block at three
-    times.  The stack's members have different Gershgorin intervals, so the
+    sector (dim 4,608) of 3-site HH at n_max 7 and on the stack of its
+    [0, 1] window that holds the four sectors with 8 window states (dim
+    512 each, 4 x 4,096 entries: one stack for any _BLOCK_ENTRIES of at
+    least 2^14), for a real and a complex 8-column block at three times.
+    The stack's members have different Gershgorin intervals, so the
     stack's hull is wider than some member's own."""
     model = hubbard_holstein_1d(3, u=0.5, g=0.5, n_max=7)
     h, keys = model.hamiltonian, model.sector_keys
     largest = np.flatnonzero(keys == np.bincount(keys).argmax())
     ((stack, (stacked,)),) = [(s, ops) for s, ops in _prepared(
-        model.basis, ProjectorSpec(ALL, 0, 1), [h], keys) if len(s.starts) > 2]
+        model.basis, ProjectorSpec(ALL, 0, 1), [h], keys) if s.window.shape[1] == 8]
     assert (len(largest), len(stack.starts) - 1, len(stack.rows)) == (4608, 4, 2048)
     members = [ChebyshevPropagator(propagate._principal_submatrix(h, rows))
                for rows, _ in _members(stack)]

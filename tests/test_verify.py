@@ -141,6 +141,27 @@ def test_state_truncation_refuses_a_negative_time_before_any_sweep(monkeypatch):
         verify_state_truncation(model, 1, [0.2, -1.0], deltas=(2,))
 
 
+def test_state_truncation_refuses_a_start_window_at_the_cutoff(monkeypatch):
+    """A start window [0, lambda0] at or past the proxy cutoff holds every
+    state, so every row would read 0 and measure nothing: ValueError
+    before any sweep.  One level below the cutoff is still checked."""
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep was built")
+
+    model = single_mode(1.0, 1.0, 8)
+    with monkeypatch.context() as m:
+        m.setattr("truncert.verify.window_sweep", no_sweep)
+        for lambda0 in (8, 9):
+            with pytest.raises(
+                ValueError, match=f"^lambda0 = {lambda0} must be < the proxy cutoff 8$"
+            ):
+                verify_state_truncation(model, lambda0, [0.2])
+    (report,) = verify_state_truncation(model, 7, [0.05], deltas=(1,))
+    assert (report.inputs["window"], report.notes) == (7, "exact column sweep")
+    assert report.empirical > 0.0 and report.sound
+
+
 def test_state_truncation_reports_share_the_call_runtime():
     """One sweep serves every time, so every report of one call carries the
     call's elapsed time."""
